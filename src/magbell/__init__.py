@@ -45,6 +45,7 @@ from .dynamics import (
     IntegratorConfig,
     LindbladSpec,
     integrate_master,
+    lindblad_action,
     propagator,
     time_ordered_propagator,
 )
@@ -81,8 +82,8 @@ __all__ = [
     "build_time_dependent_jc", "detuning_match", "effective_couplings",
     "effective_couplings_single_mode", "lamb_shifts", "sw_generator",
     "sw_reduction_check",
-    "IntegratorConfig", "LindbladSpec", "integrate_master", "propagator",
-    "time_ordered_propagator",
+    "IntegratorConfig", "LindbladSpec", "integrate_master", "lindblad_action",
+    "propagator", "time_ordered_propagator",
     "ProtocolConfig", "ProtocolRecord", "analytic_kraus", "apply_projection",
     "coupling_ratio_fidelity", "interval_for_target", "kraus_coefficient",
     "numeric_kraus", "qubit_parity_reference", "rabi_frequency", "run_protocol",

@@ -154,6 +154,7 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         "gamma_m": (_nonneg(_number), 1e-4),
         "rounds": (_positive(_integer), 8),
         "cutoff": (_positive(_integer), 3),
+        # Accepted so old result headers re-run; lossy rounds no longer read it.
         "steps_per_round": (_positive(_integer), 2000),
     },
     "stabilize": {
@@ -164,6 +165,7 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         "gamma_m": (_nonneg(_number), 1e-4),
         "rounds": (_positive(_integer), 8),
         "cutoff": (_positive(_integer), 3),
+        # Accepted so old result headers re-run; lossy rounds no longer read it.
         "steps_per_round": (_positive(_integer), 2000),
     },
     "coherent-distill": {

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IntegratorConfig, LindbladSpec, integrate_master, propagator
+from .dynamics import LindbladSpec, lindblad_action, propagator
+from .dynamics import integrate_master  # noqa: F401  (perfbench's tracer looks the RK4 oracle up here)
 from .hilbert import (
     DimensionError,
     HilbertSpace,
@@ -143,8 +144,8 @@ class ProtocolConfig:
 
     tau is the per-round free-evolution interval (already halved in
     half-interval mode).  decoherence, when set, is the (gamma_n, gamma_m)
-    pair of magnon decay rates and switches each round to master-equation
-    evolution.
+    pair of magnon decay rates and switches each round to the exact
+    master-equation map exp(L tau) on the joint qutrit-magnon space.
     """
 
     eff: EffectiveParams
@@ -153,6 +154,7 @@ class ProtocolConfig:
     target_N: int = 1
     decoherence: tuple[float, float] | None = None
     interval_mode: str = "full"
+    # Kept so old lossy result headers still load; lossy rounds no longer read it.
     steps_per_round: int = DEFAULT_STEPS_PER_ROUND
 
     def __post_init__(self):
@@ -220,16 +222,39 @@ def _even_pair_population(state: QuantumState, N: int) -> float:
     return float(pops[space.index((0, 0))] + pops[space.index((N, N))])
 
 
+def _joint_spec(mag_space: HilbertSpace, cfg: ProtocolConfig) -> LindbladSpec:
+    """Qutrit-magnon Hamiltonian of cfg, with magnon loss when cfg has decoherence."""
+    if mag_space.labels != ("n", "m"):
+        raise DimensionError(f"initial state must live on ('n', 'm'), got {mag_space.labels}")
+    jc_space = HilbertSpace((("atom", 3),) + mag_space.subsystems)
+    h_eff = build_jc_effective(cfg.eff, jc_space)
+    if cfg.decoherence is None:
+        return LindbladSpec(h_eff, ())
+    gamma_n, gamma_m = cfg.decoherence
+    return LindbladSpec(h_eff, (
+        (embed(annihilation(jc_space.dim("n")), jc_space, "n"), gamma_n),
+        (embed(annihilation(jc_space.dim("m")), jc_space, "m"), gamma_m),
+    ))
+
+
+def _ground_density() -> np.ndarray:
+    ground = np.zeros((3, 3), dtype=complex)
+    ground[LEVEL_G, LEVEL_G] = 1.0
+    return ground
+
+
 def run_protocol(initial: QuantumState, cfg: ProtocolConfig) -> ProtocolRecord:
     """Run M rounds of (attach ground-state qutrit, evolve tau, project).
 
     Closed runs apply the precomputed ground-outcome Kraus operator; with
-    decoherence set, each round integrates the magnon-loss master equation
-    on the joint space before projecting.
+    decoherence set, each round applies the exact magnon-loss map
+    exp(L tau) on the joint space (``lindblad_action``) before projecting.
     """
+    return _run_protocol(initial, cfg, _joint_spec(initial.space, cfg))
+
+
+def _run_protocol(initial: QuantumState, cfg: ProtocolConfig, spec: LindbladSpec) -> ProtocolRecord:
     mag_space = initial.space
-    if mag_space.labels != ("n", "m"):
-        raise DimensionError(f"initial state must live on ('n', 'm'), got {mag_space.labels}")
     N = cfg.target_N
     if N >= min(mag_space.dims):
         raise DimensionError(f"target excitation {N} outside cutoffs {mag_space.dims}")
@@ -240,9 +265,7 @@ def run_protocol(initial: QuantumState, cfg: ProtocolConfig) -> ProtocolRecord:
             f"initial population on {{|0,0>, |{N},{N}>}} is numerically zero"
         )
 
-    jc_space = HilbertSpace((("atom", 3),) + mag_space.subsystems)
-    h_eff = build_jc_effective(cfg.eff, jc_space)
-    vg = numeric_kraus(h_eff, cfg.tau)
+    vg = numeric_kraus(spec.hamiltonian, cfg.tau)
 
     damping = np.abs(np.diag(vg.matrix))
     slow = tuple(
@@ -290,19 +313,11 @@ def run_protocol(initial: QuantumState, cfg: ProtocolConfig) -> ProtocolRecord:
             cumulative *= prob
             log(k)
     else:
-        gamma_n, gamma_m = cfg.decoherence
-        collapse = (
-            (embed(annihilation(jc_space.dim("n")), jc_space, "n"), gamma_n),
-            (embed(annihilation(jc_space.dim("m")), jc_space, "m"), gamma_m),
-        )
-        spec = LindbladSpec(h_eff, collapse)
-        icfg = IntegratorConfig(dt=cfg.tau / cfg.steps_per_round)
-        ground = np.zeros((3, 3), dtype=complex)
-        ground[LEVEL_G, LEVEL_G] = 1.0
+        jc_space = spec.hamiltonian.space
+        ground = _ground_density()
         for k in range(1, rounds + 1):
             rho_tot = QuantumState(jc_space, "mixed", np.kron(ground, state.density()))
-            rho_tot = integrate_master(rho_tot, spec, cfg.tau, icfg)
-            state, prob = apply_projection(rho_tot)
+            state, prob = apply_projection(lindblad_action(rho_tot, spec, cfg.tau))
             cumulative *= prob
             log(k)
 
@@ -327,29 +342,17 @@ def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.n
     """
     if cfg.decoherence is None:
         raise ValueError("stabilize requires decoherence rates in the config")
-    record = run_protocol(bell, cfg)
-    f_stab = record.fidelity_plus
+    spec = _joint_spec(bell.space, cfg)
+    f_stab = _run_protocol(bell, cfg, spec).fidelity_plus
 
-    mag_space = bell.space
-    jc_space = HilbertSpace((("atom", 3),) + mag_space.subsystems)
-    h_eff = build_jc_effective(cfg.eff, jc_space)
-    gamma_n, gamma_m = cfg.decoherence
-    spec = LindbladSpec(h_eff, (
-        (embed(annihilation(jc_space.dim("n")), jc_space, "n"), gamma_n),
-        (embed(annihilation(jc_space.dim("m")), jc_space, "m"), gamma_m),
-    ))
-    icfg = IntegratorConfig(dt=cfg.tau / cfg.steps_per_round)
-
-    target = bell_state(mag_space, cfg.target_N, +1)
+    target = bell_state(bell.space, cfg.target_N, +1)
     projector = np.kron(np.eye(3, dtype=complex), np.outer(target.data, target.data.conj()))
-    ground = np.zeros((3, 3), dtype=complex)
-    ground[LEVEL_G, LEVEL_G] = 1.0
 
     f_free = np.empty(cfg.rounds + 1)
-    rho = QuantumState(jc_space, "mixed", np.kron(ground, bell.density()))
+    rho = QuantumState(spec.hamiltonian.space, "mixed", np.kron(_ground_density(), bell.density()))
     f_free[0] = float(np.real(np.trace(rho.data @ projector)))
     for k in range(1, cfg.rounds + 1):
-        rho = integrate_master(rho, spec, cfg.tau, icfg)
+        rho = lindblad_action(rho, spec, cfg.tau)
         f_free[k] = float(np.real(np.trace(rho.data @ projector)))
     return f_stab, f_free
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magbell.dynamics import (
     IntegratorConfig,
@@ -9,6 +10,7 @@ from magbell.dynamics import (
     NonHermitianError,
     TraceDriftError,
     integrate_master,
+    lindblad_action,
     propagator,
     time_ordered_propagator,
     unitary_from_generator,
@@ -21,7 +23,10 @@ from magbell.hilbert import (
     basis_state,
     embed,
     fidelity,
+    product_state,
+    superposed_state,
 )
+from magbell.measurement import interval_for_target
 from magbell.model import EffectiveParams, build_jc_effective
 
 from conftest import random_hermitian
@@ -154,6 +159,70 @@ class TestIntegrateMaster:
         h = Operator(space, np.zeros((3, 3)), hamiltonian=True)
         with pytest.raises(ValueError):
             LindbladSpec(h, ((Operator(space, a.matrix), -0.1),))
+
+
+def random_density(rng, dim):
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = mat @ mat.conj().T
+    return rho / np.trace(rho)
+
+
+class TestLindbladAction:
+    def test_matches_rk4_for_one_decohere_prepare_round(self):
+        # decohere-prepare config: G_e = G_f = 6e-3, loss 1e-4 on both modes, cutoff 3
+        eff = EffectiveParams(G_e=6e-3, G_f=6e-3)
+        tau = interval_for_target(1, eff, eff.common_detuning())
+        spec = LindbladSpec(build_jc_effective(eff, JC_SPACE), (
+            (embed(annihilation(3), JC_SPACE, "n"), 1e-4),
+            (embed(annihilation(3), JC_SPACE, "m"), 1e-4),
+        ))
+        plus = superposed_state(3, 1)
+        magnons = product_state(HilbertSpace((("n", 3), ("m", 3))), {"n": plus, "m": plus})
+        ground = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        rho0 = QuantumState(JC_SPACE, "mixed", np.kron(ground, magnons.density()))
+        exact = lindblad_action(rho0, spec, tau)
+        rk4 = integrate_master(rho0, spec, tau, IntegratorConfig(dt=tau / 2000))
+        assert np.abs(exact.data - rk4.data).max() <= 1e-9
+
+    def test_closed_system_matches_propagator(self):
+        rng = np.random.default_rng(11)
+        space = HilbertSpace.single("s", 12)
+        h = Operator(space, random_hermitian(rng, 12), hamiltonian=True)
+        rho0 = QuantumState(space, "mixed", random_density(rng, 12))
+        u = propagator(h, 1.7).matrix
+        out = lindblad_action(rho0, LindbladSpec(h, ()), 1.7)
+        assert np.abs(out.data - u @ rho0.data @ u.conj().T).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4),
+        rates=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=2),
+        t=st.floats(0.0, 5.0),
+    )
+    def test_output_is_a_density_matrix(self, seed, dim, rates, t):
+        rng = np.random.default_rng(seed)
+        space = HilbertSpace.single("s", dim)
+        h = Operator(space, random_hermitian(rng, dim, 0.5), hamiltonian=True)
+        collapse = tuple(
+            (Operator(space, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))), rate)
+            for rate in rates
+        )
+        rho0 = QuantumState(space, "mixed", random_density(rng, dim))
+        out = lindblad_action(rho0, LindbladSpec(h, collapse), t).data
+        assert abs(np.trace(out) - 1.0) <= 1e-12
+        assert np.abs(out - out.conj().T).max() <= 1e-15
+        assert np.linalg.eigvalsh(out).min() >= -1e-12
+
+    def test_trace_guard_fires_on_impossible_tolerance(self):
+        dim = 6
+        space = HilbertSpace.single("s", dim)
+        a = annihilation(dim)
+        h = Operator(space, 0.3 * (a.matrix + a.matrix.conj().T), hamiltonian=True)
+        rho0 = QuantumState(space, "mixed", random_density(np.random.default_rng(5), dim))
+        spec = LindbladSpec(h, ((Operator(space, a.matrix), 0.05),))
+        lindblad_action(rho0, spec, 4.0)
+        with pytest.raises(TraceDriftError):
+            lindblad_action(rho0, spec, 4.0, trace_tol=1e-30)
 
 
 class TestTimeOrderedPropagator:
