@@ -154,8 +154,6 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         "gamma_m": (_nonneg(_number), 1e-4),
         "rounds": (_positive(_integer), 8),
         "cutoff": (_positive(_integer), 3),
-        # Accepted so old result headers re-run; lossy rounds no longer read it.
-        "steps_per_round": (_positive(_integer), 2000),
     },
     "stabilize": {
         "G_e": (_positive(_number), 6e-3),
@@ -165,8 +163,6 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         "gamma_m": (_nonneg(_number), 1e-4),
         "rounds": (_positive(_integer), 8),
         "cutoff": (_positive(_integer), 3),
-        # Accepted so old result headers re-run; lossy rounds no longer read it.
-        "steps_per_round": (_positive(_integer), 2000),
     },
     "coherent-distill": {
         "beta_n": (_number, 1.0),
@@ -206,6 +202,14 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
         "cavity_cutoff": (_positive(_integer), 3),
         "magnon_cutoff": (_positive(_integer), 4),
     },
+}
+
+# scenario -> {key: caster} for params that no longer affect a run: still
+# accepted and checked, so old result headers re-run, then dropped.  Lossy
+# rounds apply exp(L tau) exactly and have no RK4 step count to set.
+RETIRED_PARAMS: dict[str, dict] = {
+    "decohere-prepare": {"steps_per_round": _positive(_integer)},
+    "stabilize": {"steps_per_round": _positive(_integer)},
 }
 
 _TOP_LEVEL_KEYS = {"scenario", "params", "seed", "output", "format"}
@@ -253,11 +257,17 @@ def _resolve_params(scenario: str, given: dict) -> dict:
     if not isinstance(given, dict):
         raise ConfigError("params must be a mapping")
     schema = SCENARIO_SCHEMAS[scenario]
-    unknown = set(given) - set(schema)
+    retired = RETIRED_PARAMS.get(scenario, {})
+    unknown = set(given) - set(schema) - set(retired)
     if unknown:
         raise ConfigError(
             f"unknown params {sorted(unknown)} for scenario {scenario!r}; allowed: {sorted(schema)}"
         )
+    for key in set(given) & set(retired):
+        try:
+            retired[key](given[key])
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for {scenario}/{key}: {exc}") from exc
     resolved = {}
     for key, (caster, default) in schema.items():
         value = given.get(key, default)
@@ -314,7 +324,7 @@ def _run_half_interval(p: dict, seed: int):
 def _run_decohere_prepare(p: dict, seed: int):
     cfg = ProtocolConfig.for_target(
         _eff(p), rounds=p["rounds"], target_N=1, delta=p["Delta"],
-        decoherence=(p["gamma_n"], p["gamma_m"]), steps_per_round=p["steps_per_round"],
+        decoherence=(p["gamma_n"], p["gamma_m"]),
     )
     space = _magnon_space(p["cutoff"])
     plus = superposed_state(p["cutoff"], 1)
@@ -330,7 +340,7 @@ def _run_decohere_prepare(p: dict, seed: int):
 def _run_stabilize(p: dict, seed: int):
     cfg = ProtocolConfig.for_target(
         _eff(p), rounds=p["rounds"], target_N=1, delta=p["Delta"],
-        decoherence=(p["gamma_n"], p["gamma_m"]), steps_per_round=p["steps_per_round"],
+        decoherence=(p["gamma_n"], p["gamma_m"]),
     )
     space = _magnon_space(p["cutoff"])
     f_stab, f_free = stabilize(bell_state(space, 1, +1), cfg)

@@ -104,12 +104,7 @@ def _jump_terms(spec: LindbladSpec) -> list[tuple[np.ndarray, np.ndarray, np.nda
     return jumps
 
 
-def lindblad_action(
-    rho0: QuantumState,
-    spec: LindbladSpec,
-    t: float,
-    trace_tol: float = DEFAULT_TRACE_TOL,
-) -> QuantumState:
+def lindblad_action(rho0: QuantumState, spec: LindbladSpec, t: float) -> QuantumState:
     """exp(L t) rho0 for the time-independent Liouvillian L of spec, to roundoff.
 
     Matrix-free: no superoperator is formed.  The interval is cut into s
@@ -119,7 +114,7 @@ def lindblad_action(
     precision of the partial sum; the bound makes every later term smaller
     still (cf. Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
     Raises TraceDriftError if a series does not converge or |tr rho - tr rho0|
-    exceeds trace_tol.
+    exceeds DEFAULT_TRACE_TOL.
     """
     if rho0.space != spec.hamiltonian.space:
         raise SpaceMismatchError("initial state space differs from Lindblad space")
@@ -146,8 +141,8 @@ def lindblad_action(
                 f"Taylor series of exp(L t) not converged after {_TAYLOR_MAX_TERMS} terms"
             )
         drift = abs(np.trace(rho) - trace0)
-        if drift > trace_tol:
-            raise TraceDriftError(f"trace drift {drift:.3e} exceeds tolerance {trace_tol:.1e}")
+        if drift > DEFAULT_TRACE_TOL:
+            raise TraceDriftError(f"trace drift {drift:.3e} exceeds tolerance {DEFAULT_TRACE_TOL:.1e}")
     rho = 0.5 * (rho + rho.conj().T)  # scrub roundoff anti-Hermitian part
     return QuantumState(rho0.space, "mixed", rho)
 

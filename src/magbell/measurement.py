@@ -31,7 +31,6 @@ from .hilbert import (
 )
 from .model import LEVEL_G, EffectiveParams, build_jc_effective
 
-DEFAULT_STEPS_PER_ROUND = 2000
 NULL_OUTCOME_FLOOR = 1e-12
 SLOW_DAMPING_MARGIN = 1e-6
 CONVERGED_EVEN_POPULATION = 1.0 - 1e-6
@@ -154,8 +153,6 @@ class ProtocolConfig:
     target_N: int = 1
     decoherence: tuple[float, float] | None = None
     interval_mode: str = "full"
-    # Kept so old lossy result headers still load; lossy rounds no longer read it.
-    steps_per_round: int = DEFAULT_STEPS_PER_ROUND
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -171,8 +168,6 @@ class ProtocolConfig:
             if gn < 0 or gm < 0:
                 raise ValueError("decay rates must be nonnegative")
             object.__setattr__(self, "decoherence", (float(gn), float(gm)))
-        if self.steps_per_round < 1:
-            raise ValueError("steps_per_round must be >= 1")
 
     @classmethod
     def for_target(
@@ -183,7 +178,6 @@ class ProtocolConfig:
         interval_mode: str = "full",
         decoherence: tuple[float, float] | None = None,
         delta: float | None = None,
-        steps_per_round: int = DEFAULT_STEPS_PER_ROUND,
     ) -> "ProtocolConfig":
         """Config with tau picked so the (N, N) pair is held exactly."""
         if delta is None:
@@ -192,8 +186,7 @@ class ProtocolConfig:
         if interval_mode == "half":
             tau *= 0.5
         return cls(eff=eff, tau=tau, rounds=rounds, target_N=target_N,
-                   decoherence=decoherence, interval_mode=interval_mode,
-                   steps_per_round=steps_per_round)
+                   decoherence=decoherence, interval_mode=interval_mode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,17 +236,19 @@ def _ground_density() -> np.ndarray:
     return ground
 
 
-def run_protocol(initial: QuantumState, cfg: ProtocolConfig) -> ProtocolRecord:
+def run_protocol(
+    initial: QuantumState, cfg: ProtocolConfig, spec: LindbladSpec | None = None
+) -> ProtocolRecord:
     """Run M rounds of (attach ground-state qutrit, evolve tau, project).
 
     Closed runs apply the precomputed ground-outcome Kraus operator; with
     decoherence set, each round applies the exact magnon-loss map
     exp(L tau) on the joint space (``lindblad_action``) before projecting.
+    spec is the joint spec of cfg on the space of initial, for a caller that
+    has built it already; it is built here when omitted.
     """
-    return _run_protocol(initial, cfg, _joint_spec(initial.space, cfg))
-
-
-def _run_protocol(initial: QuantumState, cfg: ProtocolConfig, spec: LindbladSpec) -> ProtocolRecord:
+    if spec is None:
+        spec = _joint_spec(initial.space, cfg)
     mag_space = initial.space
     N = cfg.target_N
     if N >= min(mag_space.dims):
@@ -343,7 +338,7 @@ def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.n
     if cfg.decoherence is None:
         raise ValueError("stabilize requires decoherence rates in the config")
     spec = _joint_spec(bell.space, cfg)
-    f_stab = _run_protocol(bell, cfg, spec).fidelity_plus
+    f_stab = run_protocol(bell, cfg, spec).fidelity_plus
 
     target = bell_state(bell.space, cfg.target_N, +1)
     projector = np.kron(np.eye(3, dtype=complex), np.outer(target.data, target.data.conj()))

@@ -52,6 +52,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             config_from_mapping({"scenario": "bell-distill", "params": {"rounds": 0}})
 
+    def test_retired_step_count_is_checked_and_dropped(self):
+        for scenario in ("decohere-prepare", "stabilize"):
+            old = config_from_mapping({"scenario": scenario, "params": {"steps_per_round": 2000}})
+            assert old.params == config_from_mapping({"scenario": scenario}).params
+            assert "steps_per_round" not in old.params
+            with pytest.raises(ConfigError):
+                config_from_mapping({"scenario": scenario, "params": {"steps_per_round": 0}})
+        with pytest.raises(ConfigError):
+            config_from_mapping({"scenario": "bell-distill", "params": {"steps_per_round": 2000}})
+
     def test_load_from_file(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 5}})
         cfg = load_config(path)

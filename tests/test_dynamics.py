@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from magbell import dynamics
 from magbell.dynamics import (
     IntegratorConfig,
     LindbladSpec,
@@ -213,7 +214,7 @@ class TestLindbladAction:
         assert np.abs(out - out.conj().T).max() <= 1e-15
         assert np.linalg.eigvalsh(out).min() >= -1e-12
 
-    def test_trace_guard_fires_on_impossible_tolerance(self):
+    def test_trace_guard_fires_on_impossible_tolerance(self, monkeypatch):
         dim = 6
         space = HilbertSpace.single("s", dim)
         a = annihilation(dim)
@@ -221,8 +222,9 @@ class TestLindbladAction:
         rho0 = QuantumState(space, "mixed", random_density(np.random.default_rng(5), dim))
         spec = LindbladSpec(h, ((Operator(space, a.matrix), 0.05),))
         lindblad_action(rho0, spec, 4.0)
+        monkeypatch.setattr(dynamics, "DEFAULT_TRACE_TOL", 1e-30)
         with pytest.raises(TraceDriftError):
-            lindblad_action(rho0, spec, 4.0, trace_tol=1e-30)
+            lindblad_action(rho0, spec, 4.0)
 
 
 class TestTimeOrderedPropagator:
