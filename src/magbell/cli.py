@@ -4,6 +4,10 @@ Each scenario binds one headline result of the protocol to a strict YAML
 config.  All frequencies and rates are in units of the magnon frequency,
 times in units of its inverse.  Identical config and seed give byte-identical
 output, and the metadata header of every result is sufficient to re-run it.
+The protocol scenarios (bell-distill, half-interval, decohere-prepare,
+coherent-distill, nbell) are presets over one runner: the params pick the
+initial state and the loss rates, and a preset fixes only the interval mode
+and its extra result keys; stabilize shares that runner's config builder.
 
 Exit codes: 0 success, 2 config error, 3 physics-regime violation,
 4 optimizer abort.
@@ -15,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import yaml
@@ -129,60 +134,35 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _protocol_schema(G: float, rounds: int, cutoff: int, G_f: float | None = None,
+                     **extra) -> dict:
+    """Couplings, detuning, rounds and cutoff of a protocol scenario, then its own keys."""
+    return {
+        "G_e": (_positive(_number), G),
+        "G_f": (_positive(_number), G if G_f is None else G_f),
+        "Delta": (_number, 0.0),
+        "rounds": (_positive(_integer), rounds),
+        "cutoff": (_positive(_integer), cutoff),
+        **extra,
+    }
+
+
+_LOSS_RATES = {"gamma_n": (_nonneg(_number), 1e-4), "gamma_m": (_nonneg(_number), 1e-4)}
+_COHERENT_G_F = COHERENT_COUPLING_RATIO * 1e-3
+
 # scenario -> {key: (caster, default)}; all physical values in magnon-frequency units
 SCENARIO_SCHEMAS: dict[str, dict] = {
-    "bell-distill": {
-        "G_e": (_positive(_number), 1e-3),
-        "G_f": (_positive(_number), 1e-3),
-        "Delta": (_number, 0.0),
-        "rounds": (_positive(_integer), 8),
-        "cutoff": (_positive(_integer), 3),
-        "interval_mode": (_choice("full", "half"), "full"),
-    },
-    "half-interval": {
-        "G_e": (_positive(_number), 1e-3),
-        "G_f": (_positive(_number), 1e-3),
-        "Delta": (_number, 0.0),
-        "rounds": (_positive(_integer), 16),
-        "cutoff": (_positive(_integer), 3),
-    },
-    "decohere-prepare": {
-        "G_e": (_positive(_number), 6e-3),
-        "G_f": (_positive(_number), 6e-3),
-        "Delta": (_number, 0.0),
-        "gamma_n": (_nonneg(_number), 1e-4),
-        "gamma_m": (_nonneg(_number), 1e-4),
-        "rounds": (_positive(_integer), 8),
-        "cutoff": (_positive(_integer), 3),
-    },
-    "stabilize": {
-        "G_e": (_positive(_number), 6e-3),
-        "G_f": (_positive(_number), 6e-3),
-        "Delta": (_number, 0.0),
-        "gamma_n": (_nonneg(_number), 1e-4),
-        "gamma_m": (_nonneg(_number), 1e-4),
-        "rounds": (_positive(_integer), 8),
-        "cutoff": (_positive(_integer), 3),
-    },
-    "coherent-distill": {
-        "beta_n": (_number, 1.0),
-        "beta_m": (_number, 1.0),
-        "G_e": (_positive(_number), 1e-3),
-        "G_f": (_positive(_number), COHERENT_COUPLING_RATIO * 1e-3),
-        "Delta": (_number, 0.0),
-        "rounds": (_positive(_integer), 50),
-        "cutoff": (_positive(_integer), 10),
-        "target_N": (_positive(_integer), 1),
-    },
-    "nbell": {
-        "target_N": (_positive(_integer), 3),
-        "beta": (_number, 1.3),
-        "G_e": (_positive(_number), 1e-3),
-        "G_f": (_positive(_number), COHERENT_COUPLING_RATIO * 1e-3),
-        "Delta": (_number, 0.0),
-        "rounds": (_positive(_integer), 1000),
-        "cutoff": (_positive(_integer), 10),
-    },
+    "bell-distill": _protocol_schema(
+        1e-3, 8, 3, interval_mode=(_choice("full", "half"), "full")),
+    "half-interval": _protocol_schema(1e-3, 16, 3),
+    "decohere-prepare": _protocol_schema(6e-3, 8, 3, **_LOSS_RATES),
+    "stabilize": _protocol_schema(6e-3, 8, 3, **_LOSS_RATES),
+    "coherent-distill": _protocol_schema(
+        1e-3, 50, 10, G_f=_COHERENT_G_F,
+        beta_n=(_number, 1.0), beta_m=(_number, 1.0), target_N=(_positive(_integer), 1)),
+    "nbell": _protocol_schema(
+        1e-3, 1000, 10, G_f=_COHERENT_G_F,
+        target_N=(_positive(_integer), 3), beta=(_number, 1.3)),
     "single-shot": {
         "G": (_positive(_number), 1e-3),
         "n_omega": (_nonneg(_integer), 4),
@@ -278,72 +258,60 @@ def _resolve_params(scenario: str, given: dict) -> dict:
     return resolved
 
 
-def _eff(p: dict) -> EffectiveParams:
-    return EffectiveParams(
-        G_e=p["G_e"], G_f=p["G_f"],
-        Delta_e_tilde=p.get("Delta", 0.0), Delta_f_tilde=p.get("Delta", 0.0),
-    )
-
-
 def _magnon_space(cutoff: int) -> HilbertSpace:
     return HilbertSpace((("n", cutoff), ("m", cutoff)))
 
 
-def _protocol_rows(record) -> tuple[tuple[float, ...], ...]:
-    return tuple(
-        (float(k), float(record.fidelity_plus[k]), float(record.fidelity_minus[k]),
-         float(record.success_probability[k]), float(record.even_population[k]))
-        for k in range(len(record.fidelity_plus))
-    )
+def _protocol_config(p: dict, interval_mode: str = "full") -> ProtocolConfig:
+    """Protocol settings of a scenario; loss rates, when present, switch on decay."""
+    eff = EffectiveParams(G_e=p["G_e"], G_f=p["G_f"],
+                          Delta_e_tilde=p["Delta"], Delta_f_tilde=p["Delta"])
+    decoherence = (p["gamma_n"], p["gamma_m"]) if "gamma_n" in p else None
+    return ProtocolConfig.for_target(eff, rounds=p["rounds"], target_N=p.get("target_N", 1),
+                                     interval_mode=interval_mode, decoherence=decoherence,
+                                     delta=p["Delta"])
+
+
+def _initial_state(p: dict):
+    """Coherent product when the params carry amplitudes, else |+> (x) |+>."""
+    cutoff = p["cutoff"]
+    beta_n, beta_m = p.get("beta_n", p.get("beta")), p.get("beta_m", p.get("beta"))
+    if beta_n is None:
+        plus = superposed_state(cutoff, 1)
+        parts = {"n": plus, "m": plus}
+    else:
+        parts = {"n": coherent_state(beta_n, cutoff), "m": coherent_state(beta_m, cutoff)}
+    return product_state(_magnon_space(cutoff), parts)
 
 
 _PROTOCOL_COLUMNS = ("round", "fidelity_plus", "fidelity_minus",
                      "success_probability", "even_population")
 
 
-def _run_bell_distill(p: dict, seed: int, interval_mode: str | None = None):
-    mode = interval_mode or p.get("interval_mode", "full")
-    cfg = ProtocolConfig.for_target(_eff(p), rounds=p["rounds"], target_N=1,
-                                    interval_mode=mode, delta=p["Delta"])
-    space = _magnon_space(p["cutoff"])
-    plus = superposed_state(p["cutoff"], 1)
-    record = run_protocol(product_state(space, {"n": plus, "m": plus}), cfg)
-    results = {
+def _run_protocol_scenario(p: dict, seed: int, extra_results: tuple[str, ...] = (),
+                         interval_mode: str | None = None):
+    """One protocol run; a preset fixes the interval mode and the extra result keys."""
+    cfg = _protocol_config(p, interval_mode or p.get("interval_mode", "full"))
+    record = run_protocol(_initial_state(p), cfg)
+    rows = tuple(
+        (float(k), float(record.fidelity_plus[k]), float(record.fidelity_minus[k]),
+         float(record.success_probability[k]), float(record.even_population[k]))
+        for k in range(cfg.rounds + 1)
+    )
+    available = {
         "final_fidelity_plus": float(record.fidelity_plus[-1]),
         "final_fidelity_minus": float(record.fidelity_minus[-1]),
         "final_success_probability": float(record.success_probability[-1]),
+        "slow_states": [list(s) for s in record.slow_states],
         "tau": cfg.tau,
     }
-    return _PROTOCOL_COLUMNS, _protocol_rows(record), results
-
-
-def _run_half_interval(p: dict, seed: int):
-    return _run_bell_distill(p, seed, interval_mode="half")
-
-
-def _run_decohere_prepare(p: dict, seed: int):
-    cfg = ProtocolConfig.for_target(
-        _eff(p), rounds=p["rounds"], target_N=1, delta=p["Delta"],
-        decoherence=(p["gamma_n"], p["gamma_m"]),
-    )
-    space = _magnon_space(p["cutoff"])
-    plus = superposed_state(p["cutoff"], 1)
-    record = run_protocol(product_state(space, {"n": plus, "m": plus}), cfg)
-    results = {
-        "final_fidelity_plus": float(record.fidelity_plus[-1]),
-        "final_success_probability": float(record.success_probability[-1]),
-        "tau": cfg.tau,
-    }
-    return _PROTOCOL_COLUMNS, _protocol_rows(record), results
+    keys = ("final_fidelity_plus", "final_success_probability", "tau") + extra_results
+    return _PROTOCOL_COLUMNS, rows, {key: available[key] for key in keys}
 
 
 def _run_stabilize(p: dict, seed: int):
-    cfg = ProtocolConfig.for_target(
-        _eff(p), rounds=p["rounds"], target_N=1, delta=p["Delta"],
-        decoherence=(p["gamma_n"], p["gamma_m"]),
-    )
-    space = _magnon_space(p["cutoff"])
-    f_stab, f_free = stabilize(bell_state(space, 1, +1), cfg)
+    cfg = _protocol_config(p)
+    f_stab, f_free = stabilize(bell_state(_magnon_space(p["cutoff"]), cfg.target_N, +1), cfg)
     rows = tuple(
         (float(k), float(k * cfg.tau), float(f_stab[k]), float(f_free[k]))
         for k in range(len(f_stab))
@@ -354,39 +322,6 @@ def _run_stabilize(p: dict, seed: int):
         "tau": cfg.tau,
     }
     return ("round", "time", "fidelity_stabilized", "fidelity_free"), rows, results
-
-
-def _coherent_protocol(p: dict, beta_n: float, beta_m: float, target_n: int):
-    cfg = ProtocolConfig.for_target(_eff(p), rounds=p["rounds"], target_N=target_n,
-                                    delta=p["Delta"])
-    space = _magnon_space(p["cutoff"])
-    initial = product_state(space, {
-        "n": coherent_state(beta_n, p["cutoff"]),
-        "m": coherent_state(beta_m, p["cutoff"]),
-    })
-    return run_protocol(initial, cfg), cfg
-
-
-def _run_coherent_distill(p: dict, seed: int):
-    record, cfg = _coherent_protocol(p, p["beta_n"], p["beta_m"], p["target_N"])
-    results = {
-        "final_fidelity_plus": float(record.fidelity_plus[-1]),
-        "final_success_probability": float(record.success_probability[-1]),
-        "slow_states": [list(s) for s in record.slow_states],
-        "tau": cfg.tau,
-    }
-    return _PROTOCOL_COLUMNS, _protocol_rows(record), results
-
-
-def _run_nbell(p: dict, seed: int):
-    record, cfg = _coherent_protocol(p, p["beta"], p["beta"], p["target_N"])
-    results = {
-        "final_fidelity_plus": float(record.fidelity_plus[-1]),
-        "final_success_probability": float(record.success_probability[-1]),
-        "slow_states": [list(s) for s in record.slow_states],
-        "tau": cfg.tau,
-    }
-    return _PROTOCOL_COLUMNS, _protocol_rows(record), results
 
 
 def _run_single_shot(p: dict, seed: int):
@@ -467,12 +402,13 @@ def _run_validate_dispersive(p: dict, seed: int):
 
 
 _RUNNERS = {
-    "bell-distill": _run_bell_distill,
-    "half-interval": _run_half_interval,
-    "decohere-prepare": _run_decohere_prepare,
+    "bell-distill": partial(_run_protocol_scenario, extra_results=("final_fidelity_minus",)),
+    "half-interval": partial(_run_protocol_scenario, extra_results=("final_fidelity_minus",),
+                             interval_mode="half"),
+    "decohere-prepare": _run_protocol_scenario,
     "stabilize": _run_stabilize,
-    "coherent-distill": _run_coherent_distill,
-    "nbell": _run_nbell,
+    "coherent-distill": partial(_run_protocol_scenario, extra_results=("slow_states",)),
+    "nbell": partial(_run_protocol_scenario, extra_results=("slow_states",)),
     "single-shot": _run_single_shot,
     "coupling-ratio": _run_coupling_ratio,
     "validate-dispersive": _run_validate_dispersive,

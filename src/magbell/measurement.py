@@ -112,6 +112,26 @@ def numeric_kraus(H_eff: Operator, tau: float) -> Operator:
     return Operator(space.subspace(space.labels[1:]), v)
 
 
+def _ground_block(data: np.ndarray) -> np.ndarray:
+    """The |g> rows (and, for a density matrix, columns) of a qutrit-first array."""
+    block = data.shape[0] // 3
+    g = slice(LEVEL_G * block, (LEVEL_G + 1) * block)
+    return data[g] if data.ndim == 1 else data[g, g]
+
+
+def _renormalized(space: HilbertSpace, kind: str, branch: np.ndarray,
+                  where: str = "") -> tuple[QuantumState, float]:
+    """Conditional state and probability of an unnormalized outcome branch.
+
+    Raises NullOutcomeError, its message prefixed by where, below the floor.
+    """
+    pure = kind == "pure"
+    prob = float(np.linalg.norm(branch) ** 2 if pure else np.real(np.trace(branch)))
+    if prob < NULL_OUTCOME_FLOOR:
+        raise NullOutcomeError(f"{where}ground-state outcome probability {prob:.3e} below floor")
+    return QuantumState(space, kind, branch / (math.sqrt(prob) if pure else prob)), prob
+
+
 def apply_projection(rho_tot: QuantumState) -> tuple[QuantumState, float]:
     """Project the qutrit onto |g>, renormalize, and drop the qutrit factor.
 
@@ -121,30 +141,18 @@ def apply_projection(rho_tot: QuantumState) -> tuple[QuantumState, float]:
     space = rho_tot.space
     if space.labels[0] != "atom" or space.dims[0] != 3:
         raise DimensionError("apply_projection expects the qutrit first, with dimension 3")
-    block = space.total_dim // 3
-    lo = LEVEL_G * block
-    magnon_space = space.subspace(space.labels[1:])
-    if rho_tot.kind == "pure":
-        branch = rho_tot.data[lo:lo + block]
-        prob = float(np.linalg.norm(branch) ** 2)
-        if prob < NULL_OUTCOME_FLOOR:
-            raise NullOutcomeError(f"ground-state outcome probability {prob:.3e} below floor")
-        return QuantumState(magnon_space, "pure", branch / math.sqrt(prob)), prob
-    sub = rho_tot.data[lo:lo + block, lo:lo + block]
-    prob = float(np.real(np.trace(sub)))
-    if prob < NULL_OUTCOME_FLOOR:
-        raise NullOutcomeError(f"ground-state outcome probability {prob:.3e} below floor")
-    return QuantumState(magnon_space, "mixed", sub / prob), prob
+    return _renormalized(space.subspace(space.labels[1:]), rho_tot.kind, _ground_block(rho_tot.data))
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Settings for the repeated evolve-and-project protocol.
 
-    tau is the per-round free-evolution interval (already halved in
-    half-interval mode).  decoherence, when set, is the (gamma_n, gamma_m)
-    pair of magnon decay rates and switches each round to the exact
-    master-equation map exp(L tau) on the joint qutrit-magnon space.
+    tau is the per-round free-evolution interval; ``for_target`` picks it
+    from the held (N, N) pair and halves it in half-interval mode.
+    decoherence, when set, is the (gamma_n, gamma_m) pair of magnon decay
+    rates and switches each round to the exact master-equation map
+    exp(L tau) on the joint qutrit-magnon space.
     """
 
     eff: EffectiveParams
@@ -152,7 +160,6 @@ class ProtocolConfig:
     rounds: int
     target_N: int = 1
     decoherence: tuple[float, float] | None = None
-    interval_mode: str = "full"
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -161,8 +168,6 @@ class ProtocolConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.target_N < 1:
             raise ValueError(f"target_N must be >= 1, got {self.target_N}")
-        if self.interval_mode not in ("full", "half"):
-            raise ValueError(f"interval_mode must be 'full' or 'half', got {self.interval_mode!r}")
         if self.decoherence is not None:
             gn, gm = self.decoherence
             if gn < 0 or gm < 0:
@@ -179,14 +184,15 @@ class ProtocolConfig:
         decoherence: tuple[float, float] | None = None,
         delta: float | None = None,
     ) -> "ProtocolConfig":
-        """Config with tau picked so the (N, N) pair is held exactly."""
+        """Config with tau picked so the (N, N) pair is held exactly ("half": half that tau)."""
+        if interval_mode not in ("full", "half"):
+            raise ValueError(f"interval_mode must be 'full' or 'half', got {interval_mode!r}")
         if delta is None:
             delta = eff.common_detuning()
         tau = interval_for_target(target_N, eff, delta)
         if interval_mode == "half":
             tau *= 0.5
-        return cls(eff=eff, tau=tau, rounds=rounds, target_N=target_N,
-                   decoherence=decoherence, interval_mode=interval_mode)
+        return cls(eff=eff, tau=tau, rounds=rounds, target_N=target_N, decoherence=decoherence)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,9 +247,11 @@ def run_protocol(
 ) -> ProtocolRecord:
     """Run M rounds of (attach ground-state qutrit, evolve tau, project).
 
-    Closed runs apply the precomputed ground-outcome Kraus operator; with
-    decoherence set, each round applies the exact magnon-loss map
-    exp(L tau) on the joint space (``lindblad_action``) before projecting.
+    Every round applies one fixed map to the unnormalized magnon state, then
+    renormalizes: closed runs the ground-outcome Kraus operator V (V psi for
+    a pure state, V rho V^+ for a mixed one); with decoherence set, the
+    g-block of the exact magnon-loss map exp(L tau) (``lindblad_action``)
+    applied to |g><g| (x) rho.
     spec is the joint spec of cfg on the space of initial, for a caller that
     has built it already; it is built here when omitted.
     """
@@ -260,9 +268,8 @@ def run_protocol(
             f"initial population on {{|0,0>, |{N},{N}>}} is numerically zero"
         )
 
-    vg = numeric_kraus(spec.hamiltonian, cfg.tau)
-
-    damping = np.abs(np.diag(vg.matrix))
+    v = numeric_kraus(spec.hamiltonian, cfg.tau).matrix
+    damping = np.abs(np.diag(v))
     slow = tuple(
         mag_space.occupations(k)
         for k in np.flatnonzero(damping > 1.0 - SLOW_DAMPING_MARGIN)
@@ -290,31 +297,31 @@ def run_protocol(
 
     log(0)
 
-    if cfg.decoherence is None:
-        v = vg.matrix
-        for k in range(1, rounds + 1):
-            if state.kind == "pure":
-                branch = v @ state.data
-                prob = float(np.linalg.norm(branch) ** 2)
-                if prob < NULL_OUTCOME_FLOOR:
-                    raise NullOutcomeError(f"round {k}: outcome probability {prob:.3e}")
-                state = QuantumState(mag_space, "pure", branch / math.sqrt(prob))
-            else:
-                rho = v @ state.data @ v.conj().T
-                prob = float(np.real(np.trace(rho)))
-                if prob < NULL_OUTCOME_FLOOR:
-                    raise NullOutcomeError(f"round {k}: outcome probability {prob:.3e}")
-                state = QuantumState(mag_space, "mixed", rho / prob)
-            cumulative *= prob
-            log(k)
-    else:
+    # the per-round map on the unnormalized magnon data, picked once
+    kind, data = initial.kind, initial.data
+    if cfg.decoherence is not None:
         jc_space = spec.hamiltonian.space
         ground = _ground_density()
-        for k in range(1, rounds + 1):
-            rho_tot = QuantumState(jc_space, "mixed", np.kron(ground, state.density()))
-            state, prob = apply_projection(lindblad_action(rho_tot, spec, cfg.tau))
-            cumulative *= prob
-            log(k)
+
+        def evolve(rho):
+            joint = QuantumState(jc_space, "mixed", np.kron(ground, rho))
+            return _ground_block(lindblad_action(joint, spec, cfg.tau).data)
+
+        kind, data = "mixed", initial.density()
+    elif kind == "pure":
+        def evolve(psi):
+            return v @ psi
+    else:
+        v_dag = v.conj().T
+
+        def evolve(rho):
+            return v @ rho @ v_dag
+
+    for k in range(1, rounds + 1):
+        state, prob = _renormalized(mag_space, kind, evolve(data), f"round {k}: ")
+        data = state.data
+        cumulative *= prob
+        log(k)
 
     return ProtocolRecord(
         fidelity_plus=f_plus,

@@ -581,20 +581,13 @@ def dispersive_evolution_fidelity(
     u_s = unitary_from_generator(sw_generator(params, space)).matrix
 
     chi_n, chi_m, chi_e, chi_f = lamb_shifts(params)
-    eff = effective_couplings(params)
+    # built before the atom operators below, so its own temporaries are freed first
+    h_eff = _jc_matrix(effective_couplings(params), space)
     atom = _atom_ops(space)
     _, a_num = _mode_ops(space, "a")
     _, b_num = _mode_ops(space, "b")
     _, n_num = _mode_ops(space, "n")
     _, m_num = _mode_ops(space, "m")
-    n_low, _ = _mode_ops(space, "n")
-    m_low, _ = _mode_ops(space, "m")
-    x_e = n_low @ atom["se_plus"]
-    x_f = m_low @ atom["sf_plus"]
-    h_eff = (
-        eff.Delta_e_tilde * atom["pe"] + eff.Delta_f_tilde * atom["pf"]
-        + eff.G_e * (x_e + x_e.conj().T) + eff.G_f * (x_f + x_f.conj().T)
-    )
     h_rot = (
         (params.omega_a - chi_n) * a_num + (params.omega_b - chi_m) * b_num
         + (params.omega_n + chi_n) * (n_num + atom["pe"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from magbell import cli
 from magbell.cli import (
     ConfigError,
     ExperimentConfig,
@@ -188,6 +189,40 @@ class TestScenarios:
         })
         table = run_scenario(cfg)
         assert table.metadata["results"]["final_fidelity_plus"] > 0.9
+
+
+_PROTOCOL_COLUMNS = ("round", "fidelity_plus", "fidelity_minus",
+                     "success_probability", "even_population")
+_STABILIZE_COLUMNS = ("round", "time", "fidelity_stabilized", "fidelity_free")
+_COMMON_RESULTS = {"final_fidelity_plus", "final_success_probability", "tau"}
+
+
+class TestScenarioContract:
+    def test_every_shipped_config_has_a_runner(self):
+        paths = sorted(CONFIG_DIR.glob("*.yaml"))
+        assert len(paths) == len(cli.SCENARIO_SCHEMAS)
+        for path in paths:
+            assert load_config(str(path)).scenario in cli._RUNNERS
+        assert set(cli._RUNNERS) == set(cli.SCENARIO_SCHEMAS)
+
+    @pytest.mark.parametrize("scenario, params, columns, results", [
+        ("bell-distill", {"rounds": 2}, _PROTOCOL_COLUMNS,
+         _COMMON_RESULTS | {"final_fidelity_minus"}),
+        ("half-interval", {"rounds": 2}, _PROTOCOL_COLUMNS,
+         _COMMON_RESULTS | {"final_fidelity_minus"}),
+        ("decohere-prepare", {"rounds": 1}, _PROTOCOL_COLUMNS, _COMMON_RESULTS),
+        ("stabilize", {"rounds": 1}, _STABILIZE_COLUMNS,
+         {"final_fidelity_stabilized", "final_fidelity_free", "tau"}),
+        ("coherent-distill", {"rounds": 2, "cutoff": 6, "beta_n": 0.5, "beta_m": 0.5},
+         _PROTOCOL_COLUMNS, _COMMON_RESULTS | {"slow_states"}),
+        ("nbell", {"rounds": 2, "cutoff": 6, "beta": 0.5, "target_N": 2},
+         _PROTOCOL_COLUMNS, _COMMON_RESULTS | {"slow_states"}),
+    ])
+    def test_protocol_scenario_columns_and_result_keys(self, scenario, params, columns, results):
+        table = run_scenario(config_from_mapping({"scenario": scenario, "params": params}))
+        assert table.columns == columns
+        assert set(table.metadata["results"]) == results
+        assert len(table.rows) == params["rounds"] + 1
 
 
 class TestMainEntry:

@@ -173,6 +173,12 @@ class TestIntervalForTarget:
         assert tau4 == pytest.approx(tau1 / 2.0, rel=1e-12)
 
 
+class TestProtocolConfig:
+    def test_unknown_interval_mode_rejected(self, resonant_eff):
+        with pytest.raises(ValueError):
+            ProtocolConfig.for_target(resonant_eff, rounds=2, interval_mode="quarter")
+
+
 class TestRunProtocol:
     def test_superposed_input_distills_even_bell(self, resonant_eff):
         cfg = ProtocolConfig.for_target(resonant_eff, rounds=8)
@@ -220,6 +226,39 @@ class TestRunProtocol:
         # global phase of the normalized state is fixed by the (0,0) component
         phase = want[0] / got[0]
         assert np.abs(got * phase - want).max() <= 1e-10
+
+    def test_density_input_matches_pure_run(self):
+        # the closed mixed-state round V rho V^+ against the pure round V psi
+        eff = EffectiveParams(G_e=1e-3, G_f=1.2e-3)
+        cfg = ProtocolConfig.for_target(eff, rounds=12)
+        rng = np.random.default_rng(5)
+        vec = rng.normal(size=16) + 1j * rng.normal(size=16)
+        vec /= np.linalg.norm(vec)
+        pure = run_protocol(QuantumState(magnon(4), "pure", vec), cfg)
+        mixed = run_protocol(QuantumState(magnon(4), "mixed", np.outer(vec, vec.conj())), cfg)
+        for field in ("fidelity_plus", "fidelity_minus", "success_probability", "even_population"):
+            assert np.abs(getattr(mixed, field) - getattr(pure, field)).max() <= 1e-12
+
+    def test_rank_two_mixture_follows_coefficient_powers(self):
+        # unnormalized output sum_i w_i V^k psi_i psi_i^+ V^k^+ from the block-power oracle
+        eff = EffectiveParams(G_e=1e-3, G_f=1.2e-3)
+        rounds = 9
+        cfg = ProtocolConfig.for_target(eff, rounds=rounds)
+        rng = np.random.default_rng(23)
+        weights = (0.7, 0.3)
+        vecs = []
+        for _ in weights:
+            vec = rng.normal(size=16) + 1j * rng.normal(size=16)
+            vecs.append(vec / np.linalg.norm(vec))
+        rho0 = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
+        rec = run_protocol(QuantumState(magnon(4), "mixed", rho0), cfg)
+        want = np.zeros((16, 16), dtype=complex)
+        for w, v in zip(weights, vecs):
+            amps = coefficient_power_amplitudes(v, 1e-3, 1.2e-3, 0.0, cfg.tau, rounds, (4, 4))
+            want += w * np.outer(amps, amps.conj())
+        assert rec.success_probability[-1] == pytest.approx(np.trace(want).real, abs=1e-12)
+        got = rec.final_state.data * rec.success_probability[-1]
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_target_pair_population_conserved_unnormalized(self, resonant_eff):
         cfg = ProtocolConfig.for_target(resonant_eff, rounds=10)
