@@ -30,13 +30,11 @@ from .model import (
     ModelParams,
     PulseCoefficients,
     SingleModeParams,
-    build_full_two_cavity,
+    build_full,
     build_jc_effective,
-    build_single_mode_full,
     build_time_dependent_jc,
     detuning_match,
     effective_couplings,
-    effective_couplings_single_mode,
     lamb_shifts,
     sw_generator,
     sw_reduction_check,
@@ -56,7 +54,6 @@ from .measurement import (
     apply_projection,
     coupling_ratio_fidelity,
     interval_for_target,
-    kraus_coefficient,
     numeric_kraus,
     qubit_parity_reference,
     rabi_frequency,
@@ -66,7 +63,6 @@ from .measurement import (
 from .optimize import (
     OptimizationResult,
     OptimizerConfig,
-    crab_detuning,
     nelder_mead,
     optimize_single_shot,
 )
@@ -78,16 +74,13 @@ __all__ = [
     "fidelity", "parity_operator", "product_state", "superposed_state",
     "COHERENT_COUPLING_RATIO",
     "EffectiveParams", "ModelParams", "PulseCoefficients", "SingleModeParams",
-    "build_full_two_cavity", "build_jc_effective", "build_single_mode_full",
-    "build_time_dependent_jc", "detuning_match", "effective_couplings",
-    "effective_couplings_single_mode", "lamb_shifts", "sw_generator",
+    "build_full", "build_jc_effective", "build_time_dependent_jc",
+    "detuning_match", "effective_couplings", "lamb_shifts", "sw_generator",
     "sw_reduction_check",
     "IntegratorConfig", "LindbladSpec", "integrate_master", "lindblad_action",
     "propagator", "time_ordered_propagator",
     "ProtocolConfig", "ProtocolRecord", "analytic_kraus", "apply_projection",
-    "coupling_ratio_fidelity", "interval_for_target", "kraus_coefficient",
-    "numeric_kraus", "qubit_parity_reference", "rabi_frequency", "run_protocol",
-    "stabilize",
-    "OptimizationResult", "OptimizerConfig", "crab_detuning", "nelder_mead",
-    "optimize_single_shot",
+    "coupling_ratio_fidelity", "interval_for_target", "numeric_kraus",
+    "qubit_parity_reference", "rabi_frequency", "run_protocol", "stabilize",
+    "OptimizationResult", "OptimizerConfig", "nelder_mead", "optimize_single_shot",
 ]

@@ -54,13 +54,10 @@ class LindbladSpec:
 @dataclass(frozen=True)
 class IntegratorConfig:
     dt: float
-    trace_tol: float = DEFAULT_TRACE_TOL
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.trace_tol <= 0:
-            raise ValueError(f"trace_tol must be positive, got {self.trace_tol}")
 
 
 def _require_hermitian(matrix: np.ndarray):
@@ -156,8 +153,8 @@ def integrate_master(
     """Propagate drho/dt = -i[H, rho] + sum_k gamma_k D[A_k] rho to t_final.
 
     Fixed-step RK4, kept as the independent oracle of lindblad_action;
-    raises TraceDriftError if |tr rho - 1| grows beyond cfg.trace_tol at any
-    step.
+    raises TraceDriftError if |tr rho - 1| grows beyond DEFAULT_TRACE_TOL at
+    any step.
     """
     if rho0.space != spec.hamiltonian.space:
         raise SpaceMismatchError("initial state space differs from Lindblad space")
@@ -178,9 +175,9 @@ def integrate_master(
         k4 = _lindblad_rhs(rho + h_step * k3, h, jumps)
         rho = rho + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         drift = abs(np.trace(rho) - 1.0)
-        if drift > cfg.trace_tol:
+        if drift > DEFAULT_TRACE_TOL:
             raise TraceDriftError(
-                f"trace drift {drift:.3e} exceeds tolerance {cfg.trace_tol:.1e}; "
+                f"trace drift {drift:.3e} exceeds tolerance {DEFAULT_TRACE_TOL:.1e}; "
                 f"reduce dt (currently {h_step:.3e})"
             )
     rho = 0.5 * (rho + rho.conj().T)  # scrub roundoff anti-Hermitian part

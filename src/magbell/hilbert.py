@@ -146,29 +146,6 @@ class Operator:
         scale = max(1.0, float(np.abs(self.matrix).max()))
         return float(np.abs(self.matrix - self.matrix.conj().T).max()) <= atol * scale
 
-    def _check_space(self, other: "Operator"):
-        if self.space != other.space:
-            raise SpaceMismatchError("operators on different spaces")
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.matrix - other.matrix)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.space, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            self._check_space(other)
-            return Operator(self.space, self.matrix @ other.matrix)
-        return self.matrix @ np.asarray(other)
-
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:

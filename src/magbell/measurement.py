@@ -51,24 +51,6 @@ def rabi_frequency(n: int, m: int, eff: EffectiveParams, delta: float) -> float:
     return math.sqrt(eff.G_e**2 * n + eff.G_f**2 * m + 0.25 * delta**2)
 
 
-def kraus_coefficient(n: int, m: int, eff: EffectiveParams, delta: float, tau: float) -> complex:
-    """Ground-state return coefficient alpha_nm(tau) of the (n, m) Fock pair.
-
-    alpha_nm = cos(O tau) + i (D / 2 O) sin(O tau) with O = rabi_frequency.
-    The (0, 0) pair is decoupled, so its coefficient is returned analytically
-    as exp(i D tau / 2): unit magnitude for every tau and detuning, with no
-    0/0 ambiguity at D = 0.
-    """
-    if n == 0 and m == 0:
-        return complex(np.exp(0.5j * delta * tau))
-    omega = rabi_frequency(n, m, eff, delta)
-    if omega == 0.0:
-        return 1.0 + 0.0j
-    return complex(
-        math.cos(omega * tau) + 1j * (delta / (2.0 * omega)) * math.sin(omega * tau)
-    )
-
-
 def interval_for_target(N: int, eff: EffectiveParams, delta: float) -> float:
     """Measurement interval 2 pi / Omega_NN that keeps |alpha_NN| = 1."""
     if N < 1:

@@ -1,10 +1,14 @@
 """Hamiltonian builders for the two-magnon / V-type-qutrit system.
 
-Covers the full two-cavity model, its Schrieffer-Wolff dispersive reduction
-to a Jaynes-Cummings-like magnon-qutrit Hamiltonian, the single-cavity
-variant, and the time-dependent single-shot Hamiltonian with a CRAB-shaped
-detuning.  All frequencies, couplings, and rates are in units of the magnon
-frequency; times are in units of its inverse.
+Two bare models reach the qutrit through cavities: one cavity per magnon
+(``ModelParams``) or one shared cavity (``SingleModeParams``).  Each states its
+wiring once, and one table of embedded operators serves the bare Hamiltonian,
+the Schrieffer-Wolff generator and the closed-form dispersive Hamiltonian of
+both; only the closed form's induced pair terms are written per model.  The
+reduction leaves a Jaynes-Cummings-like magnon-qutrit Hamiltonian, with a
+time-dependent variant for a CRAB-shaped detuning.  All frequencies,
+couplings, and rates are in units of the magnon frequency; times are in
+units of its inverse.
 
 Qutrit level ordering is fixed package-wide: (g, e, f) = (0, 1, 2).
 """
@@ -12,12 +16,15 @@ Qutrit level ordering is fixed package-wide: (g, e, f) = (0, 1, 2).
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
+from .dynamics import propagator, unitary_from_generator
 from .hilbert import (
     DimensionError,
     HilbertSpace,
@@ -33,6 +40,7 @@ DISPERSIVE_LIMIT = 0.1
 DETUNING_MATCH_RTOL = 1e-12
 # G_f/G_e for coherent inputs; criteria 06/07 all pass only for xi in [1.975, 2.035] (or 1/xi)
 COHERENT_COUPLING_RATIO = 2.0
+_QUTRIT_PARTIES = ("e", "f")
 
 
 class ZeroDetuningError(ZeroDivisionError):
@@ -49,11 +57,37 @@ def _require_nonneg(**kwargs):
             raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
+class _BareModel:
+    """Checks read off a bare model's wiring.
+
+    A model declares ``cavities()`` as ((label, omega), ...) and
+    ``coupling_pairs()`` as (party, cavity, g, Delta) for parties n, m, e, f.
+    """
+
+    @property
+    def space_labels(self) -> tuple[str, ...]:
+        """Subsystem labels of the model's space: qutrit, cavities, then n and m."""
+        return ("atom", *(label for label, _ in self.cavities()), "n", "m")
+
+    def dispersive_margin(self) -> float:
+        """Largest |g/Delta| over the four coupled pairs (inf at zero detuning)."""
+        worst = 0.0
+        for _, _, g, delta in self.coupling_pairs():
+            if g == 0.0:
+                continue
+            worst = max(worst, abs(g / delta)) if delta != 0.0 else math.inf
+        return worst
+
+    def is_dispersive(self) -> bool:
+        return self.dispersive_margin() <= DISPERSIVE_LIMIT
+
+
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_BareModel):
     """Bare two-cavity model parameters (units of the magnon frequency).
 
-    Detunings are measured from the cavity coupled to each party:
+    Cavity a couples to magnon n and qutrit level e, cavity b to magnon m and
+    level f.  Detunings are measured from the cavity coupled to each party:
     delta_n = omega_n - omega_a, delta_m = omega_m - omega_b,
     delta_e = omega_e - omega_a, delta_f = omega_f - omega_b.
     """
@@ -91,29 +125,20 @@ class ModelParams:
     def delta_f(self) -> float:
         return self.omega_f - self.omega_b
 
-    def coupling_pairs(self) -> tuple[tuple[str, float, float], ...]:
+    def cavities(self) -> tuple[tuple[str, float], ...]:
+        return (("a", self.omega_a), ("b", self.omega_b))
+
+    def coupling_pairs(self) -> tuple[tuple[str, str, float, float], ...]:
         return (
-            ("n", self.g_n, self.delta_n),
-            ("m", self.g_m, self.delta_m),
-            ("e", self.g_e, self.delta_e),
-            ("f", self.g_f, self.delta_f),
+            ("n", "a", self.g_n, self.delta_n),
+            ("m", "b", self.g_m, self.delta_m),
+            ("e", "a", self.g_e, self.delta_e),
+            ("f", "b", self.g_f, self.delta_f),
         )
-
-    def dispersive_margin(self) -> float:
-        """Largest |g/Delta| over the four coupled pairs (inf at zero detuning)."""
-        worst = 0.0
-        for _, g, delta in self.coupling_pairs():
-            if g == 0.0:
-                continue
-            worst = max(worst, abs(g / delta)) if delta != 0.0 else math.inf
-        return worst
-
-    def is_dispersive(self, limit: float = DISPERSIVE_LIMIT) -> bool:
-        return self.dispersive_margin() <= limit
 
 
 @dataclass(frozen=True)
-class SingleModeParams:
+class SingleModeParams(_BareModel):
     """Bare parameters for the shared-cavity variant; detunings from omega_a."""
 
     omega_a: float
@@ -149,12 +174,15 @@ class SingleModeParams:
     def delta_f(self) -> float:
         return self.omega_f - self.omega_a
 
-    def coupling_pairs(self) -> tuple[tuple[str, float, float], ...]:
+    def cavities(self) -> tuple[tuple[str, float], ...]:
+        return (("a", self.omega_a),)
+
+    def coupling_pairs(self) -> tuple[tuple[str, str, float, float], ...]:
         return (
-            ("n", self.lambda_n, self.delta_n),
-            ("m", self.lambda_m, self.delta_m),
-            ("e", self.lambda_e, self.delta_e),
-            ("f", self.lambda_f, self.delta_f),
+            ("n", "a", self.lambda_n, self.delta_n),
+            ("m", "a", self.lambda_m, self.delta_m),
+            ("e", "a", self.lambda_e, self.delta_e),
+            ("f", "a", self.lambda_f, self.delta_f),
         )
 
 
@@ -171,9 +199,9 @@ class EffectiveParams:
     chi_e: float = 0.0
     chi_f: float = 0.0
 
-    def common_detuning(self, atol: float = 1e-12) -> float:
-        """The shared detuning Delta; requires both tilde detunings equal."""
-        if abs(self.Delta_e_tilde - self.Delta_f_tilde) > atol:
+    def common_detuning(self) -> float:
+        """The shared detuning Delta; the two tilde detunings must agree within 1e-12."""
+        if abs(self.Delta_e_tilde - self.Delta_f_tilde) > 1e-12:
             raise ValueError(
                 "tilde detunings differ "
                 f"({self.Delta_e_tilde} vs {self.Delta_f_tilde}); no common detuning"
@@ -227,9 +255,9 @@ class PulseCoefficients:
 def lamb_shifts(params: ModelParams | SingleModeParams) -> tuple[float, float, float, float]:
     """Second-order frequency shifts chi_i = g_i^2 / Delta_i for (n, m, e, f)."""
     shifts = []
-    for name, g, delta in params.coupling_pairs():
+    for party, _, g, delta in params.coupling_pairs():
         if delta == 0.0:
-            raise ZeroDetuningError(f"zero detuning for pair {name!r}: Lamb shift undefined")
+            raise ZeroDetuningError(f"zero detuning for pair {party!r}: Lamb shift undefined")
         shifts.append(g * g / delta)
     return tuple(shifts)  # type: ignore[return-value]
 
@@ -238,12 +266,13 @@ def _induced_coupling(g1: float, g2: float, d1: float, d2: float) -> float:
     return 0.5 * g1 * g2 * (1.0 / d1 + 1.0 / d2)
 
 
-def effective_couplings(params: ModelParams) -> EffectiveParams:
-    """Dispersive reduction of the two-cavity model.
+def effective_couplings(params: ModelParams | SingleModeParams) -> EffectiveParams:
+    """Dispersive reduction of either bare model.
 
-    G_e = (g_e g_n / 2)(1/Delta_e + 1/Delta_n), likewise G_f; tilde detunings
-    come from the Lamb-shifted frequencies.  Outside the dispersive regime a
-    DispersiveRegimeWarning is emitted and the computation proceeds.
+    G_e = (g_e g_n / 2)(1/Delta_e + 1/Delta_n), likewise G_f from the m and f
+    pairs; tilde detunings come from the Lamb-shifted frequencies.  Outside
+    the dispersive regime a DispersiveRegimeWarning is emitted and the
+    computation proceeds.
     """
     chi_n, chi_m, chi_e, chi_f = lamb_shifts(params)
     if not params.is_dispersive():
@@ -253,21 +282,10 @@ def effective_couplings(params: ModelParams) -> EffectiveParams:
             DispersiveRegimeWarning,
             stacklevel=2,
         )
+    (_, _, g_n, d_n), (_, _, g_m, d_m), (_, _, g_e, d_e), (_, _, g_f, d_f) = params.coupling_pairs()
     return EffectiveParams(
-        G_e=_induced_coupling(params.g_e, params.g_n, params.delta_e, params.delta_n),
-        G_f=_induced_coupling(params.g_m, params.g_f, params.delta_m, params.delta_f),
-        Delta_e_tilde=(params.omega_e + chi_e) - (params.omega_n + chi_n),
-        Delta_f_tilde=(params.omega_f + chi_f) - (params.omega_m + chi_m),
-        chi_n=chi_n, chi_m=chi_m, chi_e=chi_e, chi_f=chi_f,
-    )
-
-
-def effective_couplings_single_mode(params: SingleModeParams) -> EffectiveParams:
-    """Dispersive reduction of the shared-cavity model (direct n-e and m-f terms)."""
-    chi_n, chi_m, chi_e, chi_f = lamb_shifts(params)
-    return EffectiveParams(
-        G_e=_induced_coupling(params.lambda_n, params.lambda_e, params.delta_n, params.delta_e),
-        G_f=_induced_coupling(params.lambda_m, params.lambda_f, params.delta_m, params.delta_f),
+        G_e=_induced_coupling(g_e, g_n, d_e, d_n),
+        G_f=_induced_coupling(g_m, g_f, d_m, d_f),
         Delta_e_tilde=(params.omega_e + chi_e) - (params.omega_n + chi_n),
         Delta_f_tilde=(params.omega_f + chi_f) - (params.omega_m + chi_m),
         chi_n=chi_n, chi_m=chi_m, chi_e=chi_e, chi_f=chi_f,
@@ -304,15 +322,35 @@ def _mode_ops(space: HilbertSpace, label: str) -> tuple[np.ndarray, np.ndarray]:
     return low, low.conj().T @ low
 
 
-def _jc_matrix(eff: EffectiveParams, space: HilbertSpace) -> np.ndarray:
-    atom = _atom_ops(space)
-    n_low, _ = _mode_ops(space, "n")
-    m_low, _ = _mode_ops(space, "m")
-    x_e = n_low @ atom["se_plus"]
-    x_f = m_low @ atom["sf_plus"]
+def _operator_table(space: HilbertSpace, modes: tuple[str, ...]) -> dict:
+    """The qutrit operators plus a (lowering, number) pair per listed mode, embedded once."""
+    ops = _atom_ops(space)
+    for label in modes:
+        ops[label] = _mode_ops(space, label)
+    return ops
+
+
+def _bare_ops(params: ModelParams | SingleModeParams, space: HilbertSpace) -> dict:
+    """Operator table of a bare model on its space [atom:3, cavities..., n:d, m:d]."""
+    if space.labels != params.space_labels:
+        raise DimensionError(f"expected subsystems {params.space_labels}, got {space.labels}")
+    return _operator_table(space, params.space_labels[1:])
+
+
+def _party_ops(ops: dict, party: str) -> tuple[np.ndarray, np.ndarray]:
+    """(x^+, occupation) of a party: (n^+, n^+ n) for a magnon, (s+_ig, |i><i|) for a level."""
+    if party in _QUTRIT_PARTIES:
+        return ops[f"s{party}_plus"], ops[f"p{party}"]
+    low, num = ops[party]
+    return low.conj().T, num
+
+
+def _jc_matrix(eff: EffectiveParams, ops: dict) -> np.ndarray:
+    x_e = ops["n"][0] @ ops["se_plus"]
+    x_f = ops["m"][0] @ ops["sf_plus"]
     return (
-        eff.Delta_e_tilde * atom["pe"]
-        + eff.Delta_f_tilde * atom["pf"]
+        eff.Delta_e_tilde * ops["pe"]
+        + eff.Delta_f_tilde * ops["pf"]
         + eff.G_e * (x_e + x_e.conj().T)
         + eff.G_f * (x_f + x_f.conj().T)
     )
@@ -325,201 +363,151 @@ def build_jc_effective(eff: EffectiveParams, space: HilbertSpace) -> Operator:
     """
     if space.labels != ("atom", "n", "m"):
         raise DimensionError(f"expected subsystems ('atom', 'n', 'm'), got {space.labels}")
-    return Operator(space, _jc_matrix(eff, space), hamiltonian=True)
+    return Operator(space, _jc_matrix(eff, _operator_table(space, ("n", "m"))), hamiltonian=True)
 
 
-def build_full_two_cavity(params: ModelParams, space: HilbertSpace) -> Operator:
-    """Full two-cavity Hamiltonian on [atom:3, a:c, b:c, n:d, m:d].
+_NO_SHIFT = dict.fromkeys(("n", "m", *_QUTRIT_PARTIES), 0.0)
 
-    Free frequencies plus the four excitation-exchange couplings
-    (a-n, a-atom_e, b-m, b-atom_f).
+
+def _free_matrix(params: ModelParams | SingleModeParams, ops: dict, chi: dict) -> np.ndarray:
+    """Sum of frequency times occupation over the cavities, then n, m, e, f.
+
+    Each party's frequency moves up by its Lamb shift chi; each cavity moves
+    down by the shifts of the magnons it couples to.
     """
-    if space.labels != ("atom", "a", "b", "n", "m"):
-        raise DimensionError(f"expected subsystems ('atom', 'a', 'b', 'n', 'm'), got {space.labels}")
-    atom = _atom_ops(space)
-    a_low, a_num = _mode_ops(space, "a")
-    b_low, b_num = _mode_ops(space, "b")
-    n_low, n_num = _mode_ops(space, "n")
-    m_low, m_num = _mode_ops(space, "m")
-    h = (
-        params.omega_a * a_num + params.omega_b * b_num
-        + params.omega_n * n_num + params.omega_m * m_num
-        + params.omega_e * atom["pe"] + params.omega_f * atom["pf"]
-    )
-    for g, cav, other in (
-        (params.g_n, a_low, n_low),
-        (params.g_m, b_low, m_low),
-    ):
-        x = cav.conj().T @ other  # a^+ n
-        h += g * (x + x.conj().T)
-    for g, cav, s_plus in (
-        (params.g_e, a_low, atom["se_plus"]),
-        (params.g_f, b_low, atom["sf_plus"]),
-    ):
-        x = cav @ s_plus  # a s+_ig
-        h += g * (x + x.conj().T)
-    return Operator(space, h, hamiltonian=True)
+    def levels():
+        for label, omega in params.cavities():
+            for party, cavity, _, _ in params.coupling_pairs():
+                if cavity == label and party not in _QUTRIT_PARTIES:
+                    omega -= chi[party]
+            yield omega, ops[label][1]
+        for party, _, _, _ in params.coupling_pairs():
+            yield getattr(params, f"omega_{party}") + chi[party], _party_ops(ops, party)[1]
+
+    return reduce(operator.add, (omega * occ for omega, occ in levels()))
 
 
-def build_single_mode_full(params: SingleModeParams, space: HilbertSpace) -> Operator:
-    """Shared-cavity Hamiltonian on [atom:3, a:c, n:d, m:d]."""
-    if space.labels != ("atom", "a", "n", "m"):
-        raise DimensionError(f"expected subsystems ('atom', 'a', 'n', 'm'), got {space.labels}")
-    atom = _atom_ops(space)
-    a_low, a_num = _mode_ops(space, "a")
-    n_low, n_num = _mode_ops(space, "n")
-    m_low, m_num = _mode_ops(space, "m")
-    h = (
-        params.omega_a * a_num + params.omega_n * n_num + params.omega_m * m_num
-        + params.omega_e * atom["pe"] + params.omega_f * atom["pf"]
+def _full_matrix(params: ModelParams | SingleModeParams, ops: dict) -> np.ndarray:
+    h = _free_matrix(params, ops, _NO_SHIFT)
+    for party, cavity, g, _ in params.coupling_pairs():
+        x = ops[cavity][0] @ _party_ops(ops, party)[0]  # c x^+
+        h += g * (x + x.conj().T)
+    return h
+
+
+def _generator_matrix(params: ModelParams | SingleModeParams, ops: dict) -> np.ndarray:
+    s = np.zeros_like(ops["pg"])
+    for party, cavity, g, delta in params.coupling_pairs():
+        if g == 0.0:
+            continue
+        if delta == 0.0:
+            raise ZeroDetuningError(f"zero detuning for pair {party!r}")
+        x = ops[cavity][0] @ _party_ops(ops, party)[0]  # c x^+
+        s += (g / delta) * (x - x.conj().T)
+    return s
+
+
+def _two_cavity_pairs(p: ModelParams, ops: dict) -> tuple[tuple[float, np.ndarray], ...]:
+    """The induced exchanges G_e, G_f and the cavity-swap three-body term a^+ b s+_fe."""
+    a_low, b_low = ops["a"][0], ops["b"][0]
+    return (
+        (_induced_coupling(p.g_e, p.g_n, p.delta_e, p.delta_n), ops["n"][0] @ ops["se_plus"]),
+        (_induced_coupling(p.g_m, p.g_f, p.delta_m, p.delta_f), ops["m"][0] @ ops["sf_plus"]),
+        (_induced_coupling(p.g_e, p.g_f, p.delta_e, p.delta_f),
+         (a_low.conj().T @ b_low) @ ops["sfe_plus"]),
     )
-    for lam, other in ((params.lambda_n, n_low), (params.lambda_m, m_low)):
-        x = a_low.conj().T @ other
-        h += lam * (x + x.conj().T)
-    for lam, s_plus in ((params.lambda_e, atom["se_plus"]), (params.lambda_f, atom["sf_plus"])):
-        x = a_low @ s_plus
-        h += lam * (x + x.conj().T)
-    return Operator(space, h, hamiltonian=True)
+
+
+def _shared_cavity_pairs(p: SingleModeParams, ops: dict) -> tuple[tuple[float, np.ndarray], ...]:
+    """Every induced pair coupling G_ij = (l_i l_j / 2)(1/D_i + 1/D_j).
+
+    The four magnon-qutrit exchanges, the magnon swap, and the excited-level
+    exchange with its vacuum contribution (a^+a + 1).
+    """
+    n_low, m_low, a_num = ops["n"][0], ops["m"][0], ops["a"][1]
+    eye = np.eye(len(a_num), dtype=complex)
+    return (
+        (_induced_coupling(p.lambda_n, p.lambda_e, p.delta_n, p.delta_e), n_low @ ops["se_plus"]),
+        (_induced_coupling(p.lambda_n, p.lambda_f, p.delta_n, p.delta_f), n_low @ ops["sf_plus"]),
+        (_induced_coupling(p.lambda_m, p.lambda_e, p.delta_m, p.delta_e), m_low @ ops["se_plus"]),
+        (_induced_coupling(p.lambda_m, p.lambda_f, p.delta_m, p.delta_f), m_low @ ops["sf_plus"]),
+        (_induced_coupling(p.lambda_n, p.lambda_m, p.delta_n, p.delta_m), n_low.conj().T @ m_low),
+        (_induced_coupling(p.lambda_e, p.lambda_f, p.delta_e, p.delta_f),
+         (a_num + eye) @ ops["sfe_plus"]),
+    )
+
+
+_INDUCED_PAIRS = {ModelParams: _two_cavity_pairs, SingleModeParams: _shared_cavity_pairs}
+
+
+def _sw_effective_matrix(params: ModelParams | SingleModeParams, ops: dict) -> np.ndarray:
+    eff = effective_couplings(params)
+    chi = {"n": eff.chi_n, "m": eff.chi_m, "e": eff.chi_e, "f": eff.chi_f}
+    h = _free_matrix(params, ops, chi)
+    for party, cavity, _, _ in params.coupling_pairs():
+        if party in _QUTRIT_PARTIES:  # chi_i c^+c (|i><i| - |g><g|)
+            h += chi[party] * ops[cavity][1] @ (ops[f"p{party}"] - ops["pg"])
+    for g, x in _INDUCED_PAIRS[type(params)](params, ops):
+        h += g * (x + x.conj().T)
+    return h
+
+
+def build_full(params: ModelParams | SingleModeParams, space: HilbertSpace) -> Operator:
+    """Bare Hamiltonian of either model on [atom:3, cavities..., n:d, m:d].
+
+    Free frequencies plus the four excitation exchanges g (c x^+ + h.c.),
+    with x^+ = n^+, m^+, s+_eg, s+_fg and c the cavity wired to each.
+    """
+    return Operator(space, _full_matrix(params, _bare_ops(params, space)), hamiltonian=True)
 
 
 def sw_generator(params: ModelParams | SingleModeParams, space: HilbertSpace) -> Operator:
-    """Anti-Hermitian Schrieffer-Wolff generator removing the first-order couplings."""
-    atom = _atom_ops(space)
-    if isinstance(params, ModelParams):
-        a_low, _ = _mode_ops(space, "a")
-        b_low, _ = _mode_ops(space, "b")
-        boson_terms = ((params.g_n, a_low, "n"), (params.g_m, b_low, "m"))
-        atom_terms = ((params.g_e, a_low, "se_plus"), (params.g_f, b_low, "sf_plus"))
-        deltas = {"n": params.delta_n, "m": params.delta_m,
-                  "se_plus": params.delta_e, "sf_plus": params.delta_f}
-    else:
-        a_low, _ = _mode_ops(space, "a")
-        boson_terms = ((params.lambda_n, a_low, "n"), (params.lambda_m, a_low, "m"))
-        atom_terms = ((params.lambda_e, a_low, "se_plus"), (params.lambda_f, a_low, "sf_plus"))
-        deltas = {"n": params.delta_n, "m": params.delta_m,
-                  "se_plus": params.delta_e, "sf_plus": params.delta_f}
-    s = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-    for g, cav, label in boson_terms:
-        if g == 0.0:
-            continue
-        if deltas[label] == 0.0:
-            raise ZeroDetuningError(f"zero detuning for pair {label!r}")
-        mode_low, _ = _mode_ops(space, label)
-        x = cav @ mode_low.conj().T  # a x^+
-        s += (g / deltas[label]) * (x - x.conj().T)
-    for g, cav, key in atom_terms:
-        if g == 0.0:
-            continue
-        if deltas[key] == 0.0:
-            raise ZeroDetuningError(f"zero detuning for pair {key!r}")
-        x = cav @ atom[key]  # a s+_ig
-        s += (g / deltas[key]) * (x - x.conj().T)
-    return Operator(space, s)
+    """Anti-Hermitian Schrieffer-Wolff generator S = sum (g/Delta)(c x^+ - h.c.).
 
-
-def build_sw_effective(params: ModelParams, space: HilbertSpace) -> Operator:
-    """Closed-form second-order effective Hamiltonian of the two-cavity model.
-
-    Includes the Lamb-shifted free part, the induced magnon-qutrit exchange,
-    the photon-number-conditioned dispersive shifts, and the cavity-swap
-    three-body term.
+    It removes the first-order couplings of ``build_full``; pairs with zero
+    coupling are skipped.
     """
-    chi_n, chi_m, chi_e, chi_f = lamb_shifts(params)
-    atom = _atom_ops(space)
-    a_low, a_num = _mode_ops(space, "a")
-    b_low, b_num = _mode_ops(space, "b")
-    n_low, n_num = _mode_ops(space, "n")
-    m_low, m_num = _mode_ops(space, "m")
-    eff = effective_couplings(params)
-    g_fe = _induced_coupling(params.g_e, params.g_f, params.delta_e, params.delta_f)
-    x_e = n_low @ atom["se_plus"]
-    x_f = m_low @ atom["sf_plus"]
-    swap = (a_low.conj().T @ b_low) @ atom["sfe_plus"]  # a^+ b s+_fe
-    h = (
-        (params.omega_a - chi_n) * a_num + (params.omega_b - chi_m) * b_num
-        + (params.omega_n + chi_n) * n_num + (params.omega_m + chi_m) * m_num
-        + (params.omega_e + chi_e) * atom["pe"] + (params.omega_f + chi_f) * atom["pf"]
-        + eff.G_e * (x_e + x_e.conj().T) + eff.G_f * (x_f + x_f.conj().T)
-        + chi_e * a_num @ (atom["pe"] - atom["pg"])
-        + chi_f * b_num @ (atom["pf"] - atom["pg"])
-        + g_fe * (swap + swap.conj().T)
-    )
-    return Operator(space, h, hamiltonian=True)
+    return Operator(space, _generator_matrix(params, _bare_ops(params, space)))
 
 
-def build_sw_effective_single_mode(params: SingleModeParams, space: HilbertSpace) -> Operator:
-    """Closed-form second-order effective Hamiltonian of the shared-cavity model.
+def build_sw_effective(params: ModelParams | SingleModeParams, space: HilbertSpace) -> Operator:
+    """Closed-form second-order effective Hamiltonian of either model.
 
-    Carries every induced pair coupling G_ij = (l_i l_j / 2)(1/D_i + 1/D_j),
-    the magnon-swap term, the photon-conditioned shifts, and the
-    excited-level exchange with its vacuum contribution (a^+a + 1).
+    The Lamb-shifted free part, the photon-number-conditioned qutrit shifts
+    chi_i c^+c (|i><i| - |g><g|), and the model's induced pair terms: for two
+    cavities the exchanges G_e, G_f and the cavity swap; for the shared
+    cavity every pair, including the magnon swap.
     """
-    chi_n, chi_m, chi_e, chi_f = lamb_shifts(params)
-    atom = _atom_ops(space)
-    a_low, a_num = _mode_ops(space, "a")
-    n_low, n_num = _mode_ops(space, "n")
-    m_low, m_num = _mode_ops(space, "m")
-    eye = np.eye(space.total_dim, dtype=complex)
-    p = params
-    g_ne = _induced_coupling(p.lambda_n, p.lambda_e, p.delta_n, p.delta_e)
-    g_nf = _induced_coupling(p.lambda_n, p.lambda_f, p.delta_n, p.delta_f)
-    g_me = _induced_coupling(p.lambda_m, p.lambda_e, p.delta_m, p.delta_e)
-    g_mf = _induced_coupling(p.lambda_m, p.lambda_f, p.delta_m, p.delta_f)
-    g_nm = _induced_coupling(p.lambda_n, p.lambda_m, p.delta_n, p.delta_m)
-    g_fe = _induced_coupling(p.lambda_e, p.lambda_f, p.delta_e, p.delta_f)
-    pairs = (
-        (g_ne, n_low @ atom["se_plus"]),
-        (g_nf, n_low @ atom["sf_plus"]),
-        (g_me, m_low @ atom["se_plus"]),
-        (g_mf, m_low @ atom["sf_plus"]),
-        (g_nm, n_low.conj().T @ m_low),
-        (g_fe, (a_num + eye) @ atom["sfe_plus"]),
-    )
-    h = (
-        (p.omega_a - chi_n - chi_m) * a_num
-        + (p.omega_n + chi_n) * n_num + (p.omega_m + chi_m) * m_num
-        + (p.omega_e + chi_e) * atom["pe"] + (p.omega_f + chi_f) * atom["pf"]
-        + a_num @ (chi_e * (atom["pe"] - atom["pg"]) + chi_f * (atom["pf"] - atom["pg"]))
-    )
-    for g, x in pairs:
-        h += g * (x + x.conj().T)
-    return Operator(space, h, hamiltonian=True)
+    return Operator(space, _sw_effective_matrix(params, _bare_ops(params, space)), hamiltonian=True)
 
 
-def excitation_numbers(space: HilbertSpace, atom_label: str = "atom") -> np.ndarray:
+def excitation_numbers(space: HilbertSpace) -> np.ndarray:
     """Total excitation per basis state; qutrit levels e, f count as one each."""
     dims = space.dims
     grids = np.unravel_index(np.arange(space.total_dim), dims)
     total = np.zeros(space.total_dim, dtype=int)
     for (label, _), occ in zip(space.subsystems, grids):
-        total += (occ > 0).astype(int) if label == atom_label else occ
+        total += (occ > 0).astype(int) if label == "atom" else occ
     return total
 
 
-def sw_reduction_check(
-    params: ModelParams | SingleModeParams,
-    space: HilbertSpace,
-    max_excitation: int = 2,
-) -> float:
+def sw_reduction_check(params: ModelParams | SingleModeParams, space: HilbertSpace) -> float:
     """Max-abs residual between the exact frame change and the closed form.
 
     Conjugates the full Hamiltonian by exp(S) with matrix exponentials,
     subtracts the closed-form second-order Hamiltonian, and restricts to the
-    low-excitation block (total excitation <= max_excitation) to avoid
-    truncation-edge artifacts.  The residual scales as the cube of the
-    coupling-to-detuning ratio.
+    low-excitation block (total excitation <= 2) to avoid truncation-edge
+    artifacts.  The residual scales as the cube of the coupling-to-detuning
+    ratio.
     """
-    from .dynamics import unitary_from_generator
-
-    if isinstance(params, ModelParams):
-        full = build_full_two_cavity(params, space)
-        closed = build_sw_effective(params, space)
-    else:
-        full = build_single_mode_full(params, space)
-        closed = build_sw_effective_single_mode(params, space)
-    u = unitary_from_generator(sw_generator(params, space)).matrix
-    residual = u @ full.matrix @ u.conj().T - closed.matrix
-    keep = np.flatnonzero(excitation_numbers(space) <= max_excitation)
+    ops = _bare_ops(params, space)
+    full = _full_matrix(params, ops)
+    closed = _sw_effective_matrix(params, ops)
+    s = Operator(space, _generator_matrix(params, ops))
+    del ops  # free the table before the eigendecomposition
+    u = unitary_from_generator(s).matrix
+    residual = u @ full @ u.conj().T - closed
+    keep = np.flatnonzero(excitation_numbers(space) <= 2)
     block = residual[np.ix_(keep, keep)]
     return float(np.abs(block).max())
 
@@ -533,12 +521,10 @@ def build_time_dependent_jc(
     Delta(t) given by the pulse.  The returned callable rejects times outside
     [0, tau_total].
     """
-    atom = _atom_ops(space)
-    n_low, _ = _mode_ops(space, "n")
-    m_low, _ = _mode_ops(space, "m")
-    x = n_low @ atom["se_plus"] + m_low @ atom["sf_plus"]
+    ops = _operator_table(space, ("n", "m"))
+    x = ops["n"][0] @ ops["se_plus"] + ops["m"][0] @ ops["sf_plus"]
     coupling = G * (x + x.conj().T)
-    p_ef = atom["pe"] + atom["pf"]
+    p_ef = ops["pe"] + ops["pf"]
 
     def hamiltonian_at(t: float) -> Operator:
         delta = pulse.detuning(t)
@@ -561,10 +547,6 @@ def dispersive_evolution_fidelity(
     exp(-S) exp(-i H_R t) exp(-i H_eff t) exp(S) applied to the same initial
     state, where H_R is the Lamb-shifted rotating-frame generator.
     """
-    from functools import reduce as _reduce
-
-    from .dynamics import propagator, unitary_from_generator
-
     if magnon_state.kind != "pure" or len(magnon_state.space.subsystems) != 2:
         raise DimensionError("magnon_state must be pure on a two-subsystem space")
     dn, dm = magnon_state.space.dims
@@ -574,28 +556,21 @@ def dispersive_evolution_fidelity(
     g_vec[LEVEL_G] = 1.0
     vac = np.zeros(cavity_cutoff, dtype=complex)
     vac[0] = 1.0
-    psi0 = _reduce(np.kron, (g_vec, vac, vac, magnon_state.data))
+    psi0 = reduce(np.kron, (g_vec, vac, vac, magnon_state.data))
 
-    full = build_full_two_cavity(params, space)
-    u_full = propagator(full, t).matrix
-    u_s = unitary_from_generator(sw_generator(params, space)).matrix
-
-    chi_n, chi_m, chi_e, chi_f = lamb_shifts(params)
-    # built before the atom operators below, so its own temporaries are freed first
-    h_eff = _jc_matrix(effective_couplings(params), space)
-    atom = _atom_ops(space)
-    _, a_num = _mode_ops(space, "a")
-    _, b_num = _mode_ops(space, "b")
-    _, n_num = _mode_ops(space, "n")
-    _, m_num = _mode_ops(space, "m")
-    h_rot = (
-        (params.omega_a - chi_n) * a_num + (params.omega_b - chi_m) * b_num
-        + (params.omega_n + chi_n) * (n_num + atom["pe"])
-        + (params.omega_m + chi_m) * (m_num + atom["pf"])
-    )
-    u_eff = propagator(Operator(space, h_eff, hamiltonian=True), t).matrix
-    u_rot = propagator(Operator(space, h_rot, hamiltonian=True), t).matrix
-
-    psi_full = u_full @ psi0
-    psi_pred = u_s.conj().T @ (u_rot @ (u_eff @ (u_s @ psi0)))
+    ops = _bare_ops(params, space)
+    full = Operator(space, _full_matrix(params, ops), hamiltonian=True)
+    s = Operator(space, _generator_matrix(params, ops))
+    eff = effective_couplings(params)
+    h_eff = Operator(space, _jc_matrix(eff, ops), hamiltonian=True)
+    h_rot = Operator(space, (
+        (params.omega_a - eff.chi_n) * ops["a"][1] + (params.omega_b - eff.chi_m) * ops["b"][1]
+        + (params.omega_n + eff.chi_n) * (ops["n"][1] + ops["pe"])
+        + (params.omega_m + eff.chi_m) * (ops["m"][1] + ops["pf"])
+    ), hamiltonian=True)
+    del ops  # free the table before the eigendecompositions
+    u_s = unitary_from_generator(s).matrix
+    psi_full = propagator(full, t).matrix @ psi0
+    psi_pred = u_s.conj().T @ (propagator(h_rot, t).matrix
+                               @ (propagator(h_eff, t).matrix @ (u_s @ psi0)))
     return float(abs(np.vdot(psi_pred, psi_full)) ** 2)

@@ -66,11 +66,6 @@ class OptimizationResult:
             raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
 
 
-def crab_detuning(t: float, pulse: PulseCoefficients) -> float:
-    """Detuning Delta(t) = G [1 + t(tau-t) sum_n (a_n cos w_n t + b_n sin w_n t)]."""
-    return float(pulse.detuning(t))
-
-
 def nelder_mead(objective, x0, cfg: OptimizerConfig, initial_simplex=None):
     """Minimize with the standard simplex moves.
 
@@ -209,7 +204,7 @@ def evaluate_single_shot(pulse: PulseCoefficients, slices: int = DEFAULT_SLICES)
     g_vec = np.zeros(3, dtype=complex)
     g_vec[0] = 1.0
     psi0 = np.kron(g_vec, psi_i.data)
-    psi = QuantumState(jc, "pure", u @ psi0)
+    psi = QuantumState(jc, "pure", u.matrix @ psi0)
     state, prob = apply_projection(psi)
     return fidelity(state, target), prob, state
 

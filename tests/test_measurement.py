@@ -21,7 +21,6 @@ from magbell.measurement import (
     apply_projection,
     coupling_ratio_fidelity,
     interval_for_target,
-    kraus_coefficient,
     numeric_kraus,
     qubit_parity_reference,
     rabi_frequency,
@@ -41,6 +40,13 @@ def jc_space(d):
 
 def magnon(d):
     return HilbertSpace((("n", d), ("m", d)))
+
+
+def kraus_coefficient(n, m, eff, delta, tau):
+    """alpha_nm(tau): the (n, m) diagonal entry of analytic_kraus times exp(i delta tau / 2)."""
+    d = max(n, m) + 1
+    v = analytic_kraus(magnon(d), eff, delta, tau).matrix
+    return complex(np.exp(0.5j * delta * tau) * v[n * d + m, n * d + m])
 
 
 class TestRabiFrequency:

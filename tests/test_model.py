@@ -12,14 +12,12 @@ from magbell.model import (
     PulseCoefficients,
     SingleModeParams,
     ZeroDetuningError,
-    build_full_two_cavity,
+    build_full,
     build_jc_effective,
-    build_single_mode_full,
-    build_sw_effective_single_mode,
+    build_sw_effective,
     build_time_dependent_jc,
     detuning_match,
     effective_couplings,
-    effective_couplings_single_mode,
     excitation_numbers,
     lamb_shifts,
     sw_generator,
@@ -37,6 +35,11 @@ def matched_single_mode(lam=0.005):
         omega_a=1.0, omega_n=1.1, omega_m=0.9, omega_e=1.1, omega_f=0.9,
         lambda_n=lam, lambda_m=lam, lambda_e=lam, lambda_f=lam,
     )
+
+
+def bare_models(two_cavity):
+    """Each bare model with its space: two cavities, then the shared cavity."""
+    return ((two_cavity, FULL_SPACE), (matched_single_mode(), SINGLE_SPACE))
 
 
 class TestLambShifts:
@@ -133,27 +136,38 @@ class TestJCEffective:
 class TestFullTwoCavity:
     def test_zero_couplings_diagonal(self, dispersive_params):
         p = ModelParams(**{**dispersive_params.__dict__, "g_n": 0, "g_m": 0, "g_e": 0, "g_f": 0})
-        h = build_full_two_cavity(p, FULL_SPACE).matrix
+        h = build_full(p, FULL_SPACE).matrix
         assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
 
     def test_hermiticity(self, dispersive_params):
-        h = build_full_two_cavity(dispersive_params, FULL_SPACE).matrix
+        h = build_full(dispersive_params, FULL_SPACE).matrix
         assert np.abs(h - h.conj().T).max() <= 1e-14
 
     def test_conserves_total_excitation(self, dispersive_params):
-        h = build_full_two_cavity(dispersive_params, FULL_SPACE).matrix
-        total = np.diag(excitation_numbers(FULL_SPACE).astype(complex))
-        assert np.abs(h @ total - total @ h).max() < 1e-12
+        for params, space in bare_models(dispersive_params):
+            h = build_full(params, space).matrix
+            total = np.diag(excitation_numbers(space).astype(complex))
+            assert np.abs(h @ total - total @ h).max() < 1e-12
 
 
 class TestSWGenerator:
     def test_anti_hermitian(self, dispersive_params):
-        s = sw_generator(dispersive_params, FULL_SPACE).matrix
-        assert np.abs(s + s.conj().T).max() <= 1e-14
+        for params, space in bare_models(dispersive_params):
+            s = sw_generator(params, space).matrix
+            assert np.abs(s).max() > 0.0
+            assert np.abs(s + s.conj().T).max() <= 1e-14
 
     def test_zero_couplings_zero_generator(self, dispersive_params):
         p = ModelParams(**{**dispersive_params.__dict__, "g_n": 0, "g_m": 0, "g_e": 0, "g_f": 0})
-        assert np.abs(sw_generator(p, FULL_SPACE).matrix).max() == 0.0
+        for params, space in ((p, FULL_SPACE), (matched_single_mode(lam=0.0), SINGLE_SPACE)):
+            assert np.abs(sw_generator(params, space).matrix).max() == 0.0
+
+    def test_zero_detuning_raises(self, dispersive_params):
+        resonant = (ModelParams(**{**dispersive_params.__dict__, "omega_m": 0.6}),
+                    SingleModeParams(**{**matched_single_mode().__dict__, "omega_f": 1.0}))
+        for params, (_, space) in zip(resonant, bare_models(dispersive_params)):
+            with pytest.raises(ZeroDetuningError):
+                sw_generator(params, space)
 
     def test_exponential_is_unitary(self, dispersive_params):
         u = unitary_from_generator(sw_generator(dispersive_params, FULL_SPACE)).matrix
@@ -182,12 +196,12 @@ class TestSWReduction:
 
 class TestSingleMode:
     def test_hermiticity(self):
-        h = build_single_mode_full(matched_single_mode(), SINGLE_SPACE).matrix
+        h = build_full(matched_single_mode(), SINGLE_SPACE).matrix
         assert np.abs(h - h.conj().T).max() <= 1e-14
 
     def test_zero_couplings_diagonal(self):
         p = matched_single_mode(lam=0.0)
-        h = build_single_mode_full(p, SINGLE_SPACE).matrix
+        h = build_full(p, SINGLE_SPACE).matrix
         assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
 
     def test_detuning_match_true(self):
@@ -206,26 +220,31 @@ class TestSingleMode:
     def test_matched_vacuum_block_equals_jc_build(self):
         """With matched detunings, the closed-form effective Hamiltonian on the
         empty-cavity block reduces (after removing the rotating-frame part) to
-        the magnon-qutrit model with the induced couplings substituted."""
-        p = matched_single_mode()
-        full = build_sw_effective_single_mode(p, SINGLE_SPACE).matrix
-        chi_n, chi_m, chi_e, chi_f = lamb_shifts(p)
-        # select the a = 0 block; atom is slower than a, magnons faster
-        c, d = SINGLE_SPACE.dim("a"), SINGLE_SPACE.dim("n")
-        keep = [i for i in range(SINGLE_SPACE.total_dim)
-                if SINGLE_SPACE.occupations(i)[1] == 0]
-        block = full[np.ix_(keep, keep)]
-        jc_space = HilbertSpace((("atom", 3), ("n", d), ("m", d)))
-        n_num = embed(annihilation(d), jc_space, "n").dagger().matrix \
-            @ embed(annihilation(d), jc_space, "n").matrix
-        m_num = embed(annihilation(d), jc_space, "m").dagger().matrix \
-            @ embed(annihilation(d), jc_space, "m").matrix
-        p_e = embed(level_projector(3, 1), jc_space, "atom").matrix
-        p_f = embed(level_projector(3, 2), jc_space, "atom").matrix
-        rotating = (p.omega_n + chi_n) * (n_num + p_e) + (p.omega_m + chi_m) * (m_num + p_f)
-        eff = effective_couplings_single_mode(p)
-        want = build_jc_effective(eff, jc_space).matrix
-        assert np.abs((block - rotating) - want).max() <= 1e-12
+        the magnon-qutrit model with the induced couplings substituted.  The
+        two-cavity model needs no match; it is checked at unequal detunings."""
+        two_cavity = ModelParams(omega_a=0.63, omega_b=0.57, omega_n=1.01, omega_m=0.97,
+                                 omega_e=1.13, omega_f=0.91,
+                                 g_n=0.021, g_m=0.017, g_e=0.013, g_f=0.029)
+        for p, space in ((two_cavity, FULL_SPACE), (matched_single_mode(), SINGLE_SPACE)):
+            full = build_sw_effective(p, space).matrix
+            chi_n, chi_m, chi_e, chi_f = lamb_shifts(p)
+            # select the block with every cavity empty; atom is slowest, magnons fastest
+            cavities = [space.axis(label) for label, _ in p.cavities()]
+            keep = [i for i in range(space.total_dim)
+                    if all(space.occupations(i)[axis] == 0 for axis in cavities)]
+            block = full[np.ix_(keep, keep)]
+            d = space.dim("n")
+            jc_space = HilbertSpace((("atom", 3), ("n", d), ("m", d)))
+            n_num = embed(annihilation(d), jc_space, "n").dagger().matrix \
+                @ embed(annihilation(d), jc_space, "n").matrix
+            m_num = embed(annihilation(d), jc_space, "m").dagger().matrix \
+                @ embed(annihilation(d), jc_space, "m").matrix
+            p_e = embed(level_projector(3, 1), jc_space, "atom").matrix
+            p_f = embed(level_projector(3, 2), jc_space, "atom").matrix
+            rotating = (p.omega_n + chi_n) * (n_num + p_e) + (p.omega_m + chi_m) * (m_num + p_f)
+            eff = effective_couplings(p)
+            want = build_jc_effective(eff, jc_space).matrix
+            assert np.abs((block - rotating) - want).max() <= 1e-12
 
     def test_sw_residual_cubic_under_match(self):
         p1 = matched_single_mode(lam=0.005)

@@ -11,7 +11,6 @@ from magbell.optimize import (
     OptimizerConfig,
     _block_return_amplitudes,
     _fidelity_from_amplitudes,
-    crab_detuning,
     evaluate_single_shot,
     nelder_mead,
     optimize_single_shot,
@@ -28,20 +27,20 @@ class TestCrabDetuning:
         half = len(coeffs) // 2
         pulse = PulseCoefficients(a=tuple(coeffs[:half]), b=tuple(coeffs[half:2 * half]),
                                   tau_total=TAU0, G=1e-3)
-        assert crab_detuning(0.0, pulse) == pytest.approx(1e-3, rel=1e-12)
-        assert crab_detuning(TAU0, pulse) == pytest.approx(1e-3, rel=1e-9)
+        assert pulse.detuning(0.0) == pytest.approx(1e-3, rel=1e-12)
+        assert pulse.detuning(TAU0) == pytest.approx(1e-3, rel=1e-9)
 
     def test_zero_coefficients_constant(self):
         pulse = PulseCoefficients(a=(), b=(), tau_total=TAU0, G=1e-3)
         for t in (0.0, 0.3 * TAU0, TAU0):
-            assert crab_detuning(t, pulse) == 1e-3
+            assert pulse.detuning(t) == 1e-3
 
     def test_out_of_range_rejected(self):
         pulse = PulseCoefficients(a=(), b=(), tau_total=TAU0, G=1e-3)
         with pytest.raises(ValueError):
-            crab_detuning(-0.1 * TAU0, pulse)
+            pulse.detuning(-0.1 * TAU0)
         with pytest.raises(ValueError):
-            crab_detuning(1.1 * TAU0, pulse)
+            pulse.detuning(1.1 * TAU0)
 
 
 class TestNelderMead:
