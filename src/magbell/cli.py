@@ -268,8 +268,7 @@ def _protocol_config(p: dict, interval_mode: str = "full") -> ProtocolConfig:
                           Delta_e_tilde=p["Delta"], Delta_f_tilde=p["Delta"])
     decoherence = (p["gamma_n"], p["gamma_m"]) if "gamma_n" in p else None
     return ProtocolConfig.for_target(eff, rounds=p["rounds"], target_N=p.get("target_N", 1),
-                                     interval_mode=interval_mode, decoherence=decoherence,
-                                     delta=p["Delta"])
+                                     interval_mode=interval_mode, decoherence=decoherence)
 
 
 def _initial_state(p: dict):
@@ -388,7 +387,7 @@ def _run_validate_dispersive(p: dict, seed: int):
         fid = float("nan")
         if r == ratio:
             eff = effective_couplings(params)
-            tau0 = interval_for_target(1, eff, eff.common_detuning())
+            tau0 = interval_for_target(1, eff)
             mag = _magnon_space(p["magnon_cutoff"])
             plus = superposed_state(p["magnon_cutoff"], 1)
             state = product_state(mag, {"n": plus, "m": plus})

@@ -19,8 +19,9 @@ import numpy as np
 HERMITIAN_ATOL = 1e-12
 PURE_NORM_ATOL = 1e-10
 MIXED_ATOL = 1e-10
-# Positivity floor for density matrices: matches the fixed-step integrator's
-# positivity budget, whose outputs these states must hold.
+# Positivity floor for density matrices: admits the rounding-level negative
+# eigenvalues of renormalized protocol states and of the loss map's truncated
+# Taylor action, and rejects a matrix that is not a state.
 MIXED_EIG_FLOOR = -1e-8
 
 # Hard cutoff-adequacy bound for coherent states.  Loose enough to admit the

@@ -4,10 +4,11 @@ Finding the ancilla qutrit in its ground state after a joint evolution
 applies a diagonal, population-reshaping Kraus operator to the two magnon
 modes.  Repeating the cycle suppresses every Fock component whose
 coefficient magnitude is below one and distills the even-parity Bell pair
-{|0,0>, |N,N>}.  The module provides the analytic coefficients, their
-numeric counterpart from the effective Hamiltonian, the repeated protocol
-with optional magnon decay, stabilization runs, and the coupling-ratio
-fidelity analysis.
+{|0,0>, |N,N>}.  The module provides the analytic coefficients, the
+repeated protocol with optional magnon decay, stabilization runs, and the
+coupling-ratio fidelity analysis.  A closed round applies the analytic
+diagonal of ``analytic_kraus``; ``numeric_kraus``, the <g|exp(-i H tau)|g>
+block of the effective Hamiltonian, is kept as its independent oracle.
 """
 
 from __future__ import annotations
@@ -44,28 +45,29 @@ class TargetOverlapError(ValueError):
     """Initial state has no population on the target even-parity pair."""
 
 
-def rabi_frequency(n: int, m: int, eff: EffectiveParams, delta: float) -> float:
+def rabi_frequency(n: int, m: int, eff: EffectiveParams) -> float:
     """Oscillation frequency of the (n, m) block: sqrt(Ge^2 n + Gf^2 m + D^2/4)."""
     if n < 0 or m < 0:
         raise ValueError("occupation numbers must be nonnegative")
-    return math.sqrt(eff.G_e**2 * n + eff.G_f**2 * m + 0.25 * delta**2)
+    return math.sqrt(eff.G_e**2 * n + eff.G_f**2 * m + 0.25 * eff.common_detuning()**2)
 
 
-def interval_for_target(N: int, eff: EffectiveParams, delta: float) -> float:
+def interval_for_target(N: int, eff: EffectiveParams) -> float:
     """Measurement interval 2 pi / Omega_NN that keeps |alpha_NN| = 1."""
     if N < 1:
         raise ValueError(f"target excitation must be >= 1, got {N}")
-    return 2.0 * math.pi / rabi_frequency(N, N, eff, delta)
+    return 2.0 * math.pi / rabi_frequency(N, N, eff)
 
 
-def analytic_kraus(space: HilbertSpace, eff: EffectiveParams, delta: float, tau: float) -> Operator:
+def analytic_kraus(space: HilbertSpace, eff: EffectiveParams, tau: float) -> Operator:
     """Diagonal ground-outcome Kraus operator on a two-mode magnon space.
 
-    Entry (n, m) is exp(-i D tau / 2) alpha_nm(tau); the first subsystem
-    couples through G_e, the second through G_f.
+    Entry (n, m) is exp(-i D tau / 2) alpha_nm(tau), D = eff.common_detuning();
+    the first subsystem couples through G_e, the second through G_f.
     """
     if len(space.subsystems) != 2:
         raise DimensionError("analytic_kraus needs a two-subsystem magnon space")
+    delta = eff.common_detuning()
     dn, dm = space.dims
     n, m = np.meshgrid(np.arange(dn), np.arange(dm), indexing="ij")
     omega = np.sqrt(eff.G_e**2 * n + eff.G_f**2 * m + 0.25 * delta**2)
@@ -164,14 +166,11 @@ class ProtocolConfig:
         target_N: int = 1,
         interval_mode: str = "full",
         decoherence: tuple[float, float] | None = None,
-        delta: float | None = None,
     ) -> "ProtocolConfig":
         """Config with tau picked so the (N, N) pair is held exactly ("half": half that tau)."""
         if interval_mode not in ("full", "half"):
             raise ValueError(f"interval_mode must be 'full' or 'half', got {interval_mode!r}")
-        if delta is None:
-            delta = eff.common_detuning()
-        tau = interval_for_target(target_N, eff, delta)
+        tau = interval_for_target(target_N, eff)
         if interval_mode == "half":
             tau *= 0.5
         return cls(eff=eff, tau=tau, rounds=rounds, target_N=target_N, decoherence=decoherence)
@@ -204,15 +203,10 @@ def _even_pair_population(state: QuantumState, N: int) -> float:
 
 
 def _joint_spec(mag_space: HilbertSpace, cfg: ProtocolConfig) -> LindbladSpec:
-    """Qutrit-magnon Hamiltonian of cfg, with magnon loss when cfg has decoherence."""
-    if mag_space.labels != ("n", "m"):
-        raise DimensionError(f"initial state must live on ('n', 'm'), got {mag_space.labels}")
+    """Qutrit-magnon Hamiltonian of cfg with its magnon loss (cfg.decoherence)."""
     jc_space = HilbertSpace((("atom", 3),) + mag_space.subsystems)
-    h_eff = build_jc_effective(cfg.eff, jc_space)
-    if cfg.decoherence is None:
-        return LindbladSpec(h_eff, ())
     gamma_n, gamma_m = cfg.decoherence
-    return LindbladSpec(h_eff, (
+    return LindbladSpec(build_jc_effective(cfg.eff, jc_space), (
         (embed(annihilation(jc_space.dim("n")), jc_space, "n"), gamma_n),
         (embed(annihilation(jc_space.dim("m")), jc_space, "m"), gamma_m),
     ))
@@ -230,16 +224,16 @@ def run_protocol(
     """Run M rounds of (attach ground-state qutrit, evolve tau, project).
 
     Every round applies one fixed map to the unnormalized magnon state, then
-    renormalizes: closed runs the ground-outcome Kraus operator V (V psi for
-    a pure state, V rho V^+ for a mixed one); with decoherence set, the
-    g-block of the exact magnon-loss map exp(L tau) (``lindblad_action``)
-    applied to |g><g| (x) rho.
-    spec is the joint spec of cfg on the space of initial, for a caller that
-    has built it already; it is built here when omitted.
+    renormalizes: closed runs the diagonal v of ``analytic_kraus``
+    elementwise (v_i psi_i, or v_i conj(v_j) rho_ij for a mixed state); with
+    decoherence set, the g-block of the exact magnon-loss map exp(L tau)
+    (``lindblad_action``) applied to |g><g| (x) rho.
+    spec is the joint spec of a lossy cfg on the space of initial, for a
+    caller that has built it already; it is built here when omitted.
     """
-    if spec is None:
-        spec = _joint_spec(initial.space, cfg)
     mag_space = initial.space
+    if mag_space.labels != ("n", "m"):
+        raise DimensionError(f"initial state must live on ('n', 'm'), got {mag_space.labels}")
     N = cfg.target_N
     if N >= min(mag_space.dims):
         raise DimensionError(f"target excitation {N} outside cutoffs {mag_space.dims}")
@@ -250,11 +244,10 @@ def run_protocol(
             f"initial population on {{|0,0>, |{N},{N}>}} is numerically zero"
         )
 
-    v = numeric_kraus(spec.hamiltonian, cfg.tau).matrix
-    damping = np.abs(np.diag(v))
+    v = np.diag(analytic_kraus(mag_space, cfg.eff, cfg.tau).matrix)
     slow = tuple(
         mag_space.occupations(k)
-        for k in np.flatnonzero(damping > 1.0 - SLOW_DAMPING_MARGIN)
+        for k in np.flatnonzero(np.abs(v) > 1.0 - SLOW_DAMPING_MARGIN)
         if mag_space.occupations(k) not in ((0, 0), (N, N))
     )
 
@@ -282,6 +275,8 @@ def run_protocol(
     # the per-round map on the unnormalized magnon data, picked once
     kind, data = initial.kind, initial.data
     if cfg.decoherence is not None:
+        if spec is None:
+            spec = _joint_spec(mag_space, cfg)
         jc_space = spec.hamiltonian.space
         ground = _ground_density()
 
@@ -290,14 +285,11 @@ def run_protocol(
             return _ground_block(lindblad_action(joint, spec, cfg.tau).data)
 
         kind, data = "mixed", initial.density()
-    elif kind == "pure":
-        def evolve(psi):
-            return v @ psi
     else:
-        v_dag = v.conj().T
+        vv = v if kind == "pure" else np.outer(v, v.conj())
 
-        def evolve(rho):
-            return v @ rho @ v_dag
+        def evolve(x):
+            return vv * x
 
     for k in range(1, rounds + 1):
         state, prob = _renormalized(mag_space, kind, evolve(data), f"round {k}: ")

@@ -253,16 +253,18 @@ class PulseCoefficients:
 
 
 def lamb_shifts(params: ModelParams | SingleModeParams) -> tuple[float, float, float, float]:
-    """Second-order frequency shifts chi_i = g_i^2 / Delta_i for (n, m, e, f)."""
+    """Second-order frequency shifts chi_i = g_i^2 / Delta_i for (n, m, e, f); 0 if g_i = 0."""
     shifts = []
     for party, _, g, delta in params.coupling_pairs():
-        if delta == 0.0:
+        if g != 0.0 and delta == 0.0:
             raise ZeroDetuningError(f"zero detuning for pair {party!r}: Lamb shift undefined")
-        shifts.append(g * g / delta)
+        shifts.append(g * g / delta if g != 0.0 else 0.0)
     return tuple(shifts)  # type: ignore[return-value]
 
 
 def _induced_coupling(g1: float, g2: float, d1: float, d2: float) -> float:
+    if g1 == 0.0 or g2 == 0.0:  # an uncoupled pair induces nothing, whatever its detuning
+        return 0.0
     return 0.5 * g1 * g2 * (1.0 / d1 + 1.0 / d2)
 
 
@@ -563,14 +565,15 @@ def dispersive_evolution_fidelity(
     s = Operator(space, _generator_matrix(params, ops))
     eff = effective_couplings(params)
     h_eff = Operator(space, _jc_matrix(eff, ops), hamiltonian=True)
-    h_rot = Operator(space, (
+    # H_R is diagonal in the product basis, so exp(-i H_R t) is elementwise
+    h_rot = np.diag(
         (params.omega_a - eff.chi_n) * ops["a"][1] + (params.omega_b - eff.chi_m) * ops["b"][1]
         + (params.omega_n + eff.chi_n) * (ops["n"][1] + ops["pe"])
         + (params.omega_m + eff.chi_m) * (ops["m"][1] + ops["pf"])
-    ), hamiltonian=True)
+    ).real
     del ops  # free the table before the eigendecompositions
     u_s = unitary_from_generator(s).matrix
     psi_full = propagator(full, t).matrix @ psi0
-    psi_pred = u_s.conj().T @ (propagator(h_rot, t).matrix
-                               @ (propagator(h_eff, t).matrix @ (u_s @ psi0)))
+    psi_pred = u_s.conj().T @ (np.exp(-1j * h_rot * t)
+                               * (propagator(h_eff, t).matrix @ (u_s @ psi0)))
     return float(abs(np.vdot(psi_pred, psi_full)) ** 2)

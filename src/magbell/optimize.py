@@ -253,7 +253,7 @@ def optimize_single_shot(
     if not math.isclose(eff.G_e, eff.G_f, rel_tol=1e-12):
         raise ValueError(f"single-shot scheme needs G_e = G_f, got {eff.G_e} vs {eff.G_f}")
     g = eff.G_e
-    tau0 = interval_for_target(1, eff, 0.0)
+    tau0 = interval_for_target(1, EffectiveParams(G_e=g, G_f=g))  # the pulse sets the detuning
     n_omega = cfg.n_omega
     dim = 2 * n_omega
 

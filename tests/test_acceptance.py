@@ -74,8 +74,8 @@ def test_c01_kraus_oracle_equivalence():
         g_e, g_f = rng.uniform(2e-4, 5e-3, 2)
         delta = rng.uniform(-5e-3, 5e-3)
         eff = EffectiveParams(G_e=g_e, G_f=g_f, Delta_e_tilde=delta, Delta_f_tilde=delta)
-        tau = rng.uniform(0.1, 2.0) * interval_for_target(1, eff, delta)
-        va = analytic_kraus(mag, eff, delta, tau).matrix
+        tau = rng.uniform(0.1, 2.0) * interval_for_target(1, eff)
+        va = analytic_kraus(mag, eff, tau).matrix
         vn = numeric_kraus(build_jc_effective(eff, jc), tau).matrix
         worst = max(worst, float(np.abs(va - vn).max()))
     ok = worst <= 1e-10
@@ -294,7 +294,7 @@ def test_c10_dispersive_validation():
 
     params = params_for(0.05)
     eff = effective_couplings(params)
-    tau0 = interval_for_target(1, eff, eff.common_detuning())
+    tau0 = interval_for_target(1, eff)
     state = product_state(magnon(4), {"n": superposed_state(4, 1), "m": superposed_state(4, 1)})
     fid = dispersive_evolution_fidelity(params, state, tau0, cavity_cutoff=3)
     ok = fid >= 0.99 and 2.5 <= slope <= 3.5

@@ -17,7 +17,11 @@ from magbell.cli import (
     parse_result_header,
     run_scenario,
 )
-from magbell.model import COHERENT_COUPLING_RATIO
+from magbell.dynamics import NonHermitianError, TraceDriftError
+from magbell.hilbert import DimensionError, TruncationError
+from magbell.measurement import NullOutcomeError, TargetOverlapError
+from magbell.model import COHERENT_COUPLING_RATIO, ZeroDetuningError
+from magbell.optimize import ObjectiveError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -251,6 +255,21 @@ class TestMainEntry:
         assert main(["run", "--config", path]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "TruncationError"
+
+    @pytest.mark.parametrize("error, code", [
+        (TruncationError, 3), (ZeroDetuningError, 3), (TargetOverlapError, 3),
+        (NullOutcomeError, 3), (TraceDriftError, 3), (NonHermitianError, 3),
+        (DimensionError, 3), (ObjectiveError, 4), (ConfigError, 2),
+    ], ids=lambda value: getattr(value, "__name__", str(value)))
+    def test_documented_exit_codes(self, tmp_path, capsys, monkeypatch, error, code):
+        def failing_runner(params, seed):
+            raise error("raised by the scenario")
+
+        monkeypatch.setitem(cli._RUNNERS, "coupling-ratio", failing_runner)
+        path = write_config(tmp_path, {"scenario": "coupling-ratio"})
+        assert main(["run", "--config", path]) == code
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": error.__name__, "message": "raised by the scenario"}
 
     def test_seed_override_recorded(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 3}})

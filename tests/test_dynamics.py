@@ -172,7 +172,7 @@ class TestLindbladAction:
     def test_matches_rk4_for_one_decohere_prepare_round(self):
         # decohere-prepare config: G_e = G_f = 6e-3, loss 1e-4 on both modes, cutoff 3
         eff = EffectiveParams(G_e=6e-3, G_f=6e-3)
-        tau = interval_for_target(1, eff, eff.common_detuning())
+        tau = interval_for_target(1, eff)
         spec = LindbladSpec(build_jc_effective(eff, JC_SPACE), (
             (embed(annihilation(3), JC_SPACE, "n"), 1e-4),
             (embed(annihilation(3), JC_SPACE, "m"), 1e-4),

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from magbell import measurement
 from magbell.hilbert import (
     HilbertSpace,
     QuantumState,
@@ -42,21 +44,26 @@ def magnon(d):
     return HilbertSpace((("n", d), ("m", d)))
 
 
-def kraus_coefficient(n, m, eff, delta, tau):
+def detuned(eff, delta):
+    """eff with both tilde detunings set to the common detuning delta."""
+    return dataclasses.replace(eff, Delta_e_tilde=delta, Delta_f_tilde=delta)
+
+
+def kraus_coefficient(n, m, eff, tau):
     """alpha_nm(tau): the (n, m) diagonal entry of analytic_kraus times exp(i delta tau / 2)."""
     d = max(n, m) + 1
-    v = analytic_kraus(magnon(d), eff, delta, tau).matrix
-    return complex(np.exp(0.5j * delta * tau) * v[n * d + m, n * d + m])
+    v = analytic_kraus(magnon(d), eff, tau).matrix
+    return complex(np.exp(0.5j * eff.common_detuning() * tau) * v[n * d + m, n * d + m])
 
 
 class TestRabiFrequency:
     def test_vacuum_pair_is_half_detuning(self, resonant_eff):
-        assert rabi_frequency(0, 0, resonant_eff, 0.3) == pytest.approx(0.15)
+        assert rabi_frequency(0, 0, detuned(resonant_eff, 0.3)) == pytest.approx(0.15)
 
     def test_resonant_equal_couplings(self):
         eff = EffectiveParams(G_e=2e-3, G_f=2e-3)
-        assert rabi_frequency(1, 1, eff, 0.0) == pytest.approx(math.sqrt(2) * 2e-3)
-        assert rabi_frequency(3, 3, eff, 0.0) == pytest.approx(math.sqrt(6) * 2e-3)
+        assert rabi_frequency(1, 1, eff) == pytest.approx(math.sqrt(2) * 2e-3)
+        assert rabi_frequency(3, 3, eff) == pytest.approx(math.sqrt(6) * 2e-3)
 
 
 class TestKrausCoefficient:
@@ -67,47 +74,48 @@ class TestKrausCoefficient:
         delta=st.floats(-0.02, 0.02), tau=st.floats(0.0, 1e4),
     )
     def test_magnitude_bounded_by_one(self, n, m, g_e, g_f, delta, tau):
-        eff = EffectiveParams(G_e=g_e, G_f=g_f)
-        alpha = kraus_coefficient(n, m, eff, delta, tau)
+        eff = EffectiveParams(G_e=g_e, G_f=g_f, Delta_e_tilde=delta, Delta_f_tilde=delta)
+        alpha = kraus_coefficient(n, m, eff, tau)
         assert abs(alpha) <= 1.0 + 1e-12
         if n == 0 and m == 0:
             assert abs(abs(alpha) - 1.0) <= 1e-12
 
     def test_vacuum_pair_unit_magnitude_at_nonzero_detuning(self, resonant_eff):
-        alpha = kraus_coefficient(0, 0, resonant_eff, 0.7, 123.4)
+        alpha = kraus_coefficient(0, 0, detuned(resonant_eff, 0.7), 123.4)
         assert abs(alpha) == pytest.approx(1.0, abs=1e-15)
 
     def test_held_pair_returns_to_one(self, resonant_eff):
-        tau0 = interval_for_target(1, resonant_eff, 0.0)
-        assert kraus_coefficient(1, 1, resonant_eff, 0.0, tau0) == pytest.approx(1.0, abs=1e-12)
+        tau0 = interval_for_target(1, resonant_eff)
+        assert kraus_coefficient(1, 1, resonant_eff, tau0) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_excitation_value_at_resonance(self, resonant_eff):
-        tau0 = interval_for_target(1, resonant_eff, 0.0)
-        a01 = kraus_coefficient(0, 1, resonant_eff, 0.0, tau0)
+        tau0 = interval_for_target(1, resonant_eff)
+        a01 = kraus_coefficient(0, 1, resonant_eff, tau0)
         assert a01.real == pytest.approx(SQRT2PI_COS, abs=1e-12)
         assert a01.real == pytest.approx(-0.2663, abs=1e-4)
-        assert kraus_coefficient(1, 0, resonant_eff, 0.0, tau0) == pytest.approx(a01)
+        assert kraus_coefficient(1, 0, resonant_eff, tau0) == pytest.approx(a01)
 
     def test_revival_at_multiples_of_block_period(self, resonant_eff):
-        omega = rabi_frequency(2, 1, resonant_eff, 1.3e-3)
-        alpha = kraus_coefficient(2, 1, resonant_eff, 1.3e-3, 2 * math.pi / omega)
+        eff = detuned(resonant_eff, 1.3e-3)
+        omega = rabi_frequency(2, 1, eff)
+        alpha = kraus_coefficient(2, 1, eff, 2 * math.pi / omega)
         assert abs(alpha) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestAnalyticKraus:
     def test_decoupled_limit_is_identity(self):
         eff = EffectiveParams(G_e=0.0, G_f=0.0)
-        v = analytic_kraus(magnon(3), eff, 0.0, 17.0).matrix
+        v = analytic_kraus(magnon(3), eff, 17.0).matrix
         assert np.abs(v - np.eye(9)).max() <= 1e-14
 
     def test_diagonal_magnitudes_bounded(self, resonant_eff):
-        v = analytic_kraus(magnon(5), resonant_eff, 2e-3, 500.0).matrix
+        v = analytic_kraus(magnon(5), detuned(resonant_eff, 2e-3), 500.0).matrix
         assert np.abs(np.diag(v)).max() <= 1.0 + 1e-12
 
     def test_matches_numeric_on_small_grid(self, resonant_eff):
         d = 4
-        tau = 0.7 * interval_for_target(1, resonant_eff, 0.0)
-        va = analytic_kraus(magnon(d), resonant_eff, 0.0, tau).matrix
+        tau = 0.7 * interval_for_target(1, resonant_eff)
+        va = analytic_kraus(magnon(d), resonant_eff, tau).matrix
         vn = numeric_kraus(build_jc_effective(resonant_eff, jc_space(d)), tau).matrix
         assert np.abs(va - vn).max() <= 1e-10
 
@@ -129,7 +137,7 @@ class TestNumericKraus:
             g_e, g_f = rng.uniform(1e-4, 5e-3, 2)
             delta = rng.uniform(-5e-3, 5e-3)
             eff = EffectiveParams(G_e=g_e, G_f=g_f, Delta_e_tilde=delta, Delta_f_tilde=delta)
-            tau = rng.uniform(0.1, 2.0) * interval_for_target(1, eff, delta)
+            tau = rng.uniform(0.1, 2.0) * interval_for_target(1, eff)
             v = numeric_kraus(build_jc_effective(eff, jc_space(d)), tau).matrix
             space = magnon(d)
             for k in range(d * d):
@@ -163,19 +171,19 @@ class TestApplyProjection:
 
 class TestIntervalForTarget:
     def test_single_excitation_reference(self, resonant_eff):
-        tau0 = interval_for_target(1, resonant_eff, 0.0)
+        tau0 = interval_for_target(1, resonant_eff)
         assert tau0 == pytest.approx(2 * math.pi / (math.sqrt(2) * 1e-3), rel=1e-12)
 
     def test_held_coefficient_magnitude(self):
-        eff = EffectiveParams(G_e=1e-3, G_f=1.2e-3)
+        eff = EffectiveParams(G_e=1e-3, G_f=1.2e-3, Delta_e_tilde=0.8e-3, Delta_f_tilde=0.8e-3)
         for n in (1, 2, 3):
-            tau = interval_for_target(n, eff, 0.8e-3)
-            alpha = kraus_coefficient(n, n, eff, 0.8e-3, tau)
+            tau = interval_for_target(n, eff)
+            alpha = kraus_coefficient(n, n, eff, tau)
             assert abs(abs(alpha) - 1.0) <= 1e-12
 
     def test_inverse_sqrt_scaling_at_resonance(self, resonant_eff):
-        tau1 = interval_for_target(1, resonant_eff, 0.0)
-        tau4 = interval_for_target(4, resonant_eff, 0.0)
+        tau1 = interval_for_target(1, resonant_eff)
+        tau4 = interval_for_target(4, resonant_eff)
         assert tau4 == pytest.approx(tau1 / 2.0, rel=1e-12)
 
 
@@ -219,19 +227,20 @@ class TestRunProtocol:
             run_protocol(basis_state(magnon(3), (0, 1)), cfg)
 
     def test_unnormalized_populations_follow_coefficient_powers(self):
-        # protocol output against the independent per-block power oracle
-        eff = EffectiveParams(G_e=1e-3, G_f=1.2e-3)
-        cfg = ProtocolConfig.for_target(eff, rounds=12)
+        # protocol output against the independent per-block power oracle, resonant and detuned
         rng = np.random.default_rng(9)
         vec = rng.normal(size=16) + 1j * rng.normal(size=16)
         vec /= np.linalg.norm(vec)
         psi = QuantumState(magnon(4), "pure", vec)
-        rec = run_protocol(psi, cfg)
-        want = coefficient_power_amplitudes(vec, 1e-3, 1.2e-3, 0.0, cfg.tau, 12, (4, 4))
-        got = rec.final_state.data * math.sqrt(rec.success_probability[-1])
-        # global phase of the normalized state is fixed by the (0,0) component
-        phase = want[0] / got[0]
-        assert np.abs(got * phase - want).max() <= 1e-10
+        for delta in (0.0, 0.8e-3):
+            cfg = ProtocolConfig.for_target(detuned(EffectiveParams(G_e=1e-3, G_f=1.2e-3), delta),
+                                            rounds=12)
+            rec = run_protocol(psi, cfg)
+            want = coefficient_power_amplitudes(vec, 1e-3, 1.2e-3, delta, cfg.tau, 12, (4, 4))
+            got = rec.final_state.data * math.sqrt(rec.success_probability[-1])
+            # global phase of the normalized state is fixed by the (0,0) component
+            phase = want[0] / got[0]
+            assert np.abs(got * phase - want).max() <= 1e-10
 
     def test_density_input_matches_pure_run(self):
         # the closed mixed-state round V rho V^+ against the pure round V psi
@@ -246,10 +255,9 @@ class TestRunProtocol:
             assert np.abs(getattr(mixed, field) - getattr(pure, field)).max() <= 1e-12
 
     def test_rank_two_mixture_follows_coefficient_powers(self):
-        # unnormalized output sum_i w_i V^k psi_i psi_i^+ V^k^+ from the block-power oracle
-        eff = EffectiveParams(G_e=1e-3, G_f=1.2e-3)
+        # unnormalized output sum_i w_i V^k psi_i psi_i^+ V^k^+ from the block-power oracle,
+        # resonant and detuned
         rounds = 9
-        cfg = ProtocolConfig.for_target(eff, rounds=rounds)
         rng = np.random.default_rng(23)
         weights = (0.7, 0.3)
         vecs = []
@@ -257,14 +265,39 @@ class TestRunProtocol:
             vec = rng.normal(size=16) + 1j * rng.normal(size=16)
             vecs.append(vec / np.linalg.norm(vec))
         rho0 = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
-        rec = run_protocol(QuantumState(magnon(4), "mixed", rho0), cfg)
-        want = np.zeros((16, 16), dtype=complex)
-        for w, v in zip(weights, vecs):
-            amps = coefficient_power_amplitudes(v, 1e-3, 1.2e-3, 0.0, cfg.tau, rounds, (4, 4))
-            want += w * np.outer(amps, amps.conj())
-        assert rec.success_probability[-1] == pytest.approx(np.trace(want).real, abs=1e-12)
-        got = rec.final_state.data * rec.success_probability[-1]
-        assert np.abs(got - want).max() <= 1e-12
+        for delta in (0.0, 0.8e-3):
+            cfg = ProtocolConfig.for_target(detuned(EffectiveParams(G_e=1e-3, G_f=1.2e-3), delta),
+                                            rounds=rounds)
+            rec = run_protocol(QuantumState(magnon(4), "mixed", rho0), cfg)
+            want = np.zeros((16, 16), dtype=complex)
+            for w, v in zip(weights, vecs):
+                amps = coefficient_power_amplitudes(v, 1e-3, 1.2e-3, delta, cfg.tau, rounds, (4, 4))
+                want += w * np.outer(amps, amps.conj())
+            assert rec.success_probability[-1] == pytest.approx(np.trace(want).real, abs=1e-12)
+            got = rec.final_state.data * rec.success_probability[-1]
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_closed_run_builds_no_joint_hamiltonian(self, monkeypatch):
+        # a closed round is the analytic diagonal: no 3d^2-dim build, no eigh
+        def forbidden(*args, **kwargs):
+            raise AssertionError("closed run reached the joint Hamiltonian")
+
+        monkeypatch.setattr(measurement, "build_jc_effective", forbidden)
+        monkeypatch.setattr(measurement, "numeric_kraus", forbidden)
+        eff = detuned(EffectiveParams(G_e=1e-3, G_f=1.2e-3), 0.8e-3)
+        cfg = ProtocolConfig.for_target(eff, rounds=3)
+        plus = superposed_state(4, 1)
+        psi = product_state(magnon(4), {"n": plus, "m": plus})
+        for state in (psi, QuantumState(psi.space, "mixed", psi.density())):
+            assert run_protocol(state, cfg).success_probability[-1] > 0.0
+
+    def test_unequal_tilde_detunings_rejected(self):
+        # a closed round needs one common detuning; a directly built config can split them
+        eff = EffectiveParams(G_e=1e-3, G_f=1e-3, Delta_e_tilde=1e-4, Delta_f_tilde=2e-4)
+        cfg = ProtocolConfig(eff=eff, tau=1000.0, rounds=2)
+        plus = superposed_state(3, 1)
+        with pytest.raises(ValueError, match="no common detuning"):
+            run_protocol(product_state(magnon(3), {"n": plus, "m": plus}), cfg)
 
     def test_target_pair_population_conserved_unnormalized(self, resonant_eff):
         cfg = ProtocolConfig.for_target(resonant_eff, rounds=10)
@@ -322,7 +355,7 @@ class TestStabilize:
             stabilize(bell_state(magnon(3), 1, +1), cfg)
 
     def test_lossless_limit_holds_unit_fidelity(self):
-        # default step count; coarser steps leak RK4 error past 1e-8
+        # zero loss rates: the exact lossy map must hold the Bell pair like the closed one
         eff = EffectiveParams(G_e=6e-3, G_f=6e-3)
         cfg = ProtocolConfig.for_target(eff, rounds=2, decoherence=(0.0, 0.0))
         f_stab, f_free = stabilize(bell_state(magnon(3), 1, +1), cfg)

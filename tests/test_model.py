@@ -65,6 +65,17 @@ class TestLambShifts:
         with pytest.raises(ZeroDetuningError):
             lamb_shifts(p)
 
+    def test_uncoupled_pair_at_zero_detuning(self, dispersive_params):
+        # g_m = 0 with omega_m = omega_b: the m pair couples nothing, so it shifts nothing
+        p = ModelParams(**{**dispersive_params.__dict__,
+                           "g_m": 0.0, "omega_m": dispersive_params.omega_b})
+        eff = effective_couplings(p)
+        assert eff.G_f == 0.0 and eff.chi_m == 0.0
+        space = HilbertSpace((("atom", 3), ("a", 3), ("b", 3), ("n", 3), ("m", 3)))
+        assert math.isfinite(sw_reduction_check(p, space))
+        with pytest.raises(ZeroDetuningError):
+            effective_couplings(ModelParams(**{**p.__dict__, "g_m": 0.01}))
+
 
 class TestEffectiveCouplings:
     def test_symmetric_reduction(self):

@@ -17,7 +17,7 @@ from magbell.optimize import (
 )
 
 EFF = EffectiveParams(G_e=1e-3, G_f=1e-3)
-TAU0 = interval_for_target(1, EFF, 0.0)
+TAU0 = interval_for_target(1, EFF)
 
 
 class TestCrabDetuning:
