@@ -235,20 +235,25 @@ class PulseCoefficients:
     def n_omega(self) -> int:
         return len(self.a)
 
-    def detuning(self, t):
-        """Detuning Delta(t); accepts a scalar or array of times in [0, tau_total]."""
+    def basis(self, t) -> np.ndarray:
+        """Envelope-weighted CRAB table, so that Delta(t) = G (1 + basis(t) @ (a || b)).
+
+        Columns are t(tau-t) cos(w_n t), then t(tau-t) sin(w_n t), n = 1..n_omega;
+        one row per time in [0, tau_total] (a scalar time gives one row).  The
+        table depends on the coefficients only through their count.
+        """
         arr = np.asarray(t, dtype=float)
         tol = 1e-12 * max(1.0, self.tau_total)
         if np.any(arr < -tol) or np.any(arr > self.tau_total + tol):
             raise ValueError(f"time outside [0, {self.tau_total}]")
-        if self.n_omega == 0:
-            out = np.full_like(arr, self.G, dtype=float)
-            return float(out) if out.ndim == 0 else out
-        n = np.arange(1, self.n_omega + 1)
-        omegas = 2.0 * np.pi * n / self.tau_total
+        omegas = 2.0 * np.pi * np.arange(1, self.n_omega + 1) / self.tau_total
         phase = np.multiply.outer(arr, omegas)
-        series = np.cos(phase) @ np.asarray(self.a) + np.sin(phase) @ np.asarray(self.b)
-        out = self.G * (1.0 + arr * (self.tau_total - arr) * series)
+        envelope = (arr * (self.tau_total - arr))[..., np.newaxis]
+        return np.concatenate((envelope * np.cos(phase), envelope * np.sin(phase)), axis=-1)
+
+    def detuning(self, t):
+        """Detuning Delta(t); accepts a scalar or array of times in [0, tau_total]."""
+        out = self.G * (1.0 + self.basis(t) @ np.array(self.a + self.b))
         return float(out) if out.ndim == 0 else out
 
 

@@ -5,6 +5,13 @@ single ground-state projection yields the Bell state.  The search runs over
 the truncated trigonometric coefficients of the pulse; restarts draw fresh
 random simplexes and the best pulse is re-evaluated through the full
 time-ordered-propagator pipeline before being reported.
+
+The search objective is exact on the two 2x2 excitation blocks the shaped
+Hamiltonian closes on.  The envelope-weighted CRAB table at the slice
+midpoints is built once per search; a call takes the slice detunings as one
+matvec and multiplies both blocks' slice propagators by pairwise tree
+reduction.  Its oracle is the slice-by-slice product loop
+``sequential_block_amplitudes`` in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -134,41 +141,52 @@ def _pulse_from_vector(x: np.ndarray, n_omega: int, tau: float, g: float) -> Pul
     return PulseCoefficients(a=tuple(x[:n_omega]), b=tuple(x[n_omega:]), tau_total=tau, G=g)
 
 
-def _block_return_amplitudes(pulse: PulseCoefficients, slices: int) -> tuple[complex, complex]:
-    """Ground-return amplitudes of the single- and double-excitation blocks.
+def _block_return_amplitudes(deltas: np.ndarray, g: float, h: float) -> np.ndarray:
+    """Ground-return amplitudes [a01, a11] of the single- and double-excitation blocks.
 
     The shaped Hamiltonian closes on 2x2 blocks {|g;1 excitation>, bright
     state} with couplings G and sqrt(2) G; the midpoint-sliced product of
     their exponentials reproduces the full-space pipeline exactly (same
-    invariant subspaces, same slicing).
+    invariant subspaces, same slicing).  A slice of width h at detuning d is
+    exp(-i d h/2) times the SU(2) matrix [[alpha, beta], [-beta*, alpha*]],
+    so a product is carried by (alpha, beta) alone.  Both blocks' slices are
+    multiplied by pairwise tree reduction, later slice times earlier, with an
+    odd slice out carried to the next level; the phases sum to one factor.
     """
-    g = pulse.G
-    tau = pulse.tau_total
+    couplings = np.array([[g], [math.sqrt(2.0) * g]])
+    # H = [[0, c], [c, d]] = p I + qz sz + qx sx with p = d/2, qz = -d/2
+    p = 0.5 * deltas
+    q = np.sqrt(p * p + couplings * couplings)
+    sq = np.sin(q * h) / q
+    alpha, beta = np.cos(q * h) + 1j * sq * p, -1j * sq * couplings
+    while alpha.shape[-1] > 1:
+        width = alpha.shape[-1]
+        odd = width % 2
+        a1, b1 = alpha[:, 0 : width - odd : 2], beta[:, 0 : width - odd : 2]  # earlier
+        a2, b2 = alpha[:, 1::2], beta[:, 1::2]  # later
+        pair_alpha, pair_beta = a2 * a1 - b2 * b1.conj(), a2 * b1 + b2 * a1.conj()
+        if odd:
+            pair_alpha = np.concatenate((pair_alpha, alpha[:, -1:]), axis=1)
+            pair_beta = np.concatenate((pair_beta, beta[:, -1:]), axis=1)
+        alpha, beta = pair_alpha, pair_beta
+    return np.exp(-1j * h * p.sum()) * alpha[:, 0]
+
+
+def _block_objective(tau: float, g: float, n_omega: int, slices: int):
+    """The search objective x = (a || b) -> -F on the exact block reduction.
+
+    The CRAB table at the slice midpoints is built once; a call is one
+    matvec for the slice detunings and one tree-reduced block product.
+    """
     h = tau / slices
     mids = (np.arange(slices) + 0.5) * h
-    deltas = pulse.detuning(mids)
-    out = []
-    for coupling in (g, math.sqrt(2.0) * g):
-        # H = [[0, c], [c, d]] = p I + qz sz + qx sx with p = d/2, qz = -d/2
-        p = 0.5 * deltas
-        q = np.sqrt(p * p + coupling * coupling)
-        phase = np.exp(-1j * p * h)
-        cq = np.cos(q * h)
-        sq = np.sin(q * h) / q
-        u00 = (phase * (cq + 1j * sq * p)).tolist()
-        u01 = (phase * (-1j * sq * coupling)).tolist()
-        u11 = (phase * (cq - 1j * sq * p)).tolist()
-        a, b, c_, d = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j  # accumulated U
-        for k in range(slices):
-            s00, s01, s11 = u00[k], u01[k], u11[k]
-            a, b, c_, d = (
-                s00 * a + s01 * c_,
-                s00 * b + s01 * d,
-                s01 * a + s11 * c_,
-                s01 * b + s11 * d,
-            )
-        out.append(a)
-    return out[0], out[1]
+    basis = _pulse_from_vector(np.zeros(2 * n_omega), n_omega, tau, g).basis(mids)
+
+    def objective(x):
+        a01, a11 = _block_return_amplitudes(g * (1.0 + basis @ x), g, h)
+        return -_fidelity_from_amplitudes(a01, a11)
+
+    return objective
 
 
 def _fidelity_from_amplitudes(a01: complex, a11: complex) -> float:
@@ -252,16 +270,13 @@ def optimize_single_shot(
     """
     if not math.isclose(eff.G_e, eff.G_f, rel_tol=1e-12):
         raise ValueError(f"single-shot scheme needs G_e = G_f, got {eff.G_e} vs {eff.G_f}")
+    if slices < 1:
+        raise ValueError(f"slices must be >= 1, got {slices}")
     g = eff.G_e
     tau0 = interval_for_target(1, EffectiveParams(G_e=g, G_f=g))  # the pulse sets the detuning
     n_omega = cfg.n_omega
     dim = 2 * n_omega
-
-    def objective(x):
-        pulse = _pulse_from_vector(np.asarray(x, dtype=float), n_omega, tau0, g)
-        a01, a11 = _block_return_amplitudes(pulse, slices)
-        return -_fidelity_from_amplitudes(a01, a11)
-
+    objective = _block_objective(tau0, g, n_omega, slices)
     evals = 0
 
     def counted(x):
@@ -270,7 +285,7 @@ def optimize_single_shot(
         return objective(x)
 
     zero = np.zeros(dim)
-    best_x, best_f, best_evals = zero, objective(zero), 0
+    best_x, best_f, best_evals = zero, _checked(objective, zero), 0
     if n_omega > 0:
         scale = 2.0 / tau0**2
         for restart in range(cfg.restarts):

@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the library code paths they check:
 the Kraus-block oracle diagonalizes each excitation block directly, the
-coherent-state oracle sums the Poisson series, and the protocol-power
-oracle applies coefficient powers to the initial amplitudes.
+coherent-state oracle sums the Poisson series, the protocol-power oracle
+applies coefficient powers to the initial amplitudes, and the sliced-pulse
+oracle multiplies the 2x2 slice exponentials one at a time in a Python loop.
 """
 
 import math
@@ -45,6 +46,45 @@ def coefficient_power_amplitudes(amps0, g_e, g_f, delta, tau, rounds, dims):
         for m in range(dm):
             out[n, m] *= block_return_amplitude(n, m, g_e, g_f, delta, tau) ** rounds
     return out.ravel()
+
+
+def sequential_block_amplitudes(pulse, slices):
+    """Single- and double-excitation ground-return amplitudes, slice by slice.
+
+    The shaped Hamiltonian closes on 2x2 blocks {|g;1 excitation>, bright
+    state} with couplings G and sqrt(2) G.  The midpoint detunings are
+    summed from the CRAB series directly; each slice's full exponential (all
+    four entries, phase included) multiplies the running product from the
+    left in a plain loop.
+    """
+    g, tau = pulse.G, pulse.tau_total
+    h = tau / slices
+    t = (np.arange(slices) + 0.5) * h
+    angles = np.multiply.outer(t, 2.0 * np.pi * np.arange(1, pulse.n_omega + 1) / tau)
+    series = np.cos(angles) @ np.array(pulse.a) + np.sin(angles) @ np.array(pulse.b)
+    deltas = g * (1.0 + t * (tau - t) * series)
+    out = []
+    for coupling in (g, math.sqrt(2.0) * g):
+        # H = [[0, c], [c, d]] = p I + qz sz + qx sx with p = d/2, qz = -d/2
+        p = 0.5 * deltas
+        q = np.sqrt(p * p + coupling * coupling)
+        phase = np.exp(-1j * p * h)
+        cq = np.cos(q * h)
+        sq = np.sin(q * h) / q
+        u00 = (phase * (cq + 1j * sq * p)).tolist()
+        u01 = (phase * (-1j * sq * coupling)).tolist()
+        u11 = (phase * (cq - 1j * sq * p)).tolist()
+        a, b, c_, d = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j  # accumulated U
+        for k in range(slices):
+            s00, s01, s11 = u00[k], u01[k], u11[k]
+            a, b, c_, d = (
+                s00 * a + s01 * c_,
+                s00 * b + s01 * d,
+                s01 * a + s11 * c_,
+                s01 * b + s11 * d,
+            )
+        out.append(a)
+    return out[0], out[1]
 
 
 def poisson_mean_oracle(beta, dim):

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import sequential_block_amplitudes
+from magbell import optimize
 from magbell.measurement import interval_for_target
 from magbell.model import EffectiveParams, PulseCoefficients
 from magbell.optimize import (
     ObjectiveError,
     OptimizerConfig,
+    _block_objective,
     _block_return_amplitudes,
     _fidelity_from_amplitudes,
     evaluate_single_shot,
@@ -83,18 +86,31 @@ class TestBlockReduction:
     def test_matches_full_pipeline(self):
         rng = np.random.default_rng(3)
         scale = 2.0 / TAU0**2
+        objective = _block_objective(TAU0, 1e-3, 4, 64)
         for _ in range(4):
             x = rng.uniform(-scale, scale, 8)
             pulse = PulseCoefficients(a=tuple(x[:4]), b=tuple(x[4:]), tau_total=TAU0, G=1e-3)
-            a01, a11 = _block_return_amplitudes(pulse, 64)
-            fast = _fidelity_from_amplitudes(a01, a11)
+            fast = -objective(x)
             full, _, _ = evaluate_single_shot(pulse, 64)
             assert abs(fast - full) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_omega=st.integers(0, 4),
+        slices=st.sampled_from([1, 2, 3, 5, 63, 64, 511, 512, 1000]),
+        unit=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+    )
+    def test_tree_matches_sequential_loop(self, n_omega, slices, unit):
+        x = 2.0 / TAU0**2 * np.array(unit[: 2 * n_omega])
+        pulse = PulseCoefficients(a=tuple(x[:n_omega]), b=tuple(x[n_omega:]), tau_total=TAU0, G=1e-3)
+        want = _fidelity_from_amplitudes(*sequential_block_amplitudes(pulse, slices))
+        assert abs(-_block_objective(TAU0, 1e-3, n_omega, slices)(x) - want) <= 1e-12
 
     def test_constant_pulse_matches_coefficient_formula(self):
         # independent two-level closed form for a constant detuning
         pulse = PulseCoefficients(a=(), b=(), tau_total=TAU0, G=1e-3)
-        a01, a11 = _block_return_amplitudes(pulse, 512)
+        h = TAU0 / 512
+        a01, a11 = _block_return_amplitudes(pulse.detuning((np.arange(512) + 0.5) * h), 1e-3, h)
 
         def const_amp(coupling, delta, tau):
             omega = math.sqrt(coupling**2 + 0.25 * delta**2)
@@ -132,6 +148,18 @@ class TestOptimizeSingleShot:
         cfg = OptimizerConfig(n_omega=1)
         with pytest.raises(ValueError):
             optimize_single_shot(EffectiveParams(G_e=1e-3, G_f=2e-3), cfg)
+
+    @pytest.mark.parametrize("slices", [0, -3])
+    def test_nonpositive_slices_rejected(self, slices):
+        cfg = OptimizerConfig(n_omega=1)
+        with pytest.raises(ValueError, match="slices must be >= 1"):
+            optimize_single_shot(EFF, cfg, slices=slices)
+
+    def test_non_finite_baseline_objective_aborts(self, monkeypatch):
+        # n_omega = 0 runs no simplex search: the baseline call is the only objective call
+        monkeypatch.setattr(optimize, "_fidelity_from_amplitudes", lambda a01, a11: float("nan"))
+        with pytest.raises(ObjectiveError):
+            optimize_single_shot(EFF, OptimizerConfig(n_omega=0, restarts=1), slices=16)
 
     def test_trace_starts_at_initial_overlap(self):
         cfg = OptimizerConfig(n_omega=0, restarts=1)
