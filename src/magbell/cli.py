@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -125,7 +126,10 @@ def _choice(*options):
 def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
+    out = float(value)  # OverflowError for an integer beyond float range
+    if not math.isfinite(out):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return out
 
 
 def _integer(value) -> int:
@@ -253,7 +257,7 @@ def _resolve_params(scenario: str, given: dict) -> dict:
         value = given.get(key, default)
         try:
             resolved[key] = caster(value)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid value for {scenario}/{key}: {exc}") from exc
     return resolved
 

@@ -63,7 +63,7 @@ class IntegratorConfig:
 def _require_hermitian(matrix: np.ndarray):
     scale = max(1.0, float(np.abs(matrix).max()))
     dev = float(np.abs(matrix - matrix.conj().T).max())
-    if dev > UNITARY_ATOL * scale:
+    if not dev <= UNITARY_ATOL * scale:  # NaN fails too
         raise NonHermitianError(f"matrix not Hermitian: max |H - H^+| = {dev:.3e}")
 
 
@@ -138,7 +138,7 @@ def lindblad_action(rho0: QuantumState, spec: LindbladSpec, t: float) -> Quantum
                 f"Taylor series of exp(L t) not converged after {_TAYLOR_MAX_TERMS} terms"
             )
         drift = abs(np.trace(rho) - trace0)
-        if drift > DEFAULT_TRACE_TOL:
+        if not drift <= DEFAULT_TRACE_TOL:
             raise TraceDriftError(f"trace drift {drift:.3e} exceeds tolerance {DEFAULT_TRACE_TOL:.1e}")
     rho = 0.5 * (rho + rho.conj().T)  # scrub roundoff anti-Hermitian part
     return QuantumState(rho0.space, "mixed", rho)
@@ -175,7 +175,7 @@ def integrate_master(
         k4 = _lindblad_rhs(rho + h_step * k3, h, jumps)
         rho = rho + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         drift = abs(np.trace(rho) - 1.0)
-        if drift > DEFAULT_TRACE_TOL:
+        if not drift <= DEFAULT_TRACE_TOL:
             raise TraceDriftError(
                 f"trace drift {drift:.3e} exceeds tolerance {DEFAULT_TRACE_TOL:.1e}; "
                 f"reduce dt (currently {h_step:.3e})"

@@ -135,7 +135,7 @@ class Operator:
         if self.hamiltonian:
             scale = max(1.0, float(np.abs(mat).max()))
             dev = float(np.abs(mat - mat.conj().T).max())
-            if dev > HERMITIAN_ATOL * scale:
+            if not dev <= HERMITIAN_ATOL * scale:  # NaN fails too
                 raise StateValidationError(f"Hamiltonian not Hermitian: max |H - H^+| = {dev:.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -165,17 +165,17 @@ class QuantumState:
             if arr.shape != (d,):
                 raise DimensionError(f"pure state shape {arr.shape} != ({d},)")
             norm = float(np.linalg.norm(arr))
-            if abs(norm - 1.0) > PURE_NORM_ATOL:
+            if not abs(norm - 1.0) <= PURE_NORM_ATOL:  # NaN fails too
                 raise StateValidationError(f"pure state norm {norm} != 1")
         else:
             if arr.shape != (d, d):
                 raise DimensionError(f"density matrix shape {arr.shape} != ({d}, {d})")
-            if float(np.abs(arr - arr.conj().T).max()) > MIXED_ATOL:
+            if not float(np.abs(arr - arr.conj().T).max()) <= MIXED_ATOL:
                 raise StateValidationError("density matrix not Hermitian")
             tr = complex(np.trace(arr))
-            if abs(tr - 1.0) > MIXED_ATOL:
+            if not abs(tr - 1.0) <= MIXED_ATOL:
                 raise StateValidationError(f"density matrix trace {tr} != 1")
-            if float(np.linalg.eigvalsh(arr).min()) < MIXED_EIG_FLOOR:
+            if not float(np.linalg.eigvalsh(arr).min()) >= MIXED_EIG_FLOOR:
                 raise StateValidationError("density matrix has negative eigenvalues")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)

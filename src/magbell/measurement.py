@@ -111,7 +111,7 @@ def _renormalized(space: HilbertSpace, kind: str, branch: np.ndarray,
     """
     pure = kind == "pure"
     prob = float(np.linalg.norm(branch) ** 2 if pure else np.real(np.trace(branch)))
-    if prob < NULL_OUTCOME_FLOOR:
+    if not prob >= NULL_OUTCOME_FLOOR:  # NaN fails too
         raise NullOutcomeError(f"{where}ground-state outcome probability {prob:.3e} below floor")
     return QuantumState(space, kind, branch / (math.sqrt(prob) if pure else prob)), prob
 
@@ -364,6 +364,6 @@ def qubit_parity_reference(state: QuantumState) -> tuple[QuantumState, float]:
     vec[state.space.index((0, 0))] = state.data[state.space.index((0, 0))]
     vec[state.space.index((1, 1))] = state.data[state.space.index((1, 1))]
     prob = float(np.linalg.norm(vec) ** 2)
-    if prob < NULL_OUTCOME_FLOOR:
+    if not prob >= NULL_OUTCOME_FLOOR:
         raise NullOutcomeError(f"even-parity outcome probability {prob:.3e} below floor")
     return QuantumState(state.space, "pure", vec / math.sqrt(prob)), prob

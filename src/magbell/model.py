@@ -1,14 +1,16 @@
 """Hamiltonian builders for the two-magnon / V-type-qutrit system.
 
 Two bare models reach the qutrit through cavities: one cavity per magnon
-(``ModelParams``) or one shared cavity (``SingleModeParams``).  Each states its
-wiring once, and one table of embedded operators serves the bare Hamiltonian,
-the Schrieffer-Wolff generator and the closed-form dispersive Hamiltonian of
-both; only the closed form's induced pair terms are written per model.  The
-reduction leaves a Jaynes-Cummings-like magnon-qutrit Hamiltonian, with a
-time-dependent variant for a CRAB-shaped detuning.  All frequencies,
-couplings, and rates are in units of the magnon frequency; times are in
-units of its inverse.
+(``ModelParams``) or one shared cavity (``SingleModeParams``).  Each is its
+fields plus one wiring table, from which its detunings, checks and induced
+couplings are read.  One table of embedded operators serves the bare
+Hamiltonian, the Schrieffer-Wolff generator and the closed-form dispersive
+Hamiltonian of both; only the closed form's induced pair operators are
+written per model.  The reduction leaves a Jaynes-Cummings-like
+magnon-qutrit Hamiltonian, with a time-dependent variant for a CRAB-shaped
+detuning.  All frequencies and couplings are in units of the magnon
+frequency; times are in units of its inverse.  The bare models carry no
+loss rates: magnon loss is set on the protocol (``ProtocolConfig``).
 
 Qutrit level ordering is fixed package-wide: (g, e, f) = (0, 1, 2).
 """
@@ -20,7 +22,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -51,23 +53,48 @@ class DispersiveRegimeWarning(UserWarning):
     """Coupling-to-detuning ratio exceeds the dispersive-regime limit."""
 
 
-def _require_nonneg(**kwargs):
-    for name, value in kwargs.items():
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-
-
 class _BareModel:
-    """Checks read off a bare model's wiring.
+    """A bare model: its frequencies and couplings plus one wiring table.
 
-    A model declares ``cavities()`` as ((label, omega), ...) and
-    ``coupling_pairs()`` as (party, cavity, g, Delta) for parties n, m, e, f.
+    A model declares CAVITIES, its cavity labels, and WIRING, which maps each
+    party n, m, e, f to (cavity, coupling field).  Every frequency is a field
+    omega_<label>.  The detunings, the nonnegativity check, the coupling pairs
+    and the induced pair couplings are all read off the table.
     """
+
+    CAVITIES: ClassVar[tuple[str, ...]]
+    WIRING: ClassVar[dict[str, tuple[str, str]]]
+
+    def __post_init__(self):
+        for _, field in self.WIRING.values():
+            if not getattr(self, field) >= 0:  # NaN fails too
+                raise ValueError(f"{field} must be nonnegative, got {getattr(self, field)}")
 
     @property
     def space_labels(self) -> tuple[str, ...]:
         """Subsystem labels of the model's space: qutrit, cavities, then n and m."""
-        return ("atom", *(label for label, _ in self.cavities()), "n", "m")
+        return ("atom", *self.CAVITIES, "n", "m")
+
+    def cavities(self) -> tuple[tuple[str, float], ...]:
+        """(label, omega) per cavity."""
+        return tuple((label, getattr(self, f"omega_{label}")) for label in self.CAVITIES)
+
+    def detuning(self, party: str) -> float:
+        """Delta_party = omega_party - omega of the cavity wired to the party."""
+        cavity, _ = self.WIRING[party]
+        return getattr(self, f"omega_{party}") - getattr(self, f"omega_{cavity}")
+
+    def coupling_pairs(self) -> tuple[tuple[str, str, float, float], ...]:
+        """(party, cavity, g, Delta) for n, m, e, f."""
+        return tuple((party, cavity, getattr(self, field), self.detuning(party))
+                     for party, (cavity, field) in self.WIRING.items())
+
+    def induced_coupling(self, i: str, j: str) -> float:
+        """G_ij = (g_i g_j / 2)(1/Delta_i + 1/Delta_j); 0 if either party is uncoupled."""
+        g_i, g_j = (getattr(self, self.WIRING[party][1]) for party in (i, j))
+        if g_i == 0.0 or g_j == 0.0:  # an uncoupled pair induces nothing, whatever its detuning
+            return 0.0
+        return 0.5 * g_i * g_j * (1.0 / self.detuning(i) + 1.0 / self.detuning(j))
 
     def dispersive_margin(self) -> float:
         """Largest |g/Delta| over the four coupled pairs (inf at zero detuning)."""
@@ -87,10 +114,11 @@ class ModelParams(_BareModel):
     """Bare two-cavity model parameters (units of the magnon frequency).
 
     Cavity a couples to magnon n and qutrit level e, cavity b to magnon m and
-    level f.  Detunings are measured from the cavity coupled to each party:
-    delta_n = omega_n - omega_a, delta_m = omega_m - omega_b,
-    delta_e = omega_e - omega_a, delta_f = omega_f - omega_b.
+    level f; each detuning is measured from the party's own cavity.
     """
+
+    CAVITIES = ("a", "b")
+    WIRING = {"n": ("a", "g_n"), "m": ("b", "g_m"), "e": ("a", "g_e"), "f": ("b", "g_f")}
 
     omega_a: float
     omega_b: float
@@ -102,44 +130,15 @@ class ModelParams(_BareModel):
     g_m: float
     g_e: float
     g_f: float
-    gamma_n: float = 0.0
-    gamma_m: float = 0.0
-
-    def __post_init__(self):
-        _require_nonneg(g_n=self.g_n, g_m=self.g_m, g_e=self.g_e, g_f=self.g_f,
-                        gamma_n=self.gamma_n, gamma_m=self.gamma_m)
-
-    @property
-    def delta_n(self) -> float:
-        return self.omega_n - self.omega_a
-
-    @property
-    def delta_m(self) -> float:
-        return self.omega_m - self.omega_b
-
-    @property
-    def delta_e(self) -> float:
-        return self.omega_e - self.omega_a
-
-    @property
-    def delta_f(self) -> float:
-        return self.omega_f - self.omega_b
-
-    def cavities(self) -> tuple[tuple[str, float], ...]:
-        return (("a", self.omega_a), ("b", self.omega_b))
-
-    def coupling_pairs(self) -> tuple[tuple[str, str, float, float], ...]:
-        return (
-            ("n", "a", self.g_n, self.delta_n),
-            ("m", "b", self.g_m, self.delta_m),
-            ("e", "a", self.g_e, self.delta_e),
-            ("f", "b", self.g_f, self.delta_f),
-        )
 
 
 @dataclass(frozen=True)
 class SingleModeParams(_BareModel):
     """Bare parameters for the shared-cavity variant; detunings from omega_a."""
+
+    CAVITIES = ("a",)
+    WIRING = {"n": ("a", "lambda_n"), "m": ("a", "lambda_m"),
+              "e": ("a", "lambda_e"), "f": ("a", "lambda_f")}
 
     omega_a: float
     omega_n: float
@@ -150,40 +149,6 @@ class SingleModeParams(_BareModel):
     lambda_m: float
     lambda_e: float
     lambda_f: float
-    gamma_n: float = 0.0
-    gamma_m: float = 0.0
-
-    def __post_init__(self):
-        _require_nonneg(lambda_n=self.lambda_n, lambda_m=self.lambda_m,
-                        lambda_e=self.lambda_e, lambda_f=self.lambda_f,
-                        gamma_n=self.gamma_n, gamma_m=self.gamma_m)
-
-    @property
-    def delta_n(self) -> float:
-        return self.omega_n - self.omega_a
-
-    @property
-    def delta_m(self) -> float:
-        return self.omega_m - self.omega_a
-
-    @property
-    def delta_e(self) -> float:
-        return self.omega_e - self.omega_a
-
-    @property
-    def delta_f(self) -> float:
-        return self.omega_f - self.omega_a
-
-    def cavities(self) -> tuple[tuple[str, float], ...]:
-        return (("a", self.omega_a),)
-
-    def coupling_pairs(self) -> tuple[tuple[str, str, float, float], ...]:
-        return (
-            ("n", "a", self.lambda_n, self.delta_n),
-            ("m", "a", self.lambda_m, self.delta_m),
-            ("e", "a", self.lambda_e, self.delta_e),
-            ("f", "a", self.lambda_f, self.delta_f),
-        )
 
 
 @dataclass(frozen=True)
@@ -267,12 +232,6 @@ def lamb_shifts(params: ModelParams | SingleModeParams) -> tuple[float, float, f
     return tuple(shifts)  # type: ignore[return-value]
 
 
-def _induced_coupling(g1: float, g2: float, d1: float, d2: float) -> float:
-    if g1 == 0.0 or g2 == 0.0:  # an uncoupled pair induces nothing, whatever its detuning
-        return 0.0
-    return 0.5 * g1 * g2 * (1.0 / d1 + 1.0 / d2)
-
-
 def effective_couplings(params: ModelParams | SingleModeParams) -> EffectiveParams:
     """Dispersive reduction of either bare model.
 
@@ -289,10 +248,9 @@ def effective_couplings(params: ModelParams | SingleModeParams) -> EffectivePara
             DispersiveRegimeWarning,
             stacklevel=2,
         )
-    (_, _, g_n, d_n), (_, _, g_m, d_m), (_, _, g_e, d_e), (_, _, g_f, d_f) = params.coupling_pairs()
     return EffectiveParams(
-        G_e=_induced_coupling(g_e, g_n, d_e, d_n),
-        G_f=_induced_coupling(g_m, g_f, d_m, d_f),
+        G_e=params.induced_coupling("e", "n"),
+        G_f=params.induced_coupling("m", "f"),
         Delta_e_tilde=(params.omega_e + chi_e) - (params.omega_n + chi_n),
         Delta_f_tilde=(params.omega_f + chi_f) - (params.omega_m + chi_m),
         chi_n=chi_n, chi_m=chi_m, chi_e=chi_e, chi_f=chi_f,
@@ -301,11 +259,11 @@ def effective_couplings(params: ModelParams | SingleModeParams) -> EffectivePara
 
 def detuning_match(params: SingleModeParams) -> bool:
     """True iff Delta_n = Delta_e = -Delta_m = -Delta_f (relative tol 1e-12)."""
-    ref = params.delta_n
-    return (
-        math.isclose(params.delta_e, ref, rel_tol=DETUNING_MATCH_RTOL, abs_tol=1e-300)
-        and math.isclose(params.delta_m, -ref, rel_tol=DETUNING_MATCH_RTOL, abs_tol=1e-300)
-        and math.isclose(params.delta_f, -ref, rel_tol=DETUNING_MATCH_RTOL, abs_tol=1e-300)
+    ref = params.detuning("n")
+    return all(
+        math.isclose(params.detuning(party), sign * ref,
+                     rel_tol=DETUNING_MATCH_RTOL, abs_tol=1e-300)
+        for party, sign in (("e", 1.0), ("m", -1.0), ("f", -1.0))
     )
 
 
@@ -384,11 +342,11 @@ def _free_matrix(params: ModelParams | SingleModeParams, ops: dict, chi: dict) -
     """
     def levels():
         for label, omega in params.cavities():
-            for party, cavity, _, _ in params.coupling_pairs():
+            for party, (cavity, _) in params.WIRING.items():
                 if cavity == label and party not in _QUTRIT_PARTIES:
                     omega -= chi[party]
             yield omega, ops[label][1]
-        for party, _, _, _ in params.coupling_pairs():
+        for party in params.WIRING:
             yield getattr(params, f"omega_{party}") + chi[party], _party_ops(ops, party)[1]
 
     return reduce(operator.add, (omega * occ for omega, occ in levels()))
@@ -414,33 +372,28 @@ def _generator_matrix(params: ModelParams | SingleModeParams, ops: dict) -> np.n
     return s
 
 
-def _two_cavity_pairs(p: ModelParams, ops: dict) -> tuple[tuple[float, np.ndarray], ...]:
+def _two_cavity_pairs(ops: dict) -> tuple[tuple[str, str, np.ndarray], ...]:
     """The induced exchanges G_e, G_f and the cavity-swap three-body term a^+ b s+_fe."""
     a_low, b_low = ops["a"][0], ops["b"][0]
     return (
-        (_induced_coupling(p.g_e, p.g_n, p.delta_e, p.delta_n), ops["n"][0] @ ops["se_plus"]),
-        (_induced_coupling(p.g_m, p.g_f, p.delta_m, p.delta_f), ops["m"][0] @ ops["sf_plus"]),
-        (_induced_coupling(p.g_e, p.g_f, p.delta_e, p.delta_f),
-         (a_low.conj().T @ b_low) @ ops["sfe_plus"]),
+        ("e", "n", ops["n"][0] @ ops["se_plus"]),
+        ("m", "f", ops["m"][0] @ ops["sf_plus"]),
+        ("e", "f", (a_low.conj().T @ b_low) @ ops["sfe_plus"]),
     )
 
 
-def _shared_cavity_pairs(p: SingleModeParams, ops: dict) -> tuple[tuple[float, np.ndarray], ...]:
-    """Every induced pair coupling G_ij = (l_i l_j / 2)(1/D_i + 1/D_j).
-
-    The four magnon-qutrit exchanges, the magnon swap, and the excited-level
-    exchange with its vacuum contribution (a^+a + 1).
-    """
+def _shared_cavity_pairs(ops: dict) -> tuple[tuple[str, str, np.ndarray], ...]:
+    """Every induced pair: the four magnon-qutrit exchanges, the magnon swap,
+    and the excited-level exchange with its vacuum contribution (a^+a + 1)."""
     n_low, m_low, a_num = ops["n"][0], ops["m"][0], ops["a"][1]
     eye = np.eye(len(a_num), dtype=complex)
     return (
-        (_induced_coupling(p.lambda_n, p.lambda_e, p.delta_n, p.delta_e), n_low @ ops["se_plus"]),
-        (_induced_coupling(p.lambda_n, p.lambda_f, p.delta_n, p.delta_f), n_low @ ops["sf_plus"]),
-        (_induced_coupling(p.lambda_m, p.lambda_e, p.delta_m, p.delta_e), m_low @ ops["se_plus"]),
-        (_induced_coupling(p.lambda_m, p.lambda_f, p.delta_m, p.delta_f), m_low @ ops["sf_plus"]),
-        (_induced_coupling(p.lambda_n, p.lambda_m, p.delta_n, p.delta_m), n_low.conj().T @ m_low),
-        (_induced_coupling(p.lambda_e, p.lambda_f, p.delta_e, p.delta_f),
-         (a_num + eye) @ ops["sfe_plus"]),
+        ("n", "e", n_low @ ops["se_plus"]),
+        ("n", "f", n_low @ ops["sf_plus"]),
+        ("m", "e", m_low @ ops["se_plus"]),
+        ("m", "f", m_low @ ops["sf_plus"]),
+        ("n", "m", n_low.conj().T @ m_low),
+        ("e", "f", (a_num + eye) @ ops["sfe_plus"]),
     )
 
 
@@ -451,11 +404,11 @@ def _sw_effective_matrix(params: ModelParams | SingleModeParams, ops: dict) -> n
     eff = effective_couplings(params)
     chi = {"n": eff.chi_n, "m": eff.chi_m, "e": eff.chi_e, "f": eff.chi_f}
     h = _free_matrix(params, ops, chi)
-    for party, cavity, _, _ in params.coupling_pairs():
+    for party, (cavity, _) in params.WIRING.items():
         if party in _QUTRIT_PARTIES:  # chi_i c^+c (|i><i| - |g><g|)
             h += chi[party] * ops[cavity][1] @ (ops[f"p{party}"] - ops["pg"])
-    for g, x in _INDUCED_PAIRS[type(params)](params, ops):
-        h += g * (x + x.conj().T)
+    for i, j, x in _INDUCED_PAIRS[type(params)](ops):
+        h += params.induced_coupling(i, j) * (x + x.conj().T)
     return h
 
 
@@ -529,8 +482,7 @@ def build_time_dependent_jc(
     [0, tau_total].
     """
     ops = _operator_table(space, ("n", "m"))
-    x = ops["n"][0] @ ops["se_plus"] + ops["m"][0] @ ops["sf_plus"]
-    coupling = G * (x + x.conj().T)
+    coupling = _jc_matrix(EffectiveParams(G_e=G, G_f=G), ops)
     p_ef = ops["pe"] + ops["pf"]
 
     def hamiltonian_at(t: float) -> Operator:

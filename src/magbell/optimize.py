@@ -23,8 +23,8 @@ import numpy as np
 
 from .dynamics import propagator, time_ordered_propagator
 from .hilbert import HilbertSpace, QuantumState, product_state, superposed_state, bell_state, fidelity
-from .measurement import apply_projection, interval_for_target
-from .model import EffectiveParams, PulseCoefficients, build_time_dependent_jc
+from .measurement import _ground_block, apply_projection, interval_for_target
+from .model import LEVEL_G, EffectiveParams, PulseCoefficients, build_time_dependent_jc
 
 DEFAULT_SLICES = 512
 SINGLE_SHOT_CUTOFF = 3
@@ -201,11 +201,14 @@ def _single_shot_space() -> tuple[HilbertSpace, HilbertSpace]:
     return mag, jc
 
 
-def _initial_states() -> tuple[QuantumState, QuantumState]:
+def _initial_states() -> tuple[np.ndarray, QuantumState]:
+    """The joint start |g> (x) |+>|+> and the Bell target on the magnons."""
     mag, _ = _single_shot_space()
     plus = superposed_state(SINGLE_SHOT_CUTOFF, 1)
     psi = product_state(mag, {"n": plus, "m": plus})
-    return psi, bell_state(mag, 1, +1)
+    g_vec = np.zeros(3, dtype=complex)
+    g_vec[LEVEL_G] = 1.0
+    return np.kron(g_vec, psi.data), bell_state(mag, 1, +1)
 
 
 def evaluate_single_shot(pulse: PulseCoefficients, slices: int = DEFAULT_SLICES):
@@ -215,13 +218,10 @@ def evaluate_single_shot(pulse: PulseCoefficients, slices: int = DEFAULT_SLICES)
     projects the qutrit onto its ground state, and returns
     (fidelity, success probability, conditional magnon state).
     """
-    mag, jc = _single_shot_space()
-    psi_i, target = _initial_states()
+    _, jc = _single_shot_space()
+    psi0, target = _initial_states()
     hfun = build_time_dependent_jc(pulse, pulse.G, jc)
     u = time_ordered_propagator(hfun, pulse.tau_total, slices)
-    g_vec = np.zeros(3, dtype=complex)
-    g_vec[0] = 1.0
-    psi0 = np.kron(g_vec, psi_i.data)
     psi = QuantumState(jc, "pure", u.matrix @ psi0)
     state, prob = apply_projection(psi)
     return fidelity(state, target), prob, state
@@ -229,19 +229,15 @@ def evaluate_single_shot(pulse: PulseCoefficients, slices: int = DEFAULT_SLICES)
 
 def _fidelity_time_trace(pulse: PulseCoefficients, slices: int) -> tuple[np.ndarray, np.ndarray]:
     """Conditional Bell fidelity of the ground branch at every slice boundary."""
-    mag, jc = _single_shot_space()
-    psi_i, target = _initial_states()
+    _, jc = _single_shot_space()
+    psi, target = _initial_states()
     hfun = build_time_dependent_jc(pulse, pulse.G, jc)
     h = pulse.tau_total / slices
-    g_vec = np.zeros(3, dtype=complex)
-    g_vec[0] = 1.0
-    psi = np.kron(g_vec, psi_i.data)
-    block = jc.total_dim // 3
     times = np.arange(slices + 1) * h
     trace = np.empty(slices + 1)
 
     def conditional_fidelity(vec):
-        branch = vec[:block]
+        branch = _ground_block(vec)
         nrm = np.linalg.norm(branch)
         return abs(np.vdot(target.data, branch / nrm)) ** 2
 

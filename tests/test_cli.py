@@ -271,6 +271,18 @@ class TestMainEntry:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": error.__name__, "message": "raised by the scenario"}
 
+    @pytest.mark.parametrize("scenario, key, value", [
+        ("bell-distill", "Delta", ".nan"),
+        ("coupling-ratio", "xi_max", ".inf"),
+        ("bell-distill", "Delta", "-.inf"),
+        ("bell-distill", "Delta", "1" + "0" * 400),
+    ], ids=["nan", "inf", "-inf", "int-overflow"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, scenario, key, value):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"scenario: {scenario}\nparams:\n  {key}: {value}\n")
+        assert main(["run", "--config", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
     def test_seed_override_recorded(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 3}})
         out = tmp_path / "r.csv"

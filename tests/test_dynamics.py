@@ -74,6 +74,11 @@ class TestPropagator:
         with pytest.raises(NonHermitianError):
             propagator(Operator(space, mat), 1.0)
 
+    def test_nan_matrix_rejected(self):
+        space = HilbertSpace.single("s", 2)
+        with pytest.raises(NonHermitianError):
+            propagator(Operator(space, np.full((2, 2), math.nan)), 1.0)
+
 
 class TestUnitaryFromGenerator:
     def test_matches_series_on_small_generator(self):
@@ -153,6 +158,13 @@ class TestIntegrateMaster:
         spec = LindbladSpec(h, ((Operator(space, a.matrix), 50.0),))
         with pytest.raises(TraceDriftError):
             integrate_master(rho0, spec, 1.0, IntegratorConfig(dt=0.25))
+
+    def test_nan_evolution_raises_trace_drift(self):
+        space = HilbertSpace.single("s", 3)
+        h = Operator(space, np.full((3, 3), math.nan))
+        rho0 = QuantumState(space, "mixed", np.diag([1.0, 0.0, 0.0]).astype(complex))
+        with pytest.raises(TraceDriftError):
+            integrate_master(rho0, LindbladSpec(h, ()), 1.0, IntegratorConfig(dt=0.5))
 
     def test_negative_rate_rejected(self):
         space = HilbertSpace.single("s", 3)

@@ -234,6 +234,21 @@ class TestValidation:
         with pytest.raises(StateValidationError):
             Operator(magnon_space, mat, hamiltonian=True)
 
+    @pytest.mark.parametrize("kind, data", [
+        ("pure", np.array([math.nan] + [0.0] * 8)),
+        ("mixed", np.diag([math.nan] + [0.0] * 8)),
+        ("mixed", np.full((9, 9), math.nan)),
+    ], ids=["pure", "mixed-diagonal", "mixed-full"])
+    def test_nan_state_rejected(self, magnon_space, kind, data):
+        with pytest.raises(StateValidationError):
+            QuantumState(magnon_space, kind, data)
+
+    def test_hamiltonian_flag_rejects_nan(self, magnon_space):
+        mat = np.zeros((9, 9), dtype=complex)
+        mat[0, 0] = math.nan
+        with pytest.raises(StateValidationError):
+            Operator(magnon_space, mat, hamiltonian=True)
+
     def test_operator_immutable(self, magnon_space):
         op = identity(magnon_space)
         with pytest.raises(ValueError):

@@ -203,6 +203,13 @@ class TestRunProtocol:
         assert rec.success_probability[-1] == pytest.approx(0.5, abs=0.02)
         assert np.all(np.diff(rec.success_probability) <= 1e-15)
 
+    def test_nan_coupling_is_null_outcome_in_round_one(self, resonant_eff):
+        tau = ProtocolConfig.for_target(resonant_eff, rounds=1).tau
+        cfg = ProtocolConfig(EffectiveParams(G_e=math.nan, G_f=1e-3), tau=tau, rounds=2)
+        plus = superposed_state(3, 1)
+        with pytest.raises(NullOutcomeError, match="round 1"):
+            run_protocol(product_state(magnon(3), {"n": plus, "m": plus}), cfg)
+
     def test_half_interval_odd_rounds_give_odd_bell(self, resonant_eff):
         cfg = ProtocolConfig.for_target(resonant_eff, rounds=16, interval_mode="half")
         plus = superposed_state(3, 1)
@@ -404,3 +411,10 @@ class TestQubitParityReference:
         space = HilbertSpace((("q1", 2), ("q2", 2)))
         with pytest.raises(NullOutcomeError):
             qubit_parity_reference(basis_state(space, (0, 1)))
+
+    def test_nan_amplitudes_are_null_outcome(self):
+        space = HilbertSpace((("q1", 2), ("q2", 2)))
+        state = bell_state(space, 1, +1)
+        object.__setattr__(state, "data", np.full(4, math.nan, dtype=complex))  # skip validation
+        with pytest.raises(NullOutcomeError):
+            qubit_parity_reference(state)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magbell.dynamics import unitary_from_generator
 from magbell.hilbert import HilbertSpace, annihilation, embed, level_projector
@@ -40,6 +41,41 @@ def matched_single_mode(lam=0.005):
 def bare_models(two_cavity):
     """Each bare model with its space: two cavities, then the shared cavity."""
     return ((two_cavity, FULL_SPACE), (matched_single_mode(), SINGLE_SPACE))
+
+
+_FREQUENCY = st.floats(0.1, 2.0)
+
+
+class TestWiring:
+    """Each party's cavity is stated here independently of the models' tables."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=st.tuples(*[_FREQUENCY] * 6))
+    def test_two_cavity_detunings(self, w):
+        a, b, n, m, e, f = w
+        p = ModelParams(omega_a=a, omega_b=b, omega_n=n, omega_m=m, omega_e=e, omega_f=f,
+                        g_n=0.01, g_m=0.01, g_e=0.01, g_f=0.01)
+        assert [p.detuning(x) for x in "nmef"] == [n - a, m - b, e - a, f - b]
+
+    @settings(max_examples=100, deadline=None)
+    @given(w=st.tuples(*[_FREQUENCY] * 5))
+    def test_shared_cavity_detunings(self, w):
+        a, n, m, e, f = w
+        p = SingleModeParams(omega_a=a, omega_n=n, omega_m=m, omega_e=e, omega_f=f,
+                             lambda_n=0.01, lambda_m=0.01, lambda_e=0.01, lambda_f=0.01)
+        assert [p.detuning(x) for x in "nmef"] == [n - a, m - a, e - a, f - a]
+
+    def test_loss_rates_are_not_model_fields(self, dispersive_params):
+        with pytest.raises(TypeError):
+            ModelParams(**{**dispersive_params.__dict__, "gamma_n": 1e-4})
+        with pytest.raises(TypeError):
+            SingleModeParams(**{**matched_single_mode().__dict__, "gamma_n": 1e-4})
+
+    def test_negative_or_nan_coupling_rejected(self, dispersive_params):
+        with pytest.raises(ValueError, match="g_f"):
+            ModelParams(**{**dispersive_params.__dict__, "g_f": -0.01})
+        with pytest.raises(ValueError, match="lambda_m"):
+            SingleModeParams(**{**matched_single_mode().__dict__, "lambda_m": math.nan})
 
 
 class TestLambShifts:
@@ -225,7 +261,7 @@ class TestSingleMode:
 
     def test_cross_coupling_cancels_under_match(self):
         p = matched_single_mode()
-        g_nf = 0.5 * p.lambda_n * p.lambda_f * (1 / p.delta_n + 1 / p.delta_f)
+        g_nf = 0.5 * p.lambda_n * p.lambda_f * (1 / p.detuning("n") + 1 / p.detuning("f"))
         assert g_nf == pytest.approx(0.0, abs=1e-18)
 
     def test_matched_vacuum_block_equals_jc_build(self):
