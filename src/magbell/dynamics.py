@@ -45,7 +45,7 @@ class LindbladSpec:
         ops = tuple((op, float(rate)) for op, rate in self.collapse_ops)
         object.__setattr__(self, "collapse_ops", ops)
         for op, rate in ops:
-            if rate < 0:
+            if not rate >= 0:  # NaN fails too
                 raise ValueError(f"collapse rate must be nonnegative, got {rate}")
             if op.space != self.hamiltonian.space:
                 raise SpaceMismatchError("collapse operator space differs from Hamiltonian space")
@@ -67,19 +67,28 @@ def _require_hermitian(matrix: np.ndarray):
         raise NonHermitianError(f"matrix not Hermitian: max |H - H^+| = {dev:.3e}")
 
 
+def propagator_matrix(h: np.ndarray, t: float, minus_identity: bool = False) -> np.ndarray:
+    """exp(-i h t) of a Hermitian matrix via its eigendecomposition.
+
+    Raises NonHermitianError first; serves ``propagator`` and callers whose
+    basis is not a HilbertSpace (an excitation-capped one, say).  With
+    minus_identity it returns exp(-i h t) - 1, to full relative precision
+    where that difference is small.
+    """
+    _require_hermitian(h)
+    evals, evecs = np.linalg.eigh(h)
+    phases = (np.expm1 if minus_identity else np.exp)(-1j * evals * t)
+    return (evecs * phases) @ evecs.conj().T
+
+
 def propagator(H: Operator, t: float) -> Operator:
     """U = exp(-i H t) via Hermitian eigendecomposition."""
-    _require_hermitian(H.matrix)
-    evals, evecs = np.linalg.eigh(H.matrix)
-    u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-    return Operator(H.space, u)
+    return Operator(H.space, propagator_matrix(H.matrix, t))
 
 
 def unitary_from_generator(S: Operator) -> Operator:
     """exp(S) for anti-Hermitian S, through the Hermitian form iS."""
-    k = 1j * S.matrix
-    _require_hermitian(k)
-    return propagator(Operator(S.space, k), 1.0)
+    return Operator(S.space, propagator_matrix(1j * S.matrix, 1.0))
 
 
 def _lindblad_rhs(rho, h, jumps):

@@ -146,16 +146,16 @@ class ProtocolConfig:
     decoherence: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:  # NaN fails too, here and below
             raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.rounds < 1:
+        if not self.rounds >= 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.target_N < 1:
+        if not self.target_N >= 1:
             raise ValueError(f"target_N must be >= 1, got {self.target_N}")
         if self.decoherence is not None:
             gn, gm = self.decoherence
-            if gn < 0 or gm < 0:
-                raise ValueError("decay rates must be nonnegative")
+            if not (gn >= 0 and gm >= 0):
+                raise ValueError(f"decay rates must be nonnegative, got {self.decoherence}")
             object.__setattr__(self, "decoherence", (float(gn), float(gm)))
 
     @classmethod

@@ -26,7 +26,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .dynamics import propagator, unitary_from_generator
+from .dynamics import propagator_matrix
 from .hilbert import (
     DimensionError,
     HilbertSpace,
@@ -267,39 +267,49 @@ def detuning_match(params: SingleModeParams) -> bool:
     )
 
 
-def _atom_ops(space: HilbertSpace) -> dict[str, np.ndarray]:
-    """Embedded qutrit operators; requires a dim-3 subsystem labeled 'atom'."""
+def _operator_table(space: HilbertSpace, modes: tuple[str, ...],
+                    keep: np.ndarray | None = None) -> dict:
+    """The qutrit operators plus a (lowering, number) pair per listed mode, embedded once.
+
+    Requires a dim-3 subsystem labeled 'atom'.  With ``keep``, a boolean mask
+    over the basis, each operator is sliced to the kept states right after
+    it is embedded.
+    """
     if space.dim("atom") != 3:
         raise DimensionError(f"atom subsystem must have dimension 3, got {space.dim('atom')}")
-    return {
-        "pg": embed(level_projector(3, LEVEL_G), space, "atom").matrix,
-        "pe": embed(level_projector(3, LEVEL_E), space, "atom").matrix,
-        "pf": embed(level_projector(3, LEVEL_F), space, "atom").matrix,
-        "se_plus": embed(transition(3, LEVEL_E, LEVEL_G), space, "atom").matrix,
-        "sf_plus": embed(transition(3, LEVEL_F, LEVEL_G), space, "atom").matrix,
-        "sfe_plus": embed(transition(3, LEVEL_F, LEVEL_E), space, "atom").matrix,
+
+    def place(op: Operator, label: str) -> np.ndarray:
+        mat = embed(op, space, label).matrix
+        return mat if keep is None else mat[np.ix_(keep, keep)]
+
+    ops = {
+        "pg": place(level_projector(3, LEVEL_G), "atom"),
+        "pe": place(level_projector(3, LEVEL_E), "atom"),
+        "pf": place(level_projector(3, LEVEL_F), "atom"),
+        "se_plus": place(transition(3, LEVEL_E, LEVEL_G), "atom"),
+        "sf_plus": place(transition(3, LEVEL_F, LEVEL_G), "atom"),
+        "sfe_plus": place(transition(3, LEVEL_F, LEVEL_E), "atom"),
     }
-
-
-def _mode_ops(space: HilbertSpace, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """(lowering, number) matrices for a bosonic subsystem."""
-    low = embed(annihilation(space.dim(label)), space, label).matrix
-    return low, low.conj().T @ low
-
-
-def _operator_table(space: HilbertSpace, modes: tuple[str, ...]) -> dict:
-    """The qutrit operators plus a (lowering, number) pair per listed mode, embedded once."""
-    ops = _atom_ops(space)
     for label in modes:
-        ops[label] = _mode_ops(space, label)
+        low = place(annihilation(space.dim(label)), label)
+        ops[label] = (low, low.conj().T @ low)
     return ops
 
 
-def _bare_ops(params: ModelParams | SingleModeParams, space: HilbertSpace) -> dict:
-    """Operator table of a bare model on its space [atom:3, cavities..., n:d, m:d]."""
+def _bare_ops(params: ModelParams | SingleModeParams, space: HilbertSpace,
+              keep: np.ndarray | None = None) -> dict:
+    """Operator table of a bare model on its space [atom:3, cavities..., n:d, m:d].
+
+    ``keep`` = excitation_numbers(space) <= K + 1 gives the excitation-capped
+    table.  Every bare-model term conserves total excitation, and each factor
+    of a table product moves it by at most one, so a product is cut only
+    where it passes through a state above K + 1.  Every Hamiltonian and
+    generator built from the capped table is therefore block-diagonal in
+    the excitation and exact on the blocks <= K, and so are its exponentials.
+    """
     if space.labels != params.space_labels:
         raise DimensionError(f"expected subsystems {params.space_labels}, got {space.labels}")
-    return _operator_table(space, params.space_labels[1:])
+    return _operator_table(space, params.space_labels[1:], keep)
 
 
 def _party_ops(ops: dict, party: str) -> tuple[np.ndarray, np.ndarray]:
@@ -458,18 +468,21 @@ def sw_reduction_check(params: ModelParams | SingleModeParams, space: HilbertSpa
     subtracts the closed-form second-order Hamiltonian, and restricts to the
     low-excitation block (total excitation <= 2) to avoid truncation-edge
     artifacts.  The residual scales as the cube of the coupling-to-detuning
-    ratio.
+    ratio.  All of it runs on the states of excitation <= 3: H, S and the
+    closed form conserve excitation, so exp(S) is block-diagonal and the
+    capped operator table is exact on the blocks <= 2 (see ``_bare_ops``).
+    The residual is formed as [exp(S) - 1, H] exp(-S) + (H - H_closed), so
+    no product of O(1) matrices is cancelled against the closed form.
     """
-    ops = _bare_ops(params, space)
+    exc = excitation_numbers(space)
+    keep = exc <= 3
+    ops = _bare_ops(params, space, keep)
+    w = propagator_matrix(1j * _generator_matrix(params, ops), 1.0, minus_identity=True)
     full = _full_matrix(params, ops)
-    closed = _sw_effective_matrix(params, ops)
-    s = Operator(space, _generator_matrix(params, ops))
-    del ops  # free the table before the eigendecomposition
-    u = unitary_from_generator(s).matrix
-    residual = u @ full @ u.conj().T - closed
-    keep = np.flatnonzero(excitation_numbers(space) <= 2)
-    block = residual[np.ix_(keep, keep)]
-    return float(np.abs(block).max())
+    u_inv = w.conj().T + np.eye(len(w))
+    residual = (w @ full - full @ w) @ u_inv + (full - _sw_effective_matrix(params, ops))
+    low = exc[keep] <= 2
+    return float(np.abs(residual[np.ix_(low, low)]).max())
 
 
 def build_time_dependent_jc(
@@ -504,7 +517,11 @@ def dispersive_evolution_fidelity(
     two-mode magnon state, evolves once under the full two-cavity Hamiltonian
     and compares against the second-order prediction
     exp(-S) exp(-i H_R t) exp(-i H_eff t) exp(S) applied to the same initial
-    state, where H_R is the Lamb-shifted rotating-frame generator.
+    state, where H_R is the Lamb-shifted rotating-frame generator.  Both run
+    on the states of excitation <= K + 1, K the largest excitation in the
+    initial state's support: every operator involved conserves excitation,
+    so the state stays in the blocks <= K, where the capped operator table
+    is exact (see ``_bare_ops``).
     """
     if magnon_state.kind != "pure" or len(magnon_state.space.subsystems) != 2:
         raise DimensionError("magnon_state must be pure on a two-subsystem space")
@@ -516,21 +533,20 @@ def dispersive_evolution_fidelity(
     vac = np.zeros(cavity_cutoff, dtype=complex)
     vac[0] = 1.0
     psi0 = reduce(np.kron, (g_vec, vac, vac, magnon_state.data))
+    exc = excitation_numbers(space)
+    keep = exc <= exc[psi0 != 0].max() + 1
+    psi0 = psi0[keep]
 
-    ops = _bare_ops(params, space)
-    full = Operator(space, _full_matrix(params, ops), hamiltonian=True)
-    s = Operator(space, _generator_matrix(params, ops))
+    ops = _bare_ops(params, space, keep)
     eff = effective_couplings(params)
-    h_eff = Operator(space, _jc_matrix(eff, ops), hamiltonian=True)
     # H_R is diagonal in the product basis, so exp(-i H_R t) is elementwise
     h_rot = np.diag(
         (params.omega_a - eff.chi_n) * ops["a"][1] + (params.omega_b - eff.chi_m) * ops["b"][1]
         + (params.omega_n + eff.chi_n) * (ops["n"][1] + ops["pe"])
         + (params.omega_m + eff.chi_m) * (ops["m"][1] + ops["pf"])
     ).real
-    del ops  # free the table before the eigendecompositions
-    u_s = unitary_from_generator(s).matrix
-    psi_full = propagator(full, t).matrix @ psi0
+    u_s = propagator_matrix(1j * _generator_matrix(params, ops), 1.0)  # exp(S)
+    psi_full = propagator_matrix(_full_matrix(params, ops), t) @ psi0
     psi_pred = u_s.conj().T @ (np.exp(-1j * h_rot * t)
-                               * (propagator(h_eff, t).matrix @ (u_s @ psi0)))
+                               * (propagator_matrix(_jc_matrix(eff, ops), t) @ (u_s @ psi0)))
     return float(abs(np.vdot(psi_pred, psi_full)) ** 2)

@@ -5,6 +5,8 @@ the Kraus-block oracle diagonalizes each excitation block directly, the
 coherent-state oracle sums the Poisson series, the protocol-power oracle
 applies coefficient powers to the initial amplitudes, and the sliced-pulse
 oracle multiplies the 2x2 slice exponentials one at a time in a Python loop.
+The dense dispersive-check oracles run on the whole bare space with the
+public full-space builders, where the library caps the excitation.
 """
 
 import math
@@ -13,6 +15,15 @@ import numpy as np
 import pytest
 
 from magbell import EffectiveParams, HilbertSpace, ModelParams
+from magbell.dynamics import propagator, unitary_from_generator
+from magbell.hilbert import Operator, annihilation, embed, level_projector, transition
+from magbell.model import (
+    build_full,
+    build_sw_effective,
+    effective_couplings,
+    excitation_numbers,
+    sw_generator,
+)
 
 
 def block_return_amplitude(n, m, g_e, g_f, delta, tau):
@@ -85,6 +96,48 @@ def sequential_block_amplitudes(pulse, slices):
             )
         out.append(a)
     return out[0], out[1]
+
+
+def dense_sw_residual(params, space):
+    """sw_reduction_check on the whole space: exp(S) H exp(-S) - H_closed on excitation <= 2."""
+    u = unitary_from_generator(sw_generator(params, space)).matrix
+    residual = u @ build_full(params, space).matrix @ u.conj().T - build_sw_effective(params, space).matrix
+    low = np.flatnonzero(excitation_numbers(space) <= 2)
+    return float(np.abs(residual[np.ix_(low, low)]).max())
+
+
+def dense_evolution_fidelity(params, magnon_state, t, cavity_cutoff):
+    """dispersive_evolution_fidelity on the whole two-cavity space.
+
+    H_eff and the rotating-frame generator H_R are assembled here from
+    embedded single-subsystem operators.
+    """
+    dn, dm = magnon_state.space.dims
+    space = HilbertSpace((("atom", 3), ("a", cavity_cutoff), ("b", cavity_cutoff),
+                          ("n", dn), ("m", dm)))
+    ground = np.zeros(3 * cavity_cutoff ** 2)
+    ground[0] = 1.0  # |g, 0, 0>: the qutrit and both cavities, slowest first
+    psi0 = np.kron(ground, magnon_state.data)
+    eff = effective_couplings(params)
+
+    def placed(op, label):
+        return embed(op, space, label).matrix
+
+    low = {label: placed(annihilation(space.dim(label)), label) for label in "abnm"}
+    num = {label: x.conj().T @ x for label, x in low.items()}
+    p_e, p_f = (placed(level_projector(3, level), "atom") for level in (1, 2))
+    x_e = low["n"] @ placed(transition(3, 1, 0), "atom")
+    x_f = low["m"] @ placed(transition(3, 2, 0), "atom")
+    h_eff = (eff.Delta_e_tilde * p_e + eff.Delta_f_tilde * p_f
+             + eff.G_e * (x_e + x_e.conj().T) + eff.G_f * (x_f + x_f.conj().T))
+    h_rot = ((params.omega_a - eff.chi_n) * num["a"] + (params.omega_b - eff.chi_m) * num["b"]
+             + (params.omega_n + eff.chi_n) * (num["n"] + p_e)
+             + (params.omega_m + eff.chi_m) * (num["m"] + p_f))
+    u_s = unitary_from_generator(sw_generator(params, space)).matrix
+    u_rot, u_eff = (propagator(Operator(space, h), t).matrix for h in (h_rot, h_eff))
+    psi_full = propagator(build_full(params, space), t).matrix @ psi0
+    psi_pred = u_s.conj().T @ (u_rot @ (u_eff @ (u_s @ psi0)))
+    return float(abs(np.vdot(psi_pred, psi_full)) ** 2)
 
 
 def poisson_mean_oracle(beta, dim):

@@ -173,6 +173,12 @@ class TestIntegrateMaster:
         with pytest.raises(ValueError):
             LindbladSpec(h, ((Operator(space, a.matrix), -0.1),))
 
+    def test_nan_rate_rejected(self):
+        space = HilbertSpace.single("s", 3)
+        h = Operator(space, np.zeros((3, 3)), hamiltonian=True)
+        with pytest.raises(ValueError, match="rate"):
+            LindbladSpec(h, ((Operator(space, annihilation(3).matrix), math.nan),))
+
 
 def random_density(rng, dim):
     mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -192,6 +192,14 @@ class TestProtocolConfig:
         with pytest.raises(ValueError):
             ProtocolConfig.for_target(resonant_eff, rounds=2, interval_mode="quarter")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("tau", math.nan, "tau"), ("rounds", math.nan, "rounds"), ("target_N", math.nan, "target_N"),
+        ("decoherence", (math.nan, 0.0), "decay"), ("decoherence", (0.0, math.nan), "decay"),
+    ])
+    def test_nan_field_rejected(self, resonant_eff, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ProtocolConfig(resonant_eff, **{"tau": 1.0, "rounds": 1, field: value})
+
 
 class TestRunProtocol:
     def test_superposed_input_distills_even_bell(self, resonant_eff):

@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from magbell import model
 from magbell.dynamics import unitary_from_generator
-from magbell.hilbert import HilbertSpace, annihilation, embed, level_projector
+from magbell.hilbert import (
+    HilbertSpace,
+    QuantumState,
+    annihilation,
+    bell_state,
+    embed,
+    level_projector,
+    product_state,
+    superposed_state,
+)
 from magbell.model import (
     DispersiveRegimeWarning,
     EffectiveParams,
@@ -18,12 +28,15 @@ from magbell.model import (
     build_sw_effective,
     build_time_dependent_jc,
     detuning_match,
+    dispersive_evolution_fidelity,
     effective_couplings,
     excitation_numbers,
     lamb_shifts,
     sw_generator,
     sw_reduction_check,
 )
+
+from conftest import dense_evolution_fidelity, dense_sw_residual
 
 FULL_SPACE = HilbertSpace((("atom", 3), ("a", 3), ("b", 3), ("n", 4), ("m", 4)))
 JC_SPACE = HilbertSpace((("atom", 3), ("n", 3), ("m", 3)))
@@ -239,6 +252,66 @@ class TestSWReduction:
         # cubically; the slope test above carries the order check
         eff = effective_couplings(dispersive_params)
         assert sw_reduction_check(dispersive_params, FULL_SPACE) < min(eff.G_e, eff.G_f)
+
+
+_DETUNING = st.floats(0.05, 0.5).flatmap(lambda d: st.sampled_from((d, -d)))
+_RATIO = st.floats(0.0, 0.09)  # |g / Delta|, inside the dispersive limit
+
+
+@st.composite
+def dispersive_models(draw):
+    """A bare model of either kind at a dispersive draw, on a space with cutoffs <= 3."""
+    cls = draw(st.sampled_from((ModelParams, SingleModeParams)))
+    fields = {f"omega_{label}": draw(st.floats(0.5, 1.5)) for label in cls.CAVITIES}
+    for party, (cavity, coupling) in cls.WIRING.items():
+        delta = draw(_DETUNING)
+        fields[f"omega_{party}"] = fields[f"omega_{cavity}"] + delta
+        fields[coupling] = draw(_RATIO) * abs(delta)
+    params = cls(**fields)
+    cutoff = st.integers(2, 3)
+    space = HilbertSpace((("atom", 3), *((label, draw(cutoff)) for label in cls.CAVITIES),
+                          ("n", draw(cutoff)), ("m", draw(cutoff))))
+    return params, space
+
+
+class TestExcitationCap:
+    """The capped dispersive checks rest on every bare-model matrix conserving
+    total excitation; they are checked against the dense whole-space oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=dispersive_models())
+    def test_bare_matrices_conserve_excitation(self, drawn):
+        params, space = drawn
+        exc = excitation_numbers(space)
+        across = exc[:, None] != exc[None, :]
+        ops = model._bare_ops(params, space)
+        for build in (model._full_matrix, model._generator_matrix, model._sw_effective_matrix):
+            assert not np.any(build(params, ops)[across]), build.__name__
+
+    def test_capped_residual_matches_dense(self, dispersive_params):
+        unequal = ModelParams(omega_a=0.63, omega_b=0.57, omega_n=1.01, omega_m=0.97,
+                              omega_e=1.13, omega_f=0.91,
+                              g_n=0.021, g_m=0.017, g_e=0.013, g_f=0.029)
+        for params, space in (*bare_models(dispersive_params), (unequal, FULL_SPACE)):
+            want = dense_sw_residual(params, space)
+            assert want > 1e-9
+            assert sw_reduction_check(params, space) == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+    def test_capped_fidelity_matches_dense(self, dispersive_params):
+        magnons = HilbertSpace((("n", 4), ("m", 4)))
+        plus = superposed_state(4, 1)
+        rng = np.random.default_rng(5)
+        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        states = (
+            product_state(magnons, {"n": plus, "m": plus}),  # K = 2
+            bell_state(magnons, excitation=2),  # K = 4
+            QuantumState(magnons, "pure", amps / np.linalg.norm(amps)),  # full Fock support, K = 6
+        )
+        for state in states:
+            want = dense_evolution_fidelity(dispersive_params, state, 1500.0, 3)
+            assert want < 1.0 - 1e-6
+            got = dispersive_evolution_fidelity(dispersive_params, state, 1500.0, cavity_cutoff=3)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
 
 class TestSingleMode:
