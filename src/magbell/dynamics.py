@@ -3,10 +3,13 @@
 Matrix exponentials of Hamiltonians go through Hermitian eigendecomposition,
 which keeps propagators unitary to roundoff.  Open-system evolution applies
 exp(L t) exactly and matrix-free: a Taylor series of the Liouvillian action,
-summed to double precision in norm-bounded substeps (``lindblad_action``).
-The fixed-step fourth-order (RK4) integrator ``integrate_master`` is kept as
-its independent oracle in the tests.  Both guard the trace, which is
-asserted, never renormalized.
+summed to double precision in substeps of norm bound <= 2
+(``lindblad_action``).  Each Taylor term is formed from the effective
+non-Hermitian Hamiltonian as X + X^+, Hermitian by construction.  The
+fixed-step fourth-order (RK4) integrator ``integrate_master`` is kept as its
+independent oracle in the tests; its right-hand side is the plain
+commutator-plus-dissipator form and shares no code with the Taylor terms.
+Both guard the trace, which is asserted, never renormalized.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from .hilbert import HilbertSpace, Operator, QuantumState, SpaceMismatchError
 UNITARY_ATOL = 1e-12
 DEFAULT_TRACE_TOL = 1e-8
 _EPS = np.finfo(float).eps
-# With substeps of norm bound <= 1 the j-th Taylor term is below 1/j! of the
-# state, so 30 terms (1/30! ~ 4e-33) only fail on a non-finite state.
+# With substeps of norm bound theta <= 2 the j-th Taylor term is below
+# theta^j / j! of the state, so 30 terms (2^30 / 30! ~ 4e-24) only fail on a
+# non-finite state.
 _TAYLOR_MAX_TERMS = 30
 
 
@@ -56,7 +60,7 @@ class IntegratorConfig:
     dt: float
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:  # NaN fails too
             raise ValueError(f"dt must be positive, got {self.dt}")
 
 
@@ -110,37 +114,70 @@ def _jump_terms(spec: LindbladSpec) -> list[tuple[np.ndarray, np.ndarray, np.nda
     return jumps
 
 
+def _stacked_generator(h, jumps, scale):
+    """(scale [K; L_1; ...; L_n], [L_k^+ / 2]) with K = -iH - sum_k L_k^+ L_k / 2.
+
+    K is the effective non-Hermitian Hamiltonian times -i; the rows are
+    stacked so that one product takes K rho and every L_k rho at once.
+    """
+    k_eff = -1j * h - 0.5 * sum(ldl for _, _, ldl in jumps)
+    stacked = scale * np.vstack([k_eff] + [l_op for l_op, _, _ in jumps])
+    return stacked, [0.5 * l_dag for _, l_dag, _ in jumps]
+
+
+def _hermitian_term(rho, stacked, half_daggers):
+    """scale * L(rho) for Hermitian rho, Hermitian by construction.
+
+    With Y = scale [K; L_1; ...] rho, X = Y_K + sum_k Y_k L_k^+ / 2 is
+    scale (K rho + sum_k L_k rho L_k^+ / 2), and L(rho) = X + X^+.  Keeping
+    the jump term inside X keeps the roundoff of the anti-Hermitian part
+    from building up over the series.
+    """
+    dim = rho.shape[0]
+    y = stacked @ rho
+    x = y[:dim]
+    for k, half_dag in enumerate(half_daggers, 1):
+        x = x + y[k * dim:(k + 1) * dim] @ half_dag
+    return x + x.conj().T
+
+
 def lindblad_action(rho0: QuantumState, spec: LindbladSpec, t: float) -> QuantumState:
     """exp(L t) rho0 for the time-independent Liouvillian L of spec, to roundoff.
 
-    Matrix-free: no superoperator is formed.  The interval is cut into s
-    substeps with (t / s) * b <= 1, where b = 2 ||H|| + sum_k (||L_k||^2 +
-    ||L_k^+ L_k||) bounds the Frobenius-induced norm of L.  Each substep sums
-    the Taylor series of exp(L t / s) until a term falls below double
-    precision of the partial sum; the bound makes every later term smaller
-    still (cf. Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)).
-    Raises TraceDriftError if a series does not converge or |tr rho - tr rho0|
-    exceeds DEFAULT_TRACE_TOL.
+    Matrix-free: no superoperator is formed.  b = 2 ||H|| + sum_k (||L_k||^2
+    + ||L_k^+ L_k||) bounds the Frobenius-induced norm of L, and the interval
+    is cut into s substeps with theta = (t / s) * b <= 2.  Each substep sums
+    the Taylor series of exp(L t / s); a term is scale * L(rho) in the form
+    X + X^+ of ``_hermitian_term``, from one product with the stacked rows
+    [K; L_1; ...] of K = -iH - sum_k L_k^+ L_k / 2.  The sum stops at the
+    first term j >= 2 whose norm falls below double precision of the partial
+    sum: from there the bound shrinks each later term by theta / (j + 1)
+    <= 2/3, so the tail stays below two such terms (cf. Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 33, 488 (2011)).  Raises ValueError for a negative
+    or non-finite t, and TraceDriftError if a series does not converge or
+    |tr rho - tr rho0| exceeds DEFAULT_TRACE_TOL.
     """
     if rho0.space != spec.hamiltonian.space:
         raise SpaceMismatchError("initial state space differs from Lindblad space")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
     rho = rho0.density()
     h = spec.hamiltonian.matrix
     jumps = _jump_terms(spec)
     bound = 2.0 * np.linalg.norm(h, 2) + sum(
         np.linalg.norm(l_op, 2) ** 2 + np.linalg.norm(ldl, 2) for l_op, _, ldl in jumps
     )
-    n_sub = max(1, math.ceil(t * bound))
-    h_sub = t / n_sub
+    n_sub = max(1, math.ceil(0.5 * t * bound))
+    stacked, half_daggers = _stacked_generator(h, jumps, t / n_sub)
+    tol = _EPS**2  # on squared Frobenius norms
     trace0 = np.trace(rho)
     for _ in range(n_sub):
         term = rho
         for j in range(1, _TAYLOR_MAX_TERMS + 1):
-            term = (h_sub / j) * _lindblad_rhs(term, h, jumps)
+            term = _hermitian_term(term, stacked, half_daggers)
+            term /= j
             rho = rho + term
-            if np.linalg.norm(term) <= _EPS * np.linalg.norm(rho):
+            if j >= 2 and np.vdot(term, term).real <= tol * np.vdot(rho, rho).real:
                 break
         else:
             raise TraceDriftError(

@@ -193,7 +193,7 @@ class PulseCoefficients:
         object.__setattr__(self, "b", tuple(float(x) for x in self.b))
         if len(self.a) != len(self.b):
             raise ValueError(f"coefficient lists differ in length: {len(self.a)} vs {len(self.b)}")
-        if self.tau_total <= 0:
+        if not self.tau_total > 0:  # NaN fails too
             raise ValueError(f"tau_total must be positive, got {self.tau_total}")
 
     @property

@@ -51,7 +51,7 @@ class OptimizerConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.spread_tol <= 0:
+        if not self.spread_tol > 0:  # NaN fails too
             raise ValueError(f"spread_tol must be positive, got {self.spread_tol}")
 
 

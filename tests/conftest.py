@@ -6,7 +6,10 @@ coherent-state oracle sums the Poisson series, the protocol-power oracle
 applies coefficient powers to the initial amplitudes, and the sliced-pulse
 oracle multiplies the 2x2 slice exponentials one at a time in a Python loop.
 The dense dispersive-check oracles run on the whole bare space with the
-public full-space builders, where the library caps the excitation.
+public full-space builders, where the library caps the excitation.  The
+dense Lindblad oracle forms the column-stacked Liouvillian superoperator
+and exponentiates it by scaling and squaring, where the library sums a
+matrix-free Taylor series of its action.
 """
 
 import math
@@ -138,6 +141,43 @@ def dense_evolution_fidelity(params, magnon_state, t, cavity_cutoff):
     psi_full = propagator(build_full(params, space), t).matrix @ psi0
     psi_pred = u_s.conj().T @ (u_rot @ (u_eff @ (u_s @ psi0)))
     return float(abs(np.vdot(psi_pred, psi_full)) ** 2)
+
+
+def dense_liouvillian(spec):
+    """Column-stacked Liouvillian of a LindbladSpec.
+
+    Uses vec(A rho B) = (B^T kron A) vec(rho) for the column-stacked vec.
+    """
+    h = spec.hamiltonian.matrix
+    eye = np.eye(h.shape[0])
+    liou = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    for op, rate in spec.collapse_ops:
+        l_op = math.sqrt(rate) * op.matrix
+        ldl = l_op.conj().T @ l_op
+        liou = liou + np.kron(l_op.conj(), l_op) - 0.5 * (np.kron(eye, ldl) + np.kron(ldl.T, eye))
+    return liou
+
+
+def expm_scaling_squaring(a):
+    """exp(a): a degree-18 Taylor polynomial of a / 2^s with ||a / 2^s||_1 <= 1, squared s times."""
+    degree = 18  # remainder below 1/19! ~ 8e-18
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(norm))) if norm > 0 else 0
+    a = a / 2.0**s
+    eye = np.eye(a.shape[0])
+    out = eye + a / degree
+    for k in range(degree - 1, 0, -1):
+        out = eye + (a @ out) / k
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def dense_lindblad_oracle(rho0, spec, t):
+    """exp(L t) rho0 for a density matrix rho0, through the dense superoperator exponential."""
+    dim = rho0.shape[0]
+    prop = expm_scaling_squaring(t * dense_liouvillian(spec))
+    return (prop @ rho0.reshape(-1, order="F")).reshape(dim, dim, order="F")
 
 
 def poisson_mean_oracle(beta, dim):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from magbell import dynamics
 from magbell.dynamics import (
@@ -30,7 +30,7 @@ from magbell.hilbert import (
 from magbell.measurement import interval_for_target
 from magbell.model import EffectiveParams, build_jc_effective
 
-from conftest import random_hermitian
+from conftest import dense_lindblad_oracle, random_hermitian
 
 JC_SPACE = HilbertSpace((("atom", 3), ("n", 3), ("m", 3)))
 
@@ -166,6 +166,10 @@ class TestIntegrateMaster:
         with pytest.raises(TraceDriftError):
             integrate_master(rho0, LindbladSpec(h, ()), 1.0, IntegratorConfig(dt=0.5))
 
+    def test_nan_dt_rejected(self):
+        with pytest.raises(ValueError, match="dt"):
+            IntegratorConfig(dt=math.nan)
+
     def test_negative_rate_rejected(self):
         space = HilbertSpace.single("s", 3)
         a = annihilation(3)
@@ -186,22 +190,75 @@ def random_density(rng, dim):
     return rho / np.trace(rho)
 
 
+def random_lindblad(seed, dim, rates):
+    """A drawn Hamiltonian, Gaussian collapse operators at the given rates and a density matrix."""
+    rng = np.random.default_rng(seed)
+    space = HilbertSpace.single("s", dim)
+    h = Operator(space, random_hermitian(rng, dim, 0.5), hamiltonian=True)
+    collapse = tuple(
+        (Operator(space, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))), rate)
+        for rate in rates
+    )
+    rho0 = QuantumState(space, "mixed", random_density(rng, dim))
+    return LindbladSpec(h, collapse), rho0
+
+
+LINDBLAD_DRAWS = dict(
+    seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4),
+    rates=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=2),
+)
+
+
+def decohere_prepare_round():
+    """One decohere-prepare round: G_e = G_f = 6e-3, loss 1e-4 on both modes, cutoff 3."""
+    eff = EffectiveParams(G_e=6e-3, G_f=6e-3)
+    spec = LindbladSpec(build_jc_effective(eff, JC_SPACE), (
+        (embed(annihilation(3), JC_SPACE, "n"), 1e-4),
+        (embed(annihilation(3), JC_SPACE, "m"), 1e-4),
+    ))
+    plus = superposed_state(3, 1)
+    magnons = product_state(HilbertSpace((("n", 3), ("m", 3))), {"n": plus, "m": plus})
+    ground = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    rho0 = QuantumState(JC_SPACE, "mixed", np.kron(ground, magnons.density()))
+    return spec, rho0, interval_for_target(1, eff)
+
+
 class TestLindbladAction:
     def test_matches_rk4_for_one_decohere_prepare_round(self):
-        # decohere-prepare config: G_e = G_f = 6e-3, loss 1e-4 on both modes, cutoff 3
-        eff = EffectiveParams(G_e=6e-3, G_f=6e-3)
-        tau = interval_for_target(1, eff)
-        spec = LindbladSpec(build_jc_effective(eff, JC_SPACE), (
-            (embed(annihilation(3), JC_SPACE, "n"), 1e-4),
-            (embed(annihilation(3), JC_SPACE, "m"), 1e-4),
-        ))
-        plus = superposed_state(3, 1)
-        magnons = product_state(HilbertSpace((("n", 3), ("m", 3))), {"n": plus, "m": plus})
-        ground = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        rho0 = QuantumState(JC_SPACE, "mixed", np.kron(ground, magnons.density()))
+        spec, rho0, tau = decohere_prepare_round()
         exact = lindblad_action(rho0, spec, tau)
         rk4 = integrate_master(rho0, spec, tau, IntegratorConfig(dt=tau / 2000))
         assert np.abs(exact.data - rk4.data).max() <= 1e-9
+
+    def test_matches_dense_oracle_for_one_decohere_prepare_round(self):
+        spec, rho0, tau = decohere_prepare_round()
+        exact = lindblad_action(rho0, spec, tau)
+        dense = dense_lindblad_oracle(rho0.data, spec, tau)
+        assert np.abs(exact.data - dense).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(**LINDBLAD_DRAWS, t=st.floats(0.0, 5.0))
+    def test_matches_dense_oracle(self, seed, dim, rates, t):
+        spec, rho0 = random_lindblad(seed, dim, rates)
+        out = lindblad_action(rho0, spec, t).data
+        assert np.abs(out - dense_lindblad_oracle(rho0.data, spec, t)).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(**LINDBLAD_DRAWS)
+    def test_taylor_term_matches_commutator_form(self, seed, dim, rates):
+        spec, _ = random_lindblad(seed, dim, rates)
+        rho = random_hermitian(np.random.default_rng([seed, 1]), dim)  # drawn apart from H
+        h = spec.hamiltonian.matrix
+        jumps = dynamics._jump_terms(spec)
+        term = dynamics._hermitian_term(rho, *dynamics._stacked_generator(h, jumps, 1.0))
+        rhs = dynamics._lindblad_rhs(rho, h, jumps)
+        assert np.linalg.norm(term - rhs) <= 1e-14 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_bad_time_rejected(self, t):
+        spec, rho0 = random_lindblad(0, 2, [1.0])
+        with pytest.raises(ValueError, match="t must be"):
+            lindblad_action(rho0, spec, t)
 
     def test_closed_system_matches_propagator(self):
         rng = np.random.default_rng(11)
@@ -213,21 +270,11 @@ class TestLindbladAction:
         assert np.abs(out.data - u @ rho0.data @ u.conj().T).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4),
-        rates=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=2),
-        t=st.floats(0.0, 5.0),
-    )
+    @given(**LINDBLAD_DRAWS, t=st.floats(0.0, 5.0))
+    @example(seed=0, dim=2, rates=[1.0], t=3.0)
     def test_output_is_a_density_matrix(self, seed, dim, rates, t):
-        rng = np.random.default_rng(seed)
-        space = HilbertSpace.single("s", dim)
-        h = Operator(space, random_hermitian(rng, dim, 0.5), hamiltonian=True)
-        collapse = tuple(
-            (Operator(space, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))), rate)
-            for rate in rates
-        )
-        rho0 = QuantumState(space, "mixed", random_density(rng, dim))
-        out = lindblad_action(rho0, LindbladSpec(h, collapse), t).data
+        spec, rho0 = random_lindblad(seed, dim, rates)
+        out = lindblad_action(rho0, spec, t).data
         assert abs(np.trace(out) - 1.0) <= 1e-12
         assert np.abs(out - out.conj().T).max() <= 1e-15
         assert np.linalg.eigvalsh(out).min() >= -1e-12

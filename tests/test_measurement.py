@@ -362,6 +362,15 @@ class TestRunProtocol:
         assert (0, 2) not in rec_split.slow_states
         assert (4, 4) in rec_split.slow_states
 
+    def test_decohere_prepare_final_fidelity_pinned(self):
+        # the decohere-prepare config; acceptance c04 reads the window [0.91, 0.94],
+        # which cannot see a shift of 1e-5 in the lossy round
+        eff = EffectiveParams(G_e=6e-3, G_f=6e-3)
+        cfg = ProtocolConfig.for_target(eff, rounds=8, decoherence=(1e-4, 1e-4))
+        plus = superposed_state(3, 1)
+        rec = run_protocol(product_state(magnon(3), {"n": plus, "m": plus}), cfg)
+        assert abs(rec.fidelity_plus[-1] - 0.9104365885) <= 1e-9
+
 
 class TestStabilize:
     def test_no_decoherence_config_rejected(self, resonant_eff):

@@ -407,3 +407,7 @@ class TestTimeDependentJC:
     def test_coefficient_length_mismatch(self):
         with pytest.raises(ValueError):
             PulseCoefficients(a=(1.0,), b=(), tau_total=1.0, G=1.0)
+
+    def test_nan_tau_total_rejected(self):
+        with pytest.raises(ValueError, match="tau_total"):
+            PulseCoefficients(a=(), b=(), tau_total=math.nan, G=1.0)

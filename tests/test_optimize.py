@@ -67,6 +67,10 @@ class TestNelderMead:
         x, f = nelder_mead(lambda v: 3.5, np.array([0.2, -0.4]), cfg)
         assert f == 3.5
 
+    def test_nan_spread_tol_rejected(self):
+        with pytest.raises(ValueError, match="spread_tol"):
+            OptimizerConfig(n_omega=0, spread_tol=math.nan)
+
     def test_non_finite_objective_aborts(self):
         cfg = OptimizerConfig(n_omega=1, max_iter=10)
         with pytest.raises(ObjectiveError):
