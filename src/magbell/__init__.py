@@ -63,7 +63,6 @@ from .measurement import (
 from .optimize import (
     OptimizationResult,
     OptimizerConfig,
-    nelder_mead,
     optimize_single_shot,
 )
 
@@ -82,5 +81,5 @@ __all__ = [
     "ProtocolConfig", "ProtocolRecord", "analytic_kraus", "apply_projection",
     "coupling_ratio_fidelity", "interval_for_target", "numeric_kraus",
     "qubit_parity_reference", "rabi_frequency", "run_protocol", "stabilize",
-    "OptimizationResult", "OptimizerConfig", "nelder_mead", "optimize_single_shot",
+    "OptimizationResult", "OptimizerConfig", "optimize_single_shot",
 ]

@@ -60,8 +60,8 @@ class IntegratorConfig:
     dt: float
 
     def __post_init__(self):
-        if not self.dt > 0:  # NaN fails too
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):  # NaN fails too
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
 
 def _require_hermitian(matrix: np.ndarray):

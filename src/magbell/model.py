@@ -193,8 +193,11 @@ class PulseCoefficients:
         object.__setattr__(self, "b", tuple(float(x) for x in self.b))
         if len(self.a) != len(self.b):
             raise ValueError(f"coefficient lists differ in length: {len(self.a)} vs {len(self.b)}")
-        if not self.tau_total > 0:  # NaN fails too
-            raise ValueError(f"tau_total must be positive, got {self.tau_total}")
+        if not (self.tau_total > 0 and math.isfinite(self.tau_total)):  # NaN fails too
+            raise ValueError(f"tau_total must be positive and finite, got {self.tau_total}")
+        if not all(math.isfinite(v) for v in (self.G,) + self.a + self.b):
+            raise ValueError(f"G and the coefficients must be finite, got G = {self.G}, "
+                             f"a = {self.a}, b = {self.b}")
 
     @property
     def n_omega(self) -> int:

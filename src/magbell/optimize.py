@@ -1,17 +1,25 @@
-"""Single-shot pulse design: CRAB detuning shaping plus Nelder-Mead search.
+"""Single-shot pulse design: CRAB detuning shaping plus a BFGS search.
 
 Shapes the common qutrit detuning over one measurement interval so that a
 single ground-state projection yields the Bell state.  The search runs over
-the truncated trigonometric coefficients of the pulse; restarts draw fresh
-random simplexes and the best pulse is re-evaluated through the full
-time-ordered-propagator pipeline before being reported.
+the truncated trigonometric coefficients of the pulse (CRAB: Caneva,
+Calarco & Montangero, PRA 84, 022326 (2011)); each restart runs BFGS from a
+fresh uniform draw in the restart box, and the best pulse is re-evaluated
+through the full time-ordered-propagator pipeline before being reported.
 
 The search objective is exact on the two 2x2 excitation blocks the shaped
-Hamiltonian closes on.  The envelope-weighted CRAB table at the slice
+Hamiltonian closes on, and so is its gradient in the coefficients, taken in
+reverse mode through the SU(2) slice products (as in GOAT: Machnes et al.,
+PRL 120, 150401 (2018)).  The envelope-weighted CRAB table at the slice
 midpoints is built once per search; a call takes the slice detunings as one
-matvec and multiplies both blocks' slice propagators by pairwise tree
-reduction.  Its oracle is the slice-by-slice product loop
-``sequential_block_amplitudes`` in ``tests/conftest.py``.
+matvec, scans both blocks' slice products once, and maps the per-slice
+derivatives back with the table's transpose.  The value's oracle is the
+slice-by-slice product loop ``sequential_block_amplitudes`` in
+``tests/conftest.py``.
+
+A restart ends when f = -F has fallen by at most STALL_ULPS ulps of |f| for
+STALL_ITERATIONS iterations in a row: near F = 1 the objective is flat to
+round-off, and a gradient tolerance would keep converged restarts iterating.
 """
 
 from __future__ import annotations
@@ -28,15 +36,25 @@ from .model import LEVEL_G, EffectiveParams, PulseCoefficients, build_time_depen
 
 DEFAULT_SLICES = 512
 SINGLE_SHOT_CUTOFF = 3
+STALL_ULPS = 4  # a decrease of f by at most this many ulps of |f| is no progress
+STALL_ITERATIONS = 3  # iterations in a row without progress that end a restart
+ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
 
 
 class ObjectiveError(RuntimeError):
-    """The objective returned a non-finite value."""
+    """The objective returned a non-finite value or gradient."""
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Simplex-search settings; n_omega = 0 evaluates the constant pulse only."""
+    """Search settings; n_omega = 0 evaluates the constant pulse only.
+
+    restarts: BFGS runs, restart r from a uniform draw seeded seed + r.
+    max_iter: cap on the objective calls (value and gradient) per restart.
+    spread_tol: shortest step, in units of the restart box (largest
+    coordinate), that the line search tries; a restart whose backtracking
+    reaches it without a sufficient decrease ends.
+    """
 
     n_omega: int
     spread_tol: float = 1e-10
@@ -51,8 +69,8 @@ class OptimizerConfig:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not self.spread_tol > 0:  # NaN fails too
-            raise ValueError(f"spread_tol must be positive, got {self.spread_tol}")
+        if not (self.spread_tol > 0 and math.isfinite(self.spread_tol)):  # NaN fails too
+            raise ValueError(f"spread_tol must be positive and finite, got {self.spread_tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +97,9 @@ def nelder_mead(objective, x0, cfg: OptimizerConfig, initial_simplex=None):
     Reflection 1.0, expansion 2.0, contraction 0.5, shrink 0.5.  Terminates
     when both the function spread and the vertex spread fall below
     cfg.spread_tol, or at the iteration cap.  Deterministic for a given
-    starting point and simplex.  Returns (x_best, f_best).
+    starting point and simplex.  Returns (x_best, f_best).  The pulse search
+    no longer calls it (it runs ``bfgs`` on the exact gradient); perfbench's
+    tracer still wraps it by name.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
@@ -130,61 +150,144 @@ def nelder_mead(objective, x0, cfg: OptimizerConfig, initial_simplex=None):
     return sim[best].copy(), float(fvals[best])
 
 
-def _checked(objective, x) -> float:
-    value = float(objective(x))
-    if not math.isfinite(value):
-        raise ObjectiveError(f"objective returned non-finite value {value} at x = {x}")
-    return value
+def _checked(objective, x):
+    """objective(x), a value or a (value, gradient) pair, raising ObjectiveError
+    on a non-finite value or gradient entry."""
+    out = objective(x)
+    parts = out if isinstance(out, tuple) else (out,)
+    if not all(np.isfinite(part).all() for part in parts):
+        raise ObjectiveError(f"objective returned a non-finite value or gradient at x = {x}")
+    return out
+
+
+def bfgs(fun, x0, cfg: OptimizerConfig):
+    """Minimize fun: x -> (value, gradient) by BFGS with Armijo backtracking.
+
+    The inverse-Hessian estimate starts as the identity, rescaled by the
+    first accepted step's curvature; an update whose step and gradient
+    change have no positive overlap is skipped.  Stops when f has fallen by
+    at most STALL_ULPS ulps of |f| for STALL_ITERATIONS iterations in a row,
+    when backtracking would shorten the step below cfg.spread_tol (largest
+    coordinate) without an Armijo decrease, or when the calls to fun reach
+    cfg.max_iter.  Deterministic.  Returns (x_best, f_best, calls).
+    """
+    x = np.asarray(x0, dtype=float)
+    f, grad = _checked(fun, x)
+    calls, stalled = 1, 0
+    hinv = np.eye(x.size)
+    scaled = False
+    while calls < cfg.max_iter and stalled < STALL_ITERATIONS:
+        direction = -hinv @ grad
+        slope = grad @ direction
+        if not slope < 0:  # a zero gradient: no descent direction left
+            break
+        step = 1.0
+        while True:
+            f_new, grad_new = _checked(fun, x + step * direction)
+            calls += 1
+            if f_new <= f + ARMIJO * step * slope:
+                break
+            step *= 0.5
+            if calls >= cfg.max_iter or step * np.abs(direction).max() < cfg.spread_tol:
+                return x, f, calls
+        s, y = step * direction, grad_new - grad
+        sy = s @ y
+        if sy > 0:
+            if not scaled:
+                hinv *= sy / (y @ y)
+                scaled = True
+            hy = hinv @ y
+            hinv += ((sy + y @ hy) * np.outer(s, s) / sy - np.outer(hy, s) - np.outer(s, hy)) / sy
+        stalled = stalled + 1 if f - f_new <= STALL_ULPS * np.spacing(abs(f)) else 0
+        x, f, grad = x + s, f_new, grad_new
+    return x, f, calls
 
 
 def _pulse_from_vector(x: np.ndarray, n_omega: int, tau: float, g: float) -> PulseCoefficients:
     return PulseCoefficients(a=tuple(x[:n_omega]), b=tuple(x[n_omega:]), tau_total=tau, G=g)
 
 
-def _block_return_amplitudes(deltas: np.ndarray, g: float, h: float) -> np.ndarray:
-    """Ground-return amplitudes [a01, a11] of the single- and double-excitation blocks.
+def _su2_product(a2, b2, a1, b1):
+    """(alpha, beta) of [[a2, b2], [-b2*, a2*]] times [[a1, b1], [-b1*, a1*]]."""
+    return a2 * a1 - b2 * b1.conj(), a2 * b1 + b2 * a1.conj()
+
+
+def _running_products(alpha, beta):
+    """Inclusive running products along the last axis, later slice times earlier.
+
+    Hillis-Steele scan: log2(width) doubling steps, each one vectorized
+    product; entry k ends as the product of entries k, k-1, ..., 0.
+    """
+    alpha, beta = alpha.copy(), beta.copy()
+    step = 1
+    while step < alpha.shape[-1]:
+        alpha[..., step:], beta[..., step:] = _su2_product(
+            alpha[..., step:], beta[..., step:], alpha[..., :-step], beta[..., :-step])
+        step *= 2
+    return alpha, beta
+
+
+def _block_amplitudes_and_gradient(deltas: np.ndarray, g: float, h: float):
+    """Ground-return amplitudes [a01, a11] of the single- and double-excitation
+    blocks, and their derivatives with respect to every slice detuning.
 
     The shaped Hamiltonian closes on 2x2 blocks {|g;1 excitation>, bright
     state} with couplings G and sqrt(2) G; the midpoint-sliced product of
     their exponentials reproduces the full-space pipeline exactly (same
     invariant subspaces, same slicing).  A slice of width h at detuning d is
-    exp(-i d h/2) times the SU(2) matrix [[alpha, beta], [-beta*, alpha*]],
-    so a product is carried by (alpha, beta) alone.  Both blocks' slices are
-    multiplied by pairwise tree reduction, later slice times earlier, with an
-    odd slice out carried to the next level; the phases sum to one factor.
+    exp(-i d h/2) times the SU(2) matrix S = [[alpha, beta], [-beta*, alpha*]],
+    and its derivative in d has the same form, so every product is carried by
+    (alpha, beta) pairs.  Reverse mode: one scan gives the inclusive prefix
+    products S_k...S_0 and suffix products S_N-1...S_k of both blocks (the
+    suffixes as the prefixes of the transposed slices in reverse order); the
+    last prefix is the full product, and slice k's derivative of it is
+    suffix(k+1) dS_k prefix(k-1).  Returns shapes (2,) and (2, slices).
     """
     couplings = np.array([[g], [math.sqrt(2.0) * g]])
     # H = [[0, c], [c, d]] = p I + qz sz + qx sx with p = d/2, qz = -d/2
     p = 0.5 * deltas
     q = np.sqrt(p * p + couplings * couplings)
+    cq = np.cos(q * h)
     sq = np.sin(q * h) / q
-    alpha, beta = np.cos(q * h) + 1j * sq * p, -1j * sq * couplings
-    while alpha.shape[-1] > 1:
-        width = alpha.shape[-1]
-        odd = width % 2
-        a1, b1 = alpha[:, 0 : width - odd : 2], beta[:, 0 : width - odd : 2]  # earlier
-        a2, b2 = alpha[:, 1::2], beta[:, 1::2]  # later
-        pair_alpha, pair_beta = a2 * a1 - b2 * b1.conj(), a2 * b1 + b2 * a1.conj()
-        if odd:
-            pair_alpha = np.concatenate((pair_alpha, alpha[:, -1:]), axis=1)
-            pair_beta = np.concatenate((pair_beta, beta[:, -1:]), axis=1)
-        alpha, beta = pair_alpha, pair_beta
-    return np.exp(-1j * h * p.sum()) * alpha[:, 0]
+    alpha, beta = cq + 1j * sq * p, -1j * sq * couplings
+    dsq = (h * cq - sq) * p / (q * q)  # d(sin(qh)/q)/dp, with dq/dp = p/q
+    dalpha, dbeta = -h * sq * p + 1j * (dsq * p + sq), -1j * dsq * couplings
+    # the transpose of (alpha, beta) is (alpha, -beta*), and (AB)^T = B^T A^T
+    scan_a, scan_b = _running_products(np.concatenate((alpha, alpha[:, ::-1])),
+                                       np.concatenate((beta, -beta[:, ::-1].conj())))
+    total = scan_a[:2, -1]
+    one, zero = np.ones((2, 1)), np.zeros((2, 1))
+    before_a = np.concatenate((one, scan_a[:2, :-1]), axis=1)
+    before_b = np.concatenate((zero, scan_b[:2, :-1]), axis=1)
+    after_a = np.concatenate((scan_a[2:, -2::-1], one), axis=1)
+    after_b = np.concatenate((-scan_b[2:, -2::-1].conj(), zero), axis=1)
+    mid_a, mid_b = _su2_product(dalpha, dbeta, before_a, before_b)
+    dtotal = after_a * mid_a - after_b * mid_b.conj()
+    phase = np.exp(-1j * h * p.sum())
+    # d/dd_k = (1/2) d/dp_k; the phase exp(-i h sum p) contributes -i h
+    return phase * total, 0.5 * phase * (dtotal - 1j * h * total[:, np.newaxis])
 
 
 def _block_objective(tau: float, g: float, n_omega: int, slices: int):
-    """The search objective x = (a || b) -> -F on the exact block reduction.
+    """The search objective x = (a || b) -> (-F, -dF/dx) on the exact block reduction.
 
     The CRAB table at the slice midpoints is built once; a call is one
-    matvec for the slice detunings and one tree-reduced block product.
+    matvec for the slice detunings, one scan over both blocks' slices, and
+    one matvec with the table's transpose for the gradient.  With
+    N = 1 + 2|a01|^2 + |a11|^2 and G = 2 dF/d(a*), that is
+    G01 = -4F a01/N and G11 = ((1 + a11) - 2F a11)/N, dF = Re(G* da).
     """
     h = tau / slices
     mids = (np.arange(slices) + 0.5) * h
     basis = _pulse_from_vector(np.zeros(2 * n_omega), n_omega, tau, g).basis(mids)
 
     def objective(x):
-        a01, a11 = _block_return_amplitudes(g * (1.0 + basis @ x), g, h)
-        return -_fidelity_from_amplitudes(a01, a11)
+        (a01, a11), damps = _block_amplitudes_and_gradient(g * (1.0 + basis @ x), g, h)
+        fid = _fidelity_from_amplitudes(a01, a11)
+        norm = 1.0 + 2.0 * abs(a01) ** 2 + abs(a11) ** 2
+        adjoint = np.array([-4.0 * fid * a01, (1.0 + a11) - 2.0 * fid * a11]) / norm
+        dfid = (adjoint.conj() @ damps).real
+        return -fid, -g * (basis.T @ dfid)
 
     return objective
 
@@ -257,12 +360,15 @@ def optimize_single_shot(
     """Search the pulse coefficients maximizing the one-measurement fidelity.
 
     Requires G_e = G_f; the control interval is the resonant measurement
-    interval and the boundary detuning is pinned to G.  Each restart draws a
-    fresh uniform simplex with the envelope bounded to a few G; the search
-    itself runs on the exact block reduction of the objective, and the
-    winning coefficients (never worse than the zero-coefficient constant
-    pulse) are re-simulated through the full pipeline for the reported
-    fidelity, success probability, and time trace.
+    interval and the boundary detuning is pinned to G.  Restart r draws its
+    start uniformly from the box |x_i| <= 2/tau^2 (envelope bounded to a few
+    G) with seed cfg.seed + r, and runs ``bfgs`` in coordinates scaled by that
+    box on the exact block reduction of the objective and its gradient.  The
+    lowest final value wins, ties going to the earlier restart; the winning
+    coefficients (never worse than the zero-coefficient constant pulse) are
+    re-simulated through the full pipeline for the reported fidelity,
+    success probability, and time trace.  ``iterations`` is the number of
+    objective calls of the winning restart (0 for the constant pulse).
     """
     if not math.isclose(eff.G_e, eff.G_f, rel_tol=1e-12):
         raise ValueError(f"single-shot scheme needs G_e = G_f, got {eff.G_e} vs {eff.G_f}")
@@ -273,31 +379,27 @@ def optimize_single_shot(
     n_omega = cfg.n_omega
     dim = 2 * n_omega
     objective = _block_objective(tau0, g, n_omega, slices)
-    evals = 0
-
-    def counted(x):
-        nonlocal evals
-        evals += 1
-        return objective(x)
-
     zero = np.zeros(dim)
-    best_x, best_f, best_evals = zero, _checked(objective, zero), 0
+    best_x, best_f, best_calls = zero, _checked(objective, zero)[0], 0
     if n_omega > 0:
-        scale = 2.0 / tau0**2
+        scale = 2.0 / tau0**2  # the restart box; the search runs in units of it
+
+        def scaled(y):
+            f, grad = objective(scale * y)
+            return f, scale * grad
+
         for restart in range(cfg.restarts):
             rng = np.random.default_rng(cfg.seed + restart)
-            simplex = rng.uniform(-scale, scale, size=(dim + 1, dim))
-            evals = 0
-            x, f = nelder_mead(counted, simplex[0], cfg, initial_simplex=simplex)
+            y, f, calls = bfgs(scaled, rng.uniform(-scale, scale, size=dim) / scale, cfg)
             if f < best_f:  # strict: ties keep the lowest restart seed
-                best_x, best_f, best_evals = x, f, evals
+                best_x, best_f, best_calls = scale * y, f, calls
 
     pulse = _pulse_from_vector(best_x, n_omega, tau0, g)
     fid, prob, _ = evaluate_single_shot(pulse, slices)
     baseline_pulse = _pulse_from_vector(zero, n_omega, tau0, g)
     baseline_fid, baseline_prob, _ = evaluate_single_shot(baseline_pulse, slices)
     if fid < baseline_fid:
-        pulse, fid, prob, best_evals = baseline_pulse, baseline_fid, baseline_prob, 0
+        pulse, fid, prob, best_calls = baseline_pulse, baseline_fid, baseline_prob, 0
     times, trace = _fidelity_time_trace(pulse, slices)
     return OptimizationResult(
         pulse=pulse,
@@ -305,7 +407,7 @@ def optimize_single_shot(
         success_probability=prob,
         times=times,
         fidelity_trace=trace,
-        iterations=best_evals,
+        iterations=best_calls,
         seed=cfg.seed,
         baseline_fidelity=baseline_fid,
     )

@@ -170,6 +170,10 @@ class TestIntegrateMaster:
         with pytest.raises(ValueError, match="dt"):
             IntegratorConfig(dt=math.nan)
 
+    def test_infinite_dt_rejected(self):
+        with pytest.raises(ValueError, match="dt"):
+            IntegratorConfig(dt=math.inf)
+
     def test_negative_rate_rejected(self):
         space = HilbertSpace.single("s", 3)
         a = annihilation(3)

@@ -411,3 +411,18 @@ class TestTimeDependentJC:
     def test_nan_tau_total_rejected(self):
         with pytest.raises(ValueError, match="tau_total"):
             PulseCoefficients(a=(), b=(), tau_total=math.nan, G=1.0)
+
+    def test_infinite_tau_total_rejected(self):
+        with pytest.raises(ValueError, match="tau_total"):
+            PulseCoefficients(a=(), b=(), tau_total=math.inf, G=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PulseCoefficients(a=(), b=(), tau_total=1.0, G=bad)
+
+    @pytest.mark.parametrize("a, b", [((math.nan, 0.0), (0.0, 0.0)), ((0.0,), (math.inf,)),
+                                      ((0.0, -math.inf), (0.0, 1.0))])
+    def test_non_finite_coefficient_rejected(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            PulseCoefficients(a=a, b=b, tau_total=1.0, G=1.0)

@@ -11,9 +11,10 @@ from magbell.model import EffectiveParams, PulseCoefficients
 from magbell.optimize import (
     ObjectiveError,
     OptimizerConfig,
+    _block_amplitudes_and_gradient,
     _block_objective,
-    _block_return_amplitudes,
     _fidelity_from_amplitudes,
+    bfgs,
     evaluate_single_shot,
     nelder_mead,
     optimize_single_shot,
@@ -71,6 +72,10 @@ class TestNelderMead:
         with pytest.raises(ValueError, match="spread_tol"):
             OptimizerConfig(n_omega=0, spread_tol=math.nan)
 
+    def test_infinite_spread_tol_rejected(self):
+        with pytest.raises(ValueError, match="spread_tol"):
+            OptimizerConfig(n_omega=0, spread_tol=math.inf)
+
     def test_non_finite_objective_aborts(self):
         cfg = OptimizerConfig(n_omega=1, max_iter=10)
         with pytest.raises(ObjectiveError):
@@ -86,6 +91,67 @@ class TestNelderMead:
         assert np.array_equal(x1, x2) and f1 == f2
 
 
+def _rosenbrock(v):
+    value = 100.0 * (v[1] - v[0] ** 2) ** 2 + (1 - v[0]) ** 2
+    grad = np.array([-400.0 * v[0] * (v[1] - v[0] ** 2) - 2.0 * (1 - v[0]), 200.0 * (v[1] - v[0] ** 2)])
+    return float(value), grad
+
+
+class TestBfgs:
+    def test_convex_quadratic(self):
+        weights = np.array([1.0, 10.0, 0.1])
+        x, f, calls = bfgs(lambda v: (float(weights @ v**2), 2.0 * weights * v),
+                           np.array([1.0, -2.0, 3.0]), OptimizerConfig(n_omega=1))
+        assert np.abs(x).max() < 1e-6
+        assert f < 1e-12
+        assert calls < 100
+
+    def test_rosenbrock(self):
+        x, f, _ = bfgs(_rosenbrock, np.array([-1.2, 1.0]), OptimizerConfig(n_omega=1))
+        assert f <= 1e-12
+        assert np.abs(x - 1.0).max() < 1e-5
+
+    def test_calls_capped_by_max_iter(self):
+        for cap in (1, 2, 7, 30):
+            _, _, calls = bfgs(_rosenbrock, np.array([-1.2, 1.0]), OptimizerConfig(n_omega=1, max_iter=cap))
+            assert calls == cap
+
+    @pytest.mark.parametrize("spread_tol, halvings", [(1e-3, 11), (1e-6, 21)])
+    def test_line_search_floor_is_spread_tol(self, spread_tol, halvings):
+        # the gradient's sign is wrong, so no step along -gradient decreases f:
+        # backtracking halves the unit step until step * |direction| < spread_tol
+        x, f, calls = bfgs(lambda v: (float(v @ v), -2.0 * v), np.array([1.0]),
+                           OptimizerConfig(n_omega=1, spread_tol=spread_tol))
+        assert calls == 1 + halvings
+        assert f == 1.0 and np.array_equal(x, [1.0])
+
+    def test_stalled_decrease_ends_search(self):
+        # f moves by far less than an ulp per step: every step is accepted and none is progress
+        x, f, calls = bfgs(lambda v: (1.0 + 1e-30 * v[0], np.array([1e-30])), np.array([0.0]),
+                           OptimizerConfig(n_omega=1))
+        assert calls == 1 + optimize.STALL_ITERATIONS
+        assert f == 1.0
+
+    def test_zero_gradient_stops_at_once(self):
+        x, f, calls = bfgs(lambda v: (3.5, np.zeros(2)), np.array([0.2, -0.4]), OptimizerConfig(n_omega=1))
+        assert f == 3.5 and calls == 1 and np.array_equal(x, [0.2, -0.4])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gradient_aborts(self, bad):
+        with pytest.raises(ObjectiveError, match="gradient"):
+            bfgs(lambda v: (float(v @ v), np.array([bad, 0.0])), np.array([1.0, 1.0]),
+                 OptimizerConfig(n_omega=1))
+
+    def test_deterministic(self):
+        def bumpy(v):
+            return float(math.sin(3 * v[0]) + v @ v), np.array([3 * math.cos(3 * v[0]), 0.0]) + 2 * v
+
+        cfg = OptimizerConfig(n_omega=1)
+        x1, f1, c1 = bfgs(bumpy, np.array([0.7, -0.3]), cfg)
+        x2, f2, c2 = bfgs(bumpy, np.array([0.7, -0.3]), cfg)
+        assert np.array_equal(x1, x2) and f1 == f2 and c1 == c2
+
+
 class TestBlockReduction:
     def test_matches_full_pipeline(self):
         rng = np.random.default_rng(3)
@@ -94,7 +160,7 @@ class TestBlockReduction:
         for _ in range(4):
             x = rng.uniform(-scale, scale, 8)
             pulse = PulseCoefficients(a=tuple(x[:4]), b=tuple(x[4:]), tau_total=TAU0, G=1e-3)
-            fast = -objective(x)
+            fast = -objective(x)[0]
             full, _, _ = evaluate_single_shot(pulse, 64)
             assert abs(fast - full) <= 1e-10
 
@@ -104,17 +170,28 @@ class TestBlockReduction:
         slices=st.sampled_from([1, 2, 3, 5, 63, 64, 511, 512, 1000]),
         unit=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
     )
-    def test_tree_matches_sequential_loop(self, n_omega, slices, unit):
-        x = 2.0 / TAU0**2 * np.array(unit[: 2 * n_omega])
-        pulse = PulseCoefficients(a=tuple(x[:n_omega]), b=tuple(x[n_omega:]), tau_total=TAU0, G=1e-3)
-        want = _fidelity_from_amplitudes(*sequential_block_amplitudes(pulse, slices))
-        assert abs(-_block_objective(TAU0, 1e-3, n_omega, slices)(x) - want) <= 1e-12
+    def test_value_and_gradient_match_sequential_loop(self, n_omega, slices, unit):
+        scale = 2.0 / TAU0**2  # the restart box
+
+        def oracle(x):
+            pulse = PulseCoefficients(a=tuple(x[:n_omega]), b=tuple(x[n_omega:]), tau_total=TAU0, G=1e-3)
+            return _fidelity_from_amplitudes(*sequential_block_amplitudes(pulse, slices))
+
+        x = scale * np.array(unit[: 2 * n_omega])
+        value, grad = _block_objective(TAU0, 1e-3, n_omega, slices)(x)
+        assert abs(-value - oracle(x)) <= 1e-12
+        # central differences in box units, step 1e-4: their truncation error
+        # stays below ~2e-9 there, against a gradient of order F's range, 1
+        step = 1e-4
+        fd = np.array([(oracle(x + step * scale * e) - oracle(x - step * scale * e)) / (2 * step)
+                       for e in np.eye(2 * n_omega)])
+        assert np.abs(-scale * grad - fd).max(initial=0.0) <= 1e-7 * max(1.0, np.abs(fd).max(initial=0.0))
 
     def test_constant_pulse_matches_coefficient_formula(self):
         # independent two-level closed form for a constant detuning
         pulse = PulseCoefficients(a=(), b=(), tau_total=TAU0, G=1e-3)
         h = TAU0 / 512
-        a01, a11 = _block_return_amplitudes(pulse.detuning((np.arange(512) + 0.5) * h), 1e-3, h)
+        (a01, a11), _ = _block_amplitudes_and_gradient(pulse.detuning((np.arange(512) + 0.5) * h), 1e-3, h)
 
         def const_amp(coupling, delta, tau):
             omega = math.sqrt(coupling**2 + 0.25 * delta**2)
@@ -160,10 +237,31 @@ class TestOptimizeSingleShot:
             optimize_single_shot(EFF, cfg, slices=slices)
 
     def test_non_finite_baseline_objective_aborts(self, monkeypatch):
-        # n_omega = 0 runs no simplex search: the baseline call is the only objective call
+        # n_omega = 0 runs no search: the baseline call is the only objective call
         monkeypatch.setattr(optimize, "_fidelity_from_amplitudes", lambda a01, a11: float("nan"))
         with pytest.raises(ObjectiveError):
             optimize_single_shot(EFF, OptimizerConfig(n_omega=0, restarts=1), slices=16)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the matvec
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gradient_aborts(self, monkeypatch, bad):
+        exact = optimize._block_amplitudes_and_gradient
+
+        def spoiled(deltas, g, h):
+            amps, damps = exact(deltas, g, h)
+            damps = damps.copy()
+            damps[0, -1] = bad
+            return amps, damps
+
+        monkeypatch.setattr(optimize, "_block_amplitudes_and_gradient", spoiled)
+        with pytest.raises(ObjectiveError, match="gradient"):
+            optimize_single_shot(EFF, OptimizerConfig(n_omega=1, restarts=1), slices=16)
+
+    def test_shipped_config_reaches_machine_precision(self):
+        # configs/single_shot.yaml at seed 0: G = 1e-3, n_omega = 4, 8 restarts, 512 slices
+        result = optimize_single_shot(EFF, OptimizerConfig(n_omega=4, restarts=8, seed=0))
+        assert 1.0 - result.fidelity <= 1e-12
+        assert 0 < result.iterations <= OptimizerConfig(n_omega=4).max_iter
 
     def test_trace_starts_at_initial_overlap(self):
         cfg = OptimizerConfig(n_omega=0, restarts=1)
