@@ -183,17 +183,18 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
     "validate-dispersive": {
         "coupling_ratio": (_positive(_number), 0.05),
         "base_detuning": (_positive(_number), 0.4),
-        "cavity_cutoff": (_positive(_integer), 3),
-        "magnon_cutoff": (_positive(_integer), 4),
     },
 }
 
 # scenario -> {key: caster} for params that no longer affect a run: still
 # accepted and checked, so old result headers re-run, then dropped.  Lossy
-# rounds apply exp(L tau) exactly and have no RK4 step count to set.
+# rounds apply exp(L tau) exactly and have no RK4 step count to set; the
+# dispersive checks run on every state up to an excitation cap, with no cutoff.
 RETIRED_PARAMS: dict[str, dict] = {
     "decohere-prepare": {"steps_per_round": _positive(_integer)},
     "stabilize": {"steps_per_round": _positive(_integer)},
+    "validate-dispersive": {"cavity_cutoff": _positive(_integer),
+                            "magnon_cutoff": _positive(_integer)},
 }
 
 _TOP_LEVEL_KEYS = {"scenario", "params", "seed", "output", "format"}
@@ -384,19 +385,15 @@ def _run_validate_dispersive(p: dict, seed: int):
     fidelity_full = None
     for r in (ratio, 0.5 * ratio):
         params = _validation_params(r, p["base_detuning"])
-        space = HilbertSpace((("atom", 3), ("a", p["cavity_cutoff"]), ("b", p["cavity_cutoff"]),
-                              ("n", p["magnon_cutoff"]), ("m", p["magnon_cutoff"])))
-        residual = sw_reduction_check(params, space)
+        residual = sw_reduction_check(params)
         residuals[r] = residual
         fid = float("nan")
         if r == ratio:
             eff = effective_couplings(params)
             tau0 = interval_for_target(1, eff)
-            mag = _magnon_space(p["magnon_cutoff"])
-            plus = superposed_state(p["magnon_cutoff"], 1)
-            state = product_state(mag, {"n": plus, "m": plus})
-            fid = dispersive_evolution_fidelity(params, state, tau0,
-                                                cavity_cutoff=p["cavity_cutoff"])
+            plus = superposed_state(2, 1)
+            state = product_state(_magnon_space(2), {"n": plus, "m": plus})
+            fid = dispersive_evolution_fidelity(params, state, tau0)
             fidelity_full = fid
         rows.append((float(r), float(residual), float(fid)))
     slope = float(np.log2(residuals[ratio] / residuals[0.5 * ratio]))

@@ -3,8 +3,10 @@
 Dense complex matrices on labeled tensor-product spaces. The Kronecker
 ordering is fixed for the whole package: the first listed subsystem varies
 slowest, so the basis index of ``|i0, i1, ..., ik>`` is
-``i0*(d1*...*dk) + i1*(d2*...*dk) + ... + ik``.  All builders go through
-:func:`embed`; nothing in the package hand-rolls tensor indices.
+``i0*(d1*...*dk) + i1*(d2*...*dk) + ... + ik``.  Single operators are
+placed with :func:`embed`; the model builds its Hamiltonians from one
+operator table that maps occupation rows, either this basis in this order
+or every state up to an excitation cap.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Two bare models reach the qutrit through cavities: one cavity per magnon
 (``ModelParams``) or one shared cavity (``SingleModeParams``).  Each is its
 fields plus one wiring table, from which its detunings, checks and induced
-couplings are read.  One table of embedded operators serves the bare
+couplings are read.  One table of operators on occupation rows serves the bare
 Hamiltonian, the Schrieffer-Wolff generator and the closed-form dispersive
 Hamiltonian of both; only the closed form's induced pair operators are
 written per model.  The reduction leaves a Jaynes-Cummings-like
@@ -27,15 +27,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .dynamics import propagator_matrix
-from .hilbert import (
-    DimensionError,
-    HilbertSpace,
-    Operator,
-    annihilation,
-    embed,
-    level_projector,
-    transition,
-)
+from .hilbert import DimensionError, HilbertSpace, Operator
 
 LEVEL_G, LEVEL_E, LEVEL_F = 0, 1, 2
 DISPERSIVE_LIMIT = 0.1
@@ -43,6 +35,7 @@ DETUNING_MATCH_RTOL = 1e-12
 # G_f/G_e for coherent inputs; criteria 06/07 all pass only for xi in [1.975, 2.035] (or 1/xi)
 COHERENT_COUPLING_RATIO = 2.0
 _QUTRIT_PARTIES = ("e", "f")
+_JC_LABELS = ("atom", "n", "m")
 
 
 class ZeroDetuningError(ZeroDivisionError):
@@ -270,49 +263,73 @@ def detuning_match(params: SingleModeParams) -> bool:
     )
 
 
-def _operator_table(space: HilbertSpace, modes: tuple[str, ...],
-                    keep: np.ndarray | None = None) -> dict:
-    """The qutrit operators plus a (lowering, number) pair per listed mode, embedded once.
+def _operator_table(rows: np.ndarray, modes: tuple[str, ...]) -> dict:
+    """The qutrit operators plus a (lowering, number) pair per listed mode, on a list of basis rows.
 
-    Requires a dim-3 subsystem labeled 'atom'.  With ``keep``, a boolean mask
-    over the basis, each operator is sliced to the kept states right after
-    it is embedded.
+    Each row is the occupation of one basis state: the qutrit level, then one
+    count per listed mode.  Every operator is an index map on the rows: it
+    moves one occupation and drops any image that is not a row.  On the whole
+    product basis in Kronecker order these are the embedded operators; on a
+    smaller row set, the embedded operators sliced to it.
     """
-    if space.dim("atom") != 3:
-        raise DimensionError(f"atom subsystem must have dimension 3, got {space.dim('atom')}")
+    occupations = rows.tolist()
+    index = {tuple(occ): i for i, occ in enumerate(occupations)}
 
-    def place(op: Operator, label: str) -> np.ndarray:
-        mat = embed(op, space, label).matrix
-        return mat if keep is None else mat[np.ix_(keep, keep)]
+    def hop(column: int, weights: np.ndarray, step: int) -> np.ndarray:
+        """Map row i, times weights[i] where nonzero, to the row with that column moved by step."""
+        mat = np.zeros((len(occupations), len(occupations)), dtype=complex)
+        for i in np.flatnonzero(weights):
+            image = list(occupations[i])
+            image[column] += step
+            j = index.get(tuple(image))
+            if j is not None:
+                mat[j, i] = weights[i]
+        return mat
 
+    level = rows[:, 0]
     ops = {
-        "pg": place(level_projector(3, LEVEL_G), "atom"),
-        "pe": place(level_projector(3, LEVEL_E), "atom"),
-        "pf": place(level_projector(3, LEVEL_F), "atom"),
-        "se_plus": place(transition(3, LEVEL_E, LEVEL_G), "atom"),
-        "sf_plus": place(transition(3, LEVEL_F, LEVEL_G), "atom"),
-        "sfe_plus": place(transition(3, LEVEL_F, LEVEL_E), "atom"),
+        "pg": hop(0, level == LEVEL_G, 0),
+        "pe": hop(0, level == LEVEL_E, 0),
+        "pf": hop(0, level == LEVEL_F, 0),
+        "se_plus": hop(0, level == LEVEL_G, LEVEL_E - LEVEL_G),
+        "sf_plus": hop(0, level == LEVEL_G, LEVEL_F - LEVEL_G),
+        "sfe_plus": hop(0, level == LEVEL_E, LEVEL_F - LEVEL_E),
     }
-    for label in modes:
-        low = place(annihilation(space.dim(label)), label)
+    for column, label in enumerate(modes, start=1):
+        low = hop(column, np.sqrt(rows[:, column]), -1)
         ops[label] = (low, low.conj().T @ low)
     return ops
 
 
-def _bare_ops(params: ModelParams | SingleModeParams, space: HilbertSpace,
-              keep: np.ndarray | None = None) -> dict:
-    """Operator table of a bare model on its space [atom:3, cavities..., n:d, m:d].
+def _product_ops(space: HilbertSpace, labels: tuple[str, ...]) -> dict:
+    """Operator table on the whole product basis of a space [atom:3, modes...] labeled as given."""
+    if space.labels != labels:
+        raise DimensionError(f"expected subsystems {labels}, got {space.labels}")
+    if space.dim("atom") != 3:
+        raise DimensionError(f"atom subsystem must have dimension 3, got {space.dim('atom')}")
+    rows = np.indices(space.dims).reshape(len(labels), -1).T  # Kronecker order
+    return _operator_table(rows, labels[1:])
 
-    ``keep`` = excitation_numbers(space) <= K + 1 gives the excitation-capped
-    table.  Every bare-model term conserves total excitation, and each factor
-    of a table product moves it by at most one, so a product is cut only
-    where it passes through a state above K + 1.  Every Hamiltonian and
-    generator built from the capped table is therefore block-diagonal in
-    the excitation and exact on the blocks <= K, and so are its exponentials.
+
+def _excitation(rows: np.ndarray) -> np.ndarray:
+    """Total excitation per occupation row; qutrit levels e, f count as one each."""
+    return (rows[:, 0] != LEVEL_G) + rows[:, 1:].sum(axis=1)
+
+
+def _capped_ops(params: ModelParams | SingleModeParams, cap: int) -> tuple[np.ndarray, dict]:
+    """(rows, operator table) of a bare model on every state of total excitation <= cap.
+
+    No mode has a cutoff: each block of excitation <= cap is held whole.
+    Every bare-model term conserves total excitation, and each factor of a
+    table product moves it by at most one, so with cap = K + 1 a product is
+    cut only where it passes through a state above K + 1.  Every Hamiltonian
+    and generator built from this table is therefore block-diagonal in the
+    excitation and exact on the blocks <= K, and so are its exponentials.
     """
-    if space.labels != params.space_labels:
-        raise DimensionError(f"expected subsystems {params.space_labels}, got {space.labels}")
-    return _operator_table(space, params.space_labels[1:], keep)
+    labels = params.space_labels
+    rows = np.indices((3, *[cap + 1] * (len(labels) - 1))).reshape(len(labels), -1).T
+    rows = rows[_excitation(rows) <= cap]
+    return rows, _operator_table(rows, labels[1:])
 
 
 def _party_ops(ops: dict, party: str) -> tuple[np.ndarray, np.ndarray]:
@@ -339,9 +356,7 @@ def build_jc_effective(eff: EffectiveParams, space: HilbertSpace) -> Operator:
 
     H = Dte |e><e| + Dtf |f><f| + G_e (n s+_eg + h.c.) + G_f (m s+_fg + h.c.)
     """
-    if space.labels != ("atom", "n", "m"):
-        raise DimensionError(f"expected subsystems ('atom', 'n', 'm'), got {space.labels}")
-    return Operator(space, _jc_matrix(eff, _operator_table(space, ("n", "m"))), hamiltonian=True)
+    return Operator(space, _jc_matrix(eff, _product_ops(space, _JC_LABELS)), hamiltonian=True)
 
 
 _NO_SHIFT = dict.fromkeys(("n", "m", *_QUTRIT_PARTIES), 0.0)
@@ -431,7 +446,8 @@ def build_full(params: ModelParams | SingleModeParams, space: HilbertSpace) -> O
     Free frequencies plus the four excitation exchanges g (c x^+ + h.c.),
     with x^+ = n^+, m^+, s+_eg, s+_fg and c the cavity wired to each.
     """
-    return Operator(space, _full_matrix(params, _bare_ops(params, space)), hamiltonian=True)
+    return Operator(space, _full_matrix(params, _product_ops(space, params.space_labels)),
+                    hamiltonian=True)
 
 
 def sw_generator(params: ModelParams | SingleModeParams, space: HilbertSpace) -> Operator:
@@ -440,7 +456,7 @@ def sw_generator(params: ModelParams | SingleModeParams, space: HilbertSpace) ->
     It removes the first-order couplings of ``build_full``; pairs with zero
     coupling are skipped.
     """
-    return Operator(space, _generator_matrix(params, _bare_ops(params, space)))
+    return Operator(space, _generator_matrix(params, _product_ops(space, params.space_labels)))
 
 
 def build_sw_effective(params: ModelParams | SingleModeParams, space: HilbertSpace) -> Operator:
@@ -451,20 +467,11 @@ def build_sw_effective(params: ModelParams | SingleModeParams, space: HilbertSpa
     cavities the exchanges G_e, G_f and the cavity swap; for the shared
     cavity every pair, including the magnon swap.
     """
-    return Operator(space, _sw_effective_matrix(params, _bare_ops(params, space)), hamiltonian=True)
+    return Operator(space, _sw_effective_matrix(params, _product_ops(space, params.space_labels)),
+                    hamiltonian=True)
 
 
-def excitation_numbers(space: HilbertSpace) -> np.ndarray:
-    """Total excitation per basis state; qutrit levels e, f count as one each."""
-    dims = space.dims
-    grids = np.unravel_index(np.arange(space.total_dim), dims)
-    total = np.zeros(space.total_dim, dtype=int)
-    for (label, _), occ in zip(space.subsystems, grids):
-        total += (occ > 0).astype(int) if label == "atom" else occ
-    return total
-
-
-def sw_reduction_check(params: ModelParams | SingleModeParams, space: HilbertSpace) -> float:
+def sw_reduction_check(params: ModelParams | SingleModeParams) -> float:
     """Max-abs residual between the exact frame change and the closed form.
 
     Conjugates the full Hamiltonian by exp(S) with matrix exponentials,
@@ -473,18 +480,16 @@ def sw_reduction_check(params: ModelParams | SingleModeParams, space: HilbertSpa
     artifacts.  The residual scales as the cube of the coupling-to-detuning
     ratio.  All of it runs on the states of excitation <= 3: H, S and the
     closed form conserve excitation, so exp(S) is block-diagonal and the
-    capped operator table is exact on the blocks <= 2 (see ``_bare_ops``).
+    capped operator table is exact on the blocks <= 2 (see ``_capped_ops``).
     The residual is formed as [exp(S) - 1, H] exp(-S) + (H - H_closed), so
     no product of O(1) matrices is cancelled against the closed form.
     """
-    exc = excitation_numbers(space)
-    keep = exc <= 3
-    ops = _bare_ops(params, space, keep)
+    rows, ops = _capped_ops(params, 3)
     w = propagator_matrix(1j * _generator_matrix(params, ops), 1.0, minus_identity=True)
     full = _full_matrix(params, ops)
     u_inv = w.conj().T + np.eye(len(w))
     residual = (w @ full - full @ w) @ u_inv + (full - _sw_effective_matrix(params, ops))
-    low = exc[keep] <= 2
+    low = _excitation(rows) <= 2
     return float(np.abs(residual[np.ix_(low, low)]).max())
 
 
@@ -497,7 +502,7 @@ def build_time_dependent_jc(
     Delta(t) given by the pulse.  The returned callable rejects times outside
     [0, tau_total].
     """
-    ops = _operator_table(space, ("n", "m"))
+    ops = _product_ops(space, _JC_LABELS)
     coupling = _jc_matrix(EffectiveParams(G_e=G, G_f=G), ops)
     p_ef = ops["pe"] + ops["pf"]
 
@@ -508,12 +513,7 @@ def build_time_dependent_jc(
     return hamiltonian_at
 
 
-def dispersive_evolution_fidelity(
-    params: ModelParams,
-    magnon_state,
-    t: float,
-    cavity_cutoff: int = 3,
-) -> float:
+def dispersive_evolution_fidelity(params: ModelParams, magnon_state, t: float) -> float:
     """Fidelity between full-model evolution and its dispersive prediction.
 
     Starting from the qutrit ground state, empty cavities, and the given
@@ -524,23 +524,20 @@ def dispersive_evolution_fidelity(
     on the states of excitation <= K + 1, K the largest excitation in the
     initial state's support: every operator involved conserves excitation,
     so the state stays in the blocks <= K, where the capped operator table
-    is exact (see ``_bare_ops``).
+    is exact (see ``_capped_ops``).
     """
+    if not isinstance(params, ModelParams):
+        raise DimensionError(f"needs the two-cavity model, got {type(params).__name__}")
     if magnon_state.kind != "pure" or len(magnon_state.space.subsystems) != 2:
         raise DimensionError("magnon_state must be pure on a two-subsystem space")
-    dn, dm = magnon_state.space.dims
-    space = HilbertSpace((("atom", 3), ("a", cavity_cutoff), ("b", cavity_cutoff),
-                          ("n", dn), ("m", dm)))
-    g_vec = np.zeros(3, dtype=complex)
-    g_vec[LEVEL_G] = 1.0
-    vac = np.zeros(cavity_cutoff, dtype=complex)
-    vac[0] = 1.0
-    psi0 = reduce(np.kron, (g_vec, vac, vac, magnon_state.data))
-    exc = excitation_numbers(space)
-    keep = exc <= exc[psi0 != 0].max() + 1
-    psi0 = psi0[keep]
+    amps = magnon_state.data.reshape(magnon_state.space.dims)
+    support_n, support_m = np.nonzero(amps)
+    rows, ops = _capped_ops(params, int((support_n + support_m).max()) + 1)
+    level, a, b, n, m = rows.T
+    start = (level == LEVEL_G) & (a == 0) & (b == 0) & (n < amps.shape[0]) & (m < amps.shape[1])
+    psi0 = np.zeros(len(rows), dtype=complex)
+    psi0[start] = amps[n[start], m[start]]
 
-    ops = _bare_ops(params, space, keep)
     eff = effective_couplings(params)
     # H_R is diagonal in the product basis, so exp(-i H_R t) is elementwise
     h_rot = np.diag(

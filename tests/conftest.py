@@ -6,7 +6,9 @@ coherent-state oracle sums the Poisson series, the protocol-power oracle
 applies coefficient powers to the initial amplitudes, and the sliced-pulse
 oracle multiplies the 2x2 slice exponentials one at a time in a Python loop.
 The dense dispersive-check oracles run on the whole bare space with the
-public full-space builders, where the library caps the excitation.  The
+public full-space builders, where the library caps the excitation, and the
+embedded operator table builds each operator as a Kronecker product of
+identities, where the library maps occupation rows.  The
 dense Lindblad oracle forms the column-stacked Liouvillian superoperator
 and exponentiates it by scaling and squaring, where the library sums a
 matrix-free Taylor series of its action.
@@ -21,10 +23,12 @@ from magbell import EffectiveParams, HilbertSpace, ModelParams
 from magbell.dynamics import propagator, unitary_from_generator
 from magbell.hilbert import Operator, annihilation, embed, level_projector, transition
 from magbell.model import (
+    LEVEL_E,
+    LEVEL_F,
+    LEVEL_G,
     build_full,
     build_sw_effective,
     effective_couplings,
-    excitation_numbers,
     sw_generator,
 )
 
@@ -99,6 +103,34 @@ def sequential_block_amplitudes(pulse, slices):
             )
         out.append(a)
     return out[0], out[1]
+
+
+def excitation_numbers(space):
+    """Total excitation per basis state; qutrit levels e, f count as one each."""
+    grids = np.unravel_index(np.arange(space.total_dim), space.dims)
+    total = np.zeros(space.total_dim, dtype=int)
+    for (label, _), occ in zip(space.subsystems, grids):
+        total += (occ > 0).astype(int) if label == "atom" else occ
+    return total
+
+
+def embedded_operator_table(space, modes):
+    """The library's operator table for a space, each operator embedded with ``embed``."""
+    def place(op, label):
+        return embed(op, space, label).matrix
+
+    ops = {
+        "pg": place(level_projector(3, LEVEL_G), "atom"),
+        "pe": place(level_projector(3, LEVEL_E), "atom"),
+        "pf": place(level_projector(3, LEVEL_F), "atom"),
+        "se_plus": place(transition(3, LEVEL_E, LEVEL_G), "atom"),
+        "sf_plus": place(transition(3, LEVEL_F, LEVEL_G), "atom"),
+        "sfe_plus": place(transition(3, LEVEL_F, LEVEL_E), "atom"),
+    }
+    for label in modes:
+        low = place(annihilation(space.dim(label)), label)
+        ops[label] = (low, low.conj().T @ low)
+    return ops
 
 
 def dense_sw_residual(params, space):

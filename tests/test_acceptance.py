@@ -287,16 +287,15 @@ def test_c10_dispersive_validation():
                            omega_n=1.0, omega_m=1.0, omega_e=1.0, omega_f=1.0,
                            g_n=g, g_m=g, g_e=g, g_f=g)
 
-    space = HilbertSpace((("atom", 3), ("a", 3), ("b", 3), ("n", 4), ("m", 4)))
-    r1 = sw_reduction_check(params_for(0.05), space)
-    r2 = sw_reduction_check(params_for(0.025), space)
+    r1 = sw_reduction_check(params_for(0.05))
+    r2 = sw_reduction_check(params_for(0.025))
     slope = math.log2(r1 / r2)
 
     params = params_for(0.05)
     eff = effective_couplings(params)
     tau0 = interval_for_target(1, eff)
     state = product_state(magnon(4), {"n": superposed_state(4, 1), "m": superposed_state(4, 1)})
-    fid = dispersive_evolution_fidelity(params, state, tau0, cavity_cutoff=3)
+    fid = dispersive_evolution_fidelity(params, state, tau0)
     ok = fid >= 0.99 and 2.5 <= slope <= 3.5
     report("10 dispersive validation", ok,
            f"full-vs-effective fidelity {fid:.4f}, residual log2 slope {slope:.3f}")

@@ -175,11 +175,8 @@ class TestScenarios:
         assert len(table.rows) == 65
 
     def test_validate_dispersive_scenario(self):
-        # cavity cutoff must be >= 3: a one-photon edge corrupts the residual
-        cfg = config_from_mapping({
-            "scenario": "validate-dispersive",
-            "params": {"cavity_cutoff": 3, "magnon_cutoff": 3},
-        })
+        # both checks run on every state up to an excitation cap: no cutoff to set
+        cfg = config_from_mapping({"scenario": "validate-dispersive"})
         table = run_scenario(cfg)
         res = table.metadata["results"]
         assert res["evolution_fidelity"] > 0.98
@@ -235,6 +232,24 @@ class TestMainEntry:
         out = tmp_path / "result.csv"
         assert main(["run", "--config", path, "--out", str(out)]) == 0
         assert out.read_bytes().startswith(b"# magbell-result/1")
+
+    @pytest.mark.parametrize("retired", [{"cavity_cutoff": 2}, {"magnon_cutoff": 2}])
+    def test_retired_dispersive_cutoff_changes_nothing(self, tmp_path, retired):
+        # a cutoff of 2 once truncated the excitation-2 block: slope ~2 instead of ~3, exit 0
+        shipped = CONFIG_DIR / "validate_dispersive.yaml"
+        doc = yaml.safe_load(shipped.read_text())
+        doc["params"].update(retired)
+        out = tmp_path / "result.csv"
+        assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        want = run_scenario(load_config(str(shipped)))
+        assert 2.5 <= want.metadata["results"]["residual_log2_slope"] <= 3.5
+        assert out.read_bytes() == emit(want, "csv")
+
+    @pytest.mark.parametrize("retired", [{"cavity_cutoff": 0}, {"magnon_cutoff": 0}])
+    def test_retired_dispersive_cutoff_still_checked(self, tmp_path, capsys, retired):
+        path = write_config(tmp_path, {"scenario": "validate-dispersive", "params": retired})
+        assert main(["run", "--config", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
     def test_validate_ok(self, tmp_path, capsys):
         path = write_config(tmp_path, {"scenario": "coupling-ratio"})

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from magbell import model
 from magbell.dynamics import unitary_from_generator
 from magbell.hilbert import (
+    DimensionError,
     HilbertSpace,
     QuantumState,
     annihilation,
@@ -30,17 +31,24 @@ from magbell.model import (
     detuning_match,
     dispersive_evolution_fidelity,
     effective_couplings,
-    excitation_numbers,
     lamb_shifts,
     sw_generator,
     sw_reduction_check,
 )
 
-from conftest import dense_evolution_fidelity, dense_sw_residual
+from conftest import (
+    dense_evolution_fidelity,
+    dense_sw_residual,
+    embedded_operator_table,
+    excitation_numbers,
+)
 
 FULL_SPACE = HilbertSpace((("atom", 3), ("a", 3), ("b", 3), ("n", 4), ("m", 4)))
 JC_SPACE = HilbertSpace((("atom", 3), ("n", 3), ("m", 3)))
 SINGLE_SPACE = HilbertSpace((("atom", 3), ("a", 3), ("n", 3), ("m", 3)))
+UNEQUAL = ModelParams(omega_a=0.63, omega_b=0.57, omega_n=1.01, omega_m=0.97,
+                      omega_e=1.13, omega_f=0.91,
+                      g_n=0.021, g_m=0.017, g_e=0.013, g_f=0.029)
 
 
 def matched_single_mode(lam=0.005):
@@ -120,8 +128,7 @@ class TestLambShifts:
                            "g_m": 0.0, "omega_m": dispersive_params.omega_b})
         eff = effective_couplings(p)
         assert eff.G_f == 0.0 and eff.chi_m == 0.0
-        space = HilbertSpace((("atom", 3), ("a", 3), ("b", 3), ("n", 3), ("m", 3)))
-        assert math.isfinite(sw_reduction_check(p, space))
+        assert math.isfinite(sw_reduction_check(p))
         with pytest.raises(ZeroDetuningError):
             effective_couplings(ModelParams(**{**p.__dict__, "g_m": 0.01}))
 
@@ -237,13 +244,13 @@ class TestSWGenerator:
 class TestSWReduction:
     def test_zero_coupling_zero_residual(self, dispersive_params):
         p = ModelParams(**{**dispersive_params.__dict__, "g_n": 0, "g_m": 0, "g_e": 0, "g_f": 0})
-        assert sw_reduction_check(p, FULL_SPACE) <= 1e-14
+        assert sw_reduction_check(p) <= 1e-14
 
     def test_cubic_scaling_under_coupling_halving(self, dispersive_params):
         half = ModelParams(**{**dispersive_params.__dict__,
                               "g_n": 0.01, "g_m": 0.01, "g_e": 0.01, "g_f": 0.01})
-        r_full = sw_reduction_check(dispersive_params, FULL_SPACE)
-        r_half = sw_reduction_check(half, FULL_SPACE)
+        r_full = sw_reduction_check(dispersive_params)
+        r_half = sw_reduction_check(half)
         assert r_full / r_half >= 6.0
         assert 2.5 <= math.log2(r_full / r_half) <= 3.5
 
@@ -251,7 +258,7 @@ class TestSWReduction:
         # third-order scale: ~ 6 g^3/Delta^2 ~ 0.3 G at ratio 0.05, shrinking
         # cubically; the slope test above carries the order check
         eff = effective_couplings(dispersive_params)
-        assert sw_reduction_check(dispersive_params, FULL_SPACE) < min(eff.G_e, eff.G_f)
+        assert sw_reduction_check(dispersive_params) < min(eff.G_e, eff.G_f)
 
 
 _DETUNING = st.floats(0.05, 0.5).flatmap(lambda d: st.sampled_from((d, -d)))
@@ -259,8 +266,8 @@ _RATIO = st.floats(0.0, 0.09)  # |g / Delta|, inside the dispersive limit
 
 
 @st.composite
-def dispersive_models(draw):
-    """A bare model of either kind at a dispersive draw, on a space with cutoffs <= 3."""
+def dispersive_models(draw, cutoff=st.integers(2, 3)):
+    """A bare model of either kind at a dispersive draw, on a space whose cutoffs ``cutoff`` draws."""
     cls = draw(st.sampled_from((ModelParams, SingleModeParams)))
     fields = {f"omega_{label}": draw(st.floats(0.5, 1.5)) for label in cls.CAVITIES}
     for party, (cavity, coupling) in cls.WIRING.items():
@@ -268,10 +275,29 @@ def dispersive_models(draw):
         fields[f"omega_{party}"] = fields[f"omega_{cavity}"] + delta
         fields[coupling] = draw(_RATIO) * abs(delta)
     params = cls(**fields)
-    cutoff = st.integers(2, 3)
     space = HilbertSpace((("atom", 3), *((label, draw(cutoff)) for label in cls.CAVITIES),
                           ("n", draw(cutoff)), ("m", draw(cutoff))))
     return params, space
+
+
+class TestOperatorTable:
+    """The row-mapped operator table against the one built with ``embed``."""
+
+    def test_builders_match_embedded_table_bitwise(self):
+        spaces = {ModelParams: HilbertSpace((("atom", 3), ("a", 2), ("b", 3), ("n", 4), ("m", 5))),
+                  SingleModeParams: HilbertSpace((("atom", 3), ("a", 4), ("n", 2), ("m", 3)))}
+        for params in (UNEQUAL, matched_single_mode()):
+            space = spaces[type(params)]
+            ops = embedded_operator_table(space, params.space_labels[1:])
+            for build, matrix in ((build_full, model._full_matrix),
+                                  (sw_generator, model._generator_matrix),
+                                  (build_sw_effective, model._sw_effective_matrix)):
+                assert np.array_equal(build(params, space).matrix, matrix(params, ops)), build.__name__
+        eff = EffectiveParams(G_e=1e-3, G_f=2e-3, Delta_e_tilde=0.1, Delta_f_tilde=-0.2)
+        for d in (3, 10):
+            space = HilbertSpace((("atom", 3), ("n", d), ("m", d)))
+            want = model._jc_matrix(eff, embedded_operator_table(space, ("n", "m")))
+            assert np.array_equal(build_jc_effective(eff, space).matrix, want)
 
 
 class TestExcitationCap:
@@ -284,34 +310,48 @@ class TestExcitationCap:
         params, space = drawn
         exc = excitation_numbers(space)
         across = exc[:, None] != exc[None, :]
-        ops = model._bare_ops(params, space)
+        ops = model._product_ops(space, params.space_labels)
         for build in (model._full_matrix, model._generator_matrix, model._sw_effective_matrix):
             assert not np.any(build(params, ops)[across]), build.__name__
 
-    def test_capped_residual_matches_dense(self, dispersive_params):
-        unequal = ModelParams(omega_a=0.63, omega_b=0.57, omega_n=1.01, omega_m=0.97,
-                              omega_e=1.13, omega_f=0.91,
-                              g_n=0.021, g_m=0.017, g_e=0.013, g_f=0.029)
-        for params, space in (*bare_models(dispersive_params), (unequal, FULL_SPACE)):
-            want = dense_sw_residual(params, space)
-            assert want > 1e-9
-            assert sw_reduction_check(params, space) == pytest.approx(want, rel=1e-12, abs=1e-13)
+    # cutoffs from 3: at 2 a mode cannot hold the excitation-2 block, so the dense oracle is truncated
+    @settings(max_examples=8, deadline=None)
+    @given(drawn=dispersive_models(cutoff=st.integers(3, 4)))
+    @example(drawn=(UNEQUAL, FULL_SPACE))
+    @example(drawn=(matched_single_mode(), SINGLE_SPACE))
+    def test_capped_residual_matches_dense(self, drawn):
+        params, space = drawn
+        want = dense_sw_residual(params, space)
+        assert sw_reduction_check(params) == pytest.approx(want, rel=1e-12, abs=1e-13)
 
     def test_capped_fidelity_matches_dense(self, dispersive_params):
         magnons = HilbertSpace((("n", 4), ("m", 4)))
         plus = superposed_state(4, 1)
         rng = np.random.default_rng(5)
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        states = (
-            product_state(magnons, {"n": plus, "m": plus}),  # K = 2
-            bell_state(magnons, excitation=2),  # K = 4
-            QuantumState(magnons, "pure", amps / np.linalg.norm(amps)),  # full Fock support, K = 6
+        # N_n + N_a + P_e and N_m + N_b + P_f are conserved, so a cavity never
+        # holds more photons than its magnon starts with: the dense cutoff is exact
+        cases = (
+            (product_state(magnons, {"n": plus, "m": plus}), 3),  # K = 2
+            (bell_state(magnons, excitation=2), 3),  # K = 4
+            (QuantumState(magnons, "pure", amps / np.linalg.norm(amps)), 4),  # full Fock support, K = 6
         )
-        for state in states:
-            want = dense_evolution_fidelity(dispersive_params, state, 1500.0, 3)
+        for state, cavity_cutoff in cases:
+            want = dense_evolution_fidelity(dispersive_params, state, 1500.0, cavity_cutoff)
             assert want < 1.0 - 1e-6
-            got = dispersive_evolution_fidelity(dispersive_params, state, 1500.0, cavity_cutoff=3)
+            got = dispersive_evolution_fidelity(dispersive_params, state, 1500.0)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
+
+    def test_fidelity_rejects_bad_inputs(self, dispersive_params):
+        magnons = HilbertSpace((("n", 2), ("m", 2)))
+        plus = superposed_state(2, 1)
+        pure = product_state(magnons, {"n": plus, "m": plus})
+        mixed = QuantumState(magnons, "mixed", pure.density())
+        three = QuantumState(HilbertSpace((("n", 2), ("m", 2), ("k", 1))), "pure", pure.data)
+        for params, state in ((dispersive_params, mixed), (dispersive_params, three),
+                              (matched_single_mode(), pure)):
+            with pytest.raises(DimensionError):
+                dispersive_evolution_fidelity(params, state, 10.0)
 
 
 class TestSingleMode:
@@ -342,10 +382,7 @@ class TestSingleMode:
         empty-cavity block reduces (after removing the rotating-frame part) to
         the magnon-qutrit model with the induced couplings substituted.  The
         two-cavity model needs no match; it is checked at unequal detunings."""
-        two_cavity = ModelParams(omega_a=0.63, omega_b=0.57, omega_n=1.01, omega_m=0.97,
-                                 omega_e=1.13, omega_f=0.91,
-                                 g_n=0.021, g_m=0.017, g_e=0.013, g_f=0.029)
-        for p, space in ((two_cavity, FULL_SPACE), (matched_single_mode(), SINGLE_SPACE)):
+        for p, space in ((UNEQUAL, FULL_SPACE), (matched_single_mode(), SINGLE_SPACE)):
             full = build_sw_effective(p, space).matrix
             chi_n, chi_m, chi_e, chi_f = lamb_shifts(p)
             # select the block with every cavity empty; atom is slowest, magnons fastest
@@ -369,8 +406,8 @@ class TestSingleMode:
     def test_sw_residual_cubic_under_match(self):
         p1 = matched_single_mode(lam=0.005)
         p2 = matched_single_mode(lam=0.0025)
-        r1 = sw_reduction_check(p1, SINGLE_SPACE)
-        r2 = sw_reduction_check(p2, SINGLE_SPACE)
+        r1 = sw_reduction_check(p1)
+        r2 = sw_reduction_check(p2)
         assert 2.5 <= math.log2(r1 / r2) <= 3.5
 
 

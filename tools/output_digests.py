@@ -12,8 +12,9 @@ on two checkouts:
 ``--root`` names the checkout whose ``src/`` and ``configs/`` are used; it
 defaults to the one holding this script.  ``--against OTHER`` also runs the
 checkout OTHER (in a child process) and, for each config whose digests
-differ, prints the row counts and the largest absolute and relative
-difference over the table rows and over the header results:
+differ, prints the row counts, the largest absolute and relative
+difference over the table rows and over the header results, and the
+header params keys that were added or removed:
 
     python3 tools/output_digests.py --against ../parent-checkout
 """
@@ -38,6 +39,7 @@ def outputs(root: Path):
         table = run_scenario(load_config(str(path)))
         yield path.name, {
             "digests": {fmt: hashlib.sha256(emit(table, fmt)).hexdigest() for fmt in ("csv", "json")},
+            "params": table.metadata.get("params", {}),
             "rows": [list(row) for row in table.rows],
             "results": table.metadata.get("results", {}),
         }
@@ -81,6 +83,11 @@ def largest_difference(new, old) -> tuple[float, float]:
     return worst_abs, worst_rel
 
 
+def key_changes(new: dict, old: dict) -> tuple[list, list]:
+    """(keys only in new, keys only in old), each sorted."""
+    return sorted(set(new) - set(old)), sorted(set(old) - set(new))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -112,6 +119,9 @@ def main(argv=None) -> int:
             print(f"  {name} differs: {len(out['rows'])} rows ({len(old['rows'])} in {args.against}); "
                   f"rows max |diff| {rows[0]:.3g} (rel {rows[1]:.3g}); "
                   f"results max |diff| {results[0]:.3g} (rel {results[1]:.3g})", flush=True)
+            added, removed = key_changes(out["params"], old["params"])
+            if added or removed:
+                print(f"  {name} params: added {added}, removed {removed}", flush=True)
     return 0
 
 
