@@ -235,11 +235,15 @@ def magnon_space():
     return HilbertSpace((("n", 3), ("m", 3)))
 
 
+# equal cavity frequencies and four equal detunings: the fully degenerate case
+DISPERSIVE = ModelParams(
+    omega_a=0.6, omega_b=0.6,
+    omega_n=1.0, omega_m=1.0, omega_e=1.0, omega_f=1.0,
+    g_n=0.02, g_m=0.02, g_e=0.02, g_f=0.02,
+)
+
+
 @pytest.fixture
 def dispersive_params():
     """Bare two-cavity parameters with g/Delta = 0.05 and G_e = G_f = 1e-3."""
-    return ModelParams(
-        omega_a=0.6, omega_b=0.6,
-        omega_n=1.0, omega_m=1.0, omega_e=1.0, omega_f=1.0,
-        g_n=0.02, g_m=0.02, g_e=0.02, g_f=0.02,
-    )
+    return DISPERSIVE

@@ -9,6 +9,7 @@ from magbell import cli
 from magbell.cli import (
     ConfigError,
     ExperimentConfig,
+    RETIRED_PARAMS,
     config_from_mapping,
     config_from_metadata,
     emit,
@@ -58,14 +59,15 @@ class TestConfigParsing:
             config_from_mapping({"scenario": "bell-distill", "params": {"rounds": 0}})
 
     def test_retired_step_count_is_checked_and_dropped(self):
-        for scenario in ("decohere-prepare", "stabilize"):
-            old = config_from_mapping({"scenario": scenario, "params": {"steps_per_round": 2000}})
-            assert old.params == config_from_mapping({"scenario": scenario}).params
-            assert "steps_per_round" not in old.params
-            with pytest.raises(ConfigError):
-                config_from_mapping({"scenario": scenario, "params": {"steps_per_round": 0}})
-        with pytest.raises(ConfigError):
-            config_from_mapping({"scenario": "bell-distill", "params": {"steps_per_round": 2000}})
+        for scenario, keys in RETIRED_PARAMS.items():
+            for key in keys:
+                old = config_from_mapping({"scenario": scenario, "params": {key: 5}})
+                assert old.params == config_from_mapping({"scenario": scenario}).params
+                assert key not in old.params
+                with pytest.raises(ConfigError):
+                    config_from_mapping({"scenario": scenario, "params": {key: 0}})
+                with pytest.raises(ConfigError):
+                    config_from_mapping({"scenario": "bell-distill", "params": {key: 5}})
 
     def test_load_from_file(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 5}})
@@ -244,12 +246,6 @@ class TestMainEntry:
         want = run_scenario(load_config(str(shipped)))
         assert 2.5 <= want.metadata["results"]["residual_log2_slope"] <= 3.5
         assert out.read_bytes() == emit(want, "csv")
-
-    @pytest.mark.parametrize("retired", [{"cavity_cutoff": 0}, {"magnon_cutoff": 0}])
-    def test_retired_dispersive_cutoff_still_checked(self, tmp_path, capsys, retired):
-        path = write_config(tmp_path, {"scenario": "validate-dispersive", "params": retired})
-        assert main(["run", "--config", path]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
     def test_validate_ok(self, tmp_path, capsys):
         path = write_config(tmp_path, {"scenario": "coupling-ratio"})

@@ -37,6 +37,7 @@ from magbell.model import (
 )
 
 from conftest import (
+    DISPERSIVE,
     dense_evolution_fidelity,
     dense_sw_residual,
     embedded_operator_table,
@@ -266,14 +267,14 @@ _RATIO = st.floats(0.0, 0.09)  # |g / Delta|, inside the dispersive limit
 
 
 @st.composite
-def dispersive_models(draw, cutoff=st.integers(2, 3)):
+def dispersive_models(draw, cutoff=st.integers(2, 3), ratio=_RATIO):
     """A bare model of either kind at a dispersive draw, on a space whose cutoffs ``cutoff`` draws."""
     cls = draw(st.sampled_from((ModelParams, SingleModeParams)))
     fields = {f"omega_{label}": draw(st.floats(0.5, 1.5)) for label in cls.CAVITIES}
     for party, (cavity, coupling) in cls.WIRING.items():
         delta = draw(_DETUNING)
         fields[f"omega_{party}"] = fields[f"omega_{cavity}"] + delta
-        fields[coupling] = draw(_RATIO) * abs(delta)
+        fields[coupling] = draw(ratio) * abs(delta)
     params = cls(**fields)
     space = HilbertSpace((("atom", 3), *((label, draw(cutoff)) for label in cls.CAVITIES),
                           ("n", draw(cutoff)), ("m", draw(cutoff))))
@@ -314,14 +315,17 @@ class TestExcitationCap:
         for build in (model._full_matrix, model._generator_matrix, model._sw_effective_matrix):
             assert not np.any(build(params, ops)[across]), build.__name__
 
-    # cutoffs from 3: at 2 a mode cannot hold the excitation-2 block, so the dense oracle is truncated
+    # cutoffs from 3: at 2 a mode cannot hold the excitation-2 block, so the dense oracle is truncated;
+    # ratios from 0.01 keep the residual well above the absolute tolerance
     @settings(max_examples=8, deadline=None)
-    @given(drawn=dispersive_models(cutoff=st.integers(3, 4)))
+    @given(drawn=dispersive_models(cutoff=st.integers(3, 4), ratio=st.floats(0.01, 0.09)))
+    @example(drawn=(DISPERSIVE, FULL_SPACE))
     @example(drawn=(UNEQUAL, FULL_SPACE))
     @example(drawn=(matched_single_mode(), SINGLE_SPACE))
     def test_capped_residual_matches_dense(self, drawn):
         params, space = drawn
         want = dense_sw_residual(params, space)
+        assert want > 1e-9
         assert sw_reduction_check(params) == pytest.approx(want, rel=1e-12, abs=1e-13)
 
     def test_capped_fidelity_matches_dense(self, dispersive_params):
