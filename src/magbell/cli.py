@@ -379,26 +379,18 @@ def _validation_params(ratio: float, base_detuning: float) -> ModelParams:
 
 
 def _run_validate_dispersive(p: dict, seed: int):
-    ratio = p["coupling_ratio"]
-    rows = []
-    residuals = {}
-    fidelity_full = None
-    for r in (ratio, 0.5 * ratio):
-        params = _validation_params(r, p["base_detuning"])
-        residual = sw_reduction_check(params)
-        residuals[r] = residual
-        fid = float("nan")
-        if r == ratio:
-            eff = effective_couplings(params)
-            tau0 = interval_for_target(1, eff)
-            plus = superposed_state(2, 1)
-            state = product_state(_magnon_space(2), {"n": plus, "m": plus})
-            fid = dispersive_evolution_fidelity(params, state, tau0)
-            fidelity_full = fid
-        rows.append((float(r), float(residual), float(fid)))
-    slope = float(np.log2(residuals[ratio] / residuals[0.5 * ratio]))
-    results = {"residual_log2_slope": slope, "evolution_fidelity": fidelity_full}
-    return ("coupling_ratio", "sw_residual", "evolution_fidelity"), tuple(rows), results
+    ratio, half = p["coupling_ratio"], 0.5 * p["coupling_ratio"]
+    params = _validation_params(ratio, p["base_detuning"])
+    residual = sw_reduction_check(params)
+    residual_half = sw_reduction_check(_validation_params(half, p["base_detuning"]))
+    plus = superposed_state(2, 1)
+    state = product_state(_magnon_space(2), {"n": plus, "m": plus})
+    tau0 = interval_for_target(1, effective_couplings(params))
+    fid = dispersive_evolution_fidelity(params, state, tau0)
+    rows = ((float(ratio), residual, fid), (float(half), residual_half, float("nan")))
+    results = {"residual_log2_slope": float(np.log2(residual / residual_half)),
+               "evolution_fidelity": fid}
+    return ("coupling_ratio", "sw_residual", "evolution_fidelity"), rows, results
 
 
 _RUNNERS = {

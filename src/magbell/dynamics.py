@@ -1,15 +1,17 @@
 """Exact unitary propagation and Lindblad evolution.
 
 Matrix exponentials of Hamiltonians go through Hermitian eigendecomposition,
-which keeps propagators unitary to roundoff.  Open-system evolution applies
-exp(L t) exactly and matrix-free: a Taylor series of the Liouvillian action,
-summed to double precision in substeps of norm bound <= 2
-(``lindblad_action``).  Each Taylor term is formed from the effective
-non-Hermitian Hamiltonian as X + X^+, Hermitian by construction.  The
-fixed-step fourth-order (RK4) integrator ``integrate_master`` is kept as its
-independent oracle in the tests; its right-hand side is the plain
-commutator-plus-dissipator form and shares no code with the Taylor terms.
-Both guard the trace, which is asserted, never renormalized.
+which keeps propagators unitary to roundoff.  ``_require_hermitian`` is the
+package's one Hermiticity check of a Hamiltonian; ``propagator_matrix`` and
+``LindbladSpec`` run it.  Open-system evolution applies exp(L t) exactly and
+matrix-free: a Taylor series of the Liouvillian action, summed to double
+precision in substeps of norm bound <= 2 (``lindblad_action``).  Each Taylor
+term is formed from the effective non-Hermitian Hamiltonian as X + X^+,
+Hermitian by construction.  The fixed-step fourth-order (RK4) integrator
+``integrate_master`` is kept as its independent oracle in the tests; its
+right-hand side is the plain commutator-plus-dissipator form and shares no
+code with the Taylor terms.  Both guard the trace, which is asserted, never
+renormalized.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .hilbert import HilbertSpace, Operator, QuantumState, SpaceMismatchError
 
-UNITARY_ATOL = 1e-12
+HERMITIAN_ATOL = 1e-12
 DEFAULT_TRACE_TOL = 1e-8
 _EPS = np.finfo(float).eps
 # With substeps of norm bound theta <= 2 the j-th Taylor term is below
@@ -40,12 +42,13 @@ class TraceDriftError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class LindbladSpec:
-    """Hamiltonian plus (collapse operator, rate) pairs on one space."""
+    """Hermitian Hamiltonian plus (collapse operator, rate) pairs on one space."""
 
     hamiltonian: Operator
     collapse_ops: tuple[tuple[Operator, float], ...]
 
     def __post_init__(self):
+        _require_hermitian(self.hamiltonian.matrix)
         ops = tuple((op, float(rate)) for op, rate in self.collapse_ops)
         object.__setattr__(self, "collapse_ops", ops)
         for op, rate in ops:
@@ -65,9 +68,10 @@ class IntegratorConfig:
 
 
 def _require_hermitian(matrix: np.ndarray):
+    """The one Hermiticity check: max |H - H^+| <= HERMITIAN_ATOL * max(1, max |H|)."""
     scale = max(1.0, float(np.abs(matrix).max()))
     dev = float(np.abs(matrix - matrix.conj().T).max())
-    if not dev <= UNITARY_ATOL * scale:  # NaN fails too
+    if not dev <= HERMITIAN_ATOL * scale:  # NaN fails too
         raise NonHermitianError(f"matrix not Hermitian: max |H - H^+| = {dev:.3e}")
 
 

@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-HERMITIAN_ATOL = 1e-12
 PURE_NORM_ATOL = 1e-10
 MIXED_ATOL = 1e-10
 # Positivity floor for density matrices: admits the rounding-level negative
@@ -121,33 +120,24 @@ class HilbertSpace:
 class Operator:
     """Dense complex matrix tagged with its HilbertSpace.
 
-    Operators flagged ``hamiltonian=True`` must be Hermitian to within
-    ``HERMITIAN_ATOL`` (scaled by the largest matrix entry).
+    Only the shape is checked here.  A Hamiltonian's Hermiticity is checked
+    where it is used: ``dynamics.propagator_matrix`` and ``LindbladSpec``
+    raise ``NonHermitianError``.
     """
 
     space: HilbertSpace
     matrix: np.ndarray
-    hamiltonian: bool = False
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex, copy=True)
         d = self.space.total_dim
         if mat.shape != (d, d):
             raise DimensionError(f"matrix shape {mat.shape} != space dimension ({d}, {d})")
-        if self.hamiltonian:
-            scale = max(1.0, float(np.abs(mat).max()))
-            dev = float(np.abs(mat - mat.conj().T).max())
-            if not dev <= HERMITIAN_ATOL * scale:  # NaN fails too
-                raise StateValidationError(f"Hamiltonian not Hermitian: max |H - H^+| = {dev:.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     def dagger(self) -> "Operator":
         return Operator(self.space, self.matrix.conj().T)
-
-    def is_hermitian(self, atol: float = HERMITIAN_ATOL) -> bool:
-        scale = max(1.0, float(np.abs(self.matrix).max()))
-        return float(np.abs(self.matrix - self.matrix.conj().T).max()) <= atol * scale
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,18 +45,22 @@ class TargetOverlapError(ValueError):
     """Initial state has no population on the target even-parity pair."""
 
 
-def rabi_frequency(n: int, m: int, eff: EffectiveParams) -> float:
-    """Oscillation frequency of the (n, m) block: sqrt(Ge^2 n + Gf^2 m + D^2/4)."""
-    if n < 0 or m < 0:
+def rabi_frequency(n: int | np.ndarray, m: int | np.ndarray,
+                   eff: EffectiveParams) -> float | np.ndarray:
+    """Oscillation frequency of the (n, m) block: sqrt(Ge^2 n + Gf^2 m + D^2/4).
+
+    n and m are occupation numbers or arrays of them; the result broadcasts.
+    """
+    if np.any(np.asarray(n) < 0) or np.any(np.asarray(m) < 0):
         raise ValueError("occupation numbers must be nonnegative")
-    return math.sqrt(eff.G_e**2 * n + eff.G_f**2 * m + 0.25 * eff.common_detuning()**2)
+    return np.sqrt(eff.G_e**2 * n + eff.G_f**2 * m + 0.25 * eff.common_detuning()**2)
 
 
 def interval_for_target(N: int, eff: EffectiveParams) -> float:
     """Measurement interval 2 pi / Omega_NN that keeps |alpha_NN| = 1."""
     if N < 1:
         raise ValueError(f"target excitation must be >= 1, got {N}")
-    return 2.0 * math.pi / rabi_frequency(N, N, eff)
+    return 2.0 * math.pi / float(rabi_frequency(N, N, eff))
 
 
 def analytic_kraus(space: HilbertSpace, eff: EffectiveParams, tau: float) -> Operator:
@@ -70,7 +74,7 @@ def analytic_kraus(space: HilbertSpace, eff: EffectiveParams, tau: float) -> Ope
     delta = eff.common_detuning()
     dn, dm = space.dims
     n, m = np.meshgrid(np.arange(dn), np.arange(dm), indexing="ij")
-    omega = np.sqrt(eff.G_e**2 * n + eff.G_f**2 * m + 0.25 * delta**2)
+    omega = rabi_frequency(n, m, eff)
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(omega > 0.0, 0.5 * delta / np.where(omega > 0.0, omega, 1.0), 0.0)
     alpha = np.cos(omega * tau) + 1j * ratio * np.sin(omega * tau)
@@ -104,15 +108,15 @@ def _ground_block(data: np.ndarray) -> np.ndarray:
 
 
 def _renormalized(space: HilbertSpace, kind: str, branch: np.ndarray,
-                  where: str = "") -> tuple[QuantumState, float]:
+                  where: str = "ground-state") -> tuple[QuantumState, float]:
     """Conditional state and probability of an unnormalized outcome branch.
 
-    Raises NullOutcomeError, its message prefixed by where, below the floor.
+    Raises NullOutcomeError, naming the outcome by where, below the floor.
     """
     pure = kind == "pure"
     prob = float(np.linalg.norm(branch) ** 2 if pure else np.real(np.trace(branch)))
     if not prob >= NULL_OUTCOME_FLOOR:  # NaN fails too
-        raise NullOutcomeError(f"{where}ground-state outcome probability {prob:.3e} below floor")
+        raise NullOutcomeError(f"{where} outcome probability {prob:.3e} below floor")
     return QuantumState(space, kind, branch / (math.sqrt(prob) if pure else prob)), prob
 
 
@@ -292,7 +296,7 @@ def run_protocol(
             return vv * x
 
     for k in range(1, rounds + 1):
-        state, prob = _renormalized(mag_space, kind, evolve(data), f"round {k}: ")
+        state, prob = _renormalized(mag_space, kind, evolve(data), f"round {k}: ground-state")
         data = state.data
         cumulative *= prob
         log(k)
@@ -363,7 +367,4 @@ def qubit_parity_reference(state: QuantumState) -> tuple[QuantumState, float]:
     vec = np.zeros(4, dtype=complex)
     vec[state.space.index((0, 0))] = state.data[state.space.index((0, 0))]
     vec[state.space.index((1, 1))] = state.data[state.space.index((1, 1))]
-    prob = float(np.linalg.norm(vec) ** 2)
-    if not prob >= NULL_OUTCOME_FLOOR:
-        raise NullOutcomeError(f"even-parity outcome probability {prob:.3e} below floor")
-    return QuantumState(state.space, "pure", vec / math.sqrt(prob)), prob
+    return _renormalized(state.space, "pure", vec, "even-parity")

@@ -356,7 +356,7 @@ def build_jc_effective(eff: EffectiveParams, space: HilbertSpace) -> Operator:
 
     H = Dte |e><e| + Dtf |f><f| + G_e (n s+_eg + h.c.) + G_f (m s+_fg + h.c.)
     """
-    return Operator(space, _jc_matrix(eff, _product_ops(space, _JC_LABELS)), hamiltonian=True)
+    return Operator(space, _jc_matrix(eff, _product_ops(space, _JC_LABELS)))
 
 
 _NO_SHIFT = dict.fromkeys(("n", "m", *_QUTRIT_PARTIES), 0.0)
@@ -446,8 +446,7 @@ def build_full(params: ModelParams | SingleModeParams, space: HilbertSpace) -> O
     Free frequencies plus the four excitation exchanges g (c x^+ + h.c.),
     with x^+ = n^+, m^+, s+_eg, s+_fg and c the cavity wired to each.
     """
-    return Operator(space, _full_matrix(params, _product_ops(space, params.space_labels)),
-                    hamiltonian=True)
+    return Operator(space, _full_matrix(params, _product_ops(space, params.space_labels)))
 
 
 def sw_generator(params: ModelParams | SingleModeParams, space: HilbertSpace) -> Operator:
@@ -467,8 +466,7 @@ def build_sw_effective(params: ModelParams | SingleModeParams, space: HilbertSpa
     cavities the exchanges G_e, G_f and the cavity swap; for the shared
     cavity every pair, including the magnon swap.
     """
-    return Operator(space, _sw_effective_matrix(params, _product_ops(space, params.space_labels)),
-                    hamiltonian=True)
+    return Operator(space, _sw_effective_matrix(params, _product_ops(space, params.space_labels)))
 
 
 def sw_reduction_check(params: ModelParams | SingleModeParams) -> float:
@@ -508,7 +506,7 @@ def build_time_dependent_jc(
 
     def hamiltonian_at(t: float) -> Operator:
         delta = pulse.detuning(t)
-        return Operator(space, delta * p_ef + coupling, hamiltonian=True)
+        return Operator(space, delta * p_ef + coupling)
 
     return hamiltonian_at
 

@@ -313,7 +313,7 @@ def test_c11_conservation_suite():
     for _ in range(10):
         dim = int(rng.integers(4, 24))
         space = HilbertSpace.single("s", dim)
-        h = Operator(space, random_hermitian(rng, dim), hamiltonian=True)
+        h = Operator(space, random_hermitian(rng, dim))
         u = propagator(h, float(rng.uniform(0.1, 5.0))).matrix
         worst_unitarity = max(worst_unitarity, float(np.abs(u.conj().T @ u - np.eye(dim)).max()))
 
@@ -321,7 +321,7 @@ def test_c11_conservation_suite():
     dim = 6
     space = HilbertSpace.single("s", dim)
     a = annihilation(dim)
-    h = Operator(space, a.dagger().matrix @ a.matrix, hamiltonian=True)
+    h = Operator(space, a.dagger().matrix @ a.matrix)
     vec = np.ones(dim, dtype=complex) / math.sqrt(dim)
     rho = integrate_master(
         QuantumState(space, "mixed", np.outer(vec, vec.conj())),

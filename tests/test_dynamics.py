@@ -37,8 +37,7 @@ JC_SPACE = HilbertSpace((("atom", 3), ("n", 3), ("m", 3)))
 
 def random_h(seed, dim=8, scale=1.0):
     space = HilbertSpace.single("s", dim)
-    return Operator(space, random_hermitian(np.random.default_rng(seed), dim, scale),
-                    hamiltonian=True)
+    return Operator(space, random_hermitian(np.random.default_rng(seed), dim, scale))
 
 
 class TestPropagator:
@@ -100,7 +99,7 @@ class TestIntegrateMaster:
     def test_closed_system_matches_propagator(self, dim):
         rng = np.random.default_rng(4)
         space = HilbertSpace.single("s", dim)
-        h = Operator(space, random_hermitian(rng, dim), hamiltonian=True)
+        h = Operator(space, random_hermitian(rng, dim))
         vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         vec /= np.linalg.norm(vec)
         rho0 = QuantumState(space, "mixed", np.outer(vec, vec.conj()))
@@ -116,7 +115,7 @@ class TestIntegrateMaster:
         space = HilbertSpace.single("s", dim)
         a = annihilation(dim)
         num = a.dagger().matrix @ a.matrix
-        h = Operator(space, 0.7 * num, hamiltonian=True)
+        h = Operator(space, 0.7 * num)
         gamma, t = 0.1, 5.0
         vec = np.zeros(dim, dtype=complex)
         vec[3] = 1.0
@@ -130,7 +129,7 @@ class TestIntegrateMaster:
         dim = 6
         space = HilbertSpace.single("s", dim)
         a = annihilation(dim)
-        h = Operator(space, 0.3 * (a.matrix + a.matrix.conj().T), hamiltonian=True)
+        h = Operator(space, 0.3 * (a.matrix + a.matrix.conj().T))
         rho = QuantumState(space, "mixed", np.diag([0.5, 0.5, 0, 0, 0, 0]).astype(complex))
         spec = LindbladSpec(h, ((Operator(space, a.matrix), 0.05),))
         for _ in range(4):
@@ -141,7 +140,7 @@ class TestIntegrateMaster:
         dim = 5
         space = HilbertSpace.single("s", dim)
         a = annihilation(dim)
-        h = Operator(space, a.dagger().matrix @ a.matrix, hamiltonian=True)
+        h = Operator(space, a.dagger().matrix @ a.matrix)
         vec = np.ones(dim, dtype=complex) / math.sqrt(dim)
         rho0 = QuantumState(space, "mixed", np.outer(vec, vec.conj()))
         out = integrate_master(rho0, LindbladSpec(h, ((Operator(space, a.matrix), 0.2),)),
@@ -153,18 +152,20 @@ class TestIntegrateMaster:
         dim = 4
         space = HilbertSpace.single("s", dim)
         a = annihilation(dim)
-        h = Operator(space, np.zeros((dim, dim)), hamiltonian=True)
+        h = Operator(space, np.zeros((dim, dim)))
         rho0 = QuantumState(space, "mixed", np.diag([0, 0, 0, 1.0]).astype(complex))
         spec = LindbladSpec(h, ((Operator(space, a.matrix), 50.0),))
         with pytest.raises(TraceDriftError):
             integrate_master(rho0, spec, 1.0, IntegratorConfig(dt=0.25))
 
     def test_nan_evolution_raises_trace_drift(self):
+        # the NaN sits in a collapse operator: a NaN Hamiltonian stops at LindbladSpec
         space = HilbertSpace.single("s", 3)
-        h = Operator(space, np.full((3, 3), math.nan))
+        h = Operator(space, np.zeros((3, 3)))
+        spec = LindbladSpec(h, ((Operator(space, np.full((3, 3), math.nan)), 1.0),))
         rho0 = QuantumState(space, "mixed", np.diag([1.0, 0.0, 0.0]).astype(complex))
         with pytest.raises(TraceDriftError):
-            integrate_master(rho0, LindbladSpec(h, ()), 1.0, IntegratorConfig(dt=0.5))
+            integrate_master(rho0, spec, 1.0, IntegratorConfig(dt=0.5))
 
     def test_nan_dt_rejected(self):
         with pytest.raises(ValueError, match="dt"):
@@ -177,15 +178,31 @@ class TestIntegrateMaster:
     def test_negative_rate_rejected(self):
         space = HilbertSpace.single("s", 3)
         a = annihilation(3)
-        h = Operator(space, np.zeros((3, 3)), hamiltonian=True)
+        h = Operator(space, np.zeros((3, 3)))
         with pytest.raises(ValueError):
             LindbladSpec(h, ((Operator(space, a.matrix), -0.1),))
 
     def test_nan_rate_rejected(self):
         space = HilbertSpace.single("s", 3)
-        h = Operator(space, np.zeros((3, 3)), hamiltonian=True)
+        h = Operator(space, np.zeros((3, 3)))
         with pytest.raises(ValueError, match="rate"):
             LindbladSpec(h, ((Operator(space, annihilation(3).matrix), math.nan),))
+
+
+class TestLindbladSpec:
+    def test_non_hermitian_hamiltonian_rejected(self):
+        space = HilbertSpace.single("s", 3)
+        mat = np.zeros((3, 3))
+        mat[0, 1] = 1.0
+        with pytest.raises(NonHermitianError):
+            LindbladSpec(Operator(space, mat), ())
+
+    def test_nan_hamiltonian_rejected(self):
+        space = HilbertSpace.single("s", 3)
+        mat = np.zeros((3, 3))
+        mat[0, 0] = math.nan
+        with pytest.raises(NonHermitianError):
+            LindbladSpec(Operator(space, mat), ())
 
 
 def random_density(rng, dim):
@@ -198,7 +215,7 @@ def random_lindblad(seed, dim, rates):
     """A drawn Hamiltonian, Gaussian collapse operators at the given rates and a density matrix."""
     rng = np.random.default_rng(seed)
     space = HilbertSpace.single("s", dim)
-    h = Operator(space, random_hermitian(rng, dim, 0.5), hamiltonian=True)
+    h = Operator(space, random_hermitian(rng, dim, 0.5))
     collapse = tuple(
         (Operator(space, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))), rate)
         for rate in rates
@@ -267,7 +284,7 @@ class TestLindbladAction:
     def test_closed_system_matches_propagator(self):
         rng = np.random.default_rng(11)
         space = HilbertSpace.single("s", 12)
-        h = Operator(space, random_hermitian(rng, 12), hamiltonian=True)
+        h = Operator(space, random_hermitian(rng, 12))
         rho0 = QuantumState(space, "mixed", random_density(rng, 12))
         u = propagator(h, 1.7).matrix
         out = lindblad_action(rho0, LindbladSpec(h, ()), 1.7)
@@ -287,7 +304,7 @@ class TestLindbladAction:
         dim = 6
         space = HilbertSpace.single("s", dim)
         a = annihilation(dim)
-        h = Operator(space, 0.3 * (a.matrix + a.matrix.conj().T), hamiltonian=True)
+        h = Operator(space, 0.3 * (a.matrix + a.matrix.conj().T))
         rho0 = QuantumState(space, "mixed", random_density(np.random.default_rng(5), dim))
         spec = LindbladSpec(h, ((Operator(space, a.matrix), 0.05),))
         lindblad_action(rho0, spec, 4.0)
@@ -305,7 +322,7 @@ class TestTimeOrderedPropagator:
 
     def test_zero_hamiltonian_identity(self):
         space = HilbertSpace.single("s", 4)
-        zero = Operator(space, np.zeros((4, 4)), hamiltonian=True)
+        zero = Operator(space, np.zeros((4, 4)))
         u = time_ordered_propagator(lambda t: zero, 5.0, 16).matrix
         assert np.abs(u - np.eye(4)).max() <= 1e-14
 
@@ -316,8 +333,7 @@ class TestTimeOrderedPropagator:
         sz = np.diag([1.0, -1.0]).astype(complex)
 
         def hfun(t):
-            return Operator(space, math.cos(3.0 * t) * sx + math.sin(2.0 * t) * sz,
-                            hamiltonian=True)
+            return Operator(space, math.cos(3.0 * t) * sx + math.sin(2.0 * t) * sz)
 
         t_final = 2.0
         u_ref = time_ordered_propagator(hfun, t_final, 4096).matrix

@@ -2,10 +2,21 @@ import importlib.util
 import math
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
-_SPEC = importlib.util.spec_from_file_location("output_digests", _PATH)
-output_digests = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(output_digests)
+import pytest
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+output_digests = _load(_ROOT / "tools" / "output_digests.py", "output_digests")
+# The benchmark's tracer, which looks magbell's layers up by name.
+layers = _load(_ROOT / "perfbench" / "layers.py", "perfbench_layers")
 
 
 class TestLargestDifference:
@@ -36,3 +47,19 @@ def test_key_changes():
     old = {"coupling_ratio": 0.05, "base_detuning": 0.4, "magnon_cutoff": 4, "cavity_cutoff": 3}
     assert output_digests.key_changes(new, old) == (["extra"], ["cavity_cutoff", "magnon_cutoff"])
     assert output_digests.key_changes(old, old) == ([], [])
+
+
+class TestPerfbenchLayers:
+    @pytest.mark.parametrize("module, attr", layers.FUNCTIONS)
+    def test_traced_function_exists(self, module, attr):
+        assert callable(getattr(importlib.import_module(f"magbell.{module}"), attr, None))
+
+    @pytest.mark.parametrize("module, attr", layers.CLASSES)
+    def test_traced_class_defines_post_init(self, module, attr):
+        assert "__post_init__" in vars(getattr(importlib.import_module(f"magbell.{module}"), attr))
+
+    @pytest.mark.parametrize("module, attr", [("measurement", "integrate_master"),
+                                              ("optimize", "propagator")])
+    def test_rebound_name_is_the_dynamics_function(self, module, attr):
+        dynamics = importlib.import_module("magbell.dynamics")
+        assert getattr(importlib.import_module(f"magbell.{module}"), attr) is getattr(dynamics, attr)
