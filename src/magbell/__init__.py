@@ -44,6 +44,7 @@ from .dynamics import (
     LindbladSpec,
     integrate_master,
     lindblad_action,
+    lindblad_channel,
     propagator,
     time_ordered_propagator,
 )
@@ -77,7 +78,7 @@ __all__ = [
     "detuning_match", "effective_couplings", "lamb_shifts", "sw_generator",
     "sw_reduction_check",
     "IntegratorConfig", "LindbladSpec", "integrate_master", "lindblad_action",
-    "propagator", "time_ordered_propagator",
+    "lindblad_channel", "propagator", "time_ordered_propagator",
     "ProtocolConfig", "ProtocolRecord", "analytic_kraus", "apply_projection",
     "coupling_ratio_fidelity", "interval_for_target", "numeric_kraus",
     "qubit_parity_reference", "rabi_frequency", "run_protocol", "stabilize",

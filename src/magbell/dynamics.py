@@ -3,15 +3,16 @@
 Matrix exponentials of Hamiltonians go through Hermitian eigendecomposition,
 which keeps propagators unitary to roundoff.  ``_require_hermitian`` is the
 package's one Hermiticity check of a Hamiltonian; ``propagator_matrix`` and
-``LindbladSpec`` run it.  Open-system evolution applies exp(L t) exactly and
-matrix-free: a Taylor series of the Liouvillian action, summed to double
-precision in substeps of norm bound <= 2 (``lindblad_action``).  Each Taylor
-term is formed from the effective non-Hermitian Hamiltonian as X + X^+,
-Hermitian by construction.  The fixed-step fourth-order (RK4) integrator
-``integrate_master`` is kept as its independent oracle in the tests; its
-right-hand side is the plain commutator-plus-dissipator form and shares no
-code with the Taylor terms.  Both guard the trace, which is asserted, never
-renormalized.
+``LindbladSpec`` run it.  Open-system evolution applies exp(L t) exactly
+through a channel built once per spec and time (``lindblad_channel``): the
+Liouville space splits into the blocks that L never mixes, found from the
+sparsity of the effective non-Hermitian Hamiltonian and the jump operators,
+and each block is exponentiated once by scaling and squaring; applying the
+channel is one small matrix-vector product per block.  The fixed-step
+fourth-order (RK4) integrator ``integrate_master`` is kept as its
+independent oracle in the tests; its right-hand side is the plain
+commutator-plus-dissipator form.  Both guard the trace, which is asserted,
+never renormalized.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from .hilbert import HilbertSpace, Operator, QuantumState, SpaceMismatchError
 HERMITIAN_ATOL = 1e-12
 DEFAULT_TRACE_TOL = 1e-8
 _EPS = np.finfo(float).eps
-# With substeps of norm bound theta <= 2 the j-th Taylor term is below
-# theta^j / j! of the state, so 30 terms (2^30 / 30! ~ 4e-24) only fail on a
-# non-finite state.
+# With the 1-norm scaled below 1 the j-th Taylor term of exp is below 1 / j!,
+# so 30 terms (1 / 30! ~ 4e-33) only fail on a non-finite generator.
 _TAYLOR_MAX_TERMS = 30
 
 
@@ -54,6 +54,8 @@ class LindbladSpec:
         for op, rate in ops:
             if not rate >= 0:  # NaN fails too
                 raise ValueError(f"collapse rate must be nonnegative, got {rate}")
+            if not np.isfinite(op.matrix).all():
+                raise ValueError("collapse operator has non-finite entries")
             if op.space != self.hamiltonian.space:
                 raise SpaceMismatchError("collapse operator space differs from Hamiltonian space")
 
@@ -118,80 +120,156 @@ def _jump_terms(spec: LindbladSpec) -> list[tuple[np.ndarray, np.ndarray, np.nda
     return jumps
 
 
-def _stacked_generator(h, jumps, scale):
-    """(scale [K; L_1; ...; L_n], [L_k^+ / 2]) with K = -iH - sum_k L_k^+ L_k / 2.
+def _invariant_labels(k_eff: np.ndarray, jumps) -> np.ndarray:
+    """For each row-major Liouville index, the least index of the set L never leaves.
 
-    K is the effective non-Hermitian Hamiltonian times -i; the rows are
-    stacked so that one product takes K rho and every L_k rho at once.
+    Index i d + j stands for rho_ij.  K rho links (i, j) to (k, j) and
+    rho K^+ links (j, i) to (j, k) wherever K has an entry (i, k); a jump
+    L rho L^+ links (a, c) to (b, e) wherever L has entries (a, b) and
+    (c, e).  The sets are the connected components of these links, found by
+    propagating the least index along them.
     """
-    k_eff = -1j * h - 0.5 * sum(ldl for _, _, ldl in jumps)
-    stacked = scale * np.vstack([k_eff] + [l_op for l_op, _, _ in jumps])
-    return stacked, [0.5 * l_dag for _, l_dag, _ in jumps]
+    dim = k_eff.shape[0]
+    rows, cols = np.nonzero(k_eff)
+    j = np.arange(dim)
+    src = [(rows[:, None] * dim + j).ravel(), (j * dim + rows[:, None]).ravel()]
+    dst = [(cols[:, None] * dim + j).ravel(), (j * dim + cols[:, None]).ravel()]
+    for l_op, _, _ in jumps:
+        a, b = np.nonzero(l_op)
+        src.append((a[:, None] * dim + a).ravel())
+        dst.append((b[:, None] * dim + b).ravel())
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    labels = np.arange(dim * dim)
+    while True:
+        low = np.minimum(labels[src], labels[dst])
+        new = labels.copy()
+        np.minimum.at(new, src, low)
+        np.minimum.at(new, dst, low)
+        new = new[new]  # a label is an index of the same set, so follow it
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    return labels
 
 
-def _hermitian_term(rho, stacked, half_daggers):
-    """scale * L(rho) for Hermitian rho, Hermitian by construction.
+def _block_generator(idx: np.ndarray, k_eff: np.ndarray, jumps) -> np.ndarray:
+    """L restricted to the row-major Liouville indices idx.
 
-    With Y = scale [K; L_1; ...] rho, X = Y_K + sum_k Y_k L_k^+ / 2 is
-    scale (K rho + sum_k L_k rho L_k^+ / 2), and L(rho) = X + X^+.  Keeping
-    the jump term inside X keeps the roundoff of the anti-Hermitian part
-    from building up over the series.
+    Entry (i d + j, k d + l) of L is K_ik delta_jl + delta_ik conj(K_jl)
+    + sum_L L_ik conj(L_jl).
     """
-    dim = rho.shape[0]
-    y = stacked @ rho
-    x = y[:dim]
-    for k, half_dag in enumerate(half_daggers, 1):
-        x = x + y[k * dim:(k + 1) * dim] @ half_dag
-    return x + x.conj().T
+    i, j = np.divmod(idx, k_eff.shape[0])
+    gen = (k_eff[np.ix_(i, i)] * (j[:, None] == j)
+           + (i[:, None] == i) * k_eff[np.ix_(j, j)].conj())
+    for l_op, _, _ in jumps:
+        gen += l_op[np.ix_(i, i)] * l_op[np.ix_(j, j)].conj()
+    return gen
+
+
+def _block_generators(spec: LindbladSpec) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """(idx, L on idx, partner idx or None) for one block of each conjugate pair.
+
+    L(rho^+) = L(rho)^+, so the block of the transposed pairs (j, i), taken
+    in the order of idx, is the complex conjugate of the block of idx.  The
+    partner is None when that block is idx itself.  Each idx is sorted.
+    """
+    dim = spec.hamiltonian.space.total_dim
+    jumps = _jump_terms(spec)
+    k_eff = -1j * spec.hamiltonian.matrix - 0.5 * sum(ldl for _, _, ldl in jumps)
+    labels = _invariant_labels(k_eff, jumps)
+    order = np.argsort(labels, kind="stable")
+    out = []
+    for idx in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
+        i, j = np.divmod(idx, dim)
+        partner = j * dim + i
+        if labels[partner[0]] < idx[0]:
+            continue  # already served as the partner of an earlier block
+        out.append((idx, _block_generator(idx, k_eff, jumps),
+                    None if labels[partner[0]] == idx[0] else partner))
+    return out
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring a Taylor sum (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+
+    a is scaled by 2^-s to 1-norm below 1.  Since max |X a| <= max |X| ||a||_1,
+    each Taylor term's largest entry is then at most 1 / (j + 1) of the one
+    before, so the sum stops at the first term whose largest entry is below
+    double precision of the partial sum's, and the tail stays below one
+    such term.  The result is squared s times.  A non-finite a never
+    converges and raises TraceDriftError.
+    """
+    s = max(0, int(np.frexp(np.linalg.norm(a, 1))[1]))
+    a = a / 2.0**s
+    term = out = np.eye(a.shape[0], dtype=complex)
+    for j in range(1, _TAYLOR_MAX_TERMS + 1):
+        term = term @ a / j
+        out = out + term
+        if np.abs(term).max() <= _EPS * np.abs(out).max():
+            break
+    else:
+        raise TraceDriftError(f"Taylor series of exp(L t) not converged after {_TAYLOR_MAX_TERMS} terms")
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class LindbladChannel:
+    """exp(L t) of one LindbladSpec and time, built by ``lindblad_channel``.
+
+    blocks pairs each invariant set of row-major Liouville indices with its
+    exponentiated block; together the sets partition range(d^2).
+    """
+
+    space: HilbertSpace
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def __call__(self, rho0: QuantumState) -> QuantumState:
+        """exp(L t) rho0: one matrix-vector product per block.
+
+        Raises TraceDriftError if |tr rho - tr rho0| exceeds
+        DEFAULT_TRACE_TOL; the trace is asserted, never renormalized.
+        """
+        if rho0.space != self.space:
+            raise SpaceMismatchError("initial state space differs from Lindblad space")
+        rho = rho0.density()
+        flat = rho.ravel()
+        out = np.empty_like(flat)
+        for idx, block in self.blocks:
+            out[idx] = block @ flat[idx]
+        out = out.reshape(rho.shape)
+        drift = abs(np.trace(out) - np.trace(rho))
+        if not drift <= DEFAULT_TRACE_TOL:
+            raise TraceDriftError(f"trace drift {drift:.3e} exceeds tolerance {DEFAULT_TRACE_TOL:.1e}")
+        out = 0.5 * (out + out.conj().T)  # scrub roundoff anti-Hermitian part
+        return QuantumState(self.space, "mixed", out)
+
+
+def lindblad_channel(spec: LindbladSpec, t: float) -> LindbladChannel:
+    """The map exp(L t) of the time-independent Liouvillian L of spec, to roundoff.
+
+    L is split into the blocks of ``_invariant_labels`` and each block is
+    exponentiated once by ``_expm``, one block of each conjugate pair only
+    (``_block_generators``); no d^2 x d^2 array is formed unless L mixes
+    every index.  A build costs far more than one application, so a channel
+    pays off when one build serves many.  Raises ValueError for a negative
+    or non-finite t.
+    """
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    blocks = []
+    for idx, gen, partner in _block_generators(spec):
+        block = _expm(t * gen)
+        blocks.append((idx, block))
+        if partner is not None:
+            blocks.append((partner, block.conj()))
+    return LindbladChannel(spec.hamiltonian.space, tuple(blocks))
 
 
 def lindblad_action(rho0: QuantumState, spec: LindbladSpec, t: float) -> QuantumState:
-    """exp(L t) rho0 for the time-independent Liouvillian L of spec, to roundoff.
-
-    Matrix-free: no superoperator is formed.  b = 2 ||H|| + sum_k (||L_k||^2
-    + ||L_k^+ L_k||) bounds the Frobenius-induced norm of L, and the interval
-    is cut into s substeps with theta = (t / s) * b <= 2.  Each substep sums
-    the Taylor series of exp(L t / s); a term is scale * L(rho) in the form
-    X + X^+ of ``_hermitian_term``, from one product with the stacked rows
-    [K; L_1; ...] of K = -iH - sum_k L_k^+ L_k / 2.  The sum stops at the
-    first term j >= 2 whose norm falls below double precision of the partial
-    sum: from there the bound shrinks each later term by theta / (j + 1)
-    <= 2/3, so the tail stays below two such terms (cf. Al-Mohy & Higham,
-    SIAM J. Sci. Comput. 33, 488 (2011)).  Raises ValueError for a negative
-    or non-finite t, and TraceDriftError if a series does not converge or
-    |tr rho - tr rho0| exceeds DEFAULT_TRACE_TOL.
-    """
-    if rho0.space != spec.hamiltonian.space:
-        raise SpaceMismatchError("initial state space differs from Lindblad space")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
-    rho = rho0.density()
-    h = spec.hamiltonian.matrix
-    jumps = _jump_terms(spec)
-    bound = 2.0 * np.linalg.norm(h, 2) + sum(
-        np.linalg.norm(l_op, 2) ** 2 + np.linalg.norm(ldl, 2) for l_op, _, ldl in jumps
-    )
-    n_sub = max(1, math.ceil(0.5 * t * bound))
-    stacked, half_daggers = _stacked_generator(h, jumps, t / n_sub)
-    tol = _EPS**2  # on squared Frobenius norms
-    trace0 = np.trace(rho)
-    for _ in range(n_sub):
-        term = rho
-        for j in range(1, _TAYLOR_MAX_TERMS + 1):
-            term = _hermitian_term(term, stacked, half_daggers)
-            term /= j
-            rho = rho + term
-            if j >= 2 and np.vdot(term, term).real <= tol * np.vdot(rho, rho).real:
-                break
-        else:
-            raise TraceDriftError(
-                f"Taylor series of exp(L t) not converged after {_TAYLOR_MAX_TERMS} terms"
-            )
-        drift = abs(np.trace(rho) - trace0)
-        if not drift <= DEFAULT_TRACE_TOL:
-            raise TraceDriftError(f"trace drift {drift:.3e} exceeds tolerance {DEFAULT_TRACE_TOL:.1e}")
-    rho = 0.5 * (rho + rho.conj().T)  # scrub roundoff anti-Hermitian part
-    return QuantumState(rho0.space, "mixed", rho)
+    """exp(L t) rho0 in one shot: ``lindblad_channel(spec, t)(rho0)``."""
+    return lindblad_channel(spec, t)(rho0)
 
 
 def integrate_master(

@@ -21,8 +21,8 @@ import numpy as np
 PURE_NORM_ATOL = 1e-10
 MIXED_ATOL = 1e-10
 # Positivity floor for density matrices: admits the rounding-level negative
-# eigenvalues of renormalized protocol states and of the loss map's truncated
-# Taylor action, and rejects a matrix that is not a state.
+# eigenvalues of renormalized protocol states and of the loss channel, and
+# rejects a matrix that is not a state.
 MIXED_EIG_FLOOR = -1e-8
 
 # Hard cutoff-adequacy bound for coherent states.  Loose enough to admit the

@@ -8,7 +8,10 @@ coefficient magnitude is below one and distills the even-parity Bell pair
 repeated protocol with optional magnon decay, stabilization runs, and the
 coupling-ratio fidelity analysis.  A closed round applies the analytic
 diagonal of ``analytic_kraus``; ``numeric_kraus``, the <g|exp(-i H tau)|g>
-block of the effective Hamiltonian, is kept as its independent oracle.
+block of the effective Hamiltonian, is kept as its independent oracle.  A
+lossy round applies the exact channel exp(L tau) of the joint qutrit-magnon
+master equation (``dynamics.lindblad_channel``), built once per run; a
+stabilization run shares one channel between its projected and free legs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LindbladSpec, lindblad_action, propagator
+from .dynamics import LindbladChannel, LindbladSpec, lindblad_channel, propagator
 from .dynamics import integrate_master  # noqa: F401  (perfbench's tracer looks the RK4 oracle up here)
 from .hilbert import (
     DimensionError,
@@ -223,7 +226,7 @@ def _ground_density() -> np.ndarray:
 
 
 def run_protocol(
-    initial: QuantumState, cfg: ProtocolConfig, spec: LindbladSpec | None = None
+    initial: QuantumState, cfg: ProtocolConfig, channel: LindbladChannel | None = None
 ) -> ProtocolRecord:
     """Run M rounds of (attach ground-state qutrit, evolve tau, project).
 
@@ -231,8 +234,8 @@ def run_protocol(
     renormalizes: closed runs the diagonal v of ``analytic_kraus``
     elementwise (v_i psi_i, or v_i conj(v_j) rho_ij for a mixed state); with
     decoherence set, the g-block of the exact magnon-loss map exp(L tau)
-    (``lindblad_action``) applied to |g><g| (x) rho.
-    spec is the joint spec of a lossy cfg on the space of initial, for a
+    (``lindblad_channel``) applied to |g><g| (x) rho.
+    channel is that map for a lossy cfg on the space of initial, for a
     caller that has built it already; it is built here when omitted.
     """
     mag_space = initial.space
@@ -279,14 +282,13 @@ def run_protocol(
     # the per-round map on the unnormalized magnon data, picked once
     kind, data = initial.kind, initial.data
     if cfg.decoherence is not None:
-        if spec is None:
-            spec = _joint_spec(mag_space, cfg)
-        jc_space = spec.hamiltonian.space
+        if channel is None:
+            channel = lindblad_channel(_joint_spec(mag_space, cfg), cfg.tau)
         ground = _ground_density()
 
         def evolve(rho):
-            joint = QuantumState(jc_space, "mixed", np.kron(ground, rho))
-            return _ground_block(lindblad_action(joint, spec, cfg.tau).data)
+            joint = QuantumState(channel.space, "mixed", np.kron(ground, rho))
+            return _ground_block(channel(joint).data)
 
         kind, data = "mixed", initial.density()
     else:
@@ -318,21 +320,21 @@ def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.n
     Returns (F_stab, F_free): the per-round fidelity under the
     evolve-and-project cycle, and the fidelity of a measurement-free
     master-equation run over the same horizon, both sampled at multiples of
-    tau (index 0 is t = 0).
+    tau (index 0 is t = 0).  Both legs apply one channel exp(L tau).
     """
     if cfg.decoherence is None:
         raise ValueError("stabilize requires decoherence rates in the config")
-    spec = _joint_spec(bell.space, cfg)
-    f_stab = run_protocol(bell, cfg, spec).fidelity_plus
+    channel = lindblad_channel(_joint_spec(bell.space, cfg), cfg.tau)
+    f_stab = run_protocol(bell, cfg, channel).fidelity_plus
 
     target = bell_state(bell.space, cfg.target_N, +1)
     projector = np.kron(np.eye(3, dtype=complex), np.outer(target.data, target.data.conj()))
 
     f_free = np.empty(cfg.rounds + 1)
-    rho = QuantumState(spec.hamiltonian.space, "mixed", np.kron(_ground_density(), bell.density()))
+    rho = QuantumState(channel.space, "mixed", np.kron(_ground_density(), bell.density()))
     f_free[0] = float(np.real(np.trace(rho.data @ projector)))
     for k in range(1, cfg.rounds + 1):
-        rho = lindblad_action(rho, spec, cfg.tau)
+        rho = channel(rho)
         f_free[k] = float(np.real(np.trace(rho.data @ projector)))
     return f_stab, f_free
 

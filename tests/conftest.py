@@ -9,9 +9,9 @@ The dense dispersive-check oracles run on the whole bare space with the
 public full-space builders, where the library caps the excitation, and the
 embedded operator table builds each operator as a Kronecker product of
 identities, where the library maps occupation rows.  The
-dense Lindblad oracle forms the column-stacked Liouvillian superoperator
-and exponentiates it by scaling and squaring, where the library sums a
-matrix-free Taylor series of its action.
+dense Lindblad oracle forms the whole column-stacked Liouvillian
+superoperator and exponentiates it by a fixed-degree scaling and squaring,
+where the library exponentiates the row-major blocks that L never mixes.
 """
 
 import math

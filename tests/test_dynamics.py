@@ -12,6 +12,7 @@ from magbell.dynamics import (
     TraceDriftError,
     integrate_master,
     lindblad_action,
+    lindblad_channel,
     propagator,
     time_ordered_propagator,
     unitary_from_generator,
@@ -30,7 +31,7 @@ from magbell.hilbert import (
 from magbell.measurement import interval_for_target
 from magbell.model import EffectiveParams, build_jc_effective
 
-from conftest import dense_lindblad_oracle, random_hermitian
+from conftest import dense_lindblad_oracle, dense_liouvillian, random_hermitian
 
 JC_SPACE = HilbertSpace((("atom", 3), ("n", 3), ("m", 3)))
 
@@ -159,12 +160,13 @@ class TestIntegrateMaster:
             integrate_master(rho0, spec, 1.0, IntegratorConfig(dt=0.25))
 
     def test_nan_evolution_raises_trace_drift(self):
-        # the NaN sits in a collapse operator: a NaN Hamiltonian stops at LindbladSpec
+        # the NaN comes from an infinite rate (inf * 0): NaN in H or in a collapse
+        # operator stops at LindbladSpec
         space = HilbertSpace.single("s", 3)
         h = Operator(space, np.zeros((3, 3)))
-        spec = LindbladSpec(h, ((Operator(space, np.full((3, 3), math.nan)), 1.0),))
+        spec = LindbladSpec(h, ((Operator(space, annihilation(3).matrix), math.inf),))
         rho0 = QuantumState(space, "mixed", np.diag([1.0, 0.0, 0.0]).astype(complex))
-        with pytest.raises(TraceDriftError):
+        with pytest.raises(TraceDriftError), np.errstate(invalid="ignore"):
             integrate_master(rho0, spec, 1.0, IntegratorConfig(dt=0.5))
 
     def test_nan_dt_rejected(self):
@@ -187,6 +189,15 @@ class TestIntegrateMaster:
         h = Operator(space, np.zeros((3, 3)))
         with pytest.raises(ValueError, match="rate"):
             LindbladSpec(h, ((Operator(space, annihilation(3).matrix), math.nan),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_collapse_operator_rejected(self, bad):
+        space = HilbertSpace.single("s", 3)
+        h = Operator(space, np.zeros((3, 3)))
+        op = annihilation(3).matrix.astype(complex)
+        op[2, 0] = bad
+        with pytest.raises(ValueError, match="collapse operator"):
+            LindbladSpec(h, ((Operator(space, op), 1.0),))
 
 
 class TestLindbladSpec:
@@ -266,14 +277,49 @@ class TestLindbladAction:
 
     @settings(max_examples=40, deadline=None)
     @given(**LINDBLAD_DRAWS)
-    def test_taylor_term_matches_commutator_form(self, seed, dim, rates):
+    def test_block_generators_match_commutator_form(self, seed, dim, rates):
         spec, _ = random_lindblad(seed, dim, rates)
         rho = random_hermitian(np.random.default_rng([seed, 1]), dim)  # drawn apart from H
-        h = spec.hamiltonian.matrix
-        jumps = dynamics._jump_terms(spec)
-        term = dynamics._hermitian_term(rho, *dynamics._stacked_generator(h, jumps, 1.0))
-        rhs = dynamics._lindblad_rhs(rho, h, jumps)
+        liou = np.zeros((dim * dim,) * 2, dtype=complex)
+        for idx, gen, partner in dynamics._block_generators(spec):
+            liou[np.ix_(idx, idx)] = gen
+            if partner is not None:
+                liou[np.ix_(partner, partner)] = gen.conj()
+        rhs = dynamics._lindblad_rhs(rho, spec.hamiltonian.matrix, dynamics._jump_terms(spec))
+        term = (liou @ rho.ravel()).reshape(dim, dim)
         assert np.linalg.norm(term - rhs) <= 1e-14 * np.linalg.norm(rhs)
+
+    @settings(max_examples=8, deadline=None)
+    @given(cutoffs=st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]),
+           g_e=st.floats(1e-3, 1e-2), g_f=st.floats(1e-3, 1e-2), delta=st.floats(-5e-3, 5e-3),
+           rates=st.tuples(*[st.just(0.0) | st.floats(1e-5, 1e-3)] * 2),
+           t=st.floats(0.0, 3000.0), seed=st.integers(0, 2**32 - 1))
+    def test_structured_spec_splits_into_exact_blocks(self, cutoffs, g_e, g_f, delta, rates, t, seed):
+        # JC specs conserve excitation, so L splits; dense random specs give one block
+        dn, dm = cutoffs
+        space = HilbertSpace((("atom", 3), ("n", dn), ("m", dm)))
+        eff = EffectiveParams(G_e=g_e, G_f=g_f, Delta_e_tilde=delta, Delta_f_tilde=delta)
+        spec = LindbladSpec(build_jc_effective(eff, space), (
+            (embed(annihilation(dn), space, "n"), rates[0]),
+            (embed(annihilation(dm), space, "m"), rates[1]),
+        ))
+        dim = space.total_dim
+        channel = lindblad_channel(spec, t)
+        label = np.full(dim * dim, -1)
+        for b, (idx, _) in enumerate(channel.blocks):
+            assert (label[idx] == -1).all()
+            label[idx] = b
+        assert (label >= 0).all() and len(channel.blocks) > 1
+        assert any(partner is not None for _, _, partner in dynamics._block_generators(spec))
+        # dense_liouvillian stacks columns: its index j d + i is row-major i d + j
+        i, j = np.divmod(np.arange(dim * dim), dim)
+        col_label = np.empty_like(label)
+        col_label[j * dim + i] = label
+        rows, cols = np.nonzero(dense_liouvillian(spec))
+        assert (col_label[rows] == col_label[cols]).all()
+        rho0 = QuantumState(space, "mixed", random_density(np.random.default_rng(seed), dim))
+        out = channel(rho0).data
+        assert np.abs(out - dense_lindblad_oracle(rho0.data, spec, t)).max() <= 1e-12
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
     def test_bad_time_rejected(self, t):

@@ -33,6 +33,7 @@ from magbell.model import EffectiveParams, build_jc_effective
 
 from conftest import block_return_amplitude, coefficient_power_amplitudes
 
+RECORD_FIELDS = ("fidelity_plus", "fidelity_minus", "success_probability", "even_population")
 SQRT2PI_COS = math.cos(math.sqrt(2.0) * math.pi)  # single-excitation damping at resonance
 
 
@@ -362,6 +363,45 @@ class TestRunProtocol:
         assert (0, 2) not in rec_split.slow_states
         assert (4, 4) in rec_split.slow_states
 
+    @pytest.mark.parametrize("g_e, g_f, delta", [(6e-3, 6e-3, 0.0), (6e-3, 9e-3, 0.0),
+                                                 (6e-3, 6e-3, 2e-3)])
+    def test_zero_loss_channel_matches_closed_kraus_path(self, g_e, g_f, delta):
+        # the lossy branch at zero rates against the analytic diagonal: two independent paths
+        eff = detuned(EffectiveParams(G_e=g_e, G_f=g_f), delta)
+        closed_cfg = ProtocolConfig.for_target(eff, rounds=6)
+        lossy_cfg = dataclasses.replace(closed_cfg, decoherence=(0.0, 0.0))
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            mat = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+            rho0 = mat @ mat.conj().T
+            state = QuantumState(magnon(3), "mixed", rho0 / np.trace(rho0))
+            closed = run_protocol(state, closed_cfg)
+            lossy = run_protocol(state, lossy_cfg)
+            for field in RECORD_FIELDS:
+                assert np.abs(getattr(lossy, field) - getattr(closed, field)).max() <= 1e-13
+            assert np.abs(lossy.final_state.data - closed.final_state.data).max() <= 1e-13
+
+    @pytest.mark.parametrize("decoherence", [None, (1e-4, 0.5e-4)])
+    def test_mode_swap_with_couplings_swapped_gives_same_records(self, decoherence):
+        # n <-> m together with G_e <-> G_f (and gamma_n <-> gamma_m) is a symmetry
+        def records(g_e, g_f, rates, rho):
+            cfg = ProtocolConfig.for_target(EffectiveParams(G_e=g_e, G_f=g_f), rounds=5,
+                                            decoherence=rates)
+            return run_protocol(QuantumState(magnon(3), "mixed", rho), cfg)
+
+        rng = np.random.default_rng(41)
+        mat = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        rho = mat @ mat.conj().T
+        rho /= np.trace(rho)
+        swap = np.arange(9).reshape(3, 3).T.ravel()  # index of (m, n) for each (n, m)
+        swapped_rates = None if decoherence is None else decoherence[::-1]
+        rec = records(6e-3, 9e-3, decoherence, rho)
+        mirror = records(9e-3, 6e-3, swapped_rates, rho[np.ix_(swap, swap)])
+        for field in RECORD_FIELDS:
+            assert np.abs(getattr(rec, field) - getattr(mirror, field)).max() <= 1e-13
+        final = mirror.final_state.data[np.ix_(swap, swap)]
+        assert np.abs(rec.final_state.data - final).max() <= 1e-13
+
     def test_decohere_prepare_final_fidelity_pinned(self):
         # the decohere-prepare config; acceptance c04 reads the window [0.91, 0.94],
         # which cannot see a shift of 1e-5 in the lossy round
@@ -407,6 +447,11 @@ class TestCouplingRatioFidelity:
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):
             coupling_ratio_fidelity(0.0)
+
+    @given(xi=st.floats(0.3, 3.0))
+    def test_mirror_ratio_gives_same_fidelity(self, xi):
+        # swapping which mode couples through G_e maps xi to 1 / xi
+        assert abs(coupling_ratio_fidelity(xi) - coupling_ratio_fidelity(1.0 / xi)) <= 1e-15
 
 
 class TestQubitParityReference:
