@@ -18,7 +18,6 @@ from .hilbert import (
     basis_state,
     bell_state,
     coherent_state,
-    embed,
     fidelity,
     parity_operator,
     product_state,
@@ -43,7 +42,6 @@ from .dynamics import (
     IntegratorConfig,
     LindbladSpec,
     integrate_master,
-    lindblad_action,
     lindblad_channel,
     propagator,
     time_ordered_propagator,
@@ -70,14 +68,14 @@ from .optimize import (
 __all__ = [
     "__version__",
     "HilbertSpace", "Operator", "QuantumState",
-    "annihilation", "basis_state", "bell_state", "coherent_state", "embed",
+    "annihilation", "basis_state", "bell_state", "coherent_state",
     "fidelity", "parity_operator", "product_state", "superposed_state",
     "COHERENT_COUPLING_RATIO",
     "EffectiveParams", "ModelParams", "PulseCoefficients", "SingleModeParams",
     "build_full", "build_jc_effective", "build_time_dependent_jc",
     "detuning_match", "effective_couplings", "lamb_shifts", "sw_generator",
     "sw_reduction_check",
-    "IntegratorConfig", "LindbladSpec", "integrate_master", "lindblad_action",
+    "IntegratorConfig", "LindbladSpec", "integrate_master",
     "lindblad_channel", "propagator", "time_ordered_propagator",
     "ProtocolConfig", "ProtocolRecord", "analytic_kraus", "apply_projection",
     "coupling_ratio_fidelity", "interval_for_target", "numeric_kraus",

@@ -52,8 +52,8 @@ class LindbladSpec:
         ops = tuple((op, float(rate)) for op, rate in self.collapse_ops)
         object.__setattr__(self, "collapse_ops", ops)
         for op, rate in ops:
-            if not rate >= 0:  # NaN fails too
-                raise ValueError(f"collapse rate must be nonnegative, got {rate}")
+            if not (rate >= 0 and math.isfinite(rate)):  # NaN fails too
+                raise ValueError(f"collapse rate must be nonnegative and finite, got {rate}")
             if not np.isfinite(op.matrix).all():
                 raise ValueError("collapse operator has non-finite entries")
             if op.space != self.hamiltonian.space:
@@ -94,11 +94,6 @@ def propagator_matrix(h: np.ndarray, t: float, minus_identity: bool = False) -> 
 def propagator(H: Operator, t: float) -> Operator:
     """U = exp(-i H t) via Hermitian eigendecomposition."""
     return Operator(H.space, propagator_matrix(H.matrix, t))
-
-
-def unitary_from_generator(S: Operator) -> Operator:
-    """exp(S) for anti-Hermitian S, through the Hermitian form iS."""
-    return Operator(S.space, propagator_matrix(1j * S.matrix, 1.0))
 
 
 def _lindblad_rhs(rho, h, jumps):
@@ -267,11 +262,6 @@ def lindblad_channel(spec: LindbladSpec, t: float) -> LindbladChannel:
     return LindbladChannel(spec.hamiltonian.space, tuple(blocks))
 
 
-def lindblad_action(rho0: QuantumState, spec: LindbladSpec, t: float) -> QuantumState:
-    """exp(L t) rho0 in one shot: ``lindblad_channel(spec, t)(rho0)``."""
-    return lindblad_channel(spec, t)(rho0)
-
-
 def integrate_master(
     rho0: QuantumState,
     spec: LindbladSpec,
@@ -280,7 +270,7 @@ def integrate_master(
 ) -> QuantumState:
     """Propagate drho/dt = -i[H, rho] + sum_k gamma_k D[A_k] rho to t_final.
 
-    Fixed-step RK4, kept as the independent oracle of lindblad_action;
+    Fixed-step RK4, kept as the independent oracle of lindblad_channel;
     raises TraceDriftError if |tr rho - 1| grows beyond DEFAULT_TRACE_TOL at
     any step.
     """

@@ -3,10 +3,10 @@
 Dense complex matrices on labeled tensor-product spaces. The Kronecker
 ordering is fixed for the whole package: the first listed subsystem varies
 slowest, so the basis index of ``|i0, i1, ..., ik>`` is
-``i0*(d1*...*dk) + i1*(d2*...*dk) + ... + ik``.  Single operators are
-placed with :func:`embed`; the model builds its Hamiltonians from one
-operator table that maps occupation rows, either this basis in this order
-or every state up to an excitation cap.
+``i0*(d1*...*dk) + i1*(d2*...*dk) + ... + ik``.  The model builds its
+Hamiltonians and the protocol its jump operators from one operator table
+that maps occupation rows, either this basis in this order or every state
+up to an excitation cap.
 """
 
 from __future__ import annotations
@@ -136,9 +136,6 @@ class Operator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
-
 
 @dataclass(frozen=True, eq=False)
 class QuantumState:
@@ -194,48 +191,6 @@ def annihilation(dim: int) -> Operator:
         raise DimensionError(f"annihilation needs dim >= 2, got {dim}")
     mat = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
     return Operator(HilbertSpace.single("mode", dim), mat)
-
-
-def identity(space: HilbertSpace) -> Operator:
-    return Operator(space, np.eye(space.total_dim, dtype=complex))
-
-
-def level_projector(dim: int, level: int) -> Operator:
-    """Single-subsystem projector |level><level|."""
-    if not 0 <= level < dim:
-        raise DimensionError(f"level {level} outside dimension {dim}")
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[level, level] = 1.0
-    return Operator(HilbertSpace.single("mode", dim), mat)
-
-
-def transition(dim: int, upper: int, lower: int) -> Operator:
-    """Single-subsystem transition operator |upper><lower|."""
-    if not (0 <= upper < dim and 0 <= lower < dim):
-        raise DimensionError(f"levels ({upper}, {lower}) outside dimension {dim}")
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[upper, lower] = 1.0
-    return Operator(HilbertSpace.single("mode", dim), mat)
-
-
-def embed(op: Operator, space: HilbertSpace, slot: str) -> Operator:
-    """Place a single-subsystem operator into a composite space.
-
-    Returns identity (x) ... (x) op (x) ... (x) identity following the fixed
-    Kronecker convention (first subsystem slowest).
-    """
-    if len(op.space.subsystems) != 1:
-        raise DimensionError("embed expects an operator on a single subsystem")
-    target_dim = space.dim(slot)  # raises UnknownLabelError
-    if op.space.total_dim != target_dim:
-        raise DimensionError(
-            f"operator dimension {op.space.total_dim} != dimension {target_dim} of slot {slot!r}"
-        )
-    mats = [
-        op.matrix if label == slot else np.eye(dim, dtype=complex)
-        for label, dim in space.subsystems
-    ]
-    return Operator(space, reduce(np.kron, mats))
 
 
 def parity_operator(space: HilbertSpace, slots: Sequence[str]) -> Operator:

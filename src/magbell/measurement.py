@@ -17,23 +17,15 @@ stabilization run shares one channel between its projected and free legs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import LindbladChannel, LindbladSpec, lindblad_channel, propagator
 from .dynamics import integrate_master  # noqa: F401  (perfbench's tracer looks the RK4 oracle up here)
-from .hilbert import (
-    DimensionError,
-    HilbertSpace,
-    Operator,
-    QuantumState,
-    annihilation,
-    bell_state,
-    embed,
-    fidelity,
-)
-from .model import LEVEL_G, EffectiveParams, build_jc_effective
+from .hilbert import DimensionError, HilbertSpace, Operator, QuantumState, bell_state, fidelity
+from .model import _JC_LABELS, LEVEL_G, EffectiveParams, _product_ops, build_jc_effective
 
 NULL_OUTCOME_FLOOR = 1e-12
 SLOW_DAMPING_MARGIN = 1e-6
@@ -153,16 +145,16 @@ class ProtocolConfig:
     decoherence: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not self.tau > 0:  # NaN fails too, here and below
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if not self.rounds >= 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if not self.target_N >= 1:
-            raise ValueError(f"target_N must be >= 1, got {self.target_N}")
+        if not (self.tau > 0 and math.isfinite(self.tau)):  # NaN fails too, here and below
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        for name in ("rounds", "target_N"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.decoherence is not None:
             gn, gm = self.decoherence
-            if not (gn >= 0 and gm >= 0):
-                raise ValueError(f"decay rates must be nonnegative, got {self.decoherence}")
+            if not all(rate >= 0 and math.isfinite(rate) for rate in (gn, gm)):
+                raise ValueError(f"decay rates must be nonnegative and finite, got {self.decoherence}")
             object.__setattr__(self, "decoherence", (float(gn), float(gm)))
 
     @classmethod
@@ -210,12 +202,15 @@ def _even_pair_population(state: QuantumState, N: int) -> float:
 
 
 def _joint_spec(mag_space: HilbertSpace, cfg: ProtocolConfig) -> LindbladSpec:
-    """Qutrit-magnon Hamiltonian of cfg with its magnon loss (cfg.decoherence)."""
+    """Qutrit-magnon Hamiltonian of cfg with its magnon loss (cfg.decoherence).
+
+    The jump operators are the lowering operators of the operator table the
+    Hamiltonian is built from.
+    """
     jc_space = HilbertSpace((("atom", 3),) + mag_space.subsystems)
-    gamma_n, gamma_m = cfg.decoherence
-    return LindbladSpec(build_jc_effective(cfg.eff, jc_space), (
-        (embed(annihilation(jc_space.dim("n")), jc_space, "n"), gamma_n),
-        (embed(annihilation(jc_space.dim("m")), jc_space, "m"), gamma_m),
+    ops = _product_ops(jc_space, _JC_LABELS)
+    return LindbladSpec(build_jc_effective(cfg.eff, jc_space), tuple(
+        (Operator(jc_space, ops[mode][0]), rate) for mode, rate in zip(("n", "m"), cfg.decoherence)
     ))
 
 

@@ -15,7 +15,10 @@ midpoints is built once per search; a call takes the slice detunings as one
 matvec, scans both blocks' slice products once, and maps the per-slice
 derivatives back with the table's transpose.  The value's oracle is the
 slice-by-slice product loop ``sequential_block_amplitudes`` in
-``tests/conftest.py``.
+``tests/conftest.py``.  The reported fidelity-vs-time trace is read from the
+same scan's running products of the winning pulse's slices, so its last
+entry and the pipeline fidelity are two independent computations of one
+number.
 
 A restart ends when f = -F has fallen by at most STALL_ULPS ulps of |f| for
 STALL_ITERATIONS iterations in a row: near F = 1 the objective is flat to
@@ -29,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import propagator, time_ordered_propagator
+from .dynamics import time_ordered_propagator
+from .dynamics import propagator  # noqa: F401  (perfbench's tracer looks the propagator up here)
 from .hilbert import HilbertSpace, QuantumState, product_state, superposed_state, bell_state, fidelity
-from .measurement import _ground_block, apply_projection, interval_for_target
+from .measurement import apply_projection, interval_for_target
 from .model import LEVEL_G, EffectiveParams, PulseCoefficients, build_time_dependent_jc
 
 DEFAULT_SLICES = 512
@@ -227,21 +231,16 @@ def _running_products(alpha, beta):
     return alpha, beta
 
 
-def _block_amplitudes_and_gradient(deltas: np.ndarray, g: float, h: float):
-    """Ground-return amplitudes [a01, a11] of the single- and double-excitation
-    blocks, and their derivatives with respect to every slice detuning.
+def _block_slices(deltas: np.ndarray, g: float, h: float):
+    """SU(2) entries of every slice of both excitation blocks, and their p-derivatives.
 
     The shaped Hamiltonian closes on 2x2 blocks {|g;1 excitation>, bright
     state} with couplings G and sqrt(2) G; the midpoint-sliced product of
     their exponentials reproduces the full-space pipeline exactly (same
     invariant subspaces, same slicing).  A slice of width h at detuning d is
-    exp(-i d h/2) times the SU(2) matrix S = [[alpha, beta], [-beta*, alpha*]],
-    and its derivative in d has the same form, so every product is carried by
-    (alpha, beta) pairs.  Reverse mode: one scan gives the inclusive prefix
-    products S_k...S_0 and suffix products S_N-1...S_k of both blocks (the
-    suffixes as the prefixes of the transposed slices in reverse order); the
-    last prefix is the full product, and slice k's derivative of it is
-    suffix(k+1) dS_k prefix(k-1).  Returns shapes (2,) and (2, slices).
+    exp(-i p h) times the SU(2) matrix S = [[alpha, beta], [-beta*, alpha*]],
+    p = d/2, and the derivative of S in p has the same form.  Returns p,
+    shape (slices,), and alpha, beta, dalpha, dbeta, shape (2, slices).
     """
     couplings = np.array([[g], [math.sqrt(2.0) * g]])
     # H = [[0, c], [c, d]] = p I + qz sz + qx sx with p = d/2, qz = -d/2
@@ -252,6 +251,21 @@ def _block_amplitudes_and_gradient(deltas: np.ndarray, g: float, h: float):
     alpha, beta = cq + 1j * sq * p, -1j * sq * couplings
     dsq = (h * cq - sq) * p / (q * q)  # d(sin(qh)/q)/dp, with dq/dp = p/q
     dalpha, dbeta = -h * sq * p + 1j * (dsq * p + sq), -1j * dsq * couplings
+    return p, alpha, beta, dalpha, dbeta
+
+
+def _block_amplitudes_and_gradient(deltas: np.ndarray, g: float, h: float):
+    """Ground-return amplitudes [a01, a11] of the single- and double-excitation
+    blocks, and their derivatives with respect to every slice detuning.
+
+    Every product of the slices of ``_block_slices`` is carried by (alpha,
+    beta) pairs.  Reverse mode: one scan gives the inclusive prefix
+    products S_k...S_0 and suffix products S_N-1...S_k of both blocks (the
+    suffixes as the prefixes of the transposed slices in reverse order); the
+    last prefix is the full product, and slice k's derivative of it is
+    suffix(k+1) dS_k prefix(k-1).  Returns shapes (2,) and (2, slices).
+    """
+    p, alpha, beta, dalpha, dbeta = _block_slices(deltas, g, h)
     # the transpose of (alpha, beta) is (alpha, -beta*), and (AB)^T = B^T A^T
     scan_a, scan_b = _running_products(np.concatenate((alpha, alpha[:, ::-1])),
                                        np.concatenate((beta, -beta[:, ::-1].conj())))
@@ -292,8 +306,8 @@ def _block_objective(tau: float, g: float, n_omega: int, slices: int):
     return objective
 
 
-def _fidelity_from_amplitudes(a01: complex, a11: complex) -> float:
-    """Post-projection Bell fidelity from the block return amplitudes."""
+def _fidelity_from_amplitudes(a01, a11):
+    """Post-projection Bell fidelity from the block return amplitudes (scalars or arrays)."""
     norm = 1.0 + 2.0 * abs(a01) ** 2 + abs(a11) ** 2
     return abs(1.0 + a11) ** 2 / (2.0 * norm)
 
@@ -331,25 +345,17 @@ def evaluate_single_shot(pulse: PulseCoefficients, slices: int = DEFAULT_SLICES)
 
 
 def _fidelity_time_trace(pulse: PulseCoefficients, slices: int) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional Bell fidelity of the ground branch at every slice boundary."""
-    _, jc = _single_shot_space()
-    psi, target = _initial_states()
-    hfun = build_time_dependent_jc(pulse, pulse.G, jc)
+    """Conditional Bell fidelity of the ground branch at every slice boundary.
+
+    The ground-return amplitudes after k slices are the running products of
+    ``_block_slices`` times their phase exp(-i h (p_0 + ... + p_k-1)); time 0
+    is the identity, a01 = a11 = 1.
+    """
     h = pulse.tau_total / slices
-    times = np.arange(slices + 1) * h
-    trace = np.empty(slices + 1)
-
-    def conditional_fidelity(vec):
-        branch = _ground_block(vec)
-        nrm = np.linalg.norm(branch)
-        return abs(np.vdot(target.data, branch / nrm)) ** 2
-
-    trace[0] = conditional_fidelity(psi)
-    for k in range(slices):
-        u = propagator(hfun((k + 0.5) * h), h).matrix
-        psi = u @ psi
-        trace[k + 1] = conditional_fidelity(psi)
-    return times, trace
+    p, alpha, beta, _, _ = _block_slices(pulse.detuning((np.arange(slices) + 0.5) * h), pulse.G, h)
+    running, _ = _running_products(alpha, beta)
+    amps = np.concatenate((np.ones((2, 1)), np.exp(-1j * h * np.cumsum(p)) * running), axis=1)
+    return np.arange(slices + 1) * h, _fidelity_from_amplitudes(amps[0], amps[1])
 
 
 def optimize_single_shot(
@@ -366,9 +372,10 @@ def optimize_single_shot(
     box on the exact block reduction of the objective and its gradient.  The
     lowest final value wins, ties going to the earlier restart; the winning
     coefficients (never worse than the zero-coefficient constant pulse) are
-    re-simulated through the full pipeline for the reported fidelity,
-    success probability, and time trace.  ``iterations`` is the number of
-    objective calls of the winning restart (0 for the constant pulse).
+    re-simulated through the full pipeline for the reported fidelity and
+    success probability; the time trace comes from their block slices
+    (``_fidelity_time_trace``).  ``iterations`` is the number of objective
+    calls of the winning restart (0 for the constant pulse).
     """
     if not math.isclose(eff.G_e, eff.G_f, rel_tol=1e-12):
         raise ValueError(f"single-shot scheme needs G_e = G_f, got {eff.G_e} vs {eff.G_f}")

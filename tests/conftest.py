@@ -5,32 +5,76 @@ the Kraus-block oracle diagonalizes each excitation block directly, the
 coherent-state oracle sums the Poisson series, the protocol-power oracle
 applies coefficient powers to the initial amplitudes, and the sliced-pulse
 oracle multiplies the 2x2 slice exponentials one at a time in a Python loop.
-The dense dispersive-check oracles run on the whole bare space with the
-public full-space builders, where the library caps the excitation, and the
-embedded operator table builds each operator as a Kronecker product of
-identities, where the library maps occupation rows.  The
-dense Lindblad oracle forms the whole column-stacked Liouvillian
-superoperator and exponentiates it by a fixed-degree scaling and squaring,
-where the library exponentiates the row-major blocks that L never mixes.
+The sliced-trace oracle steps the 27-dim qutrit-magnon state through the
+pulse's slice propagators, where the library reads the trace from the 2x2
+block scan of the search.  The dense dispersive-check oracles run on the
+whole bare space with the public full-space builders, where the library
+caps the excitation, and the embedded operator table builds each operator
+as a Kronecker product of identities (``embed``, ``level_projector``,
+``transition``, which only the tests use), where the library maps
+occupation rows.  The dense Lindblad oracle forms the whole column-stacked
+Liouvillian superoperator and exponentiates it by a fixed-degree scaling and
+squaring, where the library exponentiates the row-major blocks that L never
+mixes.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from magbell import EffectiveParams, HilbertSpace, ModelParams
-from magbell.dynamics import propagator, unitary_from_generator
-from magbell.hilbert import Operator, annihilation, embed, level_projector, transition
+from magbell.dynamics import propagator, propagator_matrix
+from magbell.hilbert import DimensionError, Operator, annihilation, bell_state, product_state, superposed_state
 from magbell.model import (
     LEVEL_E,
     LEVEL_F,
     LEVEL_G,
     build_full,
     build_sw_effective,
+    build_time_dependent_jc,
     effective_couplings,
     sw_generator,
 )
+
+
+def level_projector(dim, level):
+    """Single-subsystem projector |level><level|."""
+    if not 0 <= level < dim:
+        raise DimensionError(f"level {level} outside dimension {dim}")
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[level, level] = 1.0
+    return Operator(HilbertSpace.single("mode", dim), mat)
+
+
+def transition(dim, upper, lower):
+    """Single-subsystem transition operator |upper><lower|."""
+    if not (0 <= upper < dim and 0 <= lower < dim):
+        raise DimensionError(f"levels ({upper}, {lower}) outside dimension {dim}")
+    mat = np.zeros((dim, dim), dtype=complex)
+    mat[upper, lower] = 1.0
+    return Operator(HilbertSpace.single("mode", dim), mat)
+
+
+def embed(op, space, slot):
+    """Place a single-subsystem operator into a composite space.
+
+    Returns identity (x) ... (x) op (x) ... (x) identity following the fixed
+    Kronecker convention (first subsystem slowest).
+    """
+    if len(op.space.subsystems) != 1:
+        raise DimensionError("embed expects an operator on a single subsystem")
+    target_dim = space.dim(slot)  # raises UnknownLabelError
+    if op.space.total_dim != target_dim:
+        raise DimensionError(
+            f"operator dimension {op.space.total_dim} != dimension {target_dim} of slot {slot!r}"
+        )
+    mats = [
+        op.matrix if label == slot else np.eye(dim, dtype=complex)
+        for label, dim in space.subsystems
+    ]
+    return Operator(space, reduce(np.kron, mats))
 
 
 def block_return_amplitude(n, m, g_e, g_f, delta, tau):
@@ -105,6 +149,31 @@ def sequential_block_amplitudes(pulse, slices):
     return out[0], out[1]
 
 
+def sliced_fidelity_trace(pulse, slices):
+    """Conditional Bell fidelity of the ground branch at every slice boundary, on the 27-dim space.
+
+    Starts from |g> (x) |+>|+> at cutoff 3 and multiplies the state by each
+    midpoint slice's propagator of ``build_time_dependent_jc`` in turn.
+    """
+    mag = HilbertSpace((("n", 3), ("m", 3)))
+    jc = HilbertSpace((("atom", 3),) + mag.subsystems)
+    plus = superposed_state(3, 1)
+    psi = np.kron(np.eye(3)[LEVEL_G], product_state(mag, {"n": plus, "m": plus}).data)
+    target = bell_state(mag, 1, +1).data
+    hfun = build_time_dependent_jc(pulse, pulse.G, jc)
+    h = pulse.tau_total / slices
+
+    def conditional_fidelity(vec):
+        branch = vec.reshape(3, -1)[LEVEL_G]
+        return abs(np.vdot(target, branch)) ** 2 / np.vdot(branch, branch).real
+
+    trace = [conditional_fidelity(psi)]
+    for k in range(slices):
+        psi = propagator(hfun((k + 0.5) * h), h).matrix @ psi
+        trace.append(conditional_fidelity(psi))
+    return np.array(trace)
+
+
 def excitation_numbers(space):
     """Total excitation per basis state; qutrit levels e, f count as one each."""
     grids = np.unravel_index(np.arange(space.total_dim), space.dims)
@@ -135,7 +204,7 @@ def embedded_operator_table(space, modes):
 
 def dense_sw_residual(params, space):
     """sw_reduction_check on the whole space: exp(S) H exp(-S) - H_closed on excitation <= 2."""
-    u = unitary_from_generator(sw_generator(params, space)).matrix
+    u = propagator_matrix(1j * sw_generator(params, space).matrix, 1.0)  # exp(S)
     residual = u @ build_full(params, space).matrix @ u.conj().T - build_sw_effective(params, space).matrix
     low = np.flatnonzero(excitation_numbers(space) <= 2)
     return float(np.abs(residual[np.ix_(low, low)]).max())
@@ -168,7 +237,7 @@ def dense_evolution_fidelity(params, magnon_state, t, cavity_cutoff):
     h_rot = ((params.omega_a - eff.chi_n) * num["a"] + (params.omega_b - eff.chi_m) * num["b"]
              + (params.omega_n + eff.chi_n) * (num["n"] + p_e)
              + (params.omega_m + eff.chi_m) * (num["m"] + p_f))
-    u_s = unitary_from_generator(sw_generator(params, space)).matrix
+    u_s = propagator_matrix(1j * sw_generator(params, space).matrix, 1.0)  # exp(S)
     u_rot, u_eff = (propagator(Operator(space, h), t).matrix for h in (h_rot, h_eff))
     psi_full = propagator(build_full(params, space), t).matrix @ psi0
     psi_pred = u_s.conj().T @ (u_rot @ (u_eff @ (u_s @ psi0)))

@@ -321,7 +321,7 @@ def test_c11_conservation_suite():
     dim = 6
     space = HilbertSpace.single("s", dim)
     a = annihilation(dim)
-    h = Operator(space, a.dagger().matrix @ a.matrix)
+    h = Operator(space, a.matrix.conj().T @ a.matrix)
     vec = np.ones(dim, dtype=complex) / math.sqrt(dim)
     rho = integrate_master(
         QuantumState(space, "mixed", np.outer(vec, vec.conj())),

@@ -11,11 +11,10 @@ from magbell.dynamics import (
     NonHermitianError,
     TraceDriftError,
     integrate_master,
-    lindblad_action,
     lindblad_channel,
     propagator,
+    propagator_matrix,
     time_ordered_propagator,
-    unitary_from_generator,
 )
 from magbell.hilbert import (
     HilbertSpace,
@@ -23,7 +22,6 @@ from magbell.hilbert import (
     QuantumState,
     annihilation,
     basis_state,
-    embed,
     fidelity,
     product_state,
     superposed_state,
@@ -31,7 +29,7 @@ from magbell.hilbert import (
 from magbell.measurement import interval_for_target
 from magbell.model import EffectiveParams, build_jc_effective
 
-from conftest import dense_lindblad_oracle, dense_liouvillian, random_hermitian
+from conftest import dense_lindblad_oracle, dense_liouvillian, embed, random_hermitian
 
 JC_SPACE = HilbertSpace((("atom", 3), ("n", 3), ("m", 3)))
 
@@ -81,12 +79,13 @@ class TestPropagator:
 
 
 class TestUnitaryFromGenerator:
+    """exp(S) of an anti-Hermitian S, as propagator_matrix(1j S, 1)."""
+
     def test_matches_series_on_small_generator(self):
         rng = np.random.default_rng(3)
         mat = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         s = 0.01 * (mat - mat.conj().T)
-        space = HilbertSpace.single("s", 6)
-        u = unitary_from_generator(Operator(space, s)).matrix
+        u = propagator_matrix(1j * s, 1.0)  # exp(s), through the Hermitian form i s
         series = np.eye(6, dtype=complex)
         term = np.eye(6, dtype=complex)
         for k in range(1, 20):
@@ -115,7 +114,7 @@ class TestIntegrateMaster:
         dim = 6
         space = HilbertSpace.single("s", dim)
         a = annihilation(dim)
-        num = a.dagger().matrix @ a.matrix
+        num = a.matrix.conj().T @ a.matrix
         h = Operator(space, 0.7 * num)
         gamma, t = 0.1, 5.0
         vec = np.zeros(dim, dtype=complex)
@@ -141,7 +140,7 @@ class TestIntegrateMaster:
         dim = 5
         space = HilbertSpace.single("s", dim)
         a = annihilation(dim)
-        h = Operator(space, a.dagger().matrix @ a.matrix)
+        h = Operator(space, a.matrix.conj().T @ a.matrix)
         vec = np.ones(dim, dtype=complex) / math.sqrt(dim)
         rho0 = QuantumState(space, "mixed", np.outer(vec, vec.conj()))
         out = integrate_master(rho0, LindbladSpec(h, ((Operator(space, a.matrix), 0.2),)),
@@ -160,14 +159,18 @@ class TestIntegrateMaster:
             integrate_master(rho0, spec, 1.0, IntegratorConfig(dt=0.25))
 
     def test_nan_evolution_raises_trace_drift(self):
-        # the NaN comes from an infinite rate (inf * 0): NaN in H or in a collapse
-        # operator stops at LindbladSpec
+        # the NaN comes from a finite rate whose products overflow (2e308 -> inf,
+        # then inf * 0): NaN in H, in a collapse operator or in a rate stops at
+        # LindbladSpec
         space = HilbertSpace.single("s", 3)
         h = Operator(space, np.zeros((3, 3)))
-        spec = LindbladSpec(h, ((Operator(space, annihilation(3).matrix), math.inf),))
-        rho0 = QuantumState(space, "mixed", np.diag([1.0, 0.0, 0.0]).astype(complex))
-        with pytest.raises(TraceDriftError), np.errstate(invalid="ignore"):
-            integrate_master(rho0, spec, 1.0, IntegratorConfig(dt=0.5))
+        spec = LindbladSpec(h, ((Operator(space, annihilation(3).matrix), 1e308),))
+        rho0 = QuantumState(space, "mixed", np.diag([0.0, 0.0, 1.0]).astype(complex))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TraceDriftError):
+                integrate_master(rho0, spec, 1.0, IntegratorConfig(dt=0.5))
+            with pytest.raises(TraceDriftError):
+                lindblad_channel(spec, 1.0)(rho0)
 
     def test_nan_dt_rejected(self):
         with pytest.raises(ValueError, match="dt"):
@@ -187,8 +190,9 @@ class TestIntegrateMaster:
     def test_nan_rate_rejected(self):
         space = HilbertSpace.single("s", 3)
         h = Operator(space, np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="rate"):
-            LindbladSpec(h, ((Operator(space, annihilation(3).matrix), math.nan),))
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="rate"):
+                LindbladSpec(h, ((Operator(space, annihilation(3).matrix), rate),))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_collapse_operator_rejected(self, bad):
@@ -256,15 +260,17 @@ def decohere_prepare_round():
 
 
 class TestLindbladAction:
+    """exp(L t) rho0 as one channel build and one application."""
+
     def test_matches_rk4_for_one_decohere_prepare_round(self):
         spec, rho0, tau = decohere_prepare_round()
-        exact = lindblad_action(rho0, spec, tau)
+        exact = lindblad_channel(spec, tau)(rho0)
         rk4 = integrate_master(rho0, spec, tau, IntegratorConfig(dt=tau / 2000))
         assert np.abs(exact.data - rk4.data).max() <= 1e-9
 
     def test_matches_dense_oracle_for_one_decohere_prepare_round(self):
         spec, rho0, tau = decohere_prepare_round()
-        exact = lindblad_action(rho0, spec, tau)
+        exact = lindblad_channel(spec, tau)(rho0)
         dense = dense_lindblad_oracle(rho0.data, spec, tau)
         assert np.abs(exact.data - dense).max() <= 1e-12
 
@@ -272,7 +278,7 @@ class TestLindbladAction:
     @given(**LINDBLAD_DRAWS, t=st.floats(0.0, 5.0))
     def test_matches_dense_oracle(self, seed, dim, rates, t):
         spec, rho0 = random_lindblad(seed, dim, rates)
-        out = lindblad_action(rho0, spec, t).data
+        out = lindblad_channel(spec, t)(rho0).data
         assert np.abs(out - dense_lindblad_oracle(rho0.data, spec, t)).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -325,7 +331,7 @@ class TestLindbladAction:
     def test_bad_time_rejected(self, t):
         spec, rho0 = random_lindblad(0, 2, [1.0])
         with pytest.raises(ValueError, match="t must be"):
-            lindblad_action(rho0, spec, t)
+            lindblad_channel(spec, t)(rho0)
 
     def test_closed_system_matches_propagator(self):
         rng = np.random.default_rng(11)
@@ -333,7 +339,7 @@ class TestLindbladAction:
         h = Operator(space, random_hermitian(rng, 12))
         rho0 = QuantumState(space, "mixed", random_density(rng, 12))
         u = propagator(h, 1.7).matrix
-        out = lindblad_action(rho0, LindbladSpec(h, ()), 1.7)
+        out = lindblad_channel(LindbladSpec(h, ()), 1.7)(rho0)
         assert np.abs(out.data - u @ rho0.data @ u.conj().T).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -341,7 +347,7 @@ class TestLindbladAction:
     @example(seed=0, dim=2, rates=[1.0], t=3.0)
     def test_output_is_a_density_matrix(self, seed, dim, rates, t):
         spec, rho0 = random_lindblad(seed, dim, rates)
-        out = lindblad_action(rho0, spec, t).data
+        out = lindblad_channel(spec, t)(rho0).data
         assert abs(np.trace(out) - 1.0) <= 1e-12
         assert np.abs(out - out.conj().T).max() <= 1e-15
         assert np.linalg.eigvalsh(out).min() >= -1e-12
@@ -353,10 +359,10 @@ class TestLindbladAction:
         h = Operator(space, 0.3 * (a.matrix + a.matrix.conj().T))
         rho0 = QuantumState(space, "mixed", random_density(np.random.default_rng(5), dim))
         spec = LindbladSpec(h, ((Operator(space, a.matrix), 0.05),))
-        lindblad_action(rho0, spec, 4.0)
+        lindblad_channel(spec, 4.0)(rho0)
         monkeypatch.setattr(dynamics, "DEFAULT_TRACE_TOL", 1e-30)
         with pytest.raises(TraceDriftError):
-            lindblad_action(rho0, spec, 4.0)
+            lindblad_channel(spec, 4.0)(rho0)
 
 
 class TestTimeOrderedPropagator:

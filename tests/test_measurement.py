@@ -196,10 +196,18 @@ class TestProtocolConfig:
     @pytest.mark.parametrize("field, value, message", [
         ("tau", math.nan, "tau"), ("rounds", math.nan, "rounds"), ("target_N", math.nan, "target_N"),
         ("decoherence", (math.nan, 0.0), "decay"), ("decoherence", (0.0, math.nan), "decay"),
+        # infinite and fractional values are rejected here too, not deep in a run
+        ("tau", math.inf, "tau"),
+        ("decoherence", (math.inf, 1e-4), "decay"), ("decoherence", (1e-4, math.inf), "decay"),
+        ("rounds", 2.5, "rounds"), ("rounds", 2.0, "rounds"), ("target_N", 1.5, "target_N"),
     ])
     def test_nan_field_rejected(self, resonant_eff, field, value, message):
         with pytest.raises(ValueError, match=message):
             ProtocolConfig(resonant_eff, **{"tau": 1.0, "rounds": 1, field: value})
+
+    def test_numpy_integers_accepted(self, resonant_eff):
+        cfg = ProtocolConfig(resonant_eff, tau=1.0, rounds=np.int64(3), target_N=np.int32(1))
+        assert cfg.rounds == 3 and cfg.target_N == 1
 
 
 class TestRunProtocol:

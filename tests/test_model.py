@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from magbell import model
-from magbell.dynamics import unitary_from_generator
+from magbell import measurement, model
+from magbell.dynamics import propagator_matrix
 from magbell.hilbert import (
     DimensionError,
     HilbertSpace,
     QuantumState,
     annihilation,
     bell_state,
-    embed,
-    level_projector,
     product_state,
     superposed_state,
 )
@@ -40,8 +38,10 @@ from conftest import (
     DISPERSIVE,
     dense_evolution_fidelity,
     dense_sw_residual,
+    embed,
     embedded_operator_table,
     excitation_numbers,
+    level_projector,
 )
 
 FULL_SPACE = HilbertSpace((("atom", 3), ("a", 3), ("b", 3), ("n", 4), ("m", 4)))
@@ -185,8 +185,8 @@ class TestJCEffective:
 
     def test_conserves_both_excitation_numbers(self, resonant_eff):
         h = build_jc_effective(resonant_eff, JC_SPACE).matrix
-        n_num = embed(annihilation(3), JC_SPACE, "n").dagger().matrix @ embed(annihilation(3), JC_SPACE, "n").matrix
-        m_num = embed(annihilation(3), JC_SPACE, "m").dagger().matrix @ embed(annihilation(3), JC_SPACE, "m").matrix
+        a_n, a_m = (embed(annihilation(3), JC_SPACE, label).matrix for label in ("n", "m"))
+        n_num, m_num = a_n.conj().T @ a_n, a_m.conj().T @ a_m
         p_e = embed(level_projector(3, 1), JC_SPACE, "atom").matrix
         p_f = embed(level_projector(3, 2), JC_SPACE, "atom").matrix
         for cons in (n_num + p_e, m_num + p_f):
@@ -238,7 +238,7 @@ class TestSWGenerator:
                 sw_generator(params, space)
 
     def test_exponential_is_unitary(self, dispersive_params):
-        u = unitary_from_generator(sw_generator(dispersive_params, FULL_SPACE)).matrix
+        u = propagator_matrix(1j * sw_generator(dispersive_params, FULL_SPACE).matrix, 1.0)  # exp(S)
         assert np.abs(u @ u.conj().T - np.eye(len(u))).max() <= 1e-12
 
 
@@ -297,8 +297,17 @@ class TestOperatorTable:
         eff = EffectiveParams(G_e=1e-3, G_f=2e-3, Delta_e_tilde=0.1, Delta_f_tilde=-0.2)
         for d in (3, 10):
             space = HilbertSpace((("atom", 3), ("n", d), ("m", d)))
-            want = model._jc_matrix(eff, embedded_operator_table(space, ("n", "m")))
+            embedded = embedded_operator_table(space, ("n", "m"))
+            want = model._jc_matrix(eff, embedded)
             assert np.array_equal(build_jc_effective(eff, space).matrix, want)
+            # the loss operators come from the same table as the Hamiltonian
+            table = model._product_ops(space, model._JC_LABELS)
+            cfg = measurement.ProtocolConfig(eff, tau=1.0, rounds=1, decoherence=(1e-4, 2e-4))
+            collapse = measurement._joint_spec(HilbertSpace((("n", d), ("m", d))), cfg).collapse_ops
+            for (op, rate), label, gamma in zip(collapse, ("n", "m"), cfg.decoherence):
+                assert np.array_equal(table[label][0], embedded[label][0])
+                assert np.array_equal(op.matrix, table[label][0]) and rate == gamma
+            assert len(collapse) == 2
 
 
 class TestExcitationCap:
@@ -396,10 +405,8 @@ class TestSingleMode:
             block = full[np.ix_(keep, keep)]
             d = space.dim("n")
             jc_space = HilbertSpace((("atom", 3), ("n", d), ("m", d)))
-            n_num = embed(annihilation(d), jc_space, "n").dagger().matrix \
-                @ embed(annihilation(d), jc_space, "n").matrix
-            m_num = embed(annihilation(d), jc_space, "m").dagger().matrix \
-                @ embed(annihilation(d), jc_space, "m").matrix
+            a_n, a_m = (embed(annihilation(d), jc_space, label).matrix for label in ("n", "m"))
+            n_num, m_num = a_n.conj().T @ a_n, a_m.conj().T @ a_m
             p_e = embed(level_projector(3, 1), jc_space, "atom").matrix
             p_f = embed(level_projector(3, 2), jc_space, "atom").matrix
             rotating = (p.omega_n + chi_n) * (n_num + p_e) + (p.omega_m + chi_m) * (m_num + p_f)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import sequential_block_amplitudes
+from conftest import sequential_block_amplitudes, sliced_fidelity_trace
 from magbell import optimize
 from magbell.measurement import interval_for_target
 from magbell.model import EffectiveParams, PulseCoefficients
@@ -201,6 +201,24 @@ class TestBlockReduction:
 
         assert abs(a01 - const_amp(1e-3, 1e-3, TAU0)) < 1e-9
         assert abs(a11 - const_amp(math.sqrt(2) * 1e-3, 1e-3, TAU0)) < 1e-9
+
+
+class TestFidelityTimeTrace:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_omega=st.integers(0, 4),
+        slices=st.integers(1, 64),
+        unit=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+    )
+    def test_matches_sliced_state_oracle(self, n_omega, slices, unit):
+        x = 2.0 / TAU0**2 * np.array(unit[: 2 * n_omega])  # inside the restart box
+        pulse = PulseCoefficients(a=tuple(x[:n_omega]), b=tuple(x[n_omega:]), tau_total=TAU0, G=1e-3)
+        times, trace = optimize._fidelity_time_trace(pulse, slices)
+        assert times.shape == trace.shape == (slices + 1,)
+        assert times[0] == 0.0 and times[-1] == pytest.approx(TAU0, rel=1e-12)
+        assert np.abs(trace - sliced_fidelity_trace(pulse, slices)).max() <= 1e-12
+        fid, _, _ = evaluate_single_shot(pulse, slices)
+        assert abs(trace[-1] - fid) <= 1e-12
 
 
 class TestOptimizeSingleShot:

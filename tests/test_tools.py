@@ -49,6 +49,39 @@ def test_key_changes():
     assert output_digests.key_changes(old, old) == ([], [])
 
 
+class TestAgainstExitCode:
+    """--against exits 1 when any config's digests differ, 0 when all match."""
+
+    OUTPUTS = {name: {"digests": {"csv": f"{name}-csv", "json": f"{name}-json"},
+                      "params": {}, "rows": [[1.0]], "results": {}}
+               for name in ("a.yaml", "b.yaml")}
+
+    def run(self, monkeypatch, capsys, other):
+        monkeypatch.setattr(output_digests, "outputs", lambda root: iter(self.OUTPUTS.items()))
+        monkeypatch.setattr(output_digests, "dumped_outputs", lambda root: other)
+        code = output_digests.main(["--against", "other"])
+        return code, capsys.readouterr().out
+
+    def test_all_match(self, monkeypatch, capsys):
+        code, out = self.run(monkeypatch, capsys, self.OUTPUTS)
+        assert code == 0 and "differs" not in out
+
+    def test_one_digest_differs(self, monkeypatch, capsys):
+        other = {**self.OUTPUTS, "b.yaml": {**self.OUTPUTS["b.yaml"],
+                                            "digests": {"csv": "x", "json": "b.yaml-json"}}}
+        code, out = self.run(monkeypatch, capsys, other)
+        assert code == 1 and "b.yaml differs" in out and "a.yaml differs" not in out
+
+    def test_config_absent_from_other(self, monkeypatch, capsys):
+        code, out = self.run(monkeypatch, capsys, {"a.yaml": self.OUTPUTS["a.yaml"]})
+        assert code == 1 and "b.yaml: absent" in out
+
+    def test_without_against_exits_zero(self, monkeypatch, capsys):
+        monkeypatch.setattr(output_digests, "outputs", lambda root: iter(self.OUTPUTS.items()))
+        assert output_digests.main([]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+
 class TestPerfbenchLayers:
     @pytest.mark.parametrize("module, attr", layers.FUNCTIONS)
     def test_traced_function_exists(self, module, attr):

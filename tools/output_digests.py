@@ -14,7 +14,8 @@ defaults to the one holding this script.  ``--against OTHER`` also runs the
 checkout OTHER (in a child process) and, for each config whose digests
 differ, prints the row counts, the largest absolute and relative
 difference over the table rows and over the header results, and the
-header params keys that were added or removed:
+header params keys that were added or removed; it exits 1 when any config's
+digests differ or a config is absent from OTHER, and 0 when all match:
 
     python3 tools/output_digests.py --against ../parent-checkout
 """
@@ -43,6 +44,14 @@ def outputs(root: Path):
             "rows": [list(row) for row in table.rows],
             "results": table.metadata.get("results", {}),
         }
+
+
+def dumped_outputs(root: Path) -> dict:
+    """{config file name: outputs} of a checkout, run in a child process so that
+    the two checkouts' modules never share an interpreter."""
+    child = subprocess.run([sys.executable, __file__, "--root", str(root.resolve()), "--dump"],
+                           check=True, capture_output=True, text=True)
+    return json.loads(child.stdout)
 
 
 def _leaves(value, key=""):
@@ -100,17 +109,15 @@ def main(argv=None) -> int:
     if args.dump:  # the child of --against: every output as one JSON document
         print(json.dumps(dict(outputs(root))))
         return 0
-    other = None
-    if args.against is not None:
-        child = subprocess.run([sys.executable, __file__, "--root", str(args.against.resolve()), "--dump"],
-                               check=True, capture_output=True, text=True)
-        other = json.loads(child.stdout)
+    other = None if args.against is None else dumped_outputs(args.against)
+    differs = False
     for name, out in outputs(root):
         for fmt, digest in out["digests"].items():
             print(f"{digest}  {name} {fmt}", flush=True)
         if other is None:
             continue
         old = other.get(name)
+        differs = differs or old is None or old["digests"] != out["digests"]
         if old is None:
             print(f"  {name}: absent from {args.against}")
         elif old["digests"] != out["digests"]:
@@ -122,7 +129,7 @@ def main(argv=None) -> int:
             added, removed = key_changes(out["params"], old["params"])
             if added or removed:
                 print(f"  {name} params: added {added}, removed {removed}", flush=True)
-    return 0
+    return int(differs)
 
 
 if __name__ == "__main__":
