@@ -9,8 +9,8 @@ coherent-distill, nbell) are presets over one runner: the params pick the
 initial state and the loss rates, and a preset fixes only the interval mode
 and its extra result keys; stabilize shares that runner's config builder.
 
-Exit codes: 0 success, 2 config error, 3 physics-regime violation,
-4 optimizer abort.
+Exit codes: 0 success, 2 config error (also a value the library rejects),
+3 physics-regime violation, 4 optimizer abort.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from . import __version__
 from .dynamics import NonHermitianError, TraceDriftError
 from .hilbert import (
     DimensionError,
-    HilbertSpace,
     TruncationError,
     bell_state,
     coherent_state,
@@ -50,6 +49,7 @@ from .model import (
     EffectiveParams,
     ModelParams,
     ZeroDetuningError,
+    _magnon_space,
     dispersive_evolution_fidelity,
     effective_couplings,
     sw_reduction_check,
@@ -261,10 +261,6 @@ def _resolve_params(scenario: str, given: dict) -> dict:
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid value for {scenario}/{key}: {exc}") from exc
     return resolved
-
-
-def _magnon_space(cutoff: int) -> HilbertSpace:
-    return HilbertSpace((("n", cutoff), ("m", cutoff)))
 
 
 def _protocol_config(p: dict, interval_mode: str = "full") -> ProtocolConfig:
@@ -513,6 +509,9 @@ def main(argv=None) -> int:
     except PHYSICS_ERRORS as exc:
         print(_error_record(exc), file=sys.stderr)
         return EXIT_PHYSICS
+    except ValueError as exc:  # a setting the library rejects, e.g. couplings with no interval
+        print(_error_record(exc), file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ import numpy as np
 from .dynamics import LindbladChannel, LindbladSpec, lindblad_channel, propagator
 from .dynamics import integrate_master  # noqa: F401  (perfbench's tracer looks the RK4 oracle up here)
 from .hilbert import DimensionError, HilbertSpace, Operator, QuantumState, bell_state, fidelity
-from .model import _JC_LABELS, LEVEL_G, EffectiveParams, _product_ops, build_jc_effective
+from .model import (_JC_LABELS, EffectiveParams, _ground_block, _joint_space, _magnon_part,
+                    _product_ops, _with_ground, build_jc_effective)
 
 NULL_OUTCOME_FLOOR = 1e-12
 SLOW_DAMPING_MARGIN = 1e-6
@@ -45,17 +46,24 @@ def rabi_frequency(n: int | np.ndarray, m: int | np.ndarray,
     """Oscillation frequency of the (n, m) block: sqrt(Ge^2 n + Gf^2 m + D^2/4).
 
     n and m are occupation numbers or arrays of them; the result broadcasts.
+    Squares are products: past the float range one is inf (not OverflowError).
     """
     if np.any(np.asarray(n) < 0) or np.any(np.asarray(m) < 0):
         raise ValueError("occupation numbers must be nonnegative")
-    return np.sqrt(eff.G_e**2 * n + eff.G_f**2 * m + 0.25 * eff.common_detuning()**2)
+    delta = eff.common_detuning()
+    return np.sqrt(eff.G_e * eff.G_e * n + eff.G_f * eff.G_f * m + 0.25 * delta * delta)
 
 
 def interval_for_target(N: int, eff: EffectiveParams) -> float:
-    """Measurement interval 2 pi / Omega_NN that keeps |alpha_NN| = 1."""
+    """Measurement interval 2 pi / Omega_NN that keeps |alpha_NN| = 1; ValueError if
+    Omega_NN is 0 or not finite, as when a coupling's square under- or overflows."""
     if N < 1:
         raise ValueError(f"target excitation must be >= 1, got {N}")
-    return 2.0 * math.pi / float(rabi_frequency(N, N, eff))
+    omega = float(rabi_frequency(N, N, eff))
+    if not 0.0 < omega < math.inf:  # NaN fails too
+        raise ValueError(f"no measurement interval: Omega_{N}{N} = {omega} "
+                         f"at G_e = {eff.G_e}, G_f = {eff.G_f}")
+    return 2.0 * math.pi / omega
 
 
 def analytic_kraus(space: HilbertSpace, eff: EffectiveParams, tau: float) -> Operator:
@@ -85,21 +93,8 @@ def numeric_kraus(H_eff: Operator, tau: float) -> Operator:
     H_eff must live on a space whose first subsystem is the dim-3 qutrit;
     the result acts on the remaining magnon space.
     """
-    space = H_eff.space
-    if space.labels[0] != "atom" or space.dims[0] != 3:
-        raise DimensionError("numeric_kraus expects the qutrit first, with dimension 3")
-    u = propagator(H_eff, tau).matrix
-    block = space.total_dim // 3
-    lo = LEVEL_G * block
-    v = u[lo:lo + block, lo:lo + block]
-    return Operator(space.subspace(space.labels[1:]), v)
-
-
-def _ground_block(data: np.ndarray) -> np.ndarray:
-    """The |g> rows (and, for a density matrix, columns) of a qutrit-first array."""
-    block = data.shape[0] // 3
-    g = slice(LEVEL_G * block, (LEVEL_G + 1) * block)
-    return data[g] if data.ndim == 1 else data[g, g]
+    mag = _magnon_part(H_eff.space)
+    return Operator(mag, _ground_block(propagator(H_eff, tau).matrix))
 
 
 def _renormalized(space: HilbertSpace, kind: str, branch: np.ndarray,
@@ -121,10 +116,7 @@ def apply_projection(rho_tot: QuantumState) -> tuple[QuantumState, float]:
     Returns the conditional magnon state and the pre-normalization outcome
     probability.  Raises NullOutcomeError below the probability floor.
     """
-    space = rho_tot.space
-    if space.labels[0] != "atom" or space.dims[0] != 3:
-        raise DimensionError("apply_projection expects the qutrit first, with dimension 3")
-    return _renormalized(space.subspace(space.labels[1:]), rho_tot.kind, _ground_block(rho_tot.data))
+    return _renormalized(_magnon_part(rho_tot.space), rho_tot.kind, _ground_block(rho_tot.data))
 
 
 @dataclass(frozen=True)
@@ -207,17 +199,11 @@ def _joint_spec(mag_space: HilbertSpace, cfg: ProtocolConfig) -> LindbladSpec:
     The jump operators are the lowering operators of the operator table the
     Hamiltonian is built from.
     """
-    jc_space = HilbertSpace((("atom", 3),) + mag_space.subsystems)
+    jc_space = _joint_space(mag_space)
     ops = _product_ops(jc_space, _JC_LABELS)
     return LindbladSpec(build_jc_effective(cfg.eff, jc_space), tuple(
         (Operator(jc_space, ops[mode][0]), rate) for mode, rate in zip(("n", "m"), cfg.decoherence)
     ))
-
-
-def _ground_density() -> np.ndarray:
-    ground = np.zeros((3, 3), dtype=complex)
-    ground[LEVEL_G, LEVEL_G] = 1.0
-    return ground
 
 
 def run_protocol(
@@ -279,10 +265,9 @@ def run_protocol(
     if cfg.decoherence is not None:
         if channel is None:
             channel = lindblad_channel(_joint_spec(mag_space, cfg), cfg.tau)
-        ground = _ground_density()
 
         def evolve(rho):
-            joint = QuantumState(channel.space, "mixed", np.kron(ground, rho))
+            joint = QuantumState(channel.space, "mixed", _with_ground(rho))
             return _ground_block(channel(joint).data)
 
         kind, data = "mixed", initial.density()
@@ -326,7 +311,7 @@ def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.n
     projector = np.kron(np.eye(3, dtype=complex), np.outer(target.data, target.data.conj()))
 
     f_free = np.empty(cfg.rounds + 1)
-    rho = QuantumState(channel.space, "mixed", np.kron(_ground_density(), bell.density()))
+    rho = QuantumState(channel.space, "mixed", _with_ground(bell.density()))
     f_free[0] = float(np.real(np.trace(rho.data @ projector)))
     for k in range(1, cfg.rounds + 1):
         rho = channel(rho)

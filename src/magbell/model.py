@@ -5,14 +5,15 @@ Two bare models reach the qutrit through cavities: one cavity per magnon
 fields plus one wiring table, from which its detunings, checks and induced
 couplings are read.  One table of operators on occupation rows serves the bare
 Hamiltonian, the Schrieffer-Wolff generator and the closed-form dispersive
-Hamiltonian of both; only the closed form's induced pair operators are
-written per model.  The reduction leaves a Jaynes-Cummings-like
-magnon-qutrit Hamiltonian, with a time-dependent variant for a CRAB-shaped
-detuning.  All frequencies and couplings are in units of the magnon
-frequency; times are in units of its inverse.  The bare models carry no
-loss rates: magnon loss is set on the protocol (``ProtocolConfig``).
+Hamiltonian of both, and every term of each, the closed form's induced pair
+terms included, is read from the wiring table.  The reduction leaves a
+Jaynes-Cummings-like magnon-qutrit Hamiltonian, with a time-dependent variant
+for a CRAB-shaped detuning.  All frequencies and couplings are in units of
+the magnon frequency; times are in units of its inverse.  The bare models
+carry no loss rates: magnon loss is set on the protocol (``ProtocolConfig``).
 
-Qutrit level ordering is fixed package-wide: (g, e, f) = (0, 1, 2).
+Qutrit level ordering is fixed package-wide: (g, e, f) = (0, 1, 2), and so is
+the joint qutrit-magnon layout, the qutrit first, written once in the helpers below.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -36,6 +38,37 @@ DETUNING_MATCH_RTOL = 1e-12
 COHERENT_COUPLING_RATIO = 2.0
 _QUTRIT_PARTIES = ("e", "f")
 _JC_LABELS = ("atom", "n", "m")
+
+
+def _magnon_space(cutoff: int) -> HilbertSpace:
+    """The two-mode magnon space (n, m), both modes cut at cutoff."""
+    return HilbertSpace((("n", cutoff), ("m", cutoff)))
+
+
+def _joint_space(mag: HilbertSpace) -> HilbertSpace:
+    """The qutrit-magnon space: the dim-3 qutrit "atom" first, then the magnon factors."""
+    return HilbertSpace((("atom", 3),) + mag.subsystems)
+
+
+def _magnon_part(space: HilbertSpace) -> HilbertSpace:
+    """The magnon factor of a joint space; DimensionError unless the qutrit comes first, with dimension 3."""
+    if space.labels[0] != "atom" or space.dims[0] != 3:
+        raise DimensionError(f"expected the qutrit first, with dimension 3, got {space.subsystems}")
+    return space.subspace(space.labels[1:])
+
+
+def _with_ground(x: np.ndarray) -> np.ndarray:
+    """|g> (x) x for a magnon vector, |g><g| (x) x for a magnon matrix."""
+    ground = np.zeros((3,) * x.ndim, dtype=complex)
+    ground[(LEVEL_G,) * x.ndim] = 1.0
+    return np.kron(ground, x)
+
+
+def _ground_block(x: np.ndarray) -> np.ndarray:
+    """The |g> rows (and, for a matrix, columns) of a joint vector or matrix."""
+    block = x.shape[0] // 3
+    g = slice(LEVEL_G * block, (LEVEL_G + 1) * block)
+    return x[g] if x.ndim == 1 else x[g, g]
 
 
 class ZeroDetuningError(ZeroDivisionError):
@@ -305,8 +338,7 @@ def _product_ops(space: HilbertSpace, labels: tuple[str, ...]) -> dict:
     """Operator table on the whole product basis of a space [atom:3, modes...] labeled as given."""
     if space.labels != labels:
         raise DimensionError(f"expected subsystems {labels}, got {space.labels}")
-    if space.dim("atom") != 3:
-        raise DimensionError(f"atom subsystem must have dimension 3, got {space.dim('atom')}")
+    _magnon_part(space)  # the qutrit first, with dimension 3
     rows = np.indices(space.dims).reshape(len(labels), -1).T  # Kronecker order
     return _operator_table(rows, labels[1:])
 
@@ -362,6 +394,11 @@ def build_jc_effective(eff: EffectiveParams, space: HilbertSpace) -> Operator:
 _NO_SHIFT = dict.fromkeys(("n", "m", *_QUTRIT_PARTIES), 0.0)
 
 
+def _lamb_shift_map(eff: EffectiveParams) -> dict:
+    """The Lamb shifts chi of eff by party, as ``_free_matrix`` takes them."""
+    return {party: getattr(eff, f"chi_{party}") for party in _NO_SHIFT}
+
+
 def _free_matrix(params: ModelParams | SingleModeParams, ops: dict, chi: dict) -> np.ndarray:
     """Sum of frequency times occupation over the cavities, then n, m, e, f.
 
@@ -400,42 +437,34 @@ def _generator_matrix(params: ModelParams | SingleModeParams, ops: dict) -> np.n
     return s
 
 
-def _two_cavity_pairs(ops: dict) -> tuple[tuple[str, str, np.ndarray], ...]:
-    """The induced exchanges G_e, G_f and the cavity-swap three-body term a^+ b s+_fe."""
-    a_low, b_low = ops["a"][0], ops["b"][0]
-    return (
-        ("e", "n", ops["n"][0] @ ops["se_plus"]),
-        ("m", "f", ops["m"][0] @ ops["sf_plus"]),
-        ("e", "f", (a_low.conj().T @ b_low) @ ops["sfe_plus"]),
-    )
+def _induced_pairs(params: ModelParams | SingleModeParams, ops: dict):
+    """(i, j, x) per induced pair term G_ij (x + x^+) of the closed form, read from the wiring.
 
-
-def _shared_cavity_pairs(ops: dict) -> tuple[tuple[str, str, np.ndarray], ...]:
-    """Every induced pair: the four magnon-qutrit exchanges, the magnon swap,
-    and the excited-level exchange with its vacuum contribution (a^+a + 1)."""
-    n_low, m_low, a_num = ops["n"][0], ops["m"][0], ops["a"][1]
-    eye = np.eye(len(a_num), dtype=complex)
-    return (
-        ("n", "e", n_low @ ops["se_plus"]),
-        ("n", "f", n_low @ ops["sf_plus"]),
-        ("m", "e", m_low @ ops["se_plus"]),
-        ("m", "f", m_low @ ops["sf_plus"]),
-        ("n", "m", n_low.conj().T @ m_low),
-        ("e", "f", (a_num + eye) @ ops["sfe_plus"]),
-    )
-
-
-_INDUCED_PAIRS = {ModelParams: _two_cavity_pairs, SingleModeParams: _shared_cavity_pairs}
+    Two parties wired to one cavity exchange x_i x_j^+, x a party's lowering
+    operator; parties on different cavities induce nothing, since their
+    couplings commute.  The qutrit levels are the exception: the transitions
+    e-g and f-g share |g> and do not commute, so the levels exchange through
+    their cavities c_e, c_f as (c_e^+ c_f + [c_e = c_f]) s+_fe, the bracket
+    being the vacuum term of c c^+ = c^+ c + 1 on one shared cavity.
+    """
+    for i, j in combinations(params.WIRING, 2):
+        (c_i, _), (c_j, _) = params.WIRING[i], params.WIRING[j]
+        if i in _QUTRIT_PARTIES and j in _QUTRIT_PARTIES:
+            swap = ops[c_i][0].conj().T @ ops[c_j][0]
+            if c_i == c_j:
+                swap = swap + np.eye(len(swap))
+            yield i, j, swap @ ops["sfe_plus"]
+        elif c_i == c_j:
+            yield i, j, _party_ops(ops, i)[0].conj().T @ _party_ops(ops, j)[0]
 
 
 def _sw_effective_matrix(params: ModelParams | SingleModeParams, ops: dict) -> np.ndarray:
-    eff = effective_couplings(params)
-    chi = {"n": eff.chi_n, "m": eff.chi_m, "e": eff.chi_e, "f": eff.chi_f}
+    chi = _lamb_shift_map(effective_couplings(params))
     h = _free_matrix(params, ops, chi)
     for party, (cavity, _) in params.WIRING.items():
         if party in _QUTRIT_PARTIES:  # chi_i c^+c (|i><i| - |g><g|)
             h += chi[party] * ops[cavity][1] @ (ops[f"p{party}"] - ops["pg"])
-    for i, j, x in _INDUCED_PAIRS[type(params)](ops):
+    for i, j, x in _induced_pairs(params, ops):
         h += params.induced_coupling(i, j) * (x + x.conj().T)
     return h
 
@@ -462,9 +491,10 @@ def build_sw_effective(params: ModelParams | SingleModeParams, space: HilbertSpa
     """Closed-form second-order effective Hamiltonian of either model.
 
     The Lamb-shifted free part, the photon-number-conditioned qutrit shifts
-    chi_i c^+c (|i><i| - |g><g|), and the model's induced pair terms: for two
-    cavities the exchanges G_e, G_f and the cavity swap; for the shared
-    cavity every pair, including the magnon swap.
+    chi_i c^+c (|i><i| - |g><g|), and the induced pair terms the wiring
+    gives (``_induced_pairs``): for two cavities the exchanges G_e, G_f and
+    the cavity swap; for the shared cavity every pair, including the magnon
+    swap.
     """
     return Operator(space, _sw_effective_matrix(params, _product_ops(space, params.space_labels)))
 
@@ -537,12 +567,10 @@ def dispersive_evolution_fidelity(params: ModelParams, magnon_state, t: float) -
     psi0[start] = amps[n[start], m[start]]
 
     eff = effective_couplings(params)
-    # H_R is diagonal in the product basis, so exp(-i H_R t) is elementwise
-    h_rot = np.diag(
-        (params.omega_a - eff.chi_n) * ops["a"][1] + (params.omega_b - eff.chi_m) * ops["b"][1]
-        + (params.omega_n + eff.chi_n) * (ops["n"][1] + ops["pe"])
-        + (params.omega_m + eff.chi_m) * (ops["m"][1] + ops["pf"])
-    ).real
+    # H_R is the Lamb-shifted free part less the detunings H_eff keeps; it is
+    # diagonal in the product basis, so exp(-i H_R t) is elementwise
+    h_rot = np.diag(_free_matrix(params, ops, _lamb_shift_map(eff))
+                    - eff.Delta_e_tilde * ops["pe"] - eff.Delta_f_tilde * ops["pf"]).real
     u_s = propagator_matrix(1j * _generator_matrix(params, ops), 1.0)  # exp(S)
     psi_full = propagator_matrix(_full_matrix(params, ops), t) @ psi0
     psi_pred = u_s.conj().T @ (np.exp(-1j * h_rot * t)

@@ -34,9 +34,10 @@ import numpy as np
 
 from .dynamics import time_ordered_propagator
 from .dynamics import propagator  # noqa: F401  (perfbench's tracer looks the propagator up here)
-from .hilbert import HilbertSpace, QuantumState, product_state, superposed_state, bell_state, fidelity
+from .hilbert import QuantumState, product_state, superposed_state, bell_state, fidelity
 from .measurement import apply_projection, interval_for_target
-from .model import LEVEL_G, EffectiveParams, PulseCoefficients, build_time_dependent_jc
+from .model import (EffectiveParams, PulseCoefficients, _joint_space, _magnon_space, _with_ground,
+                    build_time_dependent_jc)
 
 DEFAULT_SLICES = 512
 SINGLE_SHOT_CUTOFF = 3
@@ -312,36 +313,22 @@ def _fidelity_from_amplitudes(a01, a11):
     return abs(1.0 + a11) ** 2 / (2.0 * norm)
 
 
-def _single_shot_space() -> tuple[HilbertSpace, HilbertSpace]:
-    mag = HilbertSpace((("n", SINGLE_SHOT_CUTOFF), ("m", SINGLE_SHOT_CUTOFF)))
-    jc = HilbertSpace((("atom", 3),) + mag.subsystems)
-    return mag, jc
-
-
-def _initial_states() -> tuple[np.ndarray, QuantumState]:
-    """The joint start |g> (x) |+>|+> and the Bell target on the magnons."""
-    mag, _ = _single_shot_space()
-    plus = superposed_state(SINGLE_SHOT_CUTOFF, 1)
-    psi = product_state(mag, {"n": plus, "m": plus})
-    g_vec = np.zeros(3, dtype=complex)
-    g_vec[LEVEL_G] = 1.0
-    return np.kron(g_vec, psi.data), bell_state(mag, 1, +1)
-
-
 def evaluate_single_shot(pulse: PulseCoefficients, slices: int = DEFAULT_SLICES):
     """Full-pipeline evaluation of one shaped pulse.
 
     Builds the time-dependent Hamiltonian, forms the time-ordered propagator,
-    projects the qutrit onto its ground state, and returns
-    (fidelity, success probability, conditional magnon state).
+    applies it to |g> (x) |+>|+>, projects the qutrit onto its ground state,
+    and returns (fidelity to the Bell state, success probability, conditional
+    magnon state).
     """
-    _, jc = _single_shot_space()
-    psi0, target = _initial_states()
+    mag = _magnon_space(SINGLE_SHOT_CUTOFF)
+    plus = superposed_state(SINGLE_SHOT_CUTOFF, 1)
+    start = product_state(mag, {"n": plus, "m": plus})
+    jc = _joint_space(mag)
     hfun = build_time_dependent_jc(pulse, pulse.G, jc)
     u = time_ordered_propagator(hfun, pulse.tau_total, slices)
-    psi = QuantumState(jc, "pure", u.matrix @ psi0)
-    state, prob = apply_projection(psi)
-    return fidelity(state, target), prob, state
+    state, prob = apply_projection(QuantumState(jc, "pure", u.matrix @ _with_ground(start.data)))
+    return fidelity(state, bell_state(mag, 1, +1)), prob, state
 
 
 def _fidelity_time_trace(pulse: PulseCoefficients, slices: int) -> tuple[np.ndarray, np.ndarray]:

@@ -12,10 +12,11 @@ whole bare space with the public full-space builders, where the library
 caps the excitation, and the embedded operator table builds each operator
 as a Kronecker product of identities (``embed``, ``level_projector``,
 ``transition``, which only the tests use), where the library maps
-occupation rows.  The dense Lindblad oracle forms the whole column-stacked
-Liouvillian superoperator and exponentiates it by a fixed-degree scaling and
-squaring, where the library exponentiates the row-major blocks that L never
-mixes.
+occupation rows.  The reference closed form writes each model's induced
+pair terms out by hand, where the library reads them from the wiring table.
+The dense Lindblad oracle forms the whole column-stacked Liouvillian
+superoperator and exponentiates it by a fixed-degree scaling and squaring,
+where the library exponentiates the row-major blocks that L never mixes.
 """
 
 import math
@@ -31,6 +32,7 @@ from magbell.model import (
     LEVEL_E,
     LEVEL_F,
     LEVEL_G,
+    SingleModeParams,
     build_full,
     build_sw_effective,
     build_time_dependent_jc,
@@ -200,6 +202,55 @@ def embedded_operator_table(space, modes):
         low = place(annihilation(space.dim(label)), label)
         ops[label] = (low, low.conj().T @ low)
     return ops
+
+
+def two_cavity_pairs(ops):
+    """The two-cavity model's induced pairs, by hand: G_e, G_f and the cavity swap a^+ b s+_fe."""
+    a_low, b_low = ops["a"][0], ops["b"][0]
+    return (
+        ("e", "n", ops["n"][0] @ ops["se_plus"]),
+        ("m", "f", ops["m"][0] @ ops["sf_plus"]),
+        ("e", "f", (a_low.conj().T @ b_low) @ ops["sfe_plus"]),
+    )
+
+
+def shared_cavity_pairs(ops):
+    """The shared-cavity model's induced pairs, by hand: the four magnon-qutrit
+    exchanges, the magnon swap, and the excited-level exchange (a^+a + 1) s+_fe."""
+    n_low, m_low, a_num = ops["n"][0], ops["m"][0], ops["a"][1]
+    return (
+        ("n", "e", n_low @ ops["se_plus"]),
+        ("n", "f", n_low @ ops["sf_plus"]),
+        ("m", "e", m_low @ ops["se_plus"]),
+        ("m", "f", m_low @ ops["sf_plus"]),
+        ("n", "m", n_low.conj().T @ m_low),
+        ("e", "f", (a_num + np.eye(len(a_num))) @ ops["sfe_plus"]),
+    )
+
+
+REFERENCE_PAIRS = {ModelParams: two_cavity_pairs, SingleModeParams: shared_cavity_pairs}
+
+
+def reference_sw_effective(params, ops):
+    """The closed-form effective Hamiltonian with each model's induced pairs from ``REFERENCE_PAIRS``.
+
+    Lamb-shifted magnon and level frequencies, each cavity shifted down by the
+    magnon shifts it mediates, the qutrit shifts chi_i c^+c (|i><i| - |g><g|),
+    then G_ij (x + x^+) per listed pair.
+    """
+    eff = effective_couplings(params)
+    chi = {"n": eff.chi_n, "m": eff.chi_m, "e": eff.chi_e, "f": eff.chi_f}
+    occupation = {"n": ops["n"][1], "m": ops["m"][1], "e": ops["pe"], "f": ops["pf"]}
+    h = sum(omega * ops[label][1] for label, omega in params.cavities())
+    for party, (cavity, _) in params.WIRING.items():
+        h = h + (getattr(params, f"omega_{party}") + chi[party]) * occupation[party]
+        if party in ("n", "m"):
+            h = h - chi[party] * ops[cavity][1]
+        else:
+            h = h + chi[party] * ops[cavity][1] @ (occupation[party] - ops["pg"])
+    for i, j, x in REFERENCE_PAIRS[type(params)](ops):
+        h = h + params.induced_coupling(i, j) * (x + x.conj().T)
+    return h
 
 
 def dense_sw_residual(params, space):

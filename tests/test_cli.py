@@ -270,7 +270,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("error, code", [
         (TruncationError, 3), (ZeroDetuningError, 3), (TargetOverlapError, 3),
         (NullOutcomeError, 3), (TraceDriftError, 3), (NonHermitianError, 3),
-        (DimensionError, 3), (ObjectiveError, 4), (ConfigError, 2),
+        (DimensionError, 3), (ObjectiveError, 4), (ConfigError, 2), (ValueError, 2),
     ], ids=lambda value: getattr(value, "__name__", str(value)))
     def test_documented_exit_codes(self, tmp_path, capsys, monkeypatch, error, code):
         def failing_runner(params, seed):
@@ -293,6 +293,17 @@ class TestMainEntry:
         path.write_text(f"scenario: {scenario}\nparams:\n  {key}: {value}\n")
         assert main(["run", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("scenario, params", [
+        ("bell-distill", {"G_e": 1.0e-320, "G_f": 1.0e-320}),
+        ("single-shot", {"G": 1.0e-320}),
+        ("decohere-prepare", {"G_e": 1.0e+300}),
+    ], ids=["bell-distill-underflow", "single-shot-underflow", "decohere-prepare-overflow"])
+    def test_coupling_square_out_of_float_range_exits_2(self, tmp_path, capsys, scenario, params):
+        path = write_config(tmp_path, {"scenario": scenario, "params": params})
+        assert main(["run", "--config", path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "no measurement interval" in err["message"]
 
     def test_seed_override_recorded(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 3}})

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from magbell import measurement
 from magbell.hilbert import (
+    DimensionError,
     HilbertSpace,
+    Operator,
     QuantumState,
     basis_state,
     bell_state,
@@ -147,6 +149,19 @@ class TestNumericKraus:
                 assert abs(v[k, k] - want) <= 1e-10
 
 
+# the qutrit is not the first factor, or has the wrong dimension
+NOT_QUTRIT_FIRST = (HilbertSpace((("n", 3), ("atom", 3))), HilbertSpace((("atom", 2), ("n", 3))),
+                    HilbertSpace((("n", 3), ("m", 3))))
+
+
+@pytest.mark.parametrize("space", NOT_QUTRIT_FIRST, ids=lambda space: ",".join(space.labels))
+def test_joint_layout_required(space):
+    with pytest.raises(DimensionError):
+        numeric_kraus(Operator(space, np.zeros((space.total_dim,) * 2)), 1.0)
+    with pytest.raises(DimensionError):
+        apply_projection(basis_state(space, (0, 0)))
+
+
 class TestApplyProjection:
     def test_ground_atom_passes_through(self, resonant_eff):
         space = jc_space(3)
@@ -186,6 +201,12 @@ class TestIntervalForTarget:
         tau1 = interval_for_target(1, resonant_eff)
         tau4 = interval_for_target(4, resonant_eff)
         assert tau4 == pytest.approx(tau1 / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("g", [1e-320, 1e300])
+    def test_coupling_square_out_of_float_range_rejected(self, g):
+        # Omega_11 underflows to 0 or overflows to inf: there is no interval
+        with pytest.raises(ValueError, match="no measurement interval"):
+            interval_for_target(1, EffectiveParams(G_e=g, G_f=g))
 
 
 class TestProtocolConfig:

@@ -42,6 +42,7 @@ from conftest import (
     embedded_operator_table,
     excitation_numbers,
     level_projector,
+    reference_sw_effective,
 )
 
 FULL_SPACE = HilbertSpace((("atom", 3), ("a", 3), ("b", 3), ("n", 4), ("m", 4)))
@@ -308,6 +309,19 @@ class TestOperatorTable:
                 assert np.array_equal(table[label][0], embedded[label][0])
                 assert np.array_equal(op.matrix, table[label][0]) and rate == gamma
             assert len(collapse) == 2
+
+    def test_closed_form_matches_per_model_pair_lists(self):
+        """Every induced pair term, read from the wiring, against the pair lists written per model."""
+        unmatched = SingleModeParams(omega_a=0.6, omega_n=1.01, omega_m=0.97, omega_e=1.13,
+                                     omega_f=0.91, lambda_n=0.021, lambda_m=0.017,
+                                     lambda_e=0.013, lambda_f=0.029)
+        for params, space in ((UNEQUAL, HilbertSpace((("atom", 3), ("a", 2), ("b", 3),
+                                                      ("n", 4), ("m", 5)))),
+                              (matched_single_mode(), SINGLE_SPACE),
+                              (unmatched, HilbertSpace((("atom", 3), ("a", 4), ("n", 2), ("m", 3))))):
+            ops = embedded_operator_table(space, params.space_labels[1:])
+            got = model._sw_effective_matrix(params, ops)
+            assert np.abs(got - reference_sw_effective(params, ops)).max() <= 1e-14, type(params)
 
 
 class TestExcitationCap:
