@@ -4,11 +4,13 @@ Matrix exponentials of Hamiltonians go through Hermitian eigendecomposition,
 which keeps propagators unitary to roundoff.  ``_require_hermitian`` is the
 package's one Hermiticity check of a Hamiltonian; ``propagator_matrix`` and
 ``LindbladSpec`` run it.  Open-system evolution applies exp(L t) exactly
-through a channel built once per spec and time (``lindblad_channel``): the
-Liouville space splits into the blocks that L never mixes, found from the
-sparsity of the effective non-Hermitian Hamiltonian and the jump operators,
-and each block is exponentiated once by scaling and squaring; applying the
-channel is one small matrix-vector product per block.  The fixed-step
+through a channel built once per spec, time and start state
+(``lindblad_channel``): a forward traversal of the sparsity of the
+effective non-Hermitian Hamiltonian and the jump operators finds the
+Liouville indices L reaches from the start's support, that set splits into
+the blocks L never mixes, and each block is exponentiated once by scaling
+and squaring; applying the channel is one small matrix-vector product per
+block.  The fixed-step
 fourth-order (RK4) integrator ``integrate_master`` is kept as its
 independent oracle in the tests; its right-hand side is the plain
 commutator-plus-dissipator form.  Both guard the trace, which is asserted,
@@ -115,36 +117,65 @@ def _jump_terms(spec: LindbladSpec) -> list[tuple[np.ndarray, np.ndarray, np.nda
     return jumps
 
 
-def _invariant_labels(k_eff: np.ndarray, jumps) -> np.ndarray:
-    """For each row-major Liouville index, the least index of the set L never leaves.
+def _by_column(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row indices of p's nonzero entries in column order, and where each column's rows start."""
+    cols, rows = np.nonzero(p.T)
+    return rows, np.searchsorted(cols, np.arange(p.shape[1] + 1))
 
-    Index i d + j stands for rho_ij.  K rho links (i, j) to (k, j) and
-    rho K^+ links (j, i) to (j, k) wherever K has an entry (i, k); a jump
-    L rho L^+ links (a, c) to (b, e) wherever L has entries (a, b) and
-    (c, e).  The sets are the connected components of these links, found by
-    propagating the least index along them.
+
+def _links(terms, idx: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (output, input) links of L out of the row-major Liouville indices idx.
+
+    Index i d + j stands for rho_ij.  Each term A (x) conj(B) of L, given as
+    the ``_by_column`` pair of A and B, links input (k, l) to output (i, j)
+    wherever A_ik and B_jl are nonzero.
+    """
+    k, l = np.divmod(idx, dim)
+    out, inp = [], []
+    for (rows_a, ptr_a), (rows_b, ptr_b) in terms:
+        n_b = ptr_b[l + 1] - ptr_b[l]
+        count = (ptr_a[k + 1] - ptr_a[k]) * n_b
+        f = np.repeat(np.arange(idx.size), count)  # the input each link leaves
+        p = np.arange(f.size) - np.repeat(np.cumsum(count) - count, count)  # its place among them
+        out.append(rows_a[ptr_a[k[f]] + p // n_b[f]] * dim + rows_b[ptr_b[l[f]] + p % n_b[f]])
+        inp.append(idx[f])
+    return np.concatenate(out), np.concatenate(inp)
+
+
+def _reachable_labels(k_eff: np.ndarray, jumps, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R, the sorted row-major Liouville indices L reaches from start's support, and their block labels.
+
+    In row-major order L = K (x) 1 + 1 (x) conj(K) + sum_L L (x) conj(L), so
+    a forward traversal of its ``_links`` from the nonzero entries of start
+    and of its transpose finds R, which L never leaves.  R splits into the
+    connected components of the links it holds, found by propagating the
+    least position in R along them; a label is the least position of its
+    component.
     """
     dim = k_eff.shape[0]
-    rows, cols = np.nonzero(k_eff)
-    j = np.arange(dim)
-    src = [(rows[:, None] * dim + j).ravel(), (j * dim + rows[:, None]).ravel()]
-    dst = [(cols[:, None] * dim + j).ravel(), (j * dim + cols[:, None]).ravel()]
-    for l_op, _, _ in jumps:
-        a, b = np.nonzero(l_op)
-        src.append((a[:, None] * dim + a).ravel())
-        dst.append((b[:, None] * dim + b).ravel())
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    labels = np.arange(dim * dim)
+    eye, k_cols = _by_column(np.eye(dim)), _by_column(k_eff)
+    terms = [(k_cols, eye), (eye, k_cols)] + [(_by_column(l_op),) * 2 for l_op, _, _ in jumps]
+    reached = ((start != 0) | (start.T != 0)).ravel()  # transposition-closed, as L is
+    frontier = np.flatnonzero(reached)
+    out, inp = [], []
+    while frontier.size:
+        to, fro = _links(terms, frontier, dim)
+        out.append(to)
+        inp.append(fro)
+        frontier = np.unique(to[~reached[to]])
+        reached[frontier] = True
+    reach = np.flatnonzero(reached)
+    src, dst = np.searchsorted(reach, np.concatenate(out)), np.searchsorted(reach, np.concatenate(inp))
+    labels = np.arange(reach.size)
     while True:
         low = np.minimum(labels[src], labels[dst])
         new = labels.copy()
         np.minimum.at(new, src, low)
         np.minimum.at(new, dst, low)
-        new = new[new]  # a label is an index of the same set, so follow it
+        new = new[new]  # a label is a position of the same component, so follow it
         if np.array_equal(new, labels):
-            break
+            return reach, labels
         labels = new
-    return labels
 
 
 def _block_generator(idx: np.ndarray, k_eff: np.ndarray, jumps) -> np.ndarray:
@@ -161,26 +192,30 @@ def _block_generator(idx: np.ndarray, k_eff: np.ndarray, jumps) -> np.ndarray:
     return gen
 
 
-def _block_generators(spec: LindbladSpec) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
-    """(idx, L on idx, partner idx or None) for one block of each conjugate pair.
+def _block_generators(spec: LindbladSpec,
+                      start: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """(idx, L on idx, partner idx or None) for one block of each conjugate pair of R.
 
-    L(rho^+) = L(rho)^+, so the block of the transposed pairs (j, i), taken
-    in the order of idx, is the complex conjugate of the block of idx.  The
-    partner is None when that block is idx itself.  Each idx is sorted.
+    R is the set of ``_reachable_labels`` from start.  L(rho^+) = L(rho)^+,
+    so R holds the transposed pair (j, i) of each of its (i, j), and the
+    block of the transposed pairs, taken in the order of idx, is the complex
+    conjugate of the block of idx.  The partner is None when that block is
+    idx itself.  Each idx is sorted.
     """
     dim = spec.hamiltonian.space.total_dim
     jumps = _jump_terms(spec)
     k_eff = -1j * spec.hamiltonian.matrix - 0.5 * sum(ldl for _, _, ldl in jumps)
-    labels = _invariant_labels(k_eff, jumps)
+    reach, labels = _reachable_labels(k_eff, jumps, start)
     order = np.argsort(labels, kind="stable")
     out = []
-    for idx in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
+    for pos in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
+        idx = reach[pos]
         i, j = np.divmod(idx, dim)
         partner = j * dim + i
-        if labels[partner[0]] < idx[0]:
+        mate = labels[np.searchsorted(reach, partner[0])]
+        if mate < pos[0]:
             continue  # already served as the partner of an earlier block
-        out.append((idx, _block_generator(idx, k_eff, jumps),
-                    None if labels[partner[0]] == idx[0] else partner))
+        out.append((idx, _block_generator(idx, k_eff, jumps), None if mate == pos[0] else partner))
     return out
 
 
@@ -211,26 +246,32 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LindbladChannel:
-    """exp(L t) of one LindbladSpec and time, built by ``lindblad_channel``.
+    """exp(L t) of one LindbladSpec and time on the indices a start reaches.
 
-    blocks pairs each invariant set of row-major Liouville indices with its
-    exponentiated block; together the sets partition range(d^2).
+    Built by ``lindblad_channel``.  support is R, the sorted row-major
+    Liouville indices L reaches from the start; blocks pairs each set of
+    indices that L never mixes with its exponentiated block, and together
+    the sets partition R.
     """
 
     space: HilbertSpace
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    support: np.ndarray
 
     def __call__(self, rho0: QuantumState) -> QuantumState:
-        """exp(L t) rho0: one matrix-vector product per block.
+        """exp(L t) rho0: one matrix-vector product per block, exact zeros off R.
 
-        Raises TraceDriftError if |tr rho - tr rho0| exceeds
-        DEFAULT_TRACE_TOL; the trace is asserted, never renormalized.
+        Raises ValueError if rho0 has a nonzero entry outside R, and
+        TraceDriftError if |tr rho - tr rho0| exceeds DEFAULT_TRACE_TOL; the
+        trace is asserted, never renormalized.
         """
         if rho0.space != self.space:
             raise SpaceMismatchError("initial state space differs from Lindblad space")
         rho = rho0.density()
         flat = rho.ravel()
-        out = np.empty_like(flat)
+        if np.count_nonzero(flat) > np.count_nonzero(flat[self.support]):
+            raise ValueError("state has support outside the set the channel was built on")
+        out = np.zeros_like(flat)
         for idx, block in self.blocks:
             out[idx] = block @ flat[idx]
         out = out.reshape(rho.shape)
@@ -241,25 +282,33 @@ class LindbladChannel:
         return QuantumState(self.space, "mixed", out)
 
 
-def lindblad_channel(spec: LindbladSpec, t: float) -> LindbladChannel:
-    """The map exp(L t) of the time-independent Liouvillian L of spec, to roundoff.
+def lindblad_channel(spec: LindbladSpec, t: float, start: np.ndarray) -> LindbladChannel:
+    """The map exp(L t) of the time-independent Liouvillian L of spec, to roundoff,
+    on every state whose support lies in what L reaches from start's.
 
-    L is split into the blocks of ``_invariant_labels`` and each block is
-    exponentiated once by ``_expm``, one block of each conjugate pair only
-    (``_block_generators``); no d^2 x d^2 array is formed unless L mixes
-    every index.  A build costs far more than one application, so a channel
-    pays off when one build serves many.  Raises ValueError for a negative
-    or non-finite t.
+    start is a d x d matrix, the first state the channel will see, say;
+    only its nonzero pattern and that of its transpose are read.  The
+    reachable set R is invariant, so exp(L t) restricted to R is
+    exp(L t |_R) exactly.  R is split into the blocks L never mixes and each
+    block is exponentiated once by ``_expm``, one block of each conjugate
+    pair only (``_block_generators``); a full-support start gives the blocks
+    of the whole Liouville space.  A build costs far more than one application, so
+    a channel pays off when one build serves many.  Raises ValueError for a
+    negative or non-finite t or a start that is zero or not d x d.
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and nonnegative, got {t}")
+    dim = spec.hamiltonian.space.total_dim
+    if start.shape != (dim, dim) or not start.any():
+        raise ValueError(f"start must be a nonzero {dim} x {dim} matrix, got shape {start.shape}")
     blocks = []
-    for idx, gen, partner in _block_generators(spec):
+    for idx, gen, partner in _block_generators(spec, start):
         block = _expm(t * gen)
         blocks.append((idx, block))
         if partner is not None:
             blocks.append((partner, block.conj()))
-    return LindbladChannel(spec.hamiltonian.space, tuple(blocks))
+    support = np.sort(np.concatenate([idx for idx, _ in blocks]))
+    return LindbladChannel(spec.hamiltonian.space, tuple(blocks), support)
 
 
 def integrate_master(

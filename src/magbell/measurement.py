@@ -10,8 +10,10 @@ coupling-ratio fidelity analysis.  A closed round applies the analytic
 diagonal of ``analytic_kraus``; ``numeric_kraus``, the <g|exp(-i H tau)|g>
 block of the effective Hamiltonian, is kept as its independent oracle.  A
 lossy round applies the exact channel exp(L tau) of the joint qutrit-magnon
-master equation (``dynamics.lindblad_channel``), built once per run; a
-stabilization run shares one channel between its projected and free legs.
+master equation (``dynamics.lindblad_channel``), built once per run on the
+Liouville indices that |g><g| (x) rho_0 can reach; a stabilization run
+shares one channel, built from the Bell input, between its projected and
+free legs, since every projected state stays in the g-g part of that set.
 """
 
 from __future__ import annotations
@@ -46,12 +48,14 @@ def rabi_frequency(n: int | np.ndarray, m: int | np.ndarray,
     """Oscillation frequency of the (n, m) block: sqrt(Ge^2 n + Gf^2 m + D^2/4).
 
     n and m are occupation numbers or arrays of them; the result broadcasts.
-    Squares are products: past the float range one is inf (not OverflowError).
+    Squares are products: past the float range one is inf (not OverflowError),
+    with no warning, for the caller to reject.
     """
     if np.any(np.asarray(n) < 0) or np.any(np.asarray(m) < 0):
         raise ValueError("occupation numbers must be nonnegative")
     delta = eff.common_detuning()
-    return np.sqrt(eff.G_e * eff.G_e * n + eff.G_f * eff.G_f * m + 0.25 * delta * delta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(eff.G_e * eff.G_e * n + eff.G_f * eff.G_f * m + 0.25 * delta * delta)
 
 
 def interval_for_target(N: int, eff: EffectiveParams) -> float:
@@ -71,6 +75,9 @@ def analytic_kraus(space: HilbertSpace, eff: EffectiveParams, tau: float) -> Ope
 
     Entry (n, m) is exp(-i D tau / 2) alpha_nm(tau), D = eff.common_detuning();
     the first subsystem couples through G_e, the second through G_f.
+    Raises ValueError, naming the largest block, if any Omega_nm is
+    infinite, as when a coupling's square times n overflows (a NaN coupling
+    is left to the null-outcome floor of the round it empties).
     """
     if len(space.subsystems) != 2:
         raise DimensionError("analytic_kraus needs a two-subsystem magnon space")
@@ -78,6 +85,9 @@ def analytic_kraus(space: HilbertSpace, eff: EffectiveParams, tau: float) -> Ope
     dn, dm = space.dims
     n, m = np.meshgrid(np.arange(dn), np.arange(dm), indexing="ij")
     omega = rabi_frequency(n, m, eff)
+    if np.isinf(omega).any():
+        raise ValueError(f"Omega_nm overflows: Omega_{dn - 1}{dm - 1} = {omega[-1, -1]} "
+                         f"at G_e = {eff.G_e}, G_f = {eff.G_f}")
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(omega > 0.0, 0.5 * delta / np.where(omega > 0.0, omega, 1.0), 0.0)
     alpha = np.cos(omega * tau) + 1j * ratio * np.sin(omega * tau)
@@ -216,8 +226,9 @@ def run_protocol(
     elementwise (v_i psi_i, or v_i conj(v_j) rho_ij for a mixed state); with
     decoherence set, the g-block of the exact magnon-loss map exp(L tau)
     (``lindblad_channel``) applied to |g><g| (x) rho.
-    channel is that map for a lossy cfg on the space of initial, for a
-    caller that has built it already; it is built here when omitted.
+    channel is that map for a lossy cfg, built on a set that holds
+    |g><g| (x) initial, for a caller that has built it already; it is built
+    here from |g><g| (x) initial when omitted.
     """
     mag_space = initial.space
     if mag_space.labels != ("n", "m"):
@@ -264,7 +275,8 @@ def run_protocol(
     kind, data = initial.kind, initial.data
     if cfg.decoherence is not None:
         if channel is None:
-            channel = lindblad_channel(_joint_spec(mag_space, cfg), cfg.tau)
+            channel = lindblad_channel(_joint_spec(mag_space, cfg), cfg.tau,
+                                       _with_ground(initial.density()))
 
         def evolve(rho):
             joint = QuantumState(channel.space, "mixed", _with_ground(rho))
@@ -304,14 +316,15 @@ def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.n
     """
     if cfg.decoherence is None:
         raise ValueError("stabilize requires decoherence rates in the config")
-    channel = lindblad_channel(_joint_spec(bell.space, cfg), cfg.tau)
+    start = _with_ground(bell.density())
+    channel = lindblad_channel(_joint_spec(bell.space, cfg), cfg.tau, start)
     f_stab = run_protocol(bell, cfg, channel).fidelity_plus
 
     target = bell_state(bell.space, cfg.target_N, +1)
     projector = np.kron(np.eye(3, dtype=complex), np.outer(target.data, target.data.conj()))
 
     f_free = np.empty(cfg.rounds + 1)
-    rho = QuantumState(channel.space, "mixed", _with_ground(bell.density()))
+    rho = QuantumState(channel.space, "mixed", start)
     f_free[0] = float(np.real(np.trace(rho.data @ projector)))
     for k in range(1, cfg.rounds + 1):
         rho = channel(rho)

@@ -305,6 +305,14 @@ class TestMainEntry:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "no measurement interval" in err["message"]
 
+    def test_largest_block_frequency_overflow_exits_2(self, tmp_path, capsys):
+        # Omega_11 is finite, so an interval exists, but G^2 n overflows in the top blocks
+        params = {"G_e": 9.0e+153, "G_f": 9.0e+153, "cutoff": 10}
+        path = write_config(tmp_path, {"scenario": "coherent-distill", "params": params})
+        assert main(["run", "--config", path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "Omega_99 = inf" in err["message"]
+
     def test_seed_override_recorded(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 3}})
         out = tmp_path / "r.csv"

@@ -22,6 +22,7 @@ from magbell.hilbert import (
     QuantumState,
     annihilation,
     basis_state,
+    bell_state,
     fidelity,
     product_state,
     superposed_state,
@@ -170,7 +171,7 @@ class TestIntegrateMaster:
             with pytest.raises(TraceDriftError):
                 integrate_master(rho0, spec, 1.0, IntegratorConfig(dt=0.5))
             with pytest.raises(TraceDriftError):
-                lindblad_channel(spec, 1.0)(rho0)
+                lindblad_channel(spec, 1.0, rho0.data)(rho0)
 
     def test_nan_dt_rejected(self):
         with pytest.raises(ValueError, match="dt"):
@@ -245,17 +246,35 @@ LINDBLAD_DRAWS = dict(
 )
 
 
+def jc_loss_spec(space, eff, rates):
+    """The JC effective Hamiltonian on space with loss on both magnon modes at rates."""
+    dn, dm = space.dim("n"), space.dim("m")
+    return LindbladSpec(build_jc_effective(eff, space), (
+        (embed(annihilation(dn), space, "n"), rates[0]),
+        (embed(annihilation(dm), space, "m"), rates[1]),
+    ))
+
+
+def ground_input(kind, dn, dm, seed=0):
+    """|g><g| (x) a magnon density: the N = 1 Bell state, |+>|+>, or random on drawn basis states."""
+    mag = HilbertSpace((("n", dn), ("m", dm)))
+    if kind == "bell":
+        rho = bell_state(mag, 1, +1).density()
+    elif kind == "plus":
+        rho = product_state(mag, {"n": superposed_state(dn, 1), "m": superposed_state(dm, 1)}).density()
+    else:
+        rng = np.random.default_rng(seed)
+        support = rng.choice(dn * dm, size=rng.integers(1, dn * dm + 1), replace=False)
+        rho = np.zeros((dn * dm,) * 2, dtype=complex)
+        rho[np.ix_(support, support)] = random_density(rng, support.size)
+    return np.kron(np.diag([1.0, 0.0, 0.0]), rho)
+
+
 def decohere_prepare_round():
     """One decohere-prepare round: G_e = G_f = 6e-3, loss 1e-4 on both modes, cutoff 3."""
     eff = EffectiveParams(G_e=6e-3, G_f=6e-3)
-    spec = LindbladSpec(build_jc_effective(eff, JC_SPACE), (
-        (embed(annihilation(3), JC_SPACE, "n"), 1e-4),
-        (embed(annihilation(3), JC_SPACE, "m"), 1e-4),
-    ))
-    plus = superposed_state(3, 1)
-    magnons = product_state(HilbertSpace((("n", 3), ("m", 3))), {"n": plus, "m": plus})
-    ground = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    rho0 = QuantumState(JC_SPACE, "mixed", np.kron(ground, magnons.density()))
+    spec = jc_loss_spec(JC_SPACE, eff, (1e-4, 1e-4))
+    rho0 = QuantumState(JC_SPACE, "mixed", ground_input("plus", 3, 3))
     return spec, rho0, interval_for_target(1, eff)
 
 
@@ -264,13 +283,13 @@ class TestLindbladAction:
 
     def test_matches_rk4_for_one_decohere_prepare_round(self):
         spec, rho0, tau = decohere_prepare_round()
-        exact = lindblad_channel(spec, tau)(rho0)
+        exact = lindblad_channel(spec, tau, rho0.data)(rho0)
         rk4 = integrate_master(rho0, spec, tau, IntegratorConfig(dt=tau / 2000))
         assert np.abs(exact.data - rk4.data).max() <= 1e-9
 
     def test_matches_dense_oracle_for_one_decohere_prepare_round(self):
         spec, rho0, tau = decohere_prepare_round()
-        exact = lindblad_channel(spec, tau)(rho0)
+        exact = lindblad_channel(spec, tau, rho0.data)(rho0)
         dense = dense_lindblad_oracle(rho0.data, spec, tau)
         assert np.abs(exact.data - dense).max() <= 1e-12
 
@@ -278,7 +297,7 @@ class TestLindbladAction:
     @given(**LINDBLAD_DRAWS, t=st.floats(0.0, 5.0))
     def test_matches_dense_oracle(self, seed, dim, rates, t):
         spec, rho0 = random_lindblad(seed, dim, rates)
-        out = lindblad_channel(spec, t)(rho0).data
+        out = lindblad_channel(spec, t, rho0.data)(rho0).data
         assert np.abs(out - dense_lindblad_oracle(rho0.data, spec, t)).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -287,7 +306,7 @@ class TestLindbladAction:
         spec, _ = random_lindblad(seed, dim, rates)
         rho = random_hermitian(np.random.default_rng([seed, 1]), dim)  # drawn apart from H
         liou = np.zeros((dim * dim,) * 2, dtype=complex)
-        for idx, gen, partner in dynamics._block_generators(spec):
+        for idx, gen, partner in dynamics._block_generators(spec, np.ones((dim, dim))):
             liou[np.ix_(idx, idx)] = gen
             if partner is not None:
                 liou[np.ix_(partner, partner)] = gen.conj()
@@ -305,25 +324,23 @@ class TestLindbladAction:
         dn, dm = cutoffs
         space = HilbertSpace((("atom", 3), ("n", dn), ("m", dm)))
         eff = EffectiveParams(G_e=g_e, G_f=g_f, Delta_e_tilde=delta, Delta_f_tilde=delta)
-        spec = LindbladSpec(build_jc_effective(eff, space), (
-            (embed(annihilation(dn), space, "n"), rates[0]),
-            (embed(annihilation(dm), space, "m"), rates[1]),
-        ))
+        spec = jc_loss_spec(space, eff, rates)
         dim = space.total_dim
-        channel = lindblad_channel(spec, t)
+        rho0 = QuantumState(space, "mixed", random_density(np.random.default_rng(seed), dim))
+        channel = lindblad_channel(spec, t, rho0.data)  # full support: the whole space's blocks
         label = np.full(dim * dim, -1)
         for b, (idx, _) in enumerate(channel.blocks):
             assert (label[idx] == -1).all()
             label[idx] = b
         assert (label >= 0).all() and len(channel.blocks) > 1
-        assert any(partner is not None for _, _, partner in dynamics._block_generators(spec))
+        assert any(partner is not None
+                   for _, _, partner in dynamics._block_generators(spec, rho0.data))
         # dense_liouvillian stacks columns: its index j d + i is row-major i d + j
         i, j = np.divmod(np.arange(dim * dim), dim)
         col_label = np.empty_like(label)
         col_label[j * dim + i] = label
         rows, cols = np.nonzero(dense_liouvillian(spec))
         assert (col_label[rows] == col_label[cols]).all()
-        rho0 = QuantumState(space, "mixed", random_density(np.random.default_rng(seed), dim))
         out = channel(rho0).data
         assert np.abs(out - dense_lindblad_oracle(rho0.data, spec, t)).max() <= 1e-12
 
@@ -331,7 +348,7 @@ class TestLindbladAction:
     def test_bad_time_rejected(self, t):
         spec, rho0 = random_lindblad(0, 2, [1.0])
         with pytest.raises(ValueError, match="t must be"):
-            lindblad_channel(spec, t)(rho0)
+            lindblad_channel(spec, t, rho0.data)(rho0)
 
     def test_closed_system_matches_propagator(self):
         rng = np.random.default_rng(11)
@@ -339,7 +356,7 @@ class TestLindbladAction:
         h = Operator(space, random_hermitian(rng, 12))
         rho0 = QuantumState(space, "mixed", random_density(rng, 12))
         u = propagator(h, 1.7).matrix
-        out = lindblad_channel(LindbladSpec(h, ()), 1.7)(rho0)
+        out = lindblad_channel(LindbladSpec(h, ()), 1.7, rho0.data)(rho0)
         assert np.abs(out.data - u @ rho0.data @ u.conj().T).max() <= 1e-12
 
     @settings(max_examples=40, deadline=None)
@@ -347,7 +364,7 @@ class TestLindbladAction:
     @example(seed=0, dim=2, rates=[1.0], t=3.0)
     def test_output_is_a_density_matrix(self, seed, dim, rates, t):
         spec, rho0 = random_lindblad(seed, dim, rates)
-        out = lindblad_channel(spec, t)(rho0).data
+        out = lindblad_channel(spec, t, rho0.data)(rho0).data
         assert abs(np.trace(out) - 1.0) <= 1e-12
         assert np.abs(out - out.conj().T).max() <= 1e-15
         assert np.linalg.eigvalsh(out).min() >= -1e-12
@@ -359,10 +376,70 @@ class TestLindbladAction:
         h = Operator(space, 0.3 * (a.matrix + a.matrix.conj().T))
         rho0 = QuantumState(space, "mixed", random_density(np.random.default_rng(5), dim))
         spec = LindbladSpec(h, ((Operator(space, a.matrix), 0.05),))
-        lindblad_channel(spec, 4.0)(rho0)
+        lindblad_channel(spec, 4.0, rho0.data)(rho0)
         monkeypatch.setattr(dynamics, "DEFAULT_TRACE_TOL", 1e-30)
         with pytest.raises(TraceDriftError):
-            lindblad_channel(spec, 4.0)(rho0)
+            lindblad_channel(spec, 4.0, rho0.data)(rho0)
+
+
+def dense_reachable(spec, start):
+    """Row-major indices the dense column-stacked Liouvillian reaches from start's support."""
+    links = dense_liouvillian(spec) != 0
+    reached = (start != 0).reshape(-1, order="F")
+    while True:
+        grown = reached | links[:, reached].any(axis=1)
+        if (grown == reached).all():
+            return np.flatnonzero(reached.reshape(start.shape, order="F"))
+        reached = grown
+
+
+class TestReachableChannel:
+    """A channel built on the indices its start reaches, against the dense superoperator."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(cutoffs=st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]),
+           g_e=st.just(0.0) | st.floats(1e-3, 1e-2), g_f=st.just(0.0) | st.floats(1e-3, 1e-2),
+           delta=st.just(0.0) | st.floats(-5e-3, 5e-3),
+           rates=st.tuples(*[st.just(0.0) | st.floats(1e-5, 1e-3)] * 2),
+           t=st.floats(0.0, 3000.0), kind=st.sampled_from(["bell", "plus", "random"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_oracle_on_reachable_set(self, cutoffs, g_e, g_f, delta, rates, t,
+                                                   kind, seed):
+        dn, dm = cutoffs
+        space = HilbertSpace((("atom", 3), ("n", dn), ("m", dm)))
+        eff = EffectiveParams(G_e=g_e, G_f=g_f, Delta_e_tilde=delta, Delta_f_tilde=delta)
+        spec = jc_loss_spec(space, eff, rates)
+        rho0 = QuantumState(space, "mixed", ground_input(kind, dn, dm, seed))
+        channel = lindblad_channel(spec, t, rho0.data)
+        dim = space.total_dim
+        # the blocks partition R, and R is what the dense L reaches
+        idx = np.concatenate([idx for idx, _ in channel.blocks])
+        assert np.array_equal(np.sort(idx), channel.support)
+        assert np.array_equal(channel.support, dense_reachable(spec, rho0.data))
+        i, j = np.divmod(channel.support, dim)
+        assert np.array_equal(np.sort(j * dim + i), channel.support)
+        out = channel(rho0).data
+        assert np.abs(out - dense_lindblad_oracle(rho0.data, spec, t)).max() <= 1e-12
+
+    def test_state_outside_reachable_set_raises(self):
+        spec, plus, tau = decohere_prepare_round()
+        bell = QuantumState(JC_SPACE, "mixed", ground_input("bell", 3, 3))
+        channel = lindblad_channel(spec, tau, bell.data)
+        channel(bell)
+        with pytest.raises(ValueError, match="outside"):
+            channel(plus)
+
+    def test_triangular_start_reaches_the_hermitian_set(self):
+        spec, _, tau = decohere_prepare_round()
+        bell = ground_input("bell", 3, 3)
+        support = lindblad_channel(spec, tau, bell).support
+        assert np.array_equal(lindblad_channel(spec, tau, np.triu(bell)).support, support)
+
+    @pytest.mark.parametrize("start", [np.zeros((27, 27)), np.eye(9)])
+    def test_zero_or_misshaped_start_rejected(self, start):
+        spec, _, tau = decohere_prepare_round()
+        with pytest.raises(ValueError, match="start"):
+            lindblad_channel(spec, tau, start)
 
 
 class TestTimeOrderedPropagator:

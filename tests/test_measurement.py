@@ -455,6 +455,17 @@ class TestStabilize:
         assert np.abs(f_stab - 1.0).max() <= 1e-8
         assert np.abs(f_free - 1.0).max() <= 1e-8
 
+    def test_records_independent_of_cutoff(self):
+        # the stabilize config: loss only lowers excitations, so levels above the
+        # Bell pair's stay empty and the cutoff cannot move either record
+        eff = EffectiveParams(G_e=6e-3, G_f=6e-3)
+        cfg = ProtocolConfig.for_target(eff, rounds=8, decoherence=(1e-4, 1e-4))
+        f_stab3, f_free3 = stabilize(bell_state(magnon(3), 1, +1), cfg)
+        for d in (4, 6):
+            f_stab, f_free = stabilize(bell_state(magnon(d), 1, +1), cfg)
+            assert np.abs(f_stab - f_stab3).max() <= 1e-13
+            assert np.abs(f_free - f_free3).max() <= 1e-13
+
 
 class TestCouplingRatioFidelity:
     def test_balanced_value(self):
