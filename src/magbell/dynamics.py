@@ -82,11 +82,14 @@ def _require_hermitian(matrix: np.ndarray):
 def propagator_matrix(h: np.ndarray, t: float, minus_identity: bool = False) -> np.ndarray:
     """exp(-i h t) of a Hermitian matrix via its eigendecomposition.
 
-    Raises NonHermitianError first; serves ``propagator`` and callers whose
-    basis is not a HilbertSpace (an excitation-capped one, say).  With
-    minus_identity it returns exp(-i h t) - 1, to full relative precision
-    where that difference is small.
+    Raises ValueError for a non-finite t and NonHermitianError before any
+    work; serves ``propagator`` and callers whose basis is not a
+    HilbertSpace (an excitation-capped one, say).  With minus_identity it
+    returns exp(-i h t) - 1, to full relative precision where that
+    difference is small.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     _require_hermitian(h)
     evals, evecs = np.linalg.eigh(h)
     phases = (np.expm1 if minus_identity else np.exp)(-1j * evals * t)
@@ -356,7 +359,10 @@ def time_ordered_propagator(Hfun, t_final: float, slices: int) -> Operator:
 
     Hfun maps a time in [0, t_final] to an Operator; the result converges to
     the time-ordered exponential at second order in the slice width.
+    Raises ValueError for a non-finite t_final or slices < 1.
     """
+    if not math.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
     if slices < 1:
         raise ValueError(f"slices must be >= 1, got {slices}")
     h_step = t_final / slices

@@ -238,7 +238,7 @@ class PulseCoefficients:
         """
         arr = np.asarray(t, dtype=float)
         tol = 1e-12 * max(1.0, self.tau_total)
-        if np.any(arr < -tol) or np.any(arr > self.tau_total + tol):
+        if not np.all((arr >= -tol) & (arr <= self.tau_total + tol)):  # NaN fails too
             raise ValueError(f"time outside [0, {self.tau_total}]")
         omegas = 2.0 * np.pi * np.arange(1, self.n_omega + 1) / self.tau_total
         phase = np.multiply.outer(arr, omegas)

@@ -12,13 +12,15 @@ Hamiltonian closes on, and so is its gradient in the coefficients, taken in
 reverse mode through the SU(2) slice products (as in GOAT: Machnes et al.,
 PRL 120, 150401 (2018)).  The envelope-weighted CRAB table at the slice
 midpoints is built once per search; a call takes the slice detunings as one
-matvec, scans both blocks' slice products once, and maps the per-slice
-derivatives back with the table's transpose.  The value's oracle is the
-slice-by-slice product loop ``sequential_block_amplitudes`` in
-``tests/conftest.py``.  The reported fidelity-vs-time trace is read from the
-same scan's running products of the winning pulse's slices, so its last
-entry and the pipeline fidelity are two independent computations of one
-number.
+matvec, scans both blocks' slice products forward once, reads every suffix
+product as the full product times the adjoint of a prefix (the products are
+unitary), and maps the per-slice derivatives back with the table's
+transpose.  In ``tests/conftest.py`` the value's oracle is the
+slice-by-slice product loop ``sequential_block_amplitudes``, and the
+gradient's is ``looped_block_gradient``, with explicit prefix and suffix
+lists.  The reported fidelity-vs-time trace is read from the same forward
+scan of the winning pulse's slices, so its last entry and the pipeline
+fidelity are two independent computations of one number.
 
 A restart ends when f = -F has fallen by at most STALL_ULPS ulps of |f| for
 STALL_ITERATIONS iterations in a row: near F = 1 the objective is flat to
@@ -261,21 +263,18 @@ def _block_amplitudes_and_gradient(deltas: np.ndarray, g: float, h: float):
 
     Every product of the slices of ``_block_slices`` is carried by (alpha,
     beta) pairs.  Reverse mode: one scan gives the inclusive prefix
-    products S_k...S_0 and suffix products S_N-1...S_k of both blocks (the
-    suffixes as the prefixes of the transposed slices in reverse order); the
-    last prefix is the full product, and slice k's derivative of it is
-    suffix(k+1) dS_k prefix(k-1).  Returns shapes (2,) and (2, slices).
+    products P_k = S_k...S_0 of both blocks; the last prefix is the full
+    product T, and slice k's derivative of it is suffix(k+1) dS_k P_k-1.
+    The prefixes are unitary, so suffix(k+1) = S_N-1...S_k+1 = T P_k^+, one
+    product more.  Returns shapes (2,) and (2, slices).
     """
     p, alpha, beta, dalpha, dbeta = _block_slices(deltas, g, h)
-    # the transpose of (alpha, beta) is (alpha, -beta*), and (AB)^T = B^T A^T
-    scan_a, scan_b = _running_products(np.concatenate((alpha, alpha[:, ::-1])),
-                                       np.concatenate((beta, -beta[:, ::-1].conj())))
-    total = scan_a[:2, -1]
-    one, zero = np.ones((2, 1)), np.zeros((2, 1))
-    before_a = np.concatenate((one, scan_a[:2, :-1]), axis=1)
-    before_b = np.concatenate((zero, scan_b[:2, :-1]), axis=1)
-    after_a = np.concatenate((scan_a[2:, -2::-1], one), axis=1)
-    after_b = np.concatenate((-scan_b[2:, -2::-1].conj(), zero), axis=1)
+    scan_a, scan_b = _running_products(alpha, beta)
+    total = scan_a[:, -1]
+    # the adjoint of (alpha, beta) is (alpha*, -beta)
+    after_a, after_b = _su2_product(scan_a[:, -1:], scan_b[:, -1:], scan_a.conj(), -scan_b)
+    before_a = np.concatenate((np.ones((2, 1)), scan_a[:, :-1]), axis=1)
+    before_b = np.concatenate((np.zeros((2, 1)), scan_b[:, :-1]), axis=1)
     mid_a, mid_b = _su2_product(dalpha, dbeta, before_a, before_b)
     dtotal = after_a * mid_a - after_b * mid_b.conj()
     phase = np.exp(-1j * h * p.sum())

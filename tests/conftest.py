@@ -151,6 +151,53 @@ def sequential_block_amplitudes(pulse, slices):
     return out[0], out[1]
 
 
+def looped_block_gradient(deltas, g, h):
+    """Ground-return amplitudes of both blocks and their derivatives in every
+    slice detuning, in reverse mode with plain loops.
+
+    Each slice's full exponential U_k = exp(-i H_k h), H_k = [[0, c], [c, d_k]],
+    is written out in closed form (all four entries, phase included), and its
+    derivative in d_k comes from the eigendecomposition of H_k
+    (Daleckii-Krein: in H_k's eigenbasis the derivative along
+    dH/dd_k = |1><1| has entries E_ij times the divided difference of
+    exp(-i lambda h) over lambda_i, lambda_j).  The prefixes
+    U_k...U_0 and suffixes U_N-1...U_k are two explicit lists, filled one
+    2x2 product at a time, and slice k's derivative of the <0|.|0> entry of
+    the full product is that entry of suffix(k+1) dU_k prefix(k-1).
+    Returns shapes (2,) and (2, slices).
+    """
+    slices = len(deltas)
+    amps, grads = [], []
+    for coupling in (g, math.sqrt(2.0) * g):
+        h_k = np.zeros((slices, 2, 2))
+        h_k[:, 0, 1] = h_k[:, 1, 0] = coupling
+        h_k[:, 1, 1] = deltas
+        evals, evecs = np.linalg.eigh(h_k)  # distinct eigenvalues: the gap is >= 2c
+        phases = np.exp(-1j * h * evals)
+        half = 0.5 * deltas
+        q = np.sqrt(half * half + coupling * coupling)
+        cq, sq = np.cos(q * h), np.sin(q * h) / q
+        units = [np.exp(-1j * p * h) * np.array([[c + 1j * s * p, -1j * s * coupling],
+                                                  [-1j * s * coupling, c - 1j * s * p]])
+                 for p, c, s in zip(half, cq, sq)]
+        derivs = []
+        for lam, vec, ph in zip(evals, evecs, phases):
+            gap = lam[0] - lam[1]
+            divided = np.diag(-1j * h * ph)  # the derivative of exp(-i lambda h) on the diagonal
+            divided[0, 1] = divided[1, 0] = ph[1] * np.expm1(-1j * h * gap) / gap
+            along = np.outer(vec[1].conj(), vec[1])  # |1><1| in the eigenbasis
+            derivs.append(vec @ (along * divided) @ vec.conj().T)
+        prefixes = [np.eye(2)]  # prefixes[k] = U_k-1...U_0
+        for u in units:
+            prefixes.append(u @ prefixes[-1])
+        suffixes = [np.eye(2)]  # suffixes[j] = U_N-1...U_N-j
+        for u in reversed(units):
+            suffixes.append(suffixes[-1] @ u)
+        amps.append(prefixes[-1][0, 0])
+        grads.append([(suffixes[slices - 1 - k] @ derivs[k] @ prefixes[k])[0, 0] for k in range(slices)])
+    return np.array(amps), np.array(grads)
+
+
 def sliced_fidelity_trace(pulse, slices):
     """Conditional Bell fidelity of the ground branch at every slice boundary, on the 27-dim space.
 

@@ -28,7 +28,7 @@ from magbell.hilbert import (
     superposed_state,
 )
 from magbell.measurement import interval_for_target
-from magbell.model import EffectiveParams, build_jc_effective
+from magbell.model import EffectiveParams, PulseCoefficients, build_jc_effective, build_time_dependent_jc
 
 from conftest import dense_lindblad_oracle, dense_liouvillian, embed, random_hermitian
 
@@ -77,6 +77,14 @@ class TestPropagator:
         space = HilbertSpace.single("s", 2)
         with pytest.raises(NonHermitianError):
             propagator(Operator(space, np.full((2, 2), math.nan)), 1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        h = random_h(2, dim=4)
+        with pytest.raises(ValueError, match="t must be finite"):
+            propagator(h, t)
+        with pytest.raises(ValueError, match="t must be finite"):
+            propagator_matrix(h.matrix, t)
 
 
 class TestUnitaryFromGenerator:
@@ -480,3 +488,11 @@ class TestTimeOrderedPropagator:
         h = random_h(9, dim=2)
         with pytest.raises(ValueError):
             time_ordered_propagator(lambda t: h, 1.0, 0)
+
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf])
+    def test_non_finite_final_time_rejected(self, t_final):
+        # the Hamiltonian is fine: the time is what is wrong
+        pulse = PulseCoefficients(a=(0.1,), b=(0.0,), tau_total=50.0, G=2e-3)
+        hfun = build_time_dependent_jc(pulse, 2e-3, JC_SPACE)
+        with pytest.raises(ValueError, match="t_final must be finite"):
+            time_ordered_propagator(hfun, t_final, 4)

@@ -466,6 +466,15 @@ class TestTimeDependentJC:
         with pytest.raises(ValueError):
             hfun(11.0)
 
+    def test_nan_time_rejected(self):
+        pulse = PulseCoefficients(a=(0.1,), b=(0.2,), tau_total=10.0, G=1e-3)
+        with pytest.raises(ValueError, match="time outside"):
+            pulse.basis(math.nan)
+        with pytest.raises(ValueError, match="time outside"):
+            pulse.basis(np.array([1.0, math.nan]))
+        with pytest.raises(ValueError, match="time outside"):
+            build_time_dependent_jc(pulse, 1e-3, JC_SPACE)(math.nan)
+
     def test_coefficient_length_mismatch(self):
         with pytest.raises(ValueError):
             PulseCoefficients(a=(1.0,), b=(), tau_total=1.0, G=1.0)
