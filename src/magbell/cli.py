@@ -234,7 +234,8 @@ def config_from_mapping(raw) -> ExperimentConfig:
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError(f"output must be a string path, got {output!r}")
-    params = _resolve_params(scenario, raw.get("params") or {})
+    params = raw.get("params")
+    params = _resolve_params(scenario, {} if params is None else params)  # absent, or YAML null
     return ExperimentConfig(scenario=scenario, params=params, seed=seed, output=output, format=fmt)
 
 

@@ -9,18 +9,19 @@ through a channel built once per spec, time and start state
 effective non-Hermitian Hamiltonian and the jump operators finds the
 Liouville indices L reaches from the start's support, that set splits into
 the blocks L never mixes, and each block is exponentiated once by scaling
-and squaring; applying the channel is one small matrix-vector product per
-block.  The fixed-step
-fourth-order (RK4) integrator ``integrate_master`` is kept as its
-independent oracle in the tests; its right-hand side is the plain
+and squaring, with its Taylor polynomial evaluated by Paterson-Stockmeyer.
+Applying the channel is one gather of the blocks' indices, one small
+matrix-vector product per block on a contiguous slice, and one scatter.
+The fixed-step fourth-order (RK4) integrator ``integrate_master`` is kept
+as its independent oracle in the tests; its right-hand side is the plain
 commutator-plus-dissipator form.  Both guard the trace, which is asserted,
-never renormalized.
+never renormalized, and validate every output state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,9 +30,6 @@ from .hilbert import HilbertSpace, Operator, QuantumState, SpaceMismatchError
 HERMITIAN_ATOL = 1e-12
 DEFAULT_TRACE_TOL = 1e-8
 _EPS = np.finfo(float).eps
-# With the 1-norm scaled below 1 the j-th Taylor term of exp is below 1 / j!,
-# so 30 terms (1 / 30! ~ 4e-33) only fail on a non-finite generator.
-_TAYLOR_MAX_TERMS = 30
 
 
 class NonHermitianError(ValueError):
@@ -223,25 +221,36 @@ def _block_generators(spec: LindbladSpec,
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring a Taylor sum (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+    """exp(a) by scaling and squaring a Taylor polynomial (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
 
-    a is scaled by 2^-s to 1-norm below 1.  Since max |X a| <= max |X| ||a||_1,
-    each Taylor term's largest entry is then at most 1 / (j + 1) of the one
-    before, so the sum stops at the first term whose largest entry is below
-    double precision of the partial sum's, and the tail stays below one
-    such term.  The result is squared s times.  A non-finite a never
-    converges and raises TraceDriftError.
+    a is scaled by 2^-s to 1-norm theta below 1.  Since max |X a| <= max |X| ||a||_1,
+    the j-th Taylor term's largest entry is then at most theta^j / j!, so the
+    degree m is fixed up front as the smallest with theta^m / m! at or below
+    double precision, and the tail stays below one such term.  The
+    polynomial is evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 60
+    (1973)): the powers a^2 .. a^q with q ~ sqrt(m), then Horner in a^q over
+    blocks of q terms, about 2 sqrt(m) products in all.  The result is
+    squared s times.  A non-finite a raises TraceDriftError.
     """
-    s = max(0, int(np.frexp(np.linalg.norm(a, 1))[1]))
+    norm = float(np.linalg.norm(a, 1))
+    if not math.isfinite(norm):
+        raise TraceDriftError(f"exp(L t) of a generator with non-finite 1-norm {norm}")
+    s = max(0, int(np.frexp(norm)[1]))
+    theta = norm / 2.0**s
     a = a / 2.0**s
-    term = out = np.eye(a.shape[0], dtype=complex)
-    for j in range(1, _TAYLOR_MAX_TERMS + 1):
-        term = term @ a / j
-        out = out + term
-        if np.abs(term).max() <= _EPS * np.abs(out).max():
-            break
-    else:
-        raise TraceDriftError(f"Taylor series of exp(L t) not converged after {_TAYLOR_MAX_TERMS} terms")
+    m, bound = 1, theta
+    while bound > _EPS:
+        m += 1
+        bound *= theta / m
+    q = max(1, round(math.sqrt(m)))
+    powers = [np.eye(a.shape[0], dtype=complex), a]
+    for _ in range(q - 1):
+        powers.append(powers[-1] @ a)
+    coef = [1.0 / math.factorial(j) for j in range(m + 1)]
+    top = -(-m // q) - 1  # the top block, of degree m - top q in 1 .. q, needs no a^(q+1)
+    out = sum(coef[top * q + i] * powers[i] for i in range(m - top * q + 1))
+    for k in range(top - 1, -1, -1):
+        out = out @ powers[q] + sum(coef[k * q + i] * powers[i] for i in range(q))
     for _ in range(s):
         out = out @ out
     return out
@@ -251,32 +260,53 @@ def _expm(a: np.ndarray) -> np.ndarray:
 class LindbladChannel:
     """exp(L t) of one LindbladSpec and time on the indices a start reaches.
 
-    Built by ``lindblad_channel``.  support is R, the sorted row-major
-    Liouville indices L reaches from the start; blocks pairs each set of
-    indices that L never mixes with its exponentiated block, and together
-    the sets partition R.
+    Built by ``lindblad_channel``.  blocks pairs each set of row-major
+    Liouville indices that L never mixes with its exponentiated block, and
+    support is R, the sorted union of those sets, which partition it.  The
+    sets are also kept concatenated in block order, with each block's slice
+    of the concatenation, so that an application gathers once.
     """
 
     space: HilbertSpace
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
-    support: np.ndarray
+    support: np.ndarray = field(init=False)
+    _gather: np.ndarray = field(init=False, repr=False)
+    _slices: tuple[tuple[slice, np.ndarray], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        gather = np.concatenate([idx for idx, _ in self.blocks])
+        ends = np.cumsum([idx.size for idx, _ in self.blocks])
+        object.__setattr__(self, "support", np.sort(gather))
+        object.__setattr__(self, "_gather", gather)
+        object.__setattr__(self, "_slices", tuple(
+            (slice(end - idx.size, end), block) for end, (idx, block) in zip(ends, self.blocks)))
 
     def __call__(self, rho0: QuantumState) -> QuantumState:
-        """exp(L t) rho0: one matrix-vector product per block, exact zeros off R.
-
-        Raises ValueError if rho0 has a nonzero entry outside R, and
-        TraceDriftError if |tr rho - tr rho0| exceeds DEFAULT_TRACE_TOL; the
-        trace is asserted, never renormalized.
-        """
+        """exp(L t) rho0 (see ``_apply``); SpaceMismatchError if rho0 is on another space."""
         if rho0.space != self.space:
             raise SpaceMismatchError("initial state space differs from Lindblad space")
-        rho = rho0.density()
+        return self._apply(rho0.density())
+
+    def _apply(self, rho: np.ndarray) -> QuantumState:
+        """exp(L t) rho for a density matrix rho on the channel's space, exact zeros off R.
+
+        One gather of R in block order, one matrix-vector product per block
+        on its contiguous slice, one scatter.  rho itself is not validated:
+        the caller passes a state, or one valid by construction.  Raises
+        ValueError if rho has a nonzero entry outside R, and TraceDriftError
+        if |tr out - tr rho| exceeds DEFAULT_TRACE_TOL; the trace is asserted,
+        never renormalized.  The output is Hermitian-scrubbed and validated
+        as a QuantumState.
+        """
         flat = rho.ravel()
-        if np.count_nonzero(flat) > np.count_nonzero(flat[self.support]):
+        x = flat[self._gather]
+        if np.count_nonzero(flat) > np.count_nonzero(x):
             raise ValueError("state has support outside the set the channel was built on")
-        out = np.zeros_like(flat)
-        for idx, block in self.blocks:
-            out[idx] = block @ flat[idx]
+        y = np.empty(x.size, dtype=complex)
+        for part, block in self._slices:
+            y[part] = block @ x[part]
+        out = np.zeros(flat.size, dtype=complex)
+        out[self._gather] = y
         out = out.reshape(rho.shape)
         drift = abs(np.trace(out) - np.trace(rho))
         if not drift <= DEFAULT_TRACE_TOL:
@@ -310,8 +340,7 @@ def lindblad_channel(spec: LindbladSpec, t: float, start: np.ndarray) -> Lindbla
         blocks.append((idx, block))
         if partner is not None:
             blocks.append((partner, block.conj()))
-    support = np.sort(np.concatenate([idx for idx, _ in blocks]))
-    return LindbladChannel(spec.hamiltonian.space, tuple(blocks), support)
+    return LindbladChannel(spec.hamiltonian.space, tuple(blocks))
 
 
 def integrate_master(

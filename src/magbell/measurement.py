@@ -14,6 +14,11 @@ master equation (``dynamics.lindblad_channel``), built once per run on the
 Liouville indices that |g><g| (x) rho_0 can reach; a stabilization run
 shares one channel, built from the Bell input, between its projected and
 free legs, since every projected state stays in the g-g part of that set.
+Every round validates the renormalized magnon state and holds the outcome
+probability to a floor; a lossy round also runs the channel's support,
+trace-drift and positivity checks on the joint output.  The embedded input
+|g><g| (x) rho of a lossy round, valid by construction, is passed to the
+channel as an array, not re-validated.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ import numpy as np
 
 from .dynamics import LindbladChannel, LindbladSpec, lindblad_channel, propagator
 from .dynamics import integrate_master  # noqa: F401  (perfbench's tracer looks the RK4 oracle up here)
-from .hilbert import DimensionError, HilbertSpace, Operator, QuantumState, bell_state, fidelity
+from .hilbert import (DimensionError, HilbertSpace, Operator, QuantumState, SpaceMismatchError, bell_state,
+                      fidelity)
 from .model import (_JC_LABELS, EffectiveParams, _ground_block, _joint_space, _magnon_part,
                     _product_ops, _with_ground, build_jc_effective)
 
@@ -228,11 +234,29 @@ def run_protocol(
     (``lindblad_channel``) applied to |g><g| (x) rho.
     channel is that map for a lossy cfg, built on a set that holds
     |g><g| (x) initial, for a caller that has built it already; it is built
-    here from |g><g| (x) initial when omitted.
+    here from |g><g| (x) initial when omitted.  A channel on another joint
+    space raises SpaceMismatchError, and one passed with a closed cfg
+    ValueError, both before the first round.
+
+    Each round validates its renormalized magnon state (``QuantumState``)
+    and holds the outcome probability to NULL_OUTCOME_FLOOR.  A lossy round
+    also runs the channel's checks (``LindbladChannel._apply``): support
+    inside the reachable set, the trace-drift guard, the Hermitian scrub and
+    the validation of the joint output.  Its input |g><g| (x) rho is not
+    wrapped as a state: rho is the validated input or the previous round's
+    validated state, and the embedding keeps its trace, Hermiticity and
+    spectrum (plus zeros).
     """
     mag_space = initial.space
     if mag_space.labels != ("n", "m"):
         raise DimensionError(f"initial state must live on ('n', 'm'), got {mag_space.labels}")
+    if channel is not None:
+        if cfg.decoherence is None:
+            raise ValueError("a channel was passed for a run without decoherence")
+        joint = _joint_space(mag_space)
+        if channel.space != joint:
+            raise SpaceMismatchError(f"channel space {channel.space.subsystems} is not the joint space "
+                                     f"of the initial state, {joint.subsystems}")
     N = cfg.target_N
     if N >= min(mag_space.dims):
         raise DimensionError(f"target excitation {N} outside cutoffs {mag_space.dims}")
@@ -279,8 +303,7 @@ def run_protocol(
                                        _with_ground(initial.density()))
 
         def evolve(rho):
-            joint = QuantumState(channel.space, "mixed", _with_ground(rho))
-            return _ground_block(channel(joint).data)
+            return _ground_block(channel._apply(_with_ground(rho)).data)
 
         kind, data = "mixed", initial.density()
     else:
@@ -320,15 +343,18 @@ def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.n
     channel = lindblad_channel(_joint_spec(bell.space, cfg), cfg.tau, start)
     f_stab = run_protocol(bell, cfg, channel).fidelity_plus
 
-    target = bell_state(bell.space, cfg.target_N, +1)
-    projector = np.kron(np.eye(3, dtype=complex), np.outer(target.data, target.data.conj()))
+    # F_free = <B| tr_qutrit(rho) |B> = tr(W^+ rho W) with W = 1_3 (x) |B>, 3d^2 x 3
+    w = np.kron(np.eye(3), bell_state(bell.space, cfg.target_N, +1).data[:, None])
+
+    def overlap(rho):
+        return float(np.real(np.trace(w.conj().T @ rho @ w)))
 
     f_free = np.empty(cfg.rounds + 1)
-    rho = QuantumState(channel.space, "mixed", start)
-    f_free[0] = float(np.real(np.trace(rho.data @ projector)))
+    rho = start
+    f_free[0] = overlap(rho)
     for k in range(1, cfg.rounds + 1):
-        rho = channel(rho)
-        f_free[k] = float(np.real(np.trace(rho.data @ projector)))
+        rho = channel._apply(rho).data
+        f_free[k] = overlap(rho)
     return f_stab, f_free
 
 

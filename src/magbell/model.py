@@ -59,9 +59,9 @@ def _magnon_part(space: HilbertSpace) -> HilbertSpace:
 
 def _with_ground(x: np.ndarray) -> np.ndarray:
     """|g> (x) x for a magnon vector, |g><g| (x) x for a magnon matrix."""
-    ground = np.zeros((3,) * x.ndim, dtype=complex)
-    ground[(LEVEL_G,) * x.ndim] = 1.0
-    return np.kron(ground, x)
+    out = np.zeros((3 * x.shape[0],) * x.ndim, dtype=complex)
+    _ground_block(out)[...] = x  # a view: the block is a basic slice
+    return out
 
 
 def _ground_block(x: np.ndarray) -> np.ndarray:

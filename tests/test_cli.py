@@ -69,6 +69,20 @@ class TestConfigParsing:
                 with pytest.raises(ConfigError):
                     config_from_mapping({"scenario": "bell-distill", "params": {key: 5}})
 
+    @pytest.mark.parametrize("params", [[], 0, False, ""], ids=["list", "zero", "false", "empty-string"])
+    def test_non_mapping_params_rejected(self, tmp_path, capsys, params):
+        # only an absent key or YAML null reads as "no params"
+        with pytest.raises(ConfigError, match="params must be a mapping"):
+            config_from_mapping({"scenario": "bell-distill", "params": params})
+        path = write_config(tmp_path, {"scenario": "bell-distill", "params": params})
+        assert main(["validate", "--config", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    def test_null_params_read_as_defaults(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("scenario: bell-distill\nparams:\n")
+        assert load_config(str(path)).params == config_from_mapping({"scenario": "bell-distill"}).params
+
     def test_load_from_file(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 5}})
         cfg = load_config(path)

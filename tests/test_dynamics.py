@@ -30,7 +30,8 @@ from magbell.hilbert import (
 from magbell.measurement import interval_for_target
 from magbell.model import EffectiveParams, PulseCoefficients, build_jc_effective, build_time_dependent_jc
 
-from conftest import dense_lindblad_oracle, dense_liouvillian, embed, random_hermitian
+from conftest import (dense_lindblad_oracle, dense_liouvillian, embed, expm_scaling_squaring,
+                      random_hermitian)
 
 JC_SPACE = HilbertSpace((("atom", 3), ("n", 3), ("m", 3)))
 
@@ -388,6 +389,27 @@ class TestLindbladAction:
         monkeypatch.setattr(dynamics, "DEFAULT_TRACE_TOL", 1e-30)
         with pytest.raises(TraceDriftError):
             lindblad_channel(spec, 4.0, rho0.data)(rho0)
+
+
+class TestExpm:
+    """The block exponential against the scaling-and-squaring oracle of the tests."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 20),
+           norm=st.just(0.0) | st.floats(1e-300, 1e-6) | st.floats(0.0, 64.0),
+           triangular=st.booleans())
+    @example(seed=0, dim=5, norm=0.0, triangular=False)
+    @example(seed=1, dim=20, norm=64.0, triangular=True)
+    @example(seed=2, dim=1, norm=5e-324, triangular=False)
+    def test_matches_oracle(self, seed, dim, norm, triangular):
+        # Gaussian entries give a non-normal a; the triangular draws are far from normal
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        if triangular:
+            a = np.triu(a)
+        a *= norm / np.linalg.norm(a, 1)
+        want = expm_scaling_squaring(a)
+        assert np.abs(dynamics._expm(a) - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
 
 
 def dense_reachable(spec, start):

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from magbell import measurement
+from magbell import dynamics, hilbert, measurement
+from magbell.dynamics import TraceDriftError, lindblad_channel
 from magbell.hilbert import (
     DimensionError,
     HilbertSpace,
     Operator,
     QuantumState,
+    SpaceMismatchError,
+    StateValidationError,
     basis_state,
     bell_state,
     parity_operator,
@@ -31,7 +34,7 @@ from magbell.measurement import (
     run_protocol,
     stabilize,
 )
-from magbell.model import EffectiveParams, build_jc_effective
+from magbell.model import EffectiveParams, _with_ground, build_jc_effective
 
 from conftest import block_return_amplitude, coefficient_power_amplitudes
 
@@ -439,6 +442,53 @@ class TestRunProtocol:
         plus = superposed_state(3, 1)
         rec = run_protocol(product_state(magnon(3), {"n": plus, "m": plus}), cfg)
         assert abs(rec.fidelity_plus[-1] - 0.9104365885) <= 1e-9
+
+
+def decohere_prepare_run(cutoff=3):
+    """The decohere-prepare config and its |+>|+> input at a cutoff."""
+    eff = EffectiveParams(G_e=6e-3, G_f=6e-3)
+    cfg = ProtocolConfig.for_target(eff, rounds=8, decoherence=(1e-4, 1e-4))
+    plus = superposed_state(cutoff, 1)
+    return product_state(magnon(cutoff), {"n": plus, "m": plus}), cfg
+
+
+class TestLossyRoundChecks:
+    """A lossy round skips only the wrapper of its embedded input; every other check still runs."""
+
+    def test_channel_on_another_space_rejected_before_the_first_round(self):
+        psi, cfg = decohere_prepare_run(3)
+        big, _ = decohere_prepare_run(4)
+        channel = lindblad_channel(measurement._joint_spec(big.space, cfg), cfg.tau,
+                                   _with_ground(big.density()))
+        with pytest.raises(SpaceMismatchError, match="joint space"):
+            run_protocol(psi, cfg, channel)
+
+    def test_channel_with_closed_config_rejected(self):
+        psi, cfg = decohere_prepare_run()
+        channel = lindblad_channel(measurement._joint_spec(psi.space, cfg), cfg.tau,
+                                   _with_ground(psi.density()))
+        with pytest.raises(ValueError, match="without decoherence"):
+            run_protocol(psi, dataclasses.replace(cfg, decoherence=None), channel)
+
+    def test_trace_guard_fires_in_protocol_and_stabilize(self, monkeypatch):
+        psi, cfg = decohere_prepare_run()
+        monkeypatch.setattr(dynamics, "DEFAULT_TRACE_TOL", 1e-30)
+        with pytest.raises(TraceDriftError):
+            run_protocol(psi, cfg)
+        with pytest.raises(TraceDriftError):
+            stabilize(bell_state(magnon(3), 1, +1), cfg)
+
+    def test_joint_output_validated(self, monkeypatch):
+        # no density matrix has every eigenvalue >= 1, so the first validation after
+        # the input raises: the joint output of round 1's channel
+        psi, cfg = decohere_prepare_run()
+        rho = psi.density()
+        channel = lindblad_channel(measurement._joint_spec(psi.space, cfg), cfg.tau, _with_ground(rho))
+        monkeypatch.setattr(hilbert, "MIXED_EIG_FLOOR", 1.0)
+        with pytest.raises(StateValidationError, match="negative eigenvalues"):
+            channel._apply(_with_ground(rho))
+        with pytest.raises(StateValidationError, match="negative eigenvalues"):
+            run_protocol(psi, cfg, channel)
 
 
 class TestStabilize:
