@@ -365,8 +365,8 @@ def coupling_ratio_fidelity(xi: float, approximate: bool = False) -> float:
     at the interval holding the (1, 1) pair, F = 2 / (2 + a01^2 + a10^2).
     The approximate branch linearizes both coefficients around xi = 1.
     """
-    if xi <= 0:
-        raise ValueError(f"coupling ratio must be positive, got {xi}")
+    if not (xi > 0 and math.isfinite(xi)):  # NaN fails too
+        raise ValueError(f"coupling ratio must be positive and finite, got {xi}")
     if approximate:
         c = math.cos(math.sqrt(2.0) * math.pi)
         s = (math.pi / math.sqrt(2.0)) * math.sin(math.sqrt(2.0) * math.pi)

@@ -4,8 +4,7 @@ Shapes the common qutrit detuning over one measurement interval so that a
 single ground-state projection yields the Bell state.  The search runs over
 the truncated trigonometric coefficients of the pulse (CRAB: Caneva,
 Calarco & Montangero, PRA 84, 022326 (2011)); each restart runs BFGS from a
-fresh uniform draw in the restart box, and the best pulse is re-evaluated
-through the full time-ordered-propagator pipeline before being reported.
+fresh uniform draw in the restart box.
 
 The search objective is exact on the two 2x2 excitation blocks the shaped
 Hamiltonian closes on, and so is its gradient in the coefficients, taken in
@@ -18,9 +17,9 @@ unitary), and maps the per-slice derivatives back with the table's
 transpose.  In ``tests/conftest.py`` the value's oracle is the
 slice-by-slice product loop ``sequential_block_amplitudes``, and the
 gradient's is ``looped_block_gradient``, with explicit prefix and suffix
-lists.  The reported fidelity-vs-time trace is read from the same forward
-scan of the winning pulse's slices, so its last entry and the pipeline
-fidelity are two independent computations of one number.
+lists.  Every reported number is read from this reduction; the 27-dim
+pipeline ``evaluate_single_shot`` runs in no search, and stays only as the
+independent check of c08, the tests and perfbench.
 
 A restart ends when f = -F has fallen by at most STALL_ULPS ulps of |f| for
 STALL_ITERATIONS iterations in a row: near F = 1 the objective is flat to
@@ -30,6 +29,7 @@ round-off, and a gradient tolerance would keep converged restarts iterating.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,19 +70,17 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_omega < 0:
-            raise ValueError(f"n_omega must be >= 0, got {self.n_omega}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        for name, least in (("n_omega", 0), ("restarts", 1), ("max_iter", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not (self.spread_tol > 0 and math.isfinite(self.spread_tol)):  # NaN fails too
             raise ValueError(f"spread_tol must be positive and finite, got {self.spread_tol}")
 
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
-    """Best pulse found, its pipeline fidelity, and the fidelity-vs-time trace."""
+    """Best pulse found, its fidelity, probability and time trace, all from the block reduction."""
 
     pulse: PulseCoefficients
     fidelity: float
@@ -297,8 +295,7 @@ def _block_objective(tau: float, g: float, n_omega: int, slices: int):
 
     def objective(x):
         (a01, a11), damps = _block_amplitudes_and_gradient(g * (1.0 + basis @ x), g, h)
-        fid = _fidelity_from_amplitudes(a01, a11)
-        norm = 1.0 + 2.0 * abs(a01) ** 2 + abs(a11) ** 2
+        fid, norm = _fidelity_and_norm(a01, a11)
         adjoint = np.array([-4.0 * fid * a01, (1.0 + a11) - 2.0 * fid * a11]) / norm
         dfid = (adjoint.conj() @ damps).real
         return -fid, -g * (basis.T @ dfid)
@@ -306,10 +303,11 @@ def _block_objective(tau: float, g: float, n_omega: int, slices: int):
     return objective
 
 
-def _fidelity_from_amplitudes(a01, a11):
-    """Post-projection Bell fidelity from the block return amplitudes (scalars or arrays)."""
+def _fidelity_and_norm(a01, a11):
+    """Post-projection Bell fidelity and norm N from the block return amplitudes
+    (scalars or arrays); N/4 is the success probability of |g> (x) |+>|+>."""
     norm = 1.0 + 2.0 * abs(a01) ** 2 + abs(a11) ** 2
-    return abs(1.0 + a11) ** 2 / (2.0 * norm)
+    return abs(1.0 + a11) ** 2 / (2.0 * norm), norm
 
 
 def evaluate_single_shot(pulse: PulseCoefficients, slices: int = DEFAULT_SLICES):
@@ -318,7 +316,8 @@ def evaluate_single_shot(pulse: PulseCoefficients, slices: int = DEFAULT_SLICES)
     Builds the time-dependent Hamiltonian, forms the time-ordered propagator,
     applies it to |g> (x) |+>|+>, projects the qutrit onto its ground state,
     and returns (fidelity to the Bell state, success probability, conditional
-    magnon state).
+    magnon state).  No run calls it: c08, the tests and perfbench use it as
+    the independent check of the block reduction.
     """
     mag = _magnon_space(SINGLE_SHOT_CUTOFF)
     plus = superposed_state(SINGLE_SHOT_CUTOFF, 1)
@@ -330,8 +329,9 @@ def evaluate_single_shot(pulse: PulseCoefficients, slices: int = DEFAULT_SLICES)
     return fidelity(state, bell_state(mag, 1, +1)), prob, state
 
 
-def _fidelity_time_trace(pulse: PulseCoefficients, slices: int) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional Bell fidelity of the ground branch at every slice boundary.
+def _fidelity_time_trace(pulse: PulseCoefficients, slices: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Conditional Bell fidelity of the ground branch at every slice boundary,
+    and the success probability at the last one.
 
     The ground-return amplitudes after k slices are the running products of
     ``_block_slices`` times their phase exp(-i h (p_0 + ... + p_k-1)); time 0
@@ -341,7 +341,8 @@ def _fidelity_time_trace(pulse: PulseCoefficients, slices: int) -> tuple[np.ndar
     p, alpha, beta, _, _ = _block_slices(pulse.detuning((np.arange(slices) + 0.5) * h), pulse.G, h)
     running, _ = _running_products(alpha, beta)
     amps = np.concatenate((np.ones((2, 1)), np.exp(-1j * h * np.cumsum(p)) * running), axis=1)
-    return np.arange(slices + 1) * h, _fidelity_from_amplitudes(amps[0], amps[1])
+    trace, norm = _fidelity_and_norm(amps[0], amps[1])
+    return np.arange(slices + 1) * h, trace, float(norm[-1]) / 4.0
 
 
 def optimize_single_shot(
@@ -356,12 +357,12 @@ def optimize_single_shot(
     start uniformly from the box |x_i| <= 2/tau^2 (envelope bounded to a few
     G) with seed cfg.seed + r, and runs ``bfgs`` in coordinates scaled by that
     box on the exact block reduction of the objective and its gradient.  The
-    lowest final value wins, ties going to the earlier restart; the winning
-    coefficients (never worse than the zero-coefficient constant pulse) are
-    re-simulated through the full pipeline for the reported fidelity and
-    success probability; the time trace comes from their block slices
-    (``_fidelity_time_trace``).  ``iterations`` is the number of objective
-    calls of the winning restart (0 for the constant pulse).
+    lowest final value wins, ties going to the earlier restart; a restart
+    replaces the constant pulse (zero coefficients) only with a strictly lower
+    value.  The fidelity and the baseline are minus the objective at the
+    winner and at zero; P and the trace come from one scan of the winner's
+    slices (``_fidelity_time_trace``).  ``iterations`` is the number of
+    objective calls of the winning restart (0 for the constant pulse).
     """
     if not math.isclose(eff.G_e, eff.G_f, rel_tol=1e-12):
         raise ValueError(f"single-shot scheme needs G_e = G_f, got {eff.G_e} vs {eff.G_f}")
@@ -372,8 +373,8 @@ def optimize_single_shot(
     n_omega = cfg.n_omega
     dim = 2 * n_omega
     objective = _block_objective(tau0, g, n_omega, slices)
-    zero = np.zeros(dim)
-    best_x, best_f, best_calls = zero, _checked(objective, zero)[0], 0
+    f_zero = _checked(objective, np.zeros(dim))[0]
+    best_x, best_f, best_calls = np.zeros(dim), f_zero, 0
     if n_omega > 0:
         scale = 2.0 / tau0**2  # the restart box; the search runs in units of it
 
@@ -388,19 +389,14 @@ def optimize_single_shot(
                 best_x, best_f, best_calls = scale * y, f, calls
 
     pulse = _pulse_from_vector(best_x, n_omega, tau0, g)
-    fid, prob, _ = evaluate_single_shot(pulse, slices)
-    baseline_pulse = _pulse_from_vector(zero, n_omega, tau0, g)
-    baseline_fid, baseline_prob, _ = evaluate_single_shot(baseline_pulse, slices)
-    if fid < baseline_fid:
-        pulse, fid, prob, best_calls = baseline_pulse, baseline_fid, baseline_prob, 0
-    times, trace = _fidelity_time_trace(pulse, slices)
+    times, trace, prob = _fidelity_time_trace(pulse, slices)
     return OptimizationResult(
         pulse=pulse,
-        fidelity=fid,
+        fidelity=float(-best_f),
         success_probability=prob,
         times=times,
         fidelity_trace=trace,
         iterations=best_calls,
         seed=cfg.seed,
-        baseline_fidelity=baseline_fid,
+        baseline_fidelity=float(-f_zero),
     )

@@ -538,6 +538,12 @@ class TestCouplingRatioFidelity:
         with pytest.raises(ValueError):
             coupling_ratio_fidelity(0.0)
 
+    @pytest.mark.parametrize("approximate", [False, True])
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_non_positive_or_non_finite_ratio_rejected(self, xi, approximate):
+        with pytest.raises(ValueError, match="positive and finite"):
+            coupling_ratio_fidelity(xi, approximate=approximate)
+
     @given(xi=st.floats(0.3, 3.0))
     def test_mirror_ratio_gives_same_fidelity(self, xi):
         # swapping which mode couples through G_e maps xi to 1 / xi

@@ -13,7 +13,7 @@ from magbell.optimize import (
     OptimizerConfig,
     _block_amplitudes_and_gradient,
     _block_objective,
-    _fidelity_from_amplitudes,
+    _fidelity_and_norm,
     bfgs,
     evaluate_single_shot,
     nelder_mead,
@@ -45,6 +45,16 @@ class TestCrabDetuning:
             pulse.detuning(-0.1 * TAU0)
         with pytest.raises(ValueError):
             pulse.detuning(1.1 * TAU0)
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("field, bad", [
+        ("n_omega", 1.5), ("n_omega", -1), ("restarts", 2.5), ("restarts", 0), ("max_iter", 10.0),
+        ("max_iter", 0), ("seed", 1.5), ("seed", -1), ("seed", "0"),
+    ])
+    def test_non_integer_or_out_of_range_count_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            OptimizerConfig(**{"n_omega": 1, field: bad})
 
 
 class TestNelderMead:
@@ -175,7 +185,7 @@ class TestBlockReduction:
 
         def oracle(x):
             pulse = PulseCoefficients(a=tuple(x[:n_omega]), b=tuple(x[n_omega:]), tau_total=TAU0, G=1e-3)
-            return _fidelity_from_amplitudes(*sequential_block_amplitudes(pulse, slices))
+            return _fidelity_and_norm(*sequential_block_amplitudes(pulse, slices))[0]
 
         x = scale * np.array(unit[: 2 * n_omega])
         value, grad = _block_objective(TAU0, 1e-3, n_omega, slices)(x)
@@ -239,12 +249,13 @@ class TestFidelityTimeTrace:
     def test_matches_sliced_state_oracle(self, n_omega, slices, unit):
         x = 2.0 / TAU0**2 * np.array(unit[: 2 * n_omega])  # inside the restart box
         pulse = PulseCoefficients(a=tuple(x[:n_omega]), b=tuple(x[n_omega:]), tau_total=TAU0, G=1e-3)
-        times, trace = optimize._fidelity_time_trace(pulse, slices)
+        times, trace, prob = optimize._fidelity_time_trace(pulse, slices)
         assert times.shape == trace.shape == (slices + 1,)
         assert times[0] == 0.0 and times[-1] == pytest.approx(TAU0, rel=1e-12)
         assert np.abs(trace - sliced_fidelity_trace(pulse, slices)).max() <= 1e-12
-        fid, _, _ = evaluate_single_shot(pulse, slices)
+        fid, want_prob, _ = evaluate_single_shot(pulse, slices)
         assert abs(trace[-1] - fid) <= 1e-12
+        assert abs(prob - want_prob) <= 1e-12
 
 
 class TestOptimizeSingleShot:
@@ -282,7 +293,7 @@ class TestOptimizeSingleShot:
 
     def test_non_finite_baseline_objective_aborts(self, monkeypatch):
         # n_omega = 0 runs no search: the baseline call is the only objective call
-        monkeypatch.setattr(optimize, "_fidelity_from_amplitudes", lambda a01, a11: float("nan"))
+        monkeypatch.setattr(optimize, "_fidelity_and_norm", lambda a01, a11: (float("nan"), 1.0))
         with pytest.raises(ObjectiveError):
             optimize_single_shot(EFF, OptimizerConfig(n_omega=0, restarts=1), slices=16)
 
@@ -315,6 +326,26 @@ class TestOptimizeSingleShot:
         x = np.array(result.pulse.a + result.pulse.b)
         value, _ = _block_objective(result.pulse.tau_total, EFF.G_e, 2, 64)(x)
         assert abs(-value - result.fidelity_trace[-1]) <= 1e-14
+
+    def test_reports_block_numbers_without_the_pipeline(self, monkeypatch):
+        # every reported number comes from the block reduction; the 27-dim
+        # pipeline is only the oracle it is held to
+        cfg = OptimizerConfig(n_omega=2, restarts=2, seed=0, max_iter=300)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("optimize_single_shot ran the 27-dim pipeline")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimize, "evaluate_single_shot", refuse)
+            patch.setattr(optimize, "time_ordered_propagator", refuse)
+            result = optimize_single_shot(EFF, cfg, slices=64)
+        fid, prob, _ = evaluate_single_shot(result.pulse, 64)
+        zero = PulseCoefficients(a=(0.0,) * 2, b=(0.0,) * 2, tau_total=result.pulse.tau_total, G=EFF.G_e)
+        baseline, _, _ = evaluate_single_shot(zero, 64)
+        assert abs(result.fidelity - fid) <= 1e-12
+        assert abs(result.success_probability - prob) <= 1e-12
+        assert abs(result.baseline_fidelity - baseline) <= 1e-12
+        assert result.fidelity >= result.baseline_fidelity
 
     def test_trace_starts_at_initial_overlap(self):
         cfg = OptimizerConfig(n_omega=0, restarts=1)
