@@ -5,17 +5,22 @@ which keeps propagators unitary to roundoff.  ``_require_hermitian`` is the
 package's one Hermiticity check of a Hamiltonian; ``propagator_matrix`` and
 ``LindbladSpec`` run it.  Open-system evolution applies exp(L t) exactly
 through a channel built once per spec, time and start state
-(``lindblad_channel``): a forward traversal of the sparsity of the
-effective non-Hermitian Hamiltonian and the jump operators finds the
-Liouville indices L reaches from the start's support, that set splits into
-the blocks L never mixes, and each block is exponentiated once by scaling
-and squaring, with its Taylor polynomial evaluated by Paterson-Stockmeyer.
-Applying the channel is one gather of the blocks' indices, one small
+(``lindblad_channel``).  The sectors of the rows are the components of the
+sparsity of the effective non-Hermitian Hamiltonian K; a traversal of the
+sector pairs the jump operators link, from those of the start's support,
+finds the set R of Liouville indices L never leaves, as a union of sector
+pairs, and R splits into the blocks L never mixes.  Each block is
+exponentiated once by scaling and squaring, with its Taylor polynomial
+evaluated by Paterson-Stockmeyer, and the built channel is checked once to
+preserve the trace.  Applying the channel, or a compression of it to a
+subset of R (``BlockMap``), is one gather of the blocks' indices, one small
 matrix-vector product per block on a contiguous slice, and one scatter.
 The fixed-step fourth-order (RK4) integrator ``integrate_master`` is kept
 as its independent oracle in the tests; its right-hand side is the plain
 commutator-plus-dissipator form.  Both guard the trace, which is asserted,
-never renormalized, and validate every output state.
+never renormalized.  The channel's ``_apply`` and the integrator validate
+every state they return; ``BlockMap._map`` returns a bare array, for its
+caller to check.
 """
 
 from __future__ import annotations
@@ -118,65 +123,65 @@ def _jump_terms(spec: LindbladSpec) -> list[tuple[np.ndarray, np.ndarray, np.nda
     return jumps
 
 
-def _by_column(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row indices of p's nonzero entries in column order, and where each column's rows start."""
-    cols, rows = np.nonzero(p.T)
-    return rows, np.searchsorted(cols, np.arange(p.shape[1] + 1))
+def _components(size: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Connected components of the graph on range(size) with the undirected edges (src, dst).
 
-
-def _links(terms, idx: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (output, input) links of L out of the row-major Liouville indices idx.
-
-    Index i d + j stands for rho_ij.  Each term A (x) conj(B) of L, given as
-    the ``_by_column`` pair of A and B, links input (k, l) to output (i, j)
-    wherever A_ik and B_jl are nonzero.
+    The least label is propagated along the edges until nothing changes, so
+    each node's label is the least node of its component.
     """
-    k, l = np.divmod(idx, dim)
-    out, inp = [], []
-    for (rows_a, ptr_a), (rows_b, ptr_b) in terms:
-        n_b = ptr_b[l + 1] - ptr_b[l]
-        count = (ptr_a[k + 1] - ptr_a[k]) * n_b
-        f = np.repeat(np.arange(idx.size), count)  # the input each link leaves
-        p = np.arange(f.size) - np.repeat(np.cumsum(count) - count, count)  # its place among them
-        out.append(rows_a[ptr_a[k[f]] + p // n_b[f]] * dim + rows_b[ptr_b[l[f]] + p % n_b[f]])
-        inp.append(idx[f])
-    return np.concatenate(out), np.concatenate(inp)
-
-
-def _reachable_labels(k_eff: np.ndarray, jumps, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R, the sorted row-major Liouville indices L reaches from start's support, and their block labels.
-
-    In row-major order L = K (x) 1 + 1 (x) conj(K) + sum_L L (x) conj(L), so
-    a forward traversal of its ``_links`` from the nonzero entries of start
-    and of its transpose finds R, which L never leaves.  R splits into the
-    connected components of the links it holds, found by propagating the
-    least position in R along them; a label is the least position of its
-    component.
-    """
-    dim = k_eff.shape[0]
-    eye, k_cols = _by_column(np.eye(dim)), _by_column(k_eff)
-    terms = [(k_cols, eye), (eye, k_cols)] + [(_by_column(l_op),) * 2 for l_op, _, _ in jumps]
-    reached = ((start != 0) | (start.T != 0)).ravel()  # transposition-closed, as L is
-    frontier = np.flatnonzero(reached)
-    out, inp = [], []
-    while frontier.size:
-        to, fro = _links(terms, frontier, dim)
-        out.append(to)
-        inp.append(fro)
-        frontier = np.unique(to[~reached[to]])
-        reached[frontier] = True
-    reach = np.flatnonzero(reached)
-    src, dst = np.searchsorted(reach, np.concatenate(out)), np.searchsorted(reach, np.concatenate(inp))
-    labels = np.arange(reach.size)
+    labels = np.arange(size)
     while True:
         low = np.minimum(labels[src], labels[dst])
         new = labels.copy()
         np.minimum.at(new, src, low)
         np.minimum.at(new, dst, low)
-        new = new[new]  # a label is a position of the same component, so follow it
+        new = new[new]  # a label is a node of the same component, so follow it
         if np.array_equal(new, labels):
-            return reach, labels
+            return labels
         labels = new
+
+
+def _reachable_blocks(k_eff: np.ndarray, jumps, start: np.ndarray) -> list[np.ndarray]:
+    """The blocks of R, a set of row-major Liouville indices holding start's support that L never leaves.
+
+    In row-major order L = K (x) 1 + 1 (x) conj(K) + sum_L L (x) conj(L).
+    The sectors are the components of K's symmetrized sparsity on the rows,
+    the weak symmetry of L (Buca and Prosen, New J. Phys. 14, 073007
+    (2012)) read off the sparsity.  The K terms never leave a sector pair
+    C x C' and connect all of it; a jump L links (C, C') to (D, D') wherever
+    it moves a row of C into D and a row of C' into D'.  A traversal of the
+    sector pairs from those of start's support and its transpose finds R,
+    the union of C x C' over the pairs reached; where K's sparsity is
+    symmetric, as for a Hermitian H and diagonal L^+ L, R is exactly what L
+    reaches from start's support.  A block is the union of C x C' over one
+    connected set of the pairs R holds.  Each block is sorted, and the
+    blocks come in order of their least index.
+    """
+    n = k_eff.shape[0]
+    sector = _components(n, *np.nonzero(k_eff))  # a sector is named by its least row
+    fro, to = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for l_op, _, _ in jumps:
+        rows, cols = np.nonzero(l_op)
+        c, d = np.divmod(np.unique(sector[cols] * n + sector[rows]), n)  # the jump's sector moves C -> D
+        fro.append((c[:, None] * n + c).ravel())
+        to.append((d[:, None] * n + d).ravel())
+    fro, to = np.concatenate(fro), np.concatenate(to)
+    rows, cols = np.nonzero(start)
+    reached = np.zeros(n * n, dtype=bool)
+    reached[sector[rows] * n + sector[cols]] = True
+    reached[sector[cols] * n + sector[rows]] = True  # transposition-closed, as L is
+    frontier = reached.copy()
+    while frontier.any():
+        hit = to[frontier[fro]]
+        frontier = np.zeros_like(reached)
+        frontier[hit] = True
+        frontier &= ~reached
+        reached |= frontier
+    held = reached[fro]
+    pair_label = np.where(reached, _components(n * n, fro[held], to[held]), -1)
+    label = pair_label[sector[:, None] * n + sector].ravel()
+    reach = np.flatnonzero(label >= 0)
+    return sorted((reach[label[reach] == b] for b in np.unique(label[reach])), key=lambda idx: idx[0])
 
 
 def _block_generator(idx: np.ndarray, k_eff: np.ndarray, jumps) -> np.ndarray:
@@ -186,10 +191,10 @@ def _block_generator(idx: np.ndarray, k_eff: np.ndarray, jumps) -> np.ndarray:
     + sum_L L_ik conj(L_jl).
     """
     i, j = np.divmod(idx, k_eff.shape[0])
-    gen = (k_eff[np.ix_(i, i)] * (j[:, None] == j)
-           + (i[:, None] == i) * k_eff[np.ix_(j, j)].conj())
+    ic, jc = i[:, None], j[:, None]
+    gen = k_eff[ic, i] * (jc == j) + (ic == i) * k_eff[jc, j].conj()
     for l_op, _, _ in jumps:
-        gen += l_op[np.ix_(i, i)] * l_op[np.ix_(j, j)].conj()
+        gen += l_op[ic, i] * l_op[jc, j].conj()
     return gen
 
 
@@ -197,7 +202,7 @@ def _block_generators(spec: LindbladSpec,
                       start: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
     """(idx, L on idx, partner idx or None) for one block of each conjugate pair of R.
 
-    R is the set of ``_reachable_labels`` from start.  L(rho^+) = L(rho)^+,
+    R and its blocks are ``_reachable_blocks`` from start.  L(rho^+) = L(rho)^+,
     so R holds the transposed pair (j, i) of each of its (i, j), and the
     block of the transposed pairs, taken in the order of idx, is the complex
     conjugate of the block of idx.  The partner is None when that block is
@@ -206,17 +211,18 @@ def _block_generators(spec: LindbladSpec,
     dim = spec.hamiltonian.space.total_dim
     jumps = _jump_terms(spec)
     k_eff = -1j * spec.hamiltonian.matrix - 0.5 * sum(ldl for _, _, ldl in jumps)
-    reach, labels = _reachable_labels(k_eff, jumps, start)
-    order = np.argsort(labels, kind="stable")
+    blocks = _reachable_blocks(k_eff, jumps, start)
+    owner = np.empty(dim * dim, dtype=int)
+    for b, idx in enumerate(blocks):
+        owner[idx] = b
     out = []
-    for pos in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
-        idx = reach[pos]
+    for b, idx in enumerate(blocks):
         i, j = np.divmod(idx, dim)
         partner = j * dim + i
-        mate = labels[np.searchsorted(reach, partner[0])]
-        if mate < pos[0]:
+        mate = owner[partner[0]]
+        if mate < b:
             continue  # already served as the partner of an earlier block
-        out.append((idx, _block_generator(idx, k_eff, jumps), None if mate == pos[0] else partner))
+        out.append((idx, _block_generator(idx, k_eff, jumps), None if mate == b else partner))
     return out
 
 
@@ -257,14 +263,14 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LindbladChannel:
-    """exp(L t) of one LindbladSpec and time on the indices a start reaches.
+class BlockMap:
+    """A linear map on the density matrices of a space that mixes indices only inside blocks.
 
-    Built by ``lindblad_channel``.  blocks pairs each set of row-major
-    Liouville indices that L never mixes with its exponentiated block, and
-    support is R, the sorted union of those sets, which partition it.  The
-    sets are also kept concatenated in block order, with each block's slice
-    of the concatenation, so that an application gathers once.
+    blocks pairs each set of row-major Liouville indices with the matrix the
+    map applies there; support is the sorted union of those sets, which
+    partition it, and the map is zero off it.  The sets are also kept
+    concatenated in block order, with each block's slice of the
+    concatenation, so that an application gathers once.
     """
 
     space: HilbertSpace
@@ -281,22 +287,13 @@ class LindbladChannel:
         object.__setattr__(self, "_slices", tuple(
             (slice(end - idx.size, end), block) for end, (idx, block) in zip(ends, self.blocks)))
 
-    def __call__(self, rho0: QuantumState) -> QuantumState:
-        """exp(L t) rho0 (see ``_apply``); SpaceMismatchError if rho0 is on another space."""
-        if rho0.space != self.space:
-            raise SpaceMismatchError("initial state space differs from Lindblad space")
-        return self._apply(rho0.density())
+    def _map(self, rho: np.ndarray) -> np.ndarray:
+        """The image of the matrix rho, with exact zeros off support.
 
-    def _apply(self, rho: np.ndarray) -> QuantumState:
-        """exp(L t) rho for a density matrix rho on the channel's space, exact zeros off R.
-
-        One gather of R in block order, one matrix-vector product per block
-        on its contiguous slice, one scatter.  rho itself is not validated:
-        the caller passes a state, or one valid by construction.  Raises
-        ValueError if rho has a nonzero entry outside R, and TraceDriftError
-        if |tr out - tr rho| exceeds DEFAULT_TRACE_TOL; the trace is asserted,
-        never renormalized.  The output is Hermitian-scrubbed and validated
-        as a QuantumState.
+        One gather of the support in block order, one matrix-vector product
+        per block on its contiguous slice, one scatter.  Raises ValueError
+        if rho has a nonzero entry off support; neither rho nor the image is
+        validated.
         """
         flat = rho.ravel()
         x = flat[self._gather]
@@ -307,7 +304,66 @@ class LindbladChannel:
             y[part] = block @ x[part]
         out = np.zeros(flat.size, dtype=complex)
         out[self._gather] = y
-        out = out.reshape(rho.shape)
+        return out.reshape(rho.shape)
+
+    def _compress(self, space: HilbertSpace, keep: np.ndarray) -> "BlockMap":
+        """P E P on space, for this map E and the projector P onto the sorted Liouville indices keep.
+
+        The index keep[p] becomes p: space's row-major index of the same
+        entry.  Each block is cut to its rows and columns in keep, so the
+        result never holds more than this map.
+        """
+        pos = np.searchsorted(keep, self._gather)
+        inside = keep[np.minimum(pos, keep.size - 1)] == self._gather
+        blocks = []
+        for part, block in self._slices:
+            sel = np.flatnonzero(inside[part])
+            if sel.size:
+                blocks.append((pos[part][sel], block[sel[:, None], sel]))
+        return BlockMap(space, tuple(blocks))
+
+
+class LindbladChannel(BlockMap):
+    """exp(L t) of one LindbladSpec and time on the indices a start reaches.
+
+    Built by ``lindblad_channel``; its blocks are the sets of row-major
+    Liouville indices that L never mixes, each with its exponentiated block.
+    Construction checks that the channel preserves the trace: for each
+    block E with diagonal indices marked by t, max |t^T E - t^T| <=
+    DEFAULT_TRACE_TOL / dim, read at call time.  A density matrix's entries
+    sum to at most dim in absolute value, so no application moves its trace
+    by more than DEFAULT_TRACE_TOL.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        dim = self.space.total_dim
+        t = (self._gather % (dim + 1) == 0).astype(complex)  # the diagonal indices i d + i
+        row = np.empty_like(t)
+        for part, block in self._slices:
+            row[part] = t[part] @ block
+        drift, tol = float(np.abs(row - t).max()), DEFAULT_TRACE_TOL / dim
+        if not drift <= tol:  # NaN fails too
+            raise TraceDriftError(f"trace drift {drift:.3e} of a block exceeds tolerance {tol:.1e} "
+                                  f"(DEFAULT_TRACE_TOL / {dim})")
+
+    def __call__(self, rho0: QuantumState) -> QuantumState:
+        """exp(L t) rho0 (see ``_apply``); SpaceMismatchError if rho0 is on another space."""
+        if rho0.space != self.space:
+            raise SpaceMismatchError("initial state space differs from Lindblad space")
+        return self._apply(rho0.density())
+
+    def _apply(self, rho: np.ndarray) -> QuantumState:
+        """exp(L t) rho for a density matrix rho on the channel's space, exact zeros off R.
+
+        rho itself is not validated: the caller passes a state, or one valid
+        by construction.  Raises ValueError if rho has a nonzero entry
+        outside R (``_map``), and TraceDriftError if |tr out - tr rho|
+        exceeds DEFAULT_TRACE_TOL; the trace is asserted, never
+        renormalized.  The output is Hermitian-scrubbed and validated as a
+        QuantumState.
+        """
+        out = self._map(rho)
         drift = abs(np.trace(out) - np.trace(rho))
         if not drift <= DEFAULT_TRACE_TOL:
             raise TraceDriftError(f"trace drift {drift:.3e} exceeds tolerance {DEFAULT_TRACE_TOL:.1e}")
@@ -320,14 +376,16 @@ def lindblad_channel(spec: LindbladSpec, t: float, start: np.ndarray) -> Lindbla
     on every state whose support lies in what L reaches from start's.
 
     start is a d x d matrix, the first state the channel will see, say;
-    only its nonzero pattern and that of its transpose are read.  The
-    reachable set R is invariant, so exp(L t) restricted to R is
+    only its nonzero pattern and that of its transpose are read.  The set R
+    of ``_reachable_blocks`` is invariant, so exp(L t) restricted to R is
     exp(L t |_R) exactly.  R is split into the blocks L never mixes and each
     block is exponentiated once by ``_expm``, one block of each conjugate
     pair only (``_block_generators``); a full-support start gives the blocks
-    of the whole Liouville space.  A build costs far more than one application, so
-    a channel pays off when one build serves many.  Raises ValueError for a
-    negative or non-finite t or a start that is zero or not d x d.
+    of the whole Liouville space.  A build costs far more than one
+    application, so a channel pays off when one build serves many.  Raises
+    ValueError for a negative or non-finite t or a start that is zero or not
+    d x d, and TraceDriftError if the built channel does not preserve the
+    trace (``LindbladChannel``).
     """
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"t must be finite and nonnegative, got {t}")

@@ -12,7 +12,8 @@ up to an excitation cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Mapping, Sequence
 
@@ -59,38 +60,36 @@ class HilbertSpace:
     Parameters
     ----------
     subsystems : tuple of (label, dim)
-        Subsystems in slow-to-fast Kronecker order.
+        Subsystems in slow-to-fast Kronecker order.  Each dim is an integer
+        >= 1 (a bool is not one); anything else raises DimensionError.
+
+    labels, dims and total_dim are computed once, at construction.
     """
 
     subsystems: tuple[tuple[str, int], ...]
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    total_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        subs = tuple((str(label), int(dim)) for label, dim in self.subsystems)
-        object.__setattr__(self, "subsystems", subs)
+        subs = tuple((str(label), dim) for label, dim in self.subsystems)
         if not subs:
             raise DimensionError("a HilbertSpace needs at least one subsystem")
-        labels = [label for label, _ in subs]
-        if len(set(labels)) != len(labels):
-            raise DimensionError(f"duplicate subsystem labels: {labels}")
         for label, dim in subs:
-            if dim < 1:
-                raise DimensionError(f"subsystem {label!r} has dimension {dim} < 1")
+            if not (isinstance(dim, numbers.Integral) and not isinstance(dim, bool) and dim >= 1):
+                raise DimensionError(f"subsystem {label!r} needs an integer dimension >= 1, got {dim!r}")
+        subs = tuple((label, int(dim)) for label, dim in subs)
+        labels = tuple(label for label, _ in subs)
+        if len(set(labels)) != len(labels):
+            raise DimensionError(f"duplicate subsystem labels: {list(labels)}")
+        dims = tuple(dim for _, dim in subs)
+        for name, value in (("subsystems", subs), ("labels", labels), ("dims", dims),
+                            ("total_dim", math.prod(dims))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def single(cls, label: str, dim: int) -> "HilbertSpace":
         return cls(((label, dim),))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.subsystems)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.subsystems)
-
-    @property
-    def total_dim(self) -> int:
-        return math.prod(self.dims)
 
     def axis(self, label: str) -> int:
         try:

@@ -9,16 +9,18 @@ repeated protocol with optional magnon decay, stabilization runs, and the
 coupling-ratio fidelity analysis.  A closed round applies the analytic
 diagonal of ``analytic_kraus``; ``numeric_kraus``, the <g|exp(-i H tau)|g>
 block of the effective Hamiltonian, is kept as its independent oracle.  A
-lossy round applies the exact channel exp(L tau) of the joint qutrit-magnon
+lossy round applies the magnon round map M = P_g exp(L tau) P_g to the
+magnon density: the exact channel exp(L tau) of the joint qutrit-magnon
 master equation (``dynamics.lindblad_channel``), built once per run on the
-Liouville indices that |g><g| (x) rho_0 can reach; a stabilization run
-shares one channel, built from the Bell input, between its projected and
-free legs, since every projected state stays in the g-g part of that set.
+Liouville indices that |g><g| (x) rho_0 can reach, and compressed once to
+the g-g entries of that set (``_round_map``).  A stabilization run shares
+one channel, built from the Bell input, between its projected and free
+legs, since every projected state stays in the g-g part of that set.
 Every round validates the renormalized magnon state and holds the outcome
-probability to a floor; a lossy round also runs the channel's support,
-trace-drift and positivity checks on the joint output.  The embedded input
-|g><g| (x) rho of a lossy round, valid by construction, is passed to the
-channel as an array, not re-validated.
+probability to a floor; a lossy round also checks that its input lies in
+M's set and scrubs the output's anti-Hermitian roundoff.  The channel's
+trace preservation is checked once, when it is built, and each free-leg
+step of a stabilization run validates the joint state.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LindbladChannel, LindbladSpec, lindblad_channel, propagator
+from .dynamics import BlockMap, LindbladChannel, LindbladSpec, lindblad_channel, propagator
 from .dynamics import integrate_master  # noqa: F401  (perfbench's tracer looks the RK4 oracle up here)
 from .hilbert import (DimensionError, HilbertSpace, Operator, QuantumState, SpaceMismatchError, bell_state,
                       fidelity)
-from .model import (_JC_LABELS, EffectiveParams, _ground_block, _joint_space, _magnon_part,
-                    _product_ops, _with_ground, build_jc_effective)
+from .model import (_JC_LABELS, EffectiveParams, _ground_block, _jc_matrix, _joint_space, _magnon_part,
+                    _product_ops, _with_ground)
 
 NULL_OUTCOME_FLOOR = 1e-12
 SLOW_DAMPING_MARGIN = 1e-6
@@ -203,23 +205,33 @@ class ProtocolRecord:
     converged_round: int | None
 
 
-def _even_pair_population(state: QuantumState, N: int) -> float:
+def _even_pair_population(state: QuantumState, pair: tuple[int, int]) -> float:
+    """Population on the basis indices pair, those of |0,0> and |N,N>."""
     pops = state.populations()
-    space = state.space
-    return float(pops[space.index((0, 0))] + pops[space.index((N, N))])
+    return float(pops[pair[0]] + pops[pair[1]])
 
 
 def _joint_spec(mag_space: HilbertSpace, cfg: ProtocolConfig) -> LindbladSpec:
     """Qutrit-magnon Hamiltonian of cfg with its magnon loss (cfg.decoherence).
 
-    The jump operators are the lowering operators of the operator table the
-    Hamiltonian is built from.
+    The Hamiltonian (``build_jc_effective``'s matrix) and the jump
+    operators, its lowering operators, come from one operator table.
     """
     jc_space = _joint_space(mag_space)
     ops = _product_ops(jc_space, _JC_LABELS)
-    return LindbladSpec(build_jc_effective(cfg.eff, jc_space), tuple(
+    return LindbladSpec(Operator(jc_space, _jc_matrix(cfg.eff, ops)), tuple(
         (Operator(jc_space, ops[mode][0]), rate) for mode, rate in zip(("n", "m"), cfg.decoherence)
     ))
+
+
+def _round_map(channel: LindbladChannel, mag_space: HilbertSpace) -> BlockMap:
+    """M = P_g exp(L tau) P_g on the magnon density: the channel compressed to its g-g Liouville indices.
+
+    Entry (a, b) of the magnon density is entry (g a, g b) of the joint one.
+    M holds each channel block's rows and columns there, no more.
+    """
+    joint = channel.space.total_dim
+    return channel._compress(mag_space, _ground_block(np.arange(joint * joint).reshape(joint, joint)).ravel())
 
 
 def run_protocol(
@@ -230,22 +242,20 @@ def run_protocol(
     Every round applies one fixed map to the unnormalized magnon state, then
     renormalizes: closed runs the diagonal v of ``analytic_kraus``
     elementwise (v_i psi_i, or v_i conj(v_j) rho_ij for a mixed state); with
-    decoherence set, the g-block of the exact magnon-loss map exp(L tau)
-    (``lindblad_channel``) applied to |g><g| (x) rho.
-    channel is that map for a lossy cfg, built on a set that holds
+    decoherence set, M = P_g exp(L tau) P_g (``_round_map``), the g-g part
+    of the exact magnon-loss map (``lindblad_channel``) on |g><g| (x) rho,
+    read once per run off the channel's blocks.
+    channel is that exp(L tau) for a lossy cfg, built on a set that holds
     |g><g| (x) initial, for a caller that has built it already; it is built
-    here from |g><g| (x) initial when omitted.  A channel on another joint
-    space raises SpaceMismatchError, and one passed with a closed cfg
-    ValueError, both before the first round.
+    here from |g><g| (x) initial when omitted, which also checks its trace
+    preservation.  A channel on another joint space raises
+    SpaceMismatchError, and one passed with a closed cfg ValueError, both
+    before the first round.
 
     Each round validates its renormalized magnon state (``QuantumState``)
     and holds the outcome probability to NULL_OUTCOME_FLOOR.  A lossy round
-    also runs the channel's checks (``LindbladChannel._apply``): support
-    inside the reachable set, the trace-drift guard, the Hermitian scrub and
-    the validation of the joint output.  Its input |g><g| (x) rho is not
-    wrapped as a state: rho is the validated input or the previous round's
-    validated state, and the embedding keeps its trace, Hermiticity and
-    spectrum (plus zeros).
+    also raises ValueError if rho has support off M's set, and scrubs the
+    anti-Hermitian roundoff of M rho.  No joint state is formed.
     """
     mag_space = initial.space
     if mag_space.labels != ("n", "m"):
@@ -262,7 +272,8 @@ def run_protocol(
         raise DimensionError(f"target excitation {N} outside cutoffs {mag_space.dims}")
     target_plus = bell_state(mag_space, N, +1)
     target_minus = bell_state(mag_space, N, -1)
-    if _even_pair_population(initial, N) <= NULL_OUTCOME_FLOOR:
+    pair = (mag_space.index((0, 0)), mag_space.index((N, N)))
+    if _even_pair_population(initial, pair) <= NULL_OUTCOME_FLOOR:
         raise TargetOverlapError(
             f"initial population on {{|0,0>, |{N},{N}>}} is numerically zero"
         )
@@ -289,7 +300,7 @@ def run_protocol(
         f_plus[k] = fidelity(state, target_plus)
         f_minus[k] = fidelity(state, target_minus)
         p_cum[k] = cumulative
-        even_pop[k] = _even_pair_population(state, N)
+        even_pop[k] = _even_pair_population(state, pair)
         if converged is None and even_pop[k] >= CONVERGED_EVEN_POPULATION:
             converged = k
 
@@ -301,9 +312,11 @@ def run_protocol(
         if channel is None:
             channel = lindblad_channel(_joint_spec(mag_space, cfg), cfg.tau,
                                        _with_ground(initial.density()))
+        round_map = _round_map(channel, mag_space)
 
         def evolve(rho):
-            return _ground_block(channel._apply(_with_ground(rho)).data)
+            out = round_map._map(rho)
+            return 0.5 * (out + out.conj().T)  # scrub roundoff anti-Hermitian part
 
         kind, data = "mixed", initial.density()
     else:
@@ -335,7 +348,10 @@ def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.n
     Returns (F_stab, F_free): the per-round fidelity under the
     evolve-and-project cycle, and the fidelity of a measurement-free
     master-equation run over the same horizon, both sampled at multiples of
-    tau (index 0 is t = 0).  Both legs apply one channel exp(L tau).
+    tau (index 0 is t = 0).  Both legs apply one channel exp(L tau): the
+    projected leg its magnon round map M (``run_protocol``), the free leg
+    the whole channel to the joint state, which every step validates
+    (``LindbladChannel._apply``).
     """
     if cfg.decoherence is None:
         raise ValueError("stabilize requires decoherence rates in the config")

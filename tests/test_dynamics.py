@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from magbell import dynamics
+from magbell import dynamics, measurement
 from magbell.dynamics import (
     IntegratorConfig,
     LindbladSpec,
@@ -28,7 +28,8 @@ from magbell.hilbert import (
     superposed_state,
 )
 from magbell.measurement import interval_for_target
-from magbell.model import EffectiveParams, PulseCoefficients, build_jc_effective, build_time_dependent_jc
+from magbell.model import (EffectiveParams, PulseCoefficients, _ground_block, build_jc_effective,
+                           build_time_dependent_jc)
 
 from conftest import (dense_lindblad_oracle, dense_liouvillian, embed, expm_scaling_squaring,
                       random_hermitian)
@@ -337,19 +338,12 @@ class TestLindbladAction:
         dim = space.total_dim
         rho0 = QuantumState(space, "mixed", random_density(np.random.default_rng(seed), dim))
         channel = lindblad_channel(spec, t, rho0.data)  # full support: the whole space's blocks
-        label = np.full(dim * dim, -1)
-        for b, (idx, _) in enumerate(channel.blocks):
-            assert (label[idx] == -1).all()
-            label[idx] = b
-        assert (label >= 0).all() and len(channel.blocks) > 1
+        # the blocks are exactly the connected components of the dense L's sparsity
+        blocks = sorted(tuple(np.sort(idx)) for idx, _ in channel.blocks)
+        assert blocks == sorted(tuple(c) for c in dense_components(spec))
+        assert len(blocks) > 1 and sum(map(len, blocks)) == dim * dim
         assert any(partner is not None
                    for _, _, partner in dynamics._block_generators(spec, rho0.data))
-        # dense_liouvillian stacks columns: its index j d + i is row-major i d + j
-        i, j = np.divmod(np.arange(dim * dim), dim)
-        col_label = np.empty_like(label)
-        col_label[j * dim + i] = label
-        rows, cols = np.nonzero(dense_liouvillian(spec))
-        assert (col_label[rows] == col_label[cols]).all()
         out = channel(rho0).data
         assert np.abs(out - dense_lindblad_oracle(rho0.data, spec, t)).max() <= 1e-12
 
@@ -377,6 +371,20 @@ class TestLindbladAction:
         assert abs(np.trace(out) - 1.0) <= 1e-12
         assert np.abs(out - out.conj().T).max() <= 1e-15
         assert np.linalg.eigvalsh(out).min() >= -1e-12
+
+    def test_block_off_the_trace_rejected(self):
+        # a block holding diagonal indices carries the trace; scaled by 1 + 1e-6 it moves it
+        spec, rho0, tau = decohere_prepare_round()
+        channel = lindblad_channel(spec, tau, rho0.data)
+        dim = JC_SPACE.total_dim
+        carriers = [b for b, (idx, _) in enumerate(channel.blocks) if (idx % (dim + 1) == 0).any()]
+        assert carriers
+        for b in carriers:
+            blocks = list(channel.blocks)
+            blocks[b] = (blocks[b][0], blocks[b][1] * (1.0 + 1e-6))
+            with pytest.raises(TraceDriftError, match="block"):
+                dynamics.LindbladChannel(JC_SPACE, tuple(blocks))
+        dynamics.LindbladChannel(JC_SPACE, channel.blocks)  # the unscaled blocks pass
 
     def test_trace_guard_fires_on_impossible_tolerance(self, monkeypatch):
         dim = 6
@@ -410,6 +418,25 @@ class TestExpm:
         a *= norm / np.linalg.norm(a, 1)
         want = expm_scaling_squaring(a)
         assert np.abs(dynamics._expm(a) - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+def dense_components(spec):
+    """Row-major index sets of the connected components of the dense Liouvillian's sparsity."""
+    links = dense_liouvillian(spec) != 0
+    links |= links.T
+    dim = spec.hamiltonian.space.total_dim
+    unseen = np.ones(dim * dim, dtype=bool)
+    while unseen.any():
+        reached = np.zeros_like(unseen)
+        reached[np.argmax(unseen)] = True
+        while True:
+            grown = reached | links[:, reached].any(axis=1)
+            if (grown == reached).all():
+                break
+            reached = grown
+        unseen &= ~reached
+        j, i = np.divmod(np.flatnonzero(reached), dim)  # column-stacked j d + i is row-major i d + j
+        yield np.sort(i * dim + j)
 
 
 def dense_reachable(spec, start):
@@ -470,6 +497,32 @@ class TestReachableChannel:
         spec, _, tau = decohere_prepare_round()
         with pytest.raises(ValueError, match="start"):
             lindblad_channel(spec, tau, start)
+
+
+class TestRoundMap:
+    """M = P_g exp(L tau) P_g on the magnon density, against the joint channel and the dense superoperator."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(cutoffs=st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 3)]),
+           g_e=st.just(0.0) | st.floats(1e-3, 1e-2), g_f=st.just(0.0) | st.floats(1e-3, 1e-2),
+           delta=st.just(0.0) | st.floats(-5e-3, 5e-3),
+           rates=st.tuples(*[st.just(0.0) | st.floats(1e-5, 1e-3)] * 2),
+           t=st.floats(0.0, 3000.0), kind=st.sampled_from(["bell", "plus", "random"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_channel_and_dense_oracle(self, cutoffs, g_e, g_f, delta, rates, t, kind, seed):
+        dn, dm = cutoffs
+        space = HilbertSpace((("atom", 3), ("n", dn), ("m", dm)))
+        eff = EffectiveParams(G_e=g_e, G_f=g_f, Delta_e_tilde=delta, Delta_f_tilde=delta)
+        spec = jc_loss_spec(space, eff, rates)
+        start = ground_input(kind, dn, dm, seed)
+        channel = lindblad_channel(spec, t, start)
+        round_map = measurement._round_map(channel, HilbertSpace((("n", dn), ("m", dm))))
+        got = round_map._map(_ground_block(start))
+        assert np.abs(got - _ground_block(channel._apply(start).data)).max() <= 1e-12
+        assert np.abs(got - _ground_block(dense_lindblad_oracle(start, spec, t))).max() <= 1e-12
+        # M holds no more than the channel: each of its blocks is cut from one of the channel's
+        assert len(round_map.blocks) <= len(channel.blocks)
+        assert sum(m.size for _, m in round_map.blocks) <= sum(b.size for _, b in channel.blocks)
 
 
 class TestTimeOrderedPropagator:

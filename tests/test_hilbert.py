@@ -47,6 +47,16 @@ class TestHilbertSpace:
         with pytest.raises(UnknownLabelError):
             space.dim("q")
 
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, False, "3", None, 0, -1])
+    def test_non_integer_or_non_positive_dimension_rejected(self, dim):
+        with pytest.raises(DimensionError, match="integer dimension"):
+            HilbertSpace((("n", 2), ("m", dim)))
+
+    def test_numpy_integer_dimension_accepted_as_int(self):
+        space = HilbertSpace((("n", np.int64(3)),))
+        assert space.dims == (3,) and type(space.dims[0]) is int
+        assert space == HilbertSpace((("n", 3),)) and hash(space) == hash(HilbertSpace((("n", 3),)))
+
 
 class TestAnnihilation:
     def test_matrix_entries(self):

@@ -330,8 +330,8 @@ class TestRunProtocol:
         def forbidden(*args, **kwargs):
             raise AssertionError("closed run reached the joint Hamiltonian")
 
-        monkeypatch.setattr(measurement, "build_jc_effective", forbidden)
-        monkeypatch.setattr(measurement, "numeric_kraus", forbidden)
+        for name in ("_joint_spec", "lindblad_channel", "numeric_kraus"):
+            monkeypatch.setattr(measurement, name, forbidden)
         eff = detuned(EffectiveParams(G_e=1e-3, G_f=1.2e-3), 0.8e-3)
         cfg = ProtocolConfig.for_target(eff, rounds=3)
         plus = superposed_state(4, 1)
@@ -453,7 +453,14 @@ def decohere_prepare_run(cutoff=3):
 
 
 class TestLossyRoundChecks:
-    """A lossy round skips only the wrapper of its embedded input; every other check still runs."""
+    """Where a lossy run's checks run.
+
+    The channel's trace check runs once per build.  Each projected round
+    applies M to the magnon state, checks its support, scrubs its
+    Hermitian part, validates the renormalized magnon state and holds the
+    outcome probability to a floor.  Each free-leg step of ``stabilize``
+    validates the joint state.
+    """
 
     def test_channel_on_another_space_rejected_before_the_first_round(self):
         psi, cfg = decohere_prepare_run(3)
@@ -479,15 +486,44 @@ class TestLossyRoundChecks:
             stabilize(bell_state(magnon(3), 1, +1), cfg)
 
     def test_joint_output_validated(self, monkeypatch):
-        # no density matrix has every eigenvalue >= 1, so the first validation after
-        # the input raises: the joint output of round 1's channel
+        # every free-leg step of stabilize is one _apply, which validates the joint output;
+        # no density matrix has every eigenvalue >= 1
         psi, cfg = decohere_prepare_run()
         rho = psi.density()
         channel = lindblad_channel(measurement._joint_spec(psi.space, cfg), cfg.tau, _with_ground(rho))
         monkeypatch.setattr(hilbert, "MIXED_EIG_FLOOR", 1.0)
         with pytest.raises(StateValidationError, match="negative eigenvalues"):
             channel._apply(_with_ground(rho))
+
+    def test_magnon_state_validated(self, monkeypatch):
+        # the first state validated after the input is round 1's renormalized magnon state
+        psi, cfg = decohere_prepare_run()
+        monkeypatch.setattr(hilbert, "MIXED_EIG_FLOOR", 1.0)
         with pytest.raises(StateValidationError, match="negative eigenvalues"):
+            run_protocol(psi, cfg)
+
+    def test_each_round_validates_the_magnon_state_and_each_free_step_the_joint_state(self, monkeypatch):
+        seen = []
+        for module in (measurement, dynamics):
+            def spy(space, kind, data, real=module.QuantumState, name=module.__name__):
+                seen.append((name, space.total_dim))
+                return real(space, kind, data)
+
+            monkeypatch.setattr(module, "QuantumState", spy)
+        psi, cfg = decohere_prepare_run()
+        run_protocol(psi, cfg)
+        assert seen == [("magbell.measurement", 9)] * cfg.rounds
+        seen.clear()
+        stabilize(bell_state(magnon(3), 1, +1), cfg)
+        assert seen == [("magbell.measurement", 9)] * cfg.rounds + [("magbell.dynamics", 27)] * cfg.rounds
+
+    def test_round_outside_the_channel_set_raises(self):
+        # a channel built from the Bell state does not reach all of |+>|+>'s support
+        psi, cfg = decohere_prepare_run()
+        bell = bell_state(magnon(3), 1, +1)
+        channel = lindblad_channel(measurement._joint_spec(bell.space, cfg), cfg.tau,
+                                   _with_ground(bell.density()))
+        with pytest.raises(ValueError, match="outside"):
             run_protocol(psi, cfg, channel)
 
 
