@@ -294,11 +294,9 @@ def _run_protocol_scenario(p: dict, seed: int, extra_results: tuple[str, ...] = 
     """One protocol run; a preset fixes the interval mode and the extra result keys."""
     cfg = _protocol_config(p, interval_mode or p.get("interval_mode", "full"))
     record = run_protocol(_initial_state(p), cfg)
-    rows = tuple(
-        (float(k), float(record.fidelity_plus[k]), float(record.fidelity_minus[k]),
-         float(record.success_probability[k]), float(record.even_population[k]))
-        for k in range(cfg.rounds + 1)
-    )
+    rows = tuple(zip(map(float, range(cfg.rounds + 1)), record.fidelity_plus.tolist(),
+                     record.fidelity_minus.tolist(), record.success_probability.tolist(),
+                     record.even_population.tolist()))
     available = {
         "final_fidelity_plus": float(record.fidelity_plus[-1]),
         "final_fidelity_minus": float(record.fidelity_minus[-1]),
@@ -432,15 +430,13 @@ def emit(table: ResultTable, format: str) -> bytes:
         "# " + json.dumps(table.metadata, sort_keys=True),
         ",".join(table.columns),
     ]
+    # one %-format per row: "%.12g" % v gives the bytes of format(float(v), ".12g")
+    row_format = ",".join(["%.12g"] * len(table.columns))
     for row in table.rows:
         if len(row) != len(table.columns):
             raise ValueError("row length differs from column count")
-        lines.append(",".join(format_value(v) for v in row))
+        lines.append(row_format % tuple(row))
     return ("\n".join(lines) + "\n").encode()
-
-
-def format_value(value: float) -> str:
-    return format(float(value), ".12g")
 
 
 def config_from_metadata(metadata: dict) -> ExperimentConfig:

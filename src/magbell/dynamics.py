@@ -18,9 +18,10 @@ matrix-vector product per block on a contiguous slice, and one scatter.
 The fixed-step fourth-order (RK4) integrator ``integrate_master`` is kept
 as its independent oracle in the tests; its right-hand side is the plain
 commutator-plus-dissipator form.  Both guard the trace, which is asserted,
-never renormalized.  The channel's ``_apply`` and the integrator validate
-every state they return; ``BlockMap._map`` returns a bare array, for its
-caller to check.
+never renormalized.  The channel's ``_apply`` checks every state it
+returns in place (``hilbert.check_state``), and ``LindbladChannel.__call__``
+and the integrator return validated ``QuantumState``s; ``BlockMap._map``
+returns a bare array, for its caller to check.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import HilbertSpace, Operator, QuantumState, SpaceMismatchError
+from .hilbert import HilbertSpace, Operator, QuantumState, SpaceMismatchError, check_state
 
 HERMITIAN_ATOL = 1e-12
 DEFAULT_TRACE_TOL = 1e-8
@@ -348,27 +349,28 @@ class LindbladChannel(BlockMap):
                                   f"(DEFAULT_TRACE_TOL / {dim})")
 
     def __call__(self, rho0: QuantumState) -> QuantumState:
-        """exp(L t) rho0 (see ``_apply``); SpaceMismatchError if rho0 is on another space."""
+        """exp(L t) rho0 as a QuantumState (see ``_apply``); SpaceMismatchError if rho0 is on another space."""
         if rho0.space != self.space:
             raise SpaceMismatchError("initial state space differs from Lindblad space")
-        return self._apply(rho0.density())
+        return QuantumState(self.space, "mixed", self._apply(rho0.density()))
 
-    def _apply(self, rho: np.ndarray) -> QuantumState:
+    def _apply(self, rho: np.ndarray) -> np.ndarray:
         """exp(L t) rho for a density matrix rho on the channel's space, exact zeros off R.
 
         rho itself is not validated: the caller passes a state, or one valid
         by construction.  Raises ValueError if rho has a nonzero entry
         outside R (``_map``), and TraceDriftError if |tr out - tr rho|
         exceeds DEFAULT_TRACE_TOL; the trace is asserted, never
-        renormalized.  The output is Hermitian-scrubbed and validated as a
-        QuantumState.
+        renormalized.  The output is Hermitian-scrubbed and checked in place
+        as a density matrix (``check_state``); the array is returned.
         """
         out = self._map(rho)
         drift = abs(np.trace(out) - np.trace(rho))
         if not drift <= DEFAULT_TRACE_TOL:
             raise TraceDriftError(f"trace drift {drift:.3e} exceeds tolerance {DEFAULT_TRACE_TOL:.1e}")
         out = 0.5 * (out + out.conj().T)  # scrub roundoff anti-Hermitian part
-        return QuantumState(self.space, "mixed", out)
+        check_state("mixed", out)
+        return out
 
 
 def lindblad_channel(spec: LindbladSpec, t: float, start: np.ndarray) -> LindbladChannel:

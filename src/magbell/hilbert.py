@@ -136,9 +136,36 @@ class Operator:
         object.__setattr__(self, "matrix", mat)
 
 
+def check_state(kind: str, arr: np.ndarray) -> None:
+    """Raise StateValidationError unless arr, of the right shape, is a state of kind.
+
+    A pure vector needs unit norm to PURE_NORM_ATOL.  A density matrix needs
+    Hermiticity and unit trace to MIXED_ATOL, then no eigenvalue below
+    MIXED_EIG_FLOOR, checked in that order; the tolerances are read at call
+    time.  arr is neither copied nor changed: ``QuantumState`` calls this on
+    its copy, and a protocol round on its own array.
+    """
+    if kind == "pure":
+        norm = float(np.linalg.norm(arr))
+        if not abs(norm - 1.0) <= PURE_NORM_ATOL:  # NaN fails too
+            raise StateValidationError(f"pure state norm {norm} != 1")
+        return
+    if not float(np.abs(arr - arr.conj().T).max()) <= MIXED_ATOL:
+        raise StateValidationError("density matrix not Hermitian")
+    tr = complex(np.trace(arr))
+    if not abs(tr - 1.0) <= MIXED_ATOL:
+        raise StateValidationError(f"density matrix trace {tr} != 1")
+    if not float(np.linalg.eigvalsh(arr).min()) >= MIXED_EIG_FLOOR:
+        raise StateValidationError("density matrix has negative eigenvalues")
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumState:
-    """Pure vector or density matrix on a HilbertSpace."""
+    """Pure vector or density matrix on a HilbertSpace.
+
+    Construction copies data, checks its kind and shape, and validates the
+    copy with ``check_state``.
+    """
 
     space: HilbertSpace
     kind: str
@@ -152,19 +179,9 @@ class QuantumState:
         if self.kind == "pure":
             if arr.shape != (d,):
                 raise DimensionError(f"pure state shape {arr.shape} != ({d},)")
-            norm = float(np.linalg.norm(arr))
-            if not abs(norm - 1.0) <= PURE_NORM_ATOL:  # NaN fails too
-                raise StateValidationError(f"pure state norm {norm} != 1")
-        else:
-            if arr.shape != (d, d):
-                raise DimensionError(f"density matrix shape {arr.shape} != ({d}, {d})")
-            if not float(np.abs(arr - arr.conj().T).max()) <= MIXED_ATOL:
-                raise StateValidationError("density matrix not Hermitian")
-            tr = complex(np.trace(arr))
-            if not abs(tr - 1.0) <= MIXED_ATOL:
-                raise StateValidationError(f"density matrix trace {tr} != 1")
-            if not float(np.linalg.eigvalsh(arr).min()) >= MIXED_EIG_FLOOR:
-                raise StateValidationError("density matrix has negative eigenvalues")
+        elif arr.shape != (d, d):
+            raise DimensionError(f"density matrix shape {arr.shape} != ({d}, {d})")
+        check_state(self.kind, arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 

@@ -16,11 +16,14 @@ Liouville indices that |g><g| (x) rho_0 can reach, and compressed once to
 the g-g entries of that set (``_round_map``).  A stabilization run shares
 one channel, built from the Bell input, between its projected and free
 legs, since every projected state stays in the g-g part of that set.
-Every round validates the renormalized magnon state and holds the outcome
-probability to a floor; a lossy round also checks that its input lies in
-M's set and scrubs the output's anti-Hermitian roundoff.  The channel's
-trace preservation is checked once, when it is built, and each free-leg
-step of a stabilization run validates the joint state.
+Every round holds the outcome probability to a floor and checks its
+renormalized magnon array in place with ``hilbert.check_state``, the check
+``QuantumState`` runs, without building a state; a lossy round also checks
+that its input lies in M's set and scrubs the output's anti-Hermitian
+roundoff.  A run's records are read off the |0,0> and |N,N> entries of each
+round's array, and its final array becomes its one ``QuantumState``.  The
+channel's trace preservation is checked once, when it is built, and each
+free-leg step of a stabilization run checks the joint state in place.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from .dynamics import BlockMap, LindbladChannel, LindbladSpec, lindblad_channel, propagator
 from .dynamics import integrate_master  # noqa: F401  (perfbench's tracer looks the RK4 oracle up here)
 from .hilbert import (DimensionError, HilbertSpace, Operator, QuantumState, SpaceMismatchError, bell_state,
-                      fidelity)
+                      check_state)
 from .model import (_JC_LABELS, EffectiveParams, _ground_block, _jc_matrix, _joint_space, _magnon_part,
                     _product_ops, _with_ground)
 
@@ -115,9 +118,8 @@ def numeric_kraus(H_eff: Operator, tau: float) -> Operator:
     return Operator(mag, _ground_block(propagator(H_eff, tau).matrix))
 
 
-def _renormalized(space: HilbertSpace, kind: str, branch: np.ndarray,
-                  where: str = "ground-state") -> tuple[QuantumState, float]:
-    """Conditional state and probability of an unnormalized outcome branch.
+def _normalized(kind: str, branch: np.ndarray, where: str = "ground-state") -> tuple[np.ndarray, float]:
+    """An unnormalized outcome branch divided by its norm (pure) or trace (mixed), and its probability.
 
     Raises NullOutcomeError, naming the outcome by where, below the floor.
     """
@@ -125,7 +127,14 @@ def _renormalized(space: HilbertSpace, kind: str, branch: np.ndarray,
     prob = float(np.linalg.norm(branch) ** 2 if pure else np.real(np.trace(branch)))
     if not prob >= NULL_OUTCOME_FLOOR:  # NaN fails too
         raise NullOutcomeError(f"{where} outcome probability {prob:.3e} below floor")
-    return QuantumState(space, kind, branch / (math.sqrt(prob) if pure else prob)), prob
+    return branch / (math.sqrt(prob) if pure else prob), prob
+
+
+def _renormalized(space: HilbertSpace, kind: str, branch: np.ndarray,
+                  where: str = "ground-state") -> tuple[QuantumState, float]:
+    """Conditional state and probability of an unnormalized outcome branch (``_normalized``)."""
+    data, prob = _normalized(kind, branch, where)
+    return QuantumState(space, kind, data), prob
 
 
 def apply_projection(rho_tot: QuantumState) -> tuple[QuantumState, float]:
@@ -193,7 +202,9 @@ class ProtocolRecord:
     population on {|0,0>, |N,N>}.  slow_states lists non-target Fock pairs
     whose per-round damping factor exceeds 1 - 1e-6 (distillation will stall
     on them); converged_round is the first round where the even-pair
-    population passed 1 - 1e-6, or None.
+    population passed 1 - 1e-6, or None.  ``run_protocol`` reads every
+    record off the two even-pair entries of each round's checked array, and
+    final_state is the one QuantumState a run builds.
     """
 
     fidelity_plus: np.ndarray
@@ -203,12 +214,6 @@ class ProtocolRecord:
     final_state: QuantumState
     slow_states: tuple[tuple[int, int], ...]
     converged_round: int | None
-
-
-def _even_pair_population(state: QuantumState, pair: tuple[int, int]) -> float:
-    """Population on the basis indices pair, those of |0,0> and |N,N>."""
-    pops = state.populations()
-    return float(pops[pair[0]] + pops[pair[1]])
 
 
 def _joint_spec(mag_space: HilbertSpace, cfg: ProtocolConfig) -> LindbladSpec:
@@ -252,10 +257,13 @@ def run_protocol(
     SpaceMismatchError, and one passed with a closed cfg ValueError, both
     before the first round.
 
-    Each round validates its renormalized magnon state (``QuantumState``)
-    and holds the outcome probability to NULL_OUTCOME_FLOOR.  A lossy round
-    also raises ValueError if rho has support off M's set, and scrubs the
-    anti-Hermitian roundoff of M rho.  No joint state is formed.
+    Each round holds the outcome probability to NULL_OUTCOME_FLOOR and
+    checks its renormalized magnon array in place (``check_state``, the
+    check ``QuantumState`` runs).  A lossy round also raises ValueError if
+    rho has support off M's set, and scrubs the anti-Hermitian roundoff of
+    M rho.  No joint state and no per-round object is formed: the records
+    are read off the |0,0> and |N,N> entries a, b of each round's array
+    (``_pair_records``), and the final array becomes the one QuantumState.
     """
     mag_space = initial.space
     if mag_space.labels != ("n", "m"):
@@ -270,10 +278,8 @@ def run_protocol(
     N = cfg.target_N
     if N >= min(mag_space.dims):
         raise DimensionError(f"target excitation {N} outside cutoffs {mag_space.dims}")
-    target_plus = bell_state(mag_space, N, +1)
-    target_minus = bell_state(mag_space, N, -1)
-    pair = (mag_space.index((0, 0)), mag_space.index((N, N)))
-    if _even_pair_population(initial, pair) <= NULL_OUTCOME_FLOOR:
+    a, b = mag_space.index((0, 0)), mag_space.index((N, N))
+    if initial.populations()[[a, b]].sum() <= NULL_OUTCOME_FLOOR:
         raise TargetOverlapError(
             f"initial population on {{|0,0>, |{N},{N}>}} is numerically zero"
         )
@@ -284,27 +290,6 @@ def run_protocol(
         for k in np.flatnonzero(np.abs(v) > 1.0 - SLOW_DAMPING_MARGIN)
         if mag_space.occupations(k) not in ((0, 0), (N, N))
     )
-
-    rounds = cfg.rounds
-    f_plus = np.empty(rounds + 1)
-    f_minus = np.empty(rounds + 1)
-    p_cum = np.empty(rounds + 1)
-    even_pop = np.empty(rounds + 1)
-
-    state = initial
-    cumulative = 1.0
-    converged = None
-
-    def log(k: int):
-        nonlocal converged
-        f_plus[k] = fidelity(state, target_plus)
-        f_minus[k] = fidelity(state, target_minus)
-        p_cum[k] = cumulative
-        even_pop[k] = _even_pair_population(state, pair)
-        if converged is None and even_pop[k] >= CONVERGED_EVEN_POPULATION:
-            converged = k
-
-    log(0)
 
     # the per-round map on the unnormalized magnon data, picked once
     kind, data = initial.kind, initial.data
@@ -325,21 +310,46 @@ def run_protocol(
         def evolve(x):
             return vv * x
 
-    for k in range(1, rounds + 1):
-        state, prob = _renormalized(mag_space, kind, evolve(data), f"round {k}: ground-state")
-        data = state.data
-        cumulative *= prob
-        log(k)
+    # the entries each round's records read: x_a, x_b (pure) or rho_aa, rho_bb, rho_ab (mixed)
+    dim = mag_space.total_dim
+    picks = [a, b] if kind == "pure" else [a * dim + a, b * dim + b, a * dim + b]
+    entries = np.empty((cfg.rounds + 1, len(picks)), dtype=complex)
+    probs = np.ones(cfg.rounds + 1)
+    entries[0] = data.take(picks)
+    for k in range(1, cfg.rounds + 1):
+        data, probs[k] = _normalized(kind, evolve(data), f"round {k}: ground-state")
+        check_state(kind, data)
+        entries[k] = data.take(picks)
 
+    even_pop, f_plus, f_minus = _pair_records(entries, kind == "pure")
+    converged = np.flatnonzero(even_pop >= CONVERGED_EVEN_POPULATION)
     return ProtocolRecord(
         fidelity_plus=f_plus,
         fidelity_minus=f_minus,
-        success_probability=p_cum,
+        success_probability=np.cumprod(probs),
         even_population=even_pop,
-        final_state=state,
+        final_state=QuantumState(mag_space, kind, data),
         slow_states=slow,
-        converged_round=converged,
+        converged_round=int(converged[0]) if converged.size else None,
     )
+
+
+def _pair_records(entries: np.ndarray, pure: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(even, F+, F-) per row of run_protocol's carried entries.
+
+    even = |x_a|^2 + |x_b|^2 or rho_aa + rho_bb, the population on
+    {|0,0>, |N,N>}; cross = Re(x_a conj(x_b)) or Re(rho_ab); and F+- =
+    even / 2 +- cross, the fidelity with (|0,0> +- |N,N>)/sqrt(2), clamped
+    to [0, 1] as ``fidelity`` clamps.
+    """
+    if pure:
+        xa, xb = entries.T
+        even = np.abs(xa) ** 2 + np.abs(xb) ** 2
+        cross = (xa * xb.conj()).real
+    else:
+        even = entries[:, 0].real + entries[:, 1].real
+        cross = entries[:, 2].real
+    return even, np.clip(0.5 * even + cross, 0.0, 1.0), np.clip(0.5 * even - cross, 0.0, 1.0)
 
 
 def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -349,9 +359,10 @@ def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.n
     evolve-and-project cycle, and the fidelity of a measurement-free
     master-equation run over the same horizon, both sampled at multiples of
     tau (index 0 is t = 0).  Both legs apply one channel exp(L tau): the
-    projected leg its magnon round map M (``run_protocol``), the free leg
-    the whole channel to the joint state, which every step validates
-    (``LindbladChannel._apply``).
+    projected leg its magnon round map M (``run_protocol``, which checks
+    each round's magnon state), the free leg the whole channel to the joint
+    state (``LindbladChannel._apply``), which every step asserts the trace
+    of, scrubs and checks in place as a density matrix (``check_state``).
     """
     if cfg.decoherence is None:
         raise ValueError("stabilize requires decoherence rates in the config")
@@ -369,7 +380,7 @@ def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.n
     rho = start
     f_free[0] = overlap(rho)
     for k in range(1, cfg.rounds + 1):
-        rho = channel._apply(rho).data
+        rho = channel._apply(rho)
         f_free[k] = overlap(rho)
     return f_stab, f_free
 

@@ -17,6 +17,11 @@ pair terms out by hand, where the library reads them from the wiring table.
 The dense Lindblad oracle forms the whole column-stacked Liouvillian
 superoperator and exponentiates it by a fixed-degree scaling and squaring,
 where the library exponentiates the row-major blocks that L never mixes.
+The looped protocol oracle builds a ``QuantumState`` every round and reads
+its records with ``fidelity`` and ``populations``, and runs a lossy round
+through the whole joint channel; the library reads each round's records
+off two or three entries of a checked array, and applies the channel's
+compression to the magnon density.
 """
 
 import math
@@ -27,12 +32,17 @@ import pytest
 
 from magbell import EffectiveParams, HilbertSpace, ModelParams
 from magbell.dynamics import propagator, propagator_matrix
-from magbell.hilbert import DimensionError, Operator, annihilation, bell_state, product_state, superposed_state
+from magbell import measurement
+from magbell.dynamics import lindblad_channel
+from magbell.hilbert import (DimensionError, Operator, QuantumState, annihilation, bell_state, fidelity,
+                             product_state, superposed_state)
 from magbell.model import (
     LEVEL_E,
     LEVEL_F,
     LEVEL_G,
     SingleModeParams,
+    _ground_block,
+    _with_ground,
     build_full,
     build_sw_effective,
     build_time_dependent_jc,
@@ -110,6 +120,62 @@ def coefficient_power_amplitudes(amps0, g_e, g_f, delta, tau, rounds, dims):
         for m in range(dm):
             out[n, m] *= block_return_amplitude(n, m, g_e, g_f, delta, tau) ** rounds
     return out.ravel()
+
+
+def looped_protocol_records(initial, cfg):
+    """run_protocol's records, final state, slow pairs and converged round, one object per round.
+
+    Each round maps the unnormalized magnon data (the analytic Kraus diagonal
+    elementwise, or for a lossy cfg the whole channel exp(L tau) on
+    |g><g| (x) rho, then its g-g block), renormalizes it into a new
+    ``QuantumState`` and logs two ``fidelity`` calls and one ``populations``
+    call.  NullOutcomeError carries the library's message; the floor and
+    the thresholds are read from ``measurement`` at call time.
+    """
+    space, N = initial.space, cfg.target_N
+    plus, minus = bell_state(space, N, +1), bell_state(space, N, -1)
+    a, b = space.index((0, 0)), space.index((N, N))
+    v = np.diag(measurement.analytic_kraus(space, cfg.eff, cfg.tau).matrix)
+    slow = tuple(space.occupations(k) for k in range(space.total_dim)
+                 if abs(v[k]) > 1.0 - measurement.SLOW_DAMPING_MARGIN
+                 and space.occupations(k) not in ((0, 0), (N, N)))
+    kind, data = initial.kind, initial.data
+    if cfg.decoherence is not None:
+        channel = lindblad_channel(measurement._joint_spec(space, cfg), cfg.tau, _with_ground(initial.density()))
+        kind, data = "mixed", initial.density()
+
+        def step(rho):
+            return _ground_block(channel._apply(_with_ground(rho)))
+    elif kind == "pure":
+        def step(x):
+            return v * x
+    else:
+        def step(rho):
+            return v[:, None] * rho * v.conj()[None, :]
+
+    records = {key: [] for key in ("fidelity_plus", "fidelity_minus", "success_probability", "even_population")}
+
+    def log(state, cumulative):
+        pops = state.populations()
+        for key, value in zip(records, (fidelity(state, plus), fidelity(state, minus), cumulative,
+                                        float(pops[a] + pops[b]))):
+            records[key].append(value)
+
+    state, cumulative = initial, 1.0
+    log(state, cumulative)
+    for k in range(1, cfg.rounds + 1):
+        branch = step(data)
+        prob = float(np.linalg.norm(branch) ** 2 if kind == "pure" else np.real(np.trace(branch)))
+        if not prob >= measurement.NULL_OUTCOME_FLOOR:
+            raise measurement.NullOutcomeError(f"round {k}: ground-state outcome probability {prob:.3e} below floor")
+        state = QuantumState(space, kind, branch / (math.sqrt(prob) if kind == "pure" else prob))
+        data = state.data
+        cumulative *= prob
+        log(state, cumulative)
+    even = records["even_population"]
+    converged = next((k for k, e in enumerate(even) if e >= measurement.CONVERGED_EVEN_POPULATION), None)
+    return dict({key: np.array(values) for key, values in records.items()},
+                final_state=state, slow_states=slow, converged_round=converged)
 
 
 def sequential_block_amplitudes(pulse, slices):

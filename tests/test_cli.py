@@ -132,6 +132,26 @@ class TestEmit:
         assert len(lines) == 3
 
 
+    def test_csv_row_bytes_match_per_value_format(self):
+        # the row format must give the bytes of format(float(v), ".12g") for every value
+        from magbell.cli import ResultTable
+
+        values = [0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, 1e21, 1 / 3,
+                  np.float64(2 / 3), np.float64(-0.0), np.int64(7), 7, -12, 10**30]
+        table = ResultTable(metadata={}, columns=tuple(f"c{i}" for i in range(len(values))),
+                            rows=(tuple(values),))
+        row = emit(table, "csv").decode().splitlines()[-1]
+        assert row == ",".join(format(float(v), ".12g") for v in values)
+
+    @pytest.mark.parametrize("row", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_row_length_mismatch_rejected(self, row):
+        from magbell.cli import ResultTable
+
+        table = ResultTable(metadata={}, columns=("a", "b"), rows=(row,))
+        with pytest.raises(ValueError, match="row length"):
+            emit(table, "csv")
+
+
 class TestDeterminismAndClosure:
     def test_identical_config_byte_identical_output(self):
         cfg = config_from_mapping({"scenario": "bell-distill", "params": {"rounds": 5}})

@@ -518,7 +518,7 @@ class TestRoundMap:
         channel = lindblad_channel(spec, t, start)
         round_map = measurement._round_map(channel, HilbertSpace((("n", dn), ("m", dm))))
         got = round_map._map(_ground_block(start))
-        assert np.abs(got - _ground_block(channel._apply(start).data)).max() <= 1e-12
+        assert np.abs(got - _ground_block(channel._apply(start))).max() <= 1e-12
         assert np.abs(got - _ground_block(dense_lindblad_oracle(start, spec, t))).max() <= 1e-12
         # M holds no more than the channel: each of its blocks is cut from one of the channel's
         assert len(round_map.blocks) <= len(channel.blocks)

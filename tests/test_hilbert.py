@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from magbell import hilbert
 from magbell.hilbert import (
     DimensionError,
     HilbertSpace,
@@ -16,6 +17,7 @@ from magbell.hilbert import (
     annihilation,
     basis_state,
     bell_state,
+    check_state,
     coherent_state,
     coherent_truncation_leakage,
     fidelity,
@@ -244,6 +246,40 @@ class TestValidation:
     def test_nan_state_rejected(self, magnon_space, kind, data):
         with pytest.raises(StateValidationError):
             QuantumState(magnon_space, kind, data)
+
+    @pytest.mark.parametrize("kind, data", [
+        ("pure", np.array([math.nan] + [0.0] * 8)),
+        ("mixed", np.diag([math.nan] + [0.0] * 8)),
+        ("mixed", np.full((9, 9), math.nan)),
+        ("pure", np.ones(9)),
+        ("mixed", np.diag([1.0] + [0.0] * 8) + np.diag([0.1] * 8, k=1)),
+        ("mixed", 2.0 * np.eye(9) + np.diag([0.1] * 8, k=1)),  # non-Hermitian and trace 18
+        ("mixed", np.eye(9)),
+        ("mixed", np.diag([3.0, -1.0] + [0.0] * 7)),  # trace 2 and a negative eigenvalue
+        ("mixed", np.diag([1.5, -0.5] + [0.0] * 7)),
+    ], ids=["nan-pure", "nan-mixed-diagonal", "nan-mixed-full", "norm", "hermitian",
+            "hermitian-before-trace", "trace", "trace-before-positivity", "positivity"])
+    def test_check_raises_what_the_constructor_raises(self, magnon_space, kind, data):
+        # one check, two callers: same type, same message, on the same array
+        arr = np.array(data, dtype=complex)
+        with pytest.raises(StateValidationError) as want:
+            QuantumState(magnon_space, kind, arr)
+        with pytest.raises(StateValidationError) as got:
+            check_state(kind, arr)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert np.array_equal(arr, np.array(data, dtype=complex), equal_nan=True)  # not changed
+
+    def test_check_reads_its_tolerances_at_call_time(self, magnon_space, monkeypatch):
+        long = np.full(9, 0.5, dtype=complex)  # norm 1.5
+        rho = bell_state(magnon_space, 1, +1).density()
+        monkeypatch.setattr(hilbert, "PURE_NORM_ATOL", 0.6)
+        monkeypatch.setattr(hilbert, "MIXED_EIG_FLOOR", 1.0)
+        check_state("pure", long)
+        QuantumState(magnon_space, "pure", long)
+        for make in (lambda: check_state("mixed", rho), lambda: QuantumState(magnon_space, "mixed", rho)):
+            with pytest.raises(StateValidationError, match="negative eigenvalues"):
+                make()
 
     def test_operator_immutable(self, magnon_space):
         op = Operator(magnon_space, np.eye(magnon_space.total_dim))

@@ -36,7 +36,7 @@ from magbell.measurement import (
 )
 from magbell.model import EffectiveParams, _with_ground, build_jc_effective
 
-from conftest import block_return_amplitude, coefficient_power_amplitudes
+from conftest import block_return_amplitude, coefficient_power_amplitudes, looped_protocol_records
 
 RECORD_FIELDS = ("fidelity_plus", "fidelity_minus", "success_probability", "even_population")
 SQRT2PI_COS = math.cos(math.sqrt(2.0) * math.pi)  # single-excitation damping at resonance
@@ -452,6 +452,72 @@ def decohere_prepare_run(cutoff=3):
     return product_state(magnon(cutoff), {"n": plus, "m": plus}), cfg
 
 
+def random_state(kind, d, seed):
+    """A random pure state or a random full-rank density matrix on magnon(d)."""
+    rng = np.random.default_rng(seed)
+    if kind == "pure":
+        vec = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        return QuantumState(magnon(d), "pure", vec / np.linalg.norm(vec))
+    mat = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    rho = mat @ mat.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return QuantumState(magnon(d), "mixed", rho / np.trace(rho).real)
+
+
+def assert_matches_looped_oracle(initial, cfg):
+    rec, want = run_protocol(initial, cfg), looped_protocol_records(initial, cfg)
+    for field in RECORD_FIELDS:
+        assert np.abs(getattr(rec, field) - want[field]).max() <= 1e-13, field
+    assert rec.final_state.kind == want["final_state"].kind
+    assert np.abs(rec.final_state.data - want["final_state"].data).max() <= 1e-13
+    assert rec.slow_states == want["slow_states"]
+    assert rec.converged_round == want["converged_round"]
+
+
+class TestLoopedProtocolOracle:
+    """run_protocol's records, read off the even-pair entries of checked arrays, against
+    the looped oracle that builds a QuantumState and calls fidelity every round."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["pure", "mixed"]), d=st.integers(2, 6), data=st.data(),
+           xi=st.floats(0.5, 2.5), delta=st.sampled_from([0.0, 0.4e-3]),
+           mode=st.sampled_from(["full", "half"]), rounds=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1))
+    def test_closed_runs_match(self, kind, d, data, xi, delta, mode, rounds, seed):
+        N = data.draw(st.integers(1, d - 1))
+        eff = detuned(EffectiveParams(G_e=1e-3, G_f=xi * 1e-3), delta)
+        cfg = ProtocolConfig.for_target(eff, rounds=rounds, target_N=N, interval_mode=mode)
+        assert_matches_looped_oracle(random_state(kind, d, seed), cfg)
+
+    @pytest.mark.parametrize("input_name", ["plus", "bell"])
+    def test_lossy_cutoff_three_runs_match(self, input_name):
+        psi, cfg = decohere_prepare_run()
+        if input_name == "bell":
+            psi = bell_state(magnon(3), 1, +1)
+        assert_matches_looped_oracle(psi, dataclasses.replace(cfg, rounds=20))
+
+    @pytest.mark.parametrize("mode", ["full", "half"])
+    def test_null_outcome_raised_at_the_oracle_round(self, monkeypatch, mode):
+        # a closed run's round probabilities never fall, so it can only fail round 1; the
+        # lossy Bell run's fall for a few rounds.  A floor between each two neighbouring
+        # round probabilities of the oracle's
+        initial = bell_state(magnon(3), 1, +1)
+        cfg = ProtocolConfig.for_target(EffectiveParams(G_e=6e-3, G_f=6e-3), rounds=12, interval_mode=mode,
+                                        decoherence=(1e-4, 1e-4))
+        p = looped_protocol_records(initial, cfg)["success_probability"]
+        probs = np.unique(p[1:] / p[:-1])
+        raised = set()
+        for floor in 0.5 * (probs[1:] + probs[:-1]):
+            monkeypatch.setattr(measurement, "NULL_OUTCOME_FLOOR", float(floor))
+            with pytest.raises(NullOutcomeError) as want:
+                looped_protocol_records(initial, cfg)
+            with pytest.raises(NullOutcomeError) as got:
+                run_protocol(initial, cfg)
+            assert str(got.value) == str(want.value)
+            raised.add(str(got.value).split(":")[0])
+        assert len(raised) > 1
+
+
 class TestLossyRoundChecks:
     """Where a lossy run's checks run.
 
@@ -503,19 +569,25 @@ class TestLossyRoundChecks:
             run_protocol(psi, cfg)
 
     def test_each_round_validates_the_magnon_state_and_each_free_step_the_joint_state(self, monkeypatch):
+        # the check QuantumState runs, called in place: once per round on the magnon
+        # array, once per free-leg step on the joint one, and nowhere else in either module
         seen = []
         for module in (measurement, dynamics):
-            def spy(space, kind, data, real=module.QuantumState, name=module.__name__):
-                seen.append((name, space.total_dim))
-                return real(space, kind, data)
+            def spy(kind, arr, real=module.check_state, name=module.__name__):
+                seen.append((name, arr.shape[0]))
+                return real(kind, arr)
 
-            monkeypatch.setattr(module, "QuantumState", spy)
+            monkeypatch.setattr(module, "check_state", spy)
         psi, cfg = decohere_prepare_run()
         run_protocol(psi, cfg)
         assert seen == [("magbell.measurement", 9)] * cfg.rounds
         seen.clear()
         stabilize(bell_state(magnon(3), 1, +1), cfg)
         assert seen == [("magbell.measurement", 9)] * cfg.rounds + [("magbell.dynamics", 27)] * cfg.rounds
+        seen.clear()
+        closed = ProtocolConfig.for_target(cfg.eff, rounds=cfg.rounds)
+        run_protocol(psi, closed)
+        assert seen == [("magbell.measurement", 9)] * cfg.rounds
 
     def test_round_outside_the_channel_set_raises(self):
         # a channel built from the Bell state does not reach all of |+>|+>'s support
