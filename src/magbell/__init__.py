@@ -19,7 +19,6 @@ from .hilbert import (
     bell_state,
     coherent_state,
     fidelity,
-    parity_operator,
     product_state,
     superposed_state,
 )
@@ -54,7 +53,6 @@ from .measurement import (
     coupling_ratio_fidelity,
     interval_for_target,
     numeric_kraus,
-    qubit_parity_reference,
     rabi_frequency,
     run_protocol,
     stabilize,
@@ -69,7 +67,7 @@ __all__ = [
     "__version__",
     "HilbertSpace", "Operator", "QuantumState",
     "annihilation", "basis_state", "bell_state", "coherent_state",
-    "fidelity", "parity_operator", "product_state", "superposed_state",
+    "fidelity", "product_state", "superposed_state",
     "COHERENT_COUPLING_RATIO",
     "EffectiveParams", "ModelParams", "PulseCoefficients", "SingleModeParams",
     "build_full", "build_jc_effective", "build_time_dependent_jc",
@@ -79,6 +77,6 @@ __all__ = [
     "lindblad_channel", "propagator", "time_ordered_propagator",
     "ProtocolConfig", "ProtocolRecord", "analytic_kraus", "apply_projection",
     "coupling_ratio_fidelity", "interval_for_target", "numeric_kraus",
-    "qubit_parity_reference", "rabi_frequency", "run_protocol", "stabilize",
+    "rabi_frequency", "run_protocol", "stabilize",
     "OptimizationResult", "OptimizerConfig", "optimize_single_shot",
 ]

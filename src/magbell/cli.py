@@ -261,6 +261,8 @@ def _resolve_params(scenario: str, given: dict) -> dict:
             resolved[key] = caster(value)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid value for {scenario}/{key}: {exc}") from exc
+    if scenario == "coupling-ratio" and resolved["xi_max"] <= resolved["xi_min"]:
+        raise ConfigError("xi_max must exceed xi_min")
     return resolved
 
 
@@ -345,8 +347,6 @@ def _run_single_shot(p: dict, seed: int):
 
 
 def _run_coupling_ratio(p: dict, seed: int):
-    if p["xi_max"] <= p["xi_min"]:
-        raise ConfigError("xi_max must exceed xi_min")
     xis = np.linspace(p["xi_min"], p["xi_max"], p["points"])
     rows = tuple(
         (float(xi), coupling_ratio_fidelity(float(xi)),

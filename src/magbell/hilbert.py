@@ -209,17 +209,6 @@ def annihilation(dim: int) -> Operator:
     return Operator(HilbertSpace.single("mode", dim), mat)
 
 
-def parity_operator(space: HilbertSpace, slots: Sequence[str]) -> Operator:
-    """Diagonal operator with entries (-1)**(sum of occupations over slots)."""
-    for slot in slots:
-        space.axis(slot)  # raises UnknownLabelError
-    diag = np.ones(1)
-    for label, dim in space.subsystems:
-        factor = (-1.0) ** np.arange(dim) if label in slots else np.ones(dim)
-        diag = np.kron(diag, factor)
-    return Operator(space, np.diag(diag.astype(complex)))
-
-
 def basis_state(space: HilbertSpace, occupations: Sequence[int]) -> QuantumState:
     """Product basis state |i0, i1, ...>."""
     for occ, dim in zip(occupations, space.dims):

@@ -6,9 +6,11 @@ modes.  Repeating the cycle suppresses every Fock component whose
 coefficient magnitude is below one and distills the even-parity Bell pair
 {|0,0>, |N,N>}.  The module provides the analytic coefficients, the
 repeated protocol with optional magnon decay, stabilization runs, and the
-coupling-ratio fidelity analysis.  A closed round applies the analytic
-diagonal of ``analytic_kraus``; ``numeric_kraus``, the <g|exp(-i H tau)|g>
-block of the effective Hamiltonian, is kept as its independent oracle.  A
+coupling-ratio fidelity analysis.  Each closed-system quantity is written
+once: the block amplitude (``_return_amplitudes``), the one-round |+>|+>
+fidelity (``_fidelity_and_norm``) and the Bell-pair records
+(``_pair_records``).  ``numeric_kraus``, the <g|exp(-i H tau)|g> block of
+the effective Hamiltonian, is kept as the amplitude's oracle.  A
 lossy round applies the magnon round map M = P_g exp(L tau) P_g to the
 magnon density: the exact channel exp(L tau) of the joint qutrit-magnon
 master equation (``dynamics.lindblad_channel``), built once per run on the
@@ -36,8 +38,7 @@ import numpy as np
 
 from .dynamics import BlockMap, LindbladChannel, LindbladSpec, lindblad_channel, propagator
 from .dynamics import integrate_master  # noqa: F401  (perfbench's tracer looks the RK4 oracle up here)
-from .hilbert import (DimensionError, HilbertSpace, Operator, QuantumState, SpaceMismatchError, bell_state,
-                      check_state)
+from .hilbert import DimensionError, HilbertSpace, Operator, QuantumState, SpaceMismatchError, check_state
 from .model import (_JC_LABELS, EffectiveParams, _ground_block, _jc_matrix, _joint_space, _magnon_part,
                     _product_ops, _with_ground)
 
@@ -81,31 +82,36 @@ def interval_for_target(N: int, eff: EffectiveParams) -> float:
     return 2.0 * math.pi / omega
 
 
-def analytic_kraus(space: HilbertSpace, eff: EffectiveParams, tau: float) -> Operator:
-    """Diagonal ground-outcome Kraus operator on a two-mode magnon space.
+def _return_amplitudes(n, m, eff: EffectiveParams, tau: float) -> np.ndarray:
+    """Ground-return amplitudes v_nm = exp(-i D tau / 2) alpha_nm(tau), D = eff.common_detuning().
 
-    Entry (n, m) is exp(-i D tau / 2) alpha_nm(tau), D = eff.common_detuning();
-    the first subsystem couples through G_e, the second through G_f.
-    Raises ValueError, naming the largest block, if any Omega_nm is
-    infinite, as when a coupling's square times n overflows (a NaN coupling
-    is left to the null-outcome floor of the round it empties).
+    n and m are broadcast occupation arrays, the first mode coupling through
+    G_e and the second through G_f; v_00 = 1.  Raises ValueError, naming the
+    largest block, if any Omega_nm is infinite, as when a coupling's square
+    times n overflows (a NaN coupling is left to the null-outcome floor of
+    the round it empties).
     """
-    if len(space.subsystems) != 2:
-        raise DimensionError("analytic_kraus needs a two-subsystem magnon space")
     delta = eff.common_detuning()
-    dn, dm = space.dims
-    n, m = np.meshgrid(np.arange(dn), np.arange(dm), indexing="ij")
     omega = rabi_frequency(n, m, eff)
     if np.isinf(omega).any():
-        raise ValueError(f"Omega_nm overflows: Omega_{dn - 1}{dm - 1} = {omega[-1, -1]} "
+        top_n, top_m = int(np.max(n)), int(np.max(m))
+        raise ValueError(f"Omega_nm overflows: Omega_{top_n}{top_m} = {rabi_frequency(top_n, top_m, eff)} "
                          f"at G_e = {eff.G_e}, G_f = {eff.G_f}")
     with np.errstate(invalid="ignore", divide="ignore"):
         ratio = np.where(omega > 0.0, 0.5 * delta / np.where(omega > 0.0, omega, 1.0), 0.0)
     alpha = np.cos(omega * tau) + 1j * ratio * np.sin(omega * tau)
     alpha = np.where(omega == 0.0, 1.0 + 0.0j, alpha)
-    alpha[0, 0] = np.exp(0.5j * delta * tau)
-    diag = np.exp(-0.5j * delta * tau) * alpha.ravel()
-    return Operator(space, np.diag(diag))
+    alpha = np.where((n == 0) & (m == 0), np.exp(0.5j * delta * tau), alpha)
+    return np.exp(-0.5j * delta * tau) * alpha
+
+
+def analytic_kraus(space: HilbertSpace, eff: EffectiveParams, tau: float) -> Operator:
+    """Diagonal ground-outcome Kraus operator on a two-mode magnon space, entry (n, m)
+    the amplitude v_nm of ``_return_amplitudes``."""
+    if len(space.subsystems) != 2:
+        raise DimensionError("analytic_kraus needs a two-subsystem magnon space")
+    n, m = np.unravel_index(np.arange(space.total_dim), space.dims)
+    return Operator(space, np.diag(_return_amplitudes(n, m, eff, tau)))
 
 
 def numeric_kraus(H_eff: Operator, tau: float) -> Operator:
@@ -130,20 +136,15 @@ def _normalized(kind: str, branch: np.ndarray, where: str = "ground-state") -> t
     return branch / (math.sqrt(prob) if pure else prob), prob
 
 
-def _renormalized(space: HilbertSpace, kind: str, branch: np.ndarray,
-                  where: str = "ground-state") -> tuple[QuantumState, float]:
-    """Conditional state and probability of an unnormalized outcome branch (``_normalized``)."""
-    data, prob = _normalized(kind, branch, where)
-    return QuantumState(space, kind, data), prob
-
-
 def apply_projection(rho_tot: QuantumState) -> tuple[QuantumState, float]:
     """Project the qutrit onto |g>, renormalize, and drop the qutrit factor.
 
     Returns the conditional magnon state and the pre-normalization outcome
     probability.  Raises NullOutcomeError below the probability floor.
     """
-    return _renormalized(_magnon_part(rho_tot.space), rho_tot.kind, _ground_block(rho_tot.data))
+    space = _magnon_part(rho_tot.space)
+    data, prob = _normalized(rho_tot.kind, _ground_block(rho_tot.data))
+    return QuantumState(space, rho_tot.kind, data), prob
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,7 @@ def run_protocol(
     """Run M rounds of (attach ground-state qutrit, evolve tau, project).
 
     Every round applies one fixed map to the unnormalized magnon state, then
-    renormalizes: closed runs the diagonal v of ``analytic_kraus``
+    renormalizes: closed runs the amplitudes v of ``_return_amplitudes``
     elementwise (v_i psi_i, or v_i conj(v_j) rho_ij for a mixed state); with
     decoherence set, M = P_g exp(L tau) P_g (``_round_map``), the g-g part
     of the exact magnon-loss map (``lindblad_channel``) on |g><g| (x) rho,
@@ -284,7 +285,8 @@ def run_protocol(
             f"initial population on {{|0,0>, |{N},{N}>}} is numerically zero"
         )
 
-    v = np.diag(analytic_kraus(mag_space, cfg.eff, cfg.tau).matrix)
+    dim = mag_space.total_dim
+    v = _return_amplitudes(*np.unravel_index(np.arange(dim), mag_space.dims), cfg.eff, cfg.tau)
     slow = tuple(
         mag_space.occupations(k)
         for k in np.flatnonzero(np.abs(v) > 1.0 - SLOW_DAMPING_MARGIN)
@@ -311,7 +313,6 @@ def run_protocol(
             return vv * x
 
     # the entries each round's records read: x_a, x_b (pure) or rho_aa, rho_bb, rho_ab (mixed)
-    dim = mag_space.total_dim
     picks = [a, b] if kind == "pure" else [a * dim + a, b * dim + b, a * dim + b]
     entries = np.empty((cfg.rounds + 1, len(picks)), dtype=complex)
     probs = np.ones(cfg.rounds + 1)
@@ -363,6 +364,8 @@ def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.n
     each round's magnon state), the free leg the whole channel to the joint
     state (``LindbladChannel._apply``), which every step asserts the trace
     of, scrubs and checks in place as a density matrix (``check_state``).
+    F_free is <B| tr_q rho |B>, read by ``_pair_records`` off the three
+    entries of tr_q rho on {|0,0>, |N,N>}, each the sum of three joint entries.
     """
     if cfg.decoherence is None:
         raise ValueError("stabilize requires decoherence rates in the config")
@@ -370,49 +373,47 @@ def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.n
     channel = lindblad_channel(_joint_spec(bell.space, cfg), cfg.tau, start)
     f_stab = run_protocol(bell, cfg, channel).fidelity_plus
 
-    # F_free = <B| tr_qutrit(rho) |B> = tr(W^+ rho W) with W = 1_3 (x) |B>, 3d^2 x 3
-    w = np.kron(np.eye(3), bell_state(bell.space, cfg.target_N, +1).data[:, None])
-
-    def overlap(rho):
-        return float(np.real(np.trace(w.conj().T @ rho @ w)))
-
-    f_free = np.empty(cfg.rounds + 1)
+    # (level, entry) -> joint index of (l a, l a), (l b, l b), (l a, l b), with a = |0,0>, b = |N,N>
+    dim, N = bell.space.total_dim, cfg.target_N
+    levels = dim * np.arange(3)[:, None]
+    a, b = bell.space.index((0, 0)), bell.space.index((N, N))
+    picks = np.ravel_multi_index((levels + [a, b, a], levels + [a, b, b]), start.shape)
+    entries = np.empty((cfg.rounds + 1, 3), dtype=complex)
     rho = start
-    f_free[0] = overlap(rho)
+    entries[0] = rho.take(picks).sum(axis=0)
     for k in range(1, cfg.rounds + 1):
         rho = channel._apply(rho)
-        f_free[k] = overlap(rho)
-    return f_stab, f_free
+        entries[k] = rho.take(picks).sum(axis=0)
+    return f_stab, _pair_records(entries, False)[1]
+
+
+def _fidelity_and_norm(a01, a10, a11):
+    """Bell fidelity and norm N of the ground branch of |g> (x) |+>|+> after one round.
+
+    a01, a10 and a11 are the ground-return amplitudes of the (0, 1), (1, 0)
+    and (1, 1) blocks (scalars or arrays).  The branch is (|0,0> + a01 |0,1>
+    + a10 |1,0> + a11 |1,1>) / 2, so N/4 is the success probability and F =
+    |1 + a11|^2 / (2N), with N = 1 + |a01|^2 + |a10|^2 + |a11|^2.
+    """
+    norm = 1.0 + (abs(a01) ** 2 + abs(a10) ** 2) + abs(a11) ** 2
+    return abs(1.0 + a11) ** 2 / (2.0 * norm), norm
 
 
 def coupling_ratio_fidelity(xi: float, approximate: bool = False) -> float:
     """Single-round Bell fidelity versus the coupling ratio xi = G_f / G_e.
 
-    Starting from equal single-excitation superpositions and measuring once
-    at the interval holding the (1, 1) pair, F = 2 / (2 + a01^2 + a10^2).
-    The approximate branch linearizes both coefficients around xi = 1.
+    Starting from |+>|+> and measuring once at the interval holding the
+    (1, 1) pair (G_e = 1, G_f = xi, no detuning), F is ``_fidelity_and_norm``
+    of the blocks' amplitudes ``_return_amplitudes``.  The approximate
+    branch linearizes a01 and a10 around xi = 1 and holds a11 = 1.
     """
     if not (xi > 0 and math.isfinite(xi)):  # NaN fails too
         raise ValueError(f"coupling ratio must be positive and finite, got {xi}")
     if approximate:
         c = math.cos(math.sqrt(2.0) * math.pi)
         s = (math.pi / math.sqrt(2.0)) * math.sin(math.sqrt(2.0) * math.pi)
-        a01 = c - s * (xi - 1.0)
-        a10 = c + s * (xi - 1.0)
+        amps = (c - s * (xi - 1.0), c + s * (xi - 1.0), 1.0)
     else:
-        root = math.sqrt(1.0 + xi * xi)
-        a01 = math.cos(2.0 * math.pi * xi / root)
-        a10 = math.cos(2.0 * math.pi / root)
-    return 2.0 / (2.0 + a01 * a01 + a10 * a10)
-
-
-def qubit_parity_reference(state: QuantumState) -> tuple[QuantumState, float]:
-    """Reference even-parity projection |00><00| + |11><11| on two qubits."""
-    if state.kind != "pure":
-        raise ValueError("qubit parity reference expects a pure state")
-    if state.space.dims != (2, 2):
-        raise DimensionError(f"expected a two-qubit space, got dims {state.space.dims}")
-    vec = np.zeros(4, dtype=complex)
-    vec[state.space.index((0, 0))] = state.data[state.space.index((0, 0))]
-    vec[state.space.index((1, 1))] = state.data[state.space.index((1, 1))]
-    return _renormalized(state.space, "pure", vec, "even-parity")
+        eff = EffectiveParams(G_e=1.0, G_f=xi)
+        amps = _return_amplitudes(np.array([0, 1, 1]), np.array([1, 0, 1]), eff, interval_for_target(1, eff))
+    return float(_fidelity_and_norm(*amps)[0])

@@ -37,7 +37,7 @@ import numpy as np
 from .dynamics import time_ordered_propagator
 from .dynamics import propagator  # noqa: F401  (perfbench's tracer looks the propagator up here)
 from .hilbert import QuantumState, product_state, superposed_state, bell_state, fidelity
-from .measurement import apply_projection, interval_for_target
+from .measurement import _fidelity_and_norm, apply_projection, interval_for_target
 from .model import (EffectiveParams, PulseCoefficients, _joint_space, _magnon_space, _with_ground,
                     build_time_dependent_jc)
 
@@ -295,19 +295,12 @@ def _block_objective(tau: float, g: float, n_omega: int, slices: int):
 
     def objective(x):
         (a01, a11), damps = _block_amplitudes_and_gradient(g * (1.0 + basis @ x), g, h)
-        fid, norm = _fidelity_and_norm(a01, a11)
+        fid, norm = _fidelity_and_norm(a01, a01, a11)
         adjoint = np.array([-4.0 * fid * a01, (1.0 + a11) - 2.0 * fid * a11]) / norm
         dfid = (adjoint.conj() @ damps).real
         return -fid, -g * (basis.T @ dfid)
 
     return objective
-
-
-def _fidelity_and_norm(a01, a11):
-    """Post-projection Bell fidelity and norm N from the block return amplitudes
-    (scalars or arrays); N/4 is the success probability of |g> (x) |+>|+>."""
-    norm = 1.0 + 2.0 * abs(a01) ** 2 + abs(a11) ** 2
-    return abs(1.0 + a11) ** 2 / (2.0 * norm), norm
 
 
 def evaluate_single_shot(pulse: PulseCoefficients, slices: int = DEFAULT_SLICES):
@@ -341,7 +334,7 @@ def _fidelity_time_trace(pulse: PulseCoefficients, slices: int) -> tuple[np.ndar
     p, alpha, beta, _, _ = _block_slices(pulse.detuning((np.arange(slices) + 0.5) * h), pulse.G, h)
     running, _ = _running_products(alpha, beta)
     amps = np.concatenate((np.ones((2, 1)), np.exp(-1j * h * np.cumsum(p)) * running), axis=1)
-    trace, norm = _fidelity_and_norm(amps[0], amps[1])
+    trace, norm = _fidelity_and_norm(amps[0], amps[0], amps[1])
     return np.arange(slices + 1) * h, trace, float(norm[-1]) / 4.0
 
 

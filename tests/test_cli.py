@@ -286,6 +286,14 @@ class TestMainEntry:
         assert main(["validate", "--config", path]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_empty_xi_range_exits_2(self, tmp_path, capsys, command):
+        # validate, load_config and run reject the range alike
+        path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"xi_min": 1.2, "xi_max": 0.8}})
+        assert main([command, "--config", path]) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "ConfigError",
+                                                       "message": "xi_max must exceed xi_min"}
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"scenario": "bell-distill", "params": {"bad": 1}})
         assert main(["run", "--config", path]) == 2

@@ -525,6 +525,72 @@ class TestRoundMap:
         assert sum(m.size for _, m in round_map.blocks) <= sum(b.size for _, b in channel.blocks)
 
 
+def choi(linear_map, dim):
+    """Choi matrix sum_ij |i><j| (x) E(|i><j|) of a linear map E on dim x dim matrices."""
+    units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+    images = np.array([linear_map(unit) for unit in units])  # images[i d + j] = E(|i><j|)
+    return images.reshape((dim,) * 4).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+
+
+def assert_positive(j):
+    """J is Hermitian and has no eigenvalue below zero, both to 1e-12 of its largest eigenvalue."""
+    evals = np.linalg.eigvalsh(j)
+    assert np.abs(j - j.conj().T).max() <= 1e-12 * evals.max()
+    assert evals.min() >= -1e-12 * evals.max()
+
+
+def output_partial_trace(j, dim):
+    """tr_out J of a Choi matrix J on (input) (x) (output): the Gram form of the map's trace."""
+    return np.einsum("iaja->ij", j.reshape((dim,) * 4))
+
+
+def bosonic_loss_kraus(dim, eta):
+    """Kraus operators of a truncated mode's amplitude damping with transmissivity eta,
+    E_k = sum_n sqrt(C(n, k) eta^(n-k) (1 - eta)^k) |n-k><n| (Nielsen & Chuang, Sec. 8.3.5)."""
+    ops = np.zeros((dim, dim, dim))
+    for k in range(dim):
+        for n in range(k, dim):
+            ops[k, n - k, n] = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
+    return ops
+
+
+class TestChannelMaps:
+    """The maps themselves, on every input: an analytic limit and complete positivity."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(cutoffs=st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]),
+           delta=st.just(0.0) | st.floats(-5e-3, 5e-3),
+           rates=st.tuples(*[st.just(0.0) | st.floats(1e-5, 1e-3)] * 2), t=st.floats(0.0, 3000.0))
+    def test_uncoupled_round_map_is_two_amplitude_damping_channels(self, cutoffs, delta, rates, t):
+        # at G = 0 the qutrit decouples and stays in |g>: M is the product of the modes'
+        # amplitude damping channels with eta = exp(-gamma t)
+        dn, dm = cutoffs
+        space = HilbertSpace((("atom", 3), ("n", dn), ("m", dm)))
+        eff = EffectiveParams(G_e=0.0, G_f=0.0, Delta_e_tilde=delta, Delta_f_tilde=delta)
+        channel = lindblad_channel(jc_loss_spec(space, eff, rates), t, np.ones((space.total_dim,) * 2))
+        round_map = measurement._round_map(channel, HilbertSpace((("n", dn), ("m", dm))))
+        kraus = [np.kron(k_n, k_m) for k_n in bosonic_loss_kraus(dn, math.exp(-rates[0] * t))
+                 for k_m in bosonic_loss_kraus(dm, math.exp(-rates[1] * t))]
+        want = choi(lambda rho: sum(k @ rho @ k.T for k in kraus), dn * dm)
+        assert np.abs(choi(round_map._map, dn * dm) - want).max() <= 1e-12
+
+    @settings(max_examples=10, deadline=None)
+    @given(g_e=st.floats(1e-3, 1e-2), g_f=st.floats(1e-3, 1e-2), delta=st.just(0.0) | st.floats(-5e-3, 5e-3),
+           rates=st.tuples(*[st.just(0.0) | st.floats(1e-5, 1e-3)] * 2), t=st.floats(0.0, 3000.0))
+    def test_channel_and_round_map_are_completely_positive(self, g_e, g_f, delta, rates, t):
+        # exp(L t) on the whole cutoff-2 space is CPTP; its compression M is CP and trace non-increasing
+        space = HilbertSpace((("atom", 3), ("n", 2), ("m", 2)))
+        eff = EffectiveParams(G_e=g_e, G_f=g_f, Delta_e_tilde=delta, Delta_f_tilde=delta)
+        channel = lindblad_channel(jc_loss_spec(space, eff, rates), t, np.ones((12, 12)))
+        round_map = measurement._round_map(channel, HilbertSpace((("n", 2), ("m", 2))))
+        j = choi(channel._map, 12)
+        assert_positive(j)
+        assert np.abs(output_partial_trace(j, 12) - np.eye(12)).max() <= 1e-12
+        j = choi(round_map._map, 4)
+        assert_positive(j)
+        assert np.linalg.eigvalsh(output_partial_trace(j, 4)).max() <= 1.0 + 1e-12
+
+
 class TestTimeOrderedPropagator:
     def test_constant_hamiltonian_matches_propagator(self):
         h = random_h(6, dim=6)

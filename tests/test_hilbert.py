@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from magbell import hilbert
 from magbell.hilbert import (
@@ -21,7 +20,6 @@ from magbell.hilbert import (
     coherent_state,
     coherent_truncation_leakage,
     fidelity,
-    parity_operator,
     product_state,
     superposed_state,
 )
@@ -123,31 +121,6 @@ class TestEmbed:
             embed(annihilation(3), space, "n")
         with pytest.raises(UnknownLabelError):
             embed(annihilation(2), space, "q")
-
-
-class TestParityOperator:
-    def test_two_qubit_diagonal(self):
-        space = HilbertSpace((("n", 2), ("m", 2)))
-        q = parity_operator(space, ("n", "m")).matrix
-        assert np.allclose(q, np.diag([1, -1, -1, 1]))
-
-    def test_even_and_odd_matrix_elements(self):
-        space = HilbertSpace((("n", 3), ("m", 3)))
-        q = parity_operator(space, ("n", "m")).matrix
-        k00 = space.index((0, 0))
-        k01 = space.index((0, 1))
-        assert q[k00, k00] == 1
-        assert q[k01, k01] == -1
-
-    @given(
-        dims=st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=3),
-        pick=st.lists(st.booleans(), min_size=3, max_size=3),
-    )
-    def test_squares_to_identity(self, dims, pick):
-        space = HilbertSpace(tuple((f"s{i}", d) for i, d in enumerate(dims)))
-        slots = tuple(lab for lab, keep in zip(space.labels, pick) if keep)
-        q = parity_operator(space, slots).matrix
-        assert np.allclose(q @ q, np.eye(space.total_dim))
 
 
 class TestCoherentState:

@@ -16,7 +16,6 @@ from magbell.hilbert import (
     StateValidationError,
     basis_state,
     bell_state,
-    parity_operator,
     product_state,
     superposed_state,
 )
@@ -29,14 +28,14 @@ from magbell.measurement import (
     coupling_ratio_fidelity,
     interval_for_target,
     numeric_kraus,
-    qubit_parity_reference,
     rabi_frequency,
     run_protocol,
     stabilize,
 )
 from magbell.model import EffectiveParams, _with_ground, build_jc_effective
 
-from conftest import block_return_amplitude, coefficient_power_amplitudes, looped_protocol_records
+from conftest import (block_return_amplitude, coefficient_power_amplitudes, dense_liouvillian, expm_scaling_squaring,
+                      looped_protocol_records)
 
 RECORD_FIELDS = ("fidelity_plus", "fidelity_minus", "success_probability", "even_population")
 SQRT2PI_COS = math.cos(math.sqrt(2.0) * math.pi)  # single-excitation damping at resonance
@@ -100,6 +99,18 @@ class TestKrausCoefficient:
         assert a01.real == pytest.approx(SQRT2PI_COS, abs=1e-12)
         assert a01.real == pytest.approx(-0.2663, abs=1e-4)
         assert kraus_coefficient(1, 0, resonant_eff, tau0) == pytest.approx(a01)
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(2, 6), data=st.data(), xi=st.floats(0.5, 2.5), delta=st.floats(-5e-3, 5e-3),
+           tau=st.floats(0.0, 1e5))
+    def test_return_amplitudes_are_a_contraction_holding_the_target(self, d, data, xi, delta, tau):
+        # |v_nm| <= 1 on every block, and |v_NN| = 1 at the held interval
+        N = data.draw(st.integers(1, d - 1))
+        eff = detuned(EffectiveParams(G_e=1e-3, G_f=xi * 1e-3), delta)
+        n, m = np.unravel_index(np.arange(d * d), (d, d))
+        assert np.abs(measurement._return_amplitudes(n, m, eff, tau)).max() <= 1.0 + 1e-15
+        held = measurement._return_amplitudes(np.array(N), np.array(N), eff, interval_for_target(N, eff))
+        assert abs(abs(held) - 1.0) <= 1e-15
 
     def test_revival_at_multiples_of_block_period(self, resonant_eff):
         eff = detuned(resonant_eff, 1.3e-3)
@@ -361,8 +372,8 @@ class TestRunProtocol:
         psi = product_state(magnon(3), {"n": plus, "m": plus})
         rec = run_protocol(psi, cfg)
         assert rec.converged_round is not None
-        q = parity_operator(magnon(3), ("n", "m")).matrix
-        expectation = float(np.real(np.vdot(rec.final_state.data, q @ rec.final_state.data)))
+        n, m = np.unravel_index(np.arange(9), (3, 3))
+        expectation = float((-1.0) ** (n + m) @ rec.final_state.populations())
         assert expectation >= 1.0 - 1e-9
 
     def test_success_probability_lower_bound(self):
@@ -624,6 +635,20 @@ class TestStabilize:
             assert np.abs(f_stab - f_stab3).max() <= 1e-13
             assert np.abs(f_free - f_free3).max() <= 1e-13
 
+    def test_free_leg_is_the_bell_overlap_of_the_magnon_marginal(self):
+        # F_free(k) = <B| tr_q rho_k |B>, rho_k stepped by the dense superoperator exponential
+        eff = EffectiveParams(G_e=6e-3, G_f=6e-3)
+        cfg = ProtocolConfig.for_target(eff, rounds=8, decoherence=(1e-4, 1e-4))
+        bell = bell_state(magnon(2), 1, +1)
+        _, f_free = stabilize(bell, cfg)
+        step = expm_scaling_squaring(cfg.tau * dense_liouvillian(measurement._joint_spec(bell.space, cfg)))
+        rho = _with_ground(bell.density())
+        dim = bell.space.total_dim
+        for k in range(cfg.rounds + 1):
+            marginal = np.einsum("lalb->ab", rho.reshape(3, dim, 3, dim))
+            assert abs(f_free[k] - np.vdot(bell.data, marginal @ bell.data).real) <= 1e-12
+            rho = (step @ rho.reshape(-1, order="F")).reshape(rho.shape, order="F")
+
 
 class TestCouplingRatioFidelity:
     def test_balanced_value(self):
@@ -653,34 +678,14 @@ class TestCouplingRatioFidelity:
             coupling_ratio_fidelity(xi, approximate=approximate)
 
     @given(xi=st.floats(0.3, 3.0))
+    def test_exact_branch_matches_block_diagonalization(self, xi):
+        # one round from |+>|+> at G_e = 1, G_f = xi, tau = 2 pi / Omega_11
+        tau = 2.0 * math.pi / math.sqrt(1.0 + xi * xi)
+        a01, a10, a11 = (block_return_amplitude(n, m, 1.0, xi, 0.0, tau) for n, m in ((0, 1), (1, 0), (1, 1)))
+        want = abs(1.0 + a11) ** 2 / (2.0 * (1.0 + abs(a01) ** 2 + abs(a10) ** 2 + abs(a11) ** 2))
+        assert abs(coupling_ratio_fidelity(xi) - want) <= 1e-13
+
+    @given(xi=st.floats(0.3, 3.0))
     def test_mirror_ratio_gives_same_fidelity(self, xi):
         # swapping which mode couples through G_e maps xi to 1 / xi
         assert abs(coupling_ratio_fidelity(xi) - coupling_ratio_fidelity(1.0 / xi)) <= 1e-15
-
-
-class TestQubitParityReference:
-    def test_plus_plus_projects_to_bell(self):
-        space = HilbertSpace((("q1", 2), ("q2", 2)))
-        plus = superposed_state(2, 1)
-        state, prob = qubit_parity_reference(product_state(space, {"q1": plus, "q2": plus}))
-        assert prob == pytest.approx(0.5, abs=1e-12)
-        assert np.allclose(state.data, bell_state(space, 1, +1).data)
-
-    def test_bell_state_unchanged(self):
-        space = HilbertSpace((("q1", 2), ("q2", 2)))
-        phi = bell_state(space, 1, +1)
-        state, prob = qubit_parity_reference(phi)
-        assert prob == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(state.data, phi.data)
-
-    def test_odd_state_is_null_outcome(self):
-        space = HilbertSpace((("q1", 2), ("q2", 2)))
-        with pytest.raises(NullOutcomeError):
-            qubit_parity_reference(basis_state(space, (0, 1)))
-
-    def test_nan_amplitudes_are_null_outcome(self):
-        space = HilbertSpace((("q1", 2), ("q2", 2)))
-        state = bell_state(space, 1, +1)
-        object.__setattr__(state, "data", np.full(4, math.nan, dtype=complex))  # skip validation
-        with pytest.raises(NullOutcomeError):
-            qubit_parity_reference(state)

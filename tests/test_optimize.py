@@ -6,14 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import looped_block_gradient, sequential_block_amplitudes, sliced_fidelity_trace
 from magbell import optimize
-from magbell.measurement import interval_for_target
+from magbell.measurement import _fidelity_and_norm, interval_for_target
 from magbell.model import EffectiveParams, PulseCoefficients
 from magbell.optimize import (
     ObjectiveError,
     OptimizerConfig,
     _block_amplitudes_and_gradient,
     _block_objective,
-    _fidelity_and_norm,
     bfgs,
     evaluate_single_shot,
     nelder_mead,
@@ -185,7 +184,8 @@ class TestBlockReduction:
 
         def oracle(x):
             pulse = PulseCoefficients(a=tuple(x[:n_omega]), b=tuple(x[n_omega:]), tau_total=TAU0, G=1e-3)
-            return _fidelity_and_norm(*sequential_block_amplitudes(pulse, slices))[0]
+            a01, a11 = sequential_block_amplitudes(pulse, slices)
+            return _fidelity_and_norm(a01, a01, a11)[0]
 
         x = scale * np.array(unit[: 2 * n_omega])
         value, grad = _block_objective(TAU0, 1e-3, n_omega, slices)(x)
@@ -293,7 +293,7 @@ class TestOptimizeSingleShot:
 
     def test_non_finite_baseline_objective_aborts(self, monkeypatch):
         # n_omega = 0 runs no search: the baseline call is the only objective call
-        monkeypatch.setattr(optimize, "_fidelity_and_norm", lambda a01, a11: (float("nan"), 1.0))
+        monkeypatch.setattr(optimize, "_fidelity_and_norm", lambda a01, a10, a11: (float("nan"), 1.0))
         with pytest.raises(ObjectiveError):
             optimize_single_shot(EFF, OptimizerConfig(n_omega=0, restarts=1), slices=16)
 
