@@ -348,12 +348,9 @@ def _run_single_shot(p: dict, seed: int):
 
 def _run_coupling_ratio(p: dict, seed: int):
     xis = np.linspace(p["xi_min"], p["xi_max"], p["points"])
-    rows = tuple(
-        (float(xi), coupling_ratio_fidelity(float(xi)),
-         coupling_ratio_fidelity(float(xi), approximate=True))
-        for xi in xis
-    )
-    best = max(range(len(rows)), key=lambda i: rows[i][1])
+    exact = coupling_ratio_fidelity(xis)
+    rows = tuple(zip(xis.tolist(), exact.tolist(), coupling_ratio_fidelity(xis, approximate=True).tolist()))
+    best = int(np.argmax(exact))
     results = {"argmax_xi": rows[best][0], "max_fidelity": rows[best][1]}
     return ("xi", "fidelity_exact", "fidelity_approx"), rows, results
 

@@ -18,10 +18,9 @@ matrix-vector product per block on a contiguous slice, and one scatter.
 The fixed-step fourth-order (RK4) integrator ``integrate_master`` is kept
 as its independent oracle in the tests; its right-hand side is the plain
 commutator-plus-dissipator form.  Both guard the trace, which is asserted,
-never renormalized.  The channel's ``_apply`` checks every state it
-returns in place (``hilbert.check_state``), and ``LindbladChannel.__call__``
-and the integrator return validated ``QuantumState``s; ``BlockMap._map``
-returns a bare array, for its caller to check.
+never renormalized.  ``LindbladChannel.__call__`` and the integrator
+return validated ``QuantumState``s; ``BlockMap._map`` and the channel's
+``_apply`` return bare arrays, for their caller to check.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import HilbertSpace, Operator, QuantumState, SpaceMismatchError, check_state
+from .hilbert import HilbertSpace, Operator, QuantumState, SpaceMismatchError
 
 HERMITIAN_ATOL = 1e-12
 DEFAULT_TRACE_TOL = 1e-8
@@ -357,20 +356,17 @@ class LindbladChannel(BlockMap):
     def _apply(self, rho: np.ndarray) -> np.ndarray:
         """exp(L t) rho for a density matrix rho on the channel's space, exact zeros off R.
 
-        rho itself is not validated: the caller passes a state, or one valid
-        by construction.  Raises ValueError if rho has a nonzero entry
-        outside R (``_map``), and TraceDriftError if |tr out - tr rho|
-        exceeds DEFAULT_TRACE_TOL; the trace is asserted, never
-        renormalized.  The output is Hermitian-scrubbed and checked in place
-        as a density matrix (``check_state``); the array is returned.
+        Neither rho nor the output is validated: the caller checks them
+        (``measurement._round_loop`` in a run).  Raises ValueError if rho has
+        a nonzero entry outside R (``_map``), and TraceDriftError if
+        |tr out - tr rho| exceeds DEFAULT_TRACE_TOL; the trace is asserted,
+        never renormalized.  The output is Hermitian-scrubbed.
         """
         out = self._map(rho)
         drift = abs(np.trace(out) - np.trace(rho))
         if not drift <= DEFAULT_TRACE_TOL:
             raise TraceDriftError(f"trace drift {drift:.3e} exceeds tolerance {DEFAULT_TRACE_TOL:.1e}")
-        out = 0.5 * (out + out.conj().T)  # scrub roundoff anti-Hermitian part
-        check_state("mixed", out)
-        return out
+        return 0.5 * (out + out.conj().T)  # scrub roundoff anti-Hermitian part
 
 
 def lindblad_channel(spec: LindbladSpec, t: float, start: np.ndarray) -> LindbladChannel:

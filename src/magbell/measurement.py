@@ -18,14 +18,14 @@ Liouville indices that |g><g| (x) rho_0 can reach, and compressed once to
 the g-g entries of that set (``_round_map``).  A stabilization run shares
 one channel, built from the Bell input, between its projected and free
 legs, since every projected state stays in the g-g part of that set.
-Every round holds the outcome probability to a floor and checks its
-renormalized magnon array in place with ``hilbert.check_state``, the check
-``QuantumState`` runs, without building a state; a lossy round also checks
-that its input lies in M's set and scrubs the output's anti-Hermitian
-roundoff.  A run's records are read off the |0,0> and |N,N> entries of each
-round's array, and its final array becomes its one ``QuantumState``.  The
-channel's trace preservation is checked once, when it is built, and each
-free-leg step of a stabilization run checks the joint state in place.
+Closed, lossy and free-decay rounds all run in one loop (``_round_loop``),
+the one place a round's array is checked, in place, with
+``hilbert.check_state``, the check ``QuantumState`` runs.  A projected round
+holds the outcome probability to a floor; a lossy one also checks that its
+input lies in M's set and scrubs the anti-Hermitian roundoff.  Records are
+read off the |0,0> and |N,N> entries of each round's array, and a run's
+final array becomes its one ``QuantumState``.  The channel checks its trace
+preservation once, when built, and asserts the trace at each free-leg step.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .dynamics import BlockMap, LindbladChannel, LindbladSpec, lindblad_channel, propagator
 from .dynamics import integrate_master  # noqa: F401  (perfbench's tracer looks the RK4 oracle up here)
-from .hilbert import DimensionError, HilbertSpace, Operator, QuantumState, SpaceMismatchError, check_state
+from .hilbert import DimensionError, HilbertSpace, Operator, QuantumState, check_state
 from .model import (_JC_LABELS, EffectiveParams, _ground_block, _jc_matrix, _joint_space, _magnon_part,
                     _product_ops, _with_ground)
 
@@ -240,9 +240,7 @@ def _round_map(channel: LindbladChannel, mag_space: HilbertSpace) -> BlockMap:
     return channel._compress(mag_space, _ground_block(np.arange(joint * joint).reshape(joint, joint)).ravel())
 
 
-def run_protocol(
-    initial: QuantumState, cfg: ProtocolConfig, channel: LindbladChannel | None = None
-) -> ProtocolRecord:
+def run_protocol(initial: QuantumState, cfg: ProtocolConfig) -> ProtocolRecord:
     """Run M rounds of (attach ground-state qutrit, evolve tau, project).
 
     Every round applies one fixed map to the unnormalized magnon state, then
@@ -250,32 +248,25 @@ def run_protocol(
     elementwise (v_i psi_i, or v_i conj(v_j) rho_ij for a mixed state); with
     decoherence set, M = P_g exp(L tau) P_g (``_round_map``), the g-g part
     of the exact magnon-loss map (``lindblad_channel``) on |g><g| (x) rho,
-    read once per run off the channel's blocks.
-    channel is that exp(L tau) for a lossy cfg, built on a set that holds
-    |g><g| (x) initial, for a caller that has built it already; it is built
-    here from |g><g| (x) initial when omitted, which also checks its trace
-    preservation.  A channel on another joint space raises
-    SpaceMismatchError, and one passed with a closed cfg ValueError, both
-    before the first round.
+    built from |g><g| (x) initial (which checks its trace preservation).
 
-    Each round holds the outcome probability to NULL_OUTCOME_FLOOR and
-    checks its renormalized magnon array in place (``check_state``, the
-    check ``QuantumState`` runs).  A lossy round also raises ValueError if
-    rho has support off M's set, and scrubs the anti-Hermitian roundoff of
-    M rho.  No joint state and no per-round object is formed: the records
-    are read off the |0,0> and |N,N> entries a, b of each round's array
-    (``_pair_records``), and the final array becomes the one QuantumState.
+    ``_round_loop`` checks each round's renormalized magnon array in place.
+    Each round holds the outcome probability to NULL_OUTCOME_FLOOR; a lossy
+    round also raises ValueError if rho has support off M's set, and scrubs
+    the anti-Hermitian roundoff of M rho.  No joint state and no per-round
+    object is formed: the records are read off the |0,0> and |N,N> entries
+    of each round's array (``_pair_records``), and the final array becomes
+    the one QuantumState.
     """
+    return _protocol(initial, cfg)
+
+
+def _protocol(initial: QuantumState, cfg: ProtocolConfig,
+              channel: LindbladChannel | None = None) -> ProtocolRecord:
+    """``run_protocol``, reusing channel, built on a set holding |g><g| (x) initial, if given."""
     mag_space = initial.space
     if mag_space.labels != ("n", "m"):
         raise DimensionError(f"initial state must live on ('n', 'm'), got {mag_space.labels}")
-    if channel is not None:
-        if cfg.decoherence is None:
-            raise ValueError("a channel was passed for a run without decoherence")
-        joint = _joint_space(mag_space)
-        if channel.space != joint:
-            raise SpaceMismatchError(f"channel space {channel.space.subsystems} is not the joint space "
-                                     f"of the initial state, {joint.subsystems}")
     N = cfg.target_N
     if N >= min(mag_space.dims):
         raise DimensionError(f"target excitation {N} outside cutoffs {mag_space.dims}")
@@ -314,13 +305,8 @@ def run_protocol(
 
     # the entries each round's records read: x_a, x_b (pure) or rho_aa, rho_bb, rho_ab (mixed)
     picks = [a, b] if kind == "pure" else [a * dim + a, b * dim + b, a * dim + b]
-    entries = np.empty((cfg.rounds + 1, len(picks)), dtype=complex)
-    probs = np.ones(cfg.rounds + 1)
-    entries[0] = data.take(picks)
-    for k in range(1, cfg.rounds + 1):
-        data, probs[k] = _normalized(kind, evolve(data), f"round {k}: ground-state")
-        check_state(kind, data)
-        entries[k] = data.take(picks)
+    data, entries, probs = _round_loop(
+        data, lambda x, k: _normalized(kind, evolve(x), f"round {k}: ground-state"), picks, cfg.rounds)
 
     even_pop, f_plus, f_minus = _pair_records(entries, kind == "pure")
     converged = np.flatnonzero(even_pop >= CONVERGED_EVEN_POPULATION)
@@ -333,6 +319,24 @@ def run_protocol(
         slow_states=slow,
         converged_round=int(converged[0]) if converged.size else None,
     )
+
+
+def _round_loop(x: np.ndarray, step, picks, rounds: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Apply step (x, k) -> (x', p) for k = 1 .. rounds, and check each x' in place.
+
+    A vector is checked as a pure state, a matrix as a density matrix.
+    Returns the last x, x.take(picks) of the input and of every round's x
+    stacked, and the p of every round (index 0 of both is the input's, p = 1).
+    """
+    kind = "pure" if x.ndim == 1 else "mixed"
+    entries = np.empty((rounds + 1,) + np.shape(picks), dtype=complex)
+    probs = np.ones(rounds + 1)
+    entries[0] = x.take(picks)
+    for k in range(1, rounds + 1):
+        x, probs[k] = step(x, k)
+        check_state(kind, x)
+        entries[k] = x.take(picks)
+    return x, entries, probs
 
 
 def _pair_records(entries: np.ndarray, pure: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -359,32 +363,27 @@ def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.n
     Returns (F_stab, F_free): the per-round fidelity under the
     evolve-and-project cycle, and the fidelity of a measurement-free
     master-equation run over the same horizon, both sampled at multiples of
-    tau (index 0 is t = 0).  Both legs apply one channel exp(L tau): the
-    projected leg its magnon round map M (``run_protocol``, which checks
-    each round's magnon state), the free leg the whole channel to the joint
-    state (``LindbladChannel._apply``), which every step asserts the trace
-    of, scrubs and checks in place as a density matrix (``check_state``).
-    F_free is <B| tr_q rho |B>, read by ``_pair_records`` off the three
-    entries of tr_q rho on {|0,0>, |N,N>}, each the sum of three joint entries.
+    tau (index 0 is t = 0).  One channel exp(L tau), built from the Bell
+    input, serves both legs: the projected one applies its magnon round map
+    M (``run_protocol``'s rounds), the free one the whole channel to the
+    joint state (``LindbladChannel._apply``), and ``_round_loop`` checks
+    every round of both.  F_free is <B| tr_q rho |B>, read by
+    ``_pair_records`` off the three entries of tr_q rho on {|0,0>, |N,N>},
+    each the sum of three joint entries.
     """
     if cfg.decoherence is None:
         raise ValueError("stabilize requires decoherence rates in the config")
     start = _with_ground(bell.density())
     channel = lindblad_channel(_joint_spec(bell.space, cfg), cfg.tau, start)
-    f_stab = run_protocol(bell, cfg, channel).fidelity_plus
+    f_stab = _protocol(bell, cfg, channel).fidelity_plus
 
     # (level, entry) -> joint index of (l a, l a), (l b, l b), (l a, l b), with a = |0,0>, b = |N,N>
     dim, N = bell.space.total_dim, cfg.target_N
     levels = dim * np.arange(3)[:, None]
     a, b = bell.space.index((0, 0)), bell.space.index((N, N))
     picks = np.ravel_multi_index((levels + [a, b, a], levels + [a, b, b]), start.shape)
-    entries = np.empty((cfg.rounds + 1, 3), dtype=complex)
-    rho = start
-    entries[0] = rho.take(picks).sum(axis=0)
-    for k in range(1, cfg.rounds + 1):
-        rho = channel._apply(rho)
-        entries[k] = rho.take(picks).sum(axis=0)
-    return f_stab, _pair_records(entries, False)[1]
+    _, entries, _ = _round_loop(start, lambda rho, k: (channel._apply(rho), 1.0), picks, cfg.rounds)
+    return f_stab, _pair_records(entries.sum(axis=1), False)[1]
 
 
 def _fidelity_and_norm(a01, a10, a11):
@@ -399,21 +398,25 @@ def _fidelity_and_norm(a01, a10, a11):
     return abs(1.0 + a11) ** 2 / (2.0 * norm), norm
 
 
-def coupling_ratio_fidelity(xi: float, approximate: bool = False) -> float:
+def coupling_ratio_fidelity(xi, approximate: bool = False):
     """Single-round Bell fidelity versus the coupling ratio xi = G_f / G_e.
 
     Starting from |+>|+> and measuring once at the interval holding the
     (1, 1) pair (G_e = 1, G_f = xi, no detuning), F is ``_fidelity_and_norm``
     of the blocks' amplitudes ``_return_amplitudes``.  The approximate
-    branch linearizes a01 and a10 around xi = 1 and holds a11 = 1.
+    branch linearizes a01 and a10 around xi = 1 and holds a11 = 1.  A float
+    xi gives a float; an array gives F at each of its entries in one evaluation.
     """
-    if not (xi > 0 and math.isfinite(xi)):  # NaN fails too
+    ratio = np.asarray(xi, dtype=float)
+    if not np.all((ratio > 0) & np.isfinite(ratio)):  # NaN fails too
         raise ValueError(f"coupling ratio must be positive and finite, got {xi}")
     if approximate:
         c = math.cos(math.sqrt(2.0) * math.pi)
         s = (math.pi / math.sqrt(2.0)) * math.sin(math.sqrt(2.0) * math.pi)
-        amps = (c - s * (xi - 1.0), c + s * (xi - 1.0), 1.0)
+        amps = (c - s * (ratio - 1.0), c + s * (ratio - 1.0), 1.0)
     else:
-        eff = EffectiveParams(G_e=1.0, G_f=xi)
-        amps = _return_amplitudes(np.array([0, 1, 1]), np.array([1, 0, 1]), eff, interval_for_target(1, eff))
-    return float(_fidelity_and_norm(*amps)[0])
+        eff = EffectiveParams(G_e=1.0, G_f=ratio)
+        n, m = np.array([[0, 1, 1], [1, 0, 1]]).reshape((2, 3) + (1,) * ratio.ndim)
+        amps = _return_amplitudes(n, m, eff, 2.0 * math.pi / rabi_frequency(1, 1, eff))
+    fid = _fidelity_and_norm(*amps)[0]
+    return float(fid) if ratio.ndim == 0 else fid

@@ -590,6 +590,16 @@ class TestChannelMaps:
         assert_positive(j)
         assert np.linalg.eigvalsh(output_partial_trace(j, 4)).max() <= 1.0 + 1e-12
 
+    def test_full_support_channel_at_cutoff_3_is_trace_preserving_and_completely_positive(self):
+        # the decohere_prepare parameters on the whole cutoff-3 joint space: a 729 x 729 Choi matrix
+        space = HilbertSpace((("atom", 3), ("n", 3), ("m", 3)))
+        eff = EffectiveParams(G_e=6e-3, G_f=6e-3)
+        channel = lindblad_channel(jc_loss_spec(space, eff, (1e-4, 1e-4)), interval_for_target(1, eff),
+                                   np.ones((27, 27)))
+        j = choi(channel._map, 27)
+        assert_positive(j)
+        assert np.abs(output_partial_trace(j, 27) - np.eye(27)).max() <= 1e-12
+
 
 class TestTimeOrderedPropagator:
     def test_constant_hamiltonian_matches_propagator(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from magbell.hilbert import (
     HilbertSpace,
     Operator,
     QuantumState,
-    SpaceMismatchError,
     StateValidationError,
     basis_state,
     bell_state,
@@ -534,25 +534,10 @@ class TestLossyRoundChecks:
 
     The channel's trace check runs once per build.  Each projected round
     applies M to the magnon state, checks its support, scrubs its
-    Hermitian part, validates the renormalized magnon state and holds the
-    outcome probability to a floor.  Each free-leg step of ``stabilize``
-    validates the joint state.
+    Hermitian part and holds the outcome probability to a floor.  Each
+    free-leg step of ``stabilize`` asserts the trace and scrubs.  The one
+    round loop validates the array of every round of every leg.
     """
-
-    def test_channel_on_another_space_rejected_before_the_first_round(self):
-        psi, cfg = decohere_prepare_run(3)
-        big, _ = decohere_prepare_run(4)
-        channel = lindblad_channel(measurement._joint_spec(big.space, cfg), cfg.tau,
-                                   _with_ground(big.density()))
-        with pytest.raises(SpaceMismatchError, match="joint space"):
-            run_protocol(psi, cfg, channel)
-
-    def test_channel_with_closed_config_rejected(self):
-        psi, cfg = decohere_prepare_run()
-        channel = lindblad_channel(measurement._joint_spec(psi.space, cfg), cfg.tau,
-                                   _with_ground(psi.density()))
-        with pytest.raises(ValueError, match="without decoherence"):
-            run_protocol(psi, dataclasses.replace(cfg, decoherence=None), channel)
 
     def test_trace_guard_fires_in_protocol_and_stabilize(self, monkeypatch):
         psi, cfg = decohere_prepare_run()
@@ -563,14 +548,21 @@ class TestLossyRoundChecks:
             stabilize(bell_state(magnon(3), 1, +1), cfg)
 
     def test_joint_output_validated(self, monkeypatch):
-        # every free-leg step of stabilize is one _apply, which validates the joint output;
-        # no density matrix has every eigenvalue >= 1
-        psi, cfg = decohere_prepare_run()
-        rho = psi.density()
-        channel = lindblad_channel(measurement._joint_spec(psi.space, cfg), cfg.tau, _with_ground(rho))
-        monkeypatch.setattr(hilbert, "MIXED_EIG_FLOOR", 1.0)
+        # every free-leg step of stabilize is one _apply, whose joint output the round loop
+        # validates: shifting population onto an empty level, trace and Hermiticity kept,
+        # leaves a negative eigenvalue
+        real = dynamics.LindbladChannel._apply
+
+        def skewed(channel, rho):
+            out = real(channel, rho)
+            out[0, 0] += 0.1
+            out[1, 1] -= 0.1
+            return out
+
+        monkeypatch.setattr(dynamics.LindbladChannel, "_apply", skewed)
+        _, cfg = decohere_prepare_run()
         with pytest.raises(StateValidationError, match="negative eigenvalues"):
-            channel._apply(_with_ground(rho))
+            stabilize(bell_state(magnon(3), 1, +1), cfg)
 
     def test_magnon_state_validated(self, monkeypatch):
         # the first state validated after the input is round 1's renormalized magnon state
@@ -580,34 +572,50 @@ class TestLossyRoundChecks:
             run_protocol(psi, cfg)
 
     def test_each_round_validates_the_magnon_state_and_each_free_step_the_joint_state(self, monkeypatch):
-        # the check QuantumState runs, called in place: once per round on the magnon
-        # array, once per free-leg step on the joint one, and nowhere else in either module
+        # the check QuantumState runs, called in place by the one round loop: once per round
+        # on the magnon array, once per free-leg step on the joint one, and nowhere else
         seen = []
-        for module in (measurement, dynamics):
-            def spy(kind, arr, real=module.check_state, name=module.__name__):
-                seen.append((name, arr.shape[0]))
-                return real(kind, arr)
 
-            monkeypatch.setattr(module, "check_state", spy)
+        def spy(kind, arr, real=measurement.check_state):
+            seen.append((sys._getframe(1).f_code.co_name, arr.shape[0]))
+            return real(kind, arr)
+
+        monkeypatch.setattr(measurement, "check_state", spy)
+        assert not hasattr(dynamics, "check_state")
         psi, cfg = decohere_prepare_run()
         run_protocol(psi, cfg)
-        assert seen == [("magbell.measurement", 9)] * cfg.rounds
+        assert seen == [("_round_loop", 9)] * cfg.rounds
         seen.clear()
         stabilize(bell_state(magnon(3), 1, +1), cfg)
-        assert seen == [("magbell.measurement", 9)] * cfg.rounds + [("magbell.dynamics", 27)] * cfg.rounds
+        assert seen == [("_round_loop", 9)] * cfg.rounds + [("_round_loop", 27)] * cfg.rounds
         seen.clear()
         closed = ProtocolConfig.for_target(cfg.eff, rounds=cfg.rounds)
         run_protocol(psi, closed)
-        assert seen == [("magbell.measurement", 9)] * cfg.rounds
+        run_protocol(QuantumState(psi.space, "mixed", psi.density()), closed)
+        assert seen == [("_round_loop", 9)] * (2 * cfg.rounds)
+
+    def test_stabilize_builds_one_spec_and_one_channel(self, monkeypatch):
+        # the projected and free legs share the joint spec and the channel built from the Bell input
+        calls = []
+        for name in ("_joint_spec", "lindblad_channel"):
+            def counted(*args, real=getattr(measurement, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(measurement, name, counted)
+        _, cfg = decohere_prepare_run()
+        stabilize(bell_state(magnon(3), 1, +1), cfg)
+        assert calls == ["_joint_spec", "lindblad_channel"]
 
     def test_round_outside_the_channel_set_raises(self):
-        # a channel built from the Bell state does not reach all of |+>|+>'s support
+        # a channel built from the Bell state does not reach all of |+>|+>'s support,
+        # so its round map M rejects that input
         psi, cfg = decohere_prepare_run()
         bell = bell_state(magnon(3), 1, +1)
         channel = lindblad_channel(measurement._joint_spec(bell.space, cfg), cfg.tau,
                                    _with_ground(bell.density()))
         with pytest.raises(ValueError, match="outside"):
-            run_protocol(psi, cfg, channel)
+            measurement._round_map(channel, psi.space)._map(psi.density())
 
 
 class TestStabilize:
@@ -689,3 +697,15 @@ class TestCouplingRatioFidelity:
     def test_mirror_ratio_gives_same_fidelity(self, xi):
         # swapping which mode couples through G_e maps xi to 1 / xi
         assert abs(coupling_ratio_fidelity(xi) - coupling_ratio_fidelity(1.0 / xi)) <= 1e-15
+
+    @pytest.mark.parametrize("approximate", [False, True])
+    def test_array_of_ratios_matches_one_call_per_ratio(self, approximate):
+        # one evaluation over the array, as the CLI sweep runs it; the transcendental
+        # functions may round differently on arrays and scalars, by an ulp or so of F <= 1
+        xis = np.linspace(0.3, 3.0, 271)
+        looped = np.array([coupling_ratio_fidelity(float(xi), approximate=approximate) for xi in xis])
+        swept = coupling_ratio_fidelity(xis, approximate=approximate)
+        assert np.abs(swept - looped).max() <= 4 * np.finfo(float).eps
+        assert isinstance(coupling_ratio_fidelity(1.0, approximate=approximate), float)
+        with pytest.raises(ValueError, match="positive and finite"):
+            coupling_ratio_fidelity(np.array([1.0, math.nan]), approximate=approximate)
