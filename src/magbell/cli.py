@@ -186,17 +186,6 @@ SCENARIO_SCHEMAS: dict[str, dict] = {
     },
 }
 
-# scenario -> {key: caster} for params that no longer affect a run: still
-# accepted and checked, so old result headers re-run, then dropped.  Lossy
-# rounds apply exp(L tau) exactly and have no RK4 step count to set; the
-# dispersive checks run on every state up to an excitation cap, with no cutoff.
-RETIRED_PARAMS: dict[str, dict] = {
-    "decohere-prepare": {"steps_per_round": _positive(_integer)},
-    "stabilize": {"steps_per_round": _positive(_integer)},
-    "validate-dispersive": {"cavity_cutoff": _positive(_integer),
-                            "magnon_cutoff": _positive(_integer)},
-}
-
 _TOP_LEVEL_KEYS = {"scenario", "params", "seed", "output", "format"}
 
 
@@ -243,17 +232,11 @@ def _resolve_params(scenario: str, given: dict) -> dict:
     if not isinstance(given, dict):
         raise ConfigError("params must be a mapping")
     schema = SCENARIO_SCHEMAS[scenario]
-    retired = RETIRED_PARAMS.get(scenario, {})
-    unknown = set(given) - set(schema) - set(retired)
+    unknown = set(given) - set(schema)
     if unknown:
         raise ConfigError(
             f"unknown params {sorted(unknown)} for scenario {scenario!r}; allowed: {sorted(schema)}"
         )
-    for key in set(given) & set(retired):
-        try:
-            retired[key](given[key])
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for {scenario}/{key}: {exc}") from exc
     resolved = {}
     for key, (caster, default) in schema.items():
         value = given.get(key, default)
@@ -371,10 +354,19 @@ def _validation_params(ratio: float, base_detuning: float) -> ModelParams:
 
 
 def _run_validate_dispersive(p: dict, seed: int):
-    ratio, half = p["coupling_ratio"], 0.5 * p["coupling_ratio"]
-    params = _validation_params(ratio, p["base_detuning"])
+    ratio, half, base = p["coupling_ratio"], 0.5 * p["coupling_ratio"], p["base_detuning"]
+    params = _validation_params(ratio, base)
     residual = sw_reduction_check(params)
-    residual_half = sw_reduction_check(_validation_params(half, p["base_detuning"]))
+    residual_half = sw_reduction_check(_validation_params(half, base))
+    # The residual is a difference of entries of the bare Hamiltonian on the
+    # states of excitation <= 3, each rounded to eps of its size.  The largest
+    # entry is at most 3 max|omega| = 3 max(1, |1 - base|) on the diagonal, or
+    # 2 g off it (sqrt(n_c (n_x + 1)) <= 2), so the roundoff is below eps times
+    # that sum.  A half residual 16 times above it moves the slope by < 0.1.
+    floor = 16 * np.finfo(float).eps * (3 * max(1.0, abs(1.0 - base)) + 2 * ratio * base)
+    if not residual_half > floor:
+        raise ValueError(f"coupling_ratio {ratio:g} is too small to resolve: the residual at half "
+                         f"of it, {residual_half:.3g}, is not above the roundoff floor {floor:.3g}")
     plus = superposed_state(2, 1)
     state = product_state(_magnon_space(2), {"n": plus, "m": plus})
     tau0 = interval_for_target(1, effective_couplings(params))

@@ -11,6 +11,7 @@ up to an excitation cap.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -220,14 +221,22 @@ def basis_state(space: HilbertSpace, occupations: Sequence[int]) -> QuantumState
 
 
 def coherent_truncation_leakage(beta: complex, dim: int) -> float:
-    """Poisson weight lying above the Fock cutoff (before renormalization)."""
-    x = abs(beta) ** 2
-    term = math.exp(-x)
-    acc = term
-    for j in range(1, dim):
-        term *= x / j
-        acc += term
-    return max(0.0, 1.0 - acc)
+    """Poisson weight lying above the Fock cutoff (before renormalization).
+
+    The weights e^-x x^j / j!, x = |beta|^2, are taken from their logarithms,
+    so neither x^j nor e^-x leaves float range; ValueError for a NaN beta.
+    """
+    if cmath.isnan(beta):
+        raise ValueError(f"coherent amplitude must not be NaN, got {beta}")
+    r = abs(beta)
+    if r == 0.0:
+        return 0.0
+    x = r * r
+    if math.isinf(x):  # |beta| beyond float range squared: no weight lies inside any cutoff
+        return 1.0
+    log_x = 2.0 * math.log(r)
+    inside = math.fsum(math.exp(j * log_x - x - math.lgamma(j + 1)) for j in range(dim))
+    return max(0.0, 1.0 - inside)
 
 
 def coherent_state(beta: complex, dim: int) -> QuantumState:

@@ -179,16 +179,13 @@ class SingleModeParams(_BareModel):
 
 @dataclass(frozen=True)
 class EffectiveParams:
-    """Cavity-induced magnon-qutrit couplings, detunings, and Lamb shifts."""
+    """Cavity-induced magnon-qutrit couplings and Lamb-shifted detunings: all the
+    parity measurement reads.  The Lamb shifts stay on the bare model (``lamb_shifts``)."""
 
     G_e: float
     G_f: float
     Delta_e_tilde: float = 0.0
     Delta_f_tilde: float = 0.0
-    chi_n: float = 0.0
-    chi_m: float = 0.0
-    chi_e: float = 0.0
-    chi_f: float = 0.0
 
     def common_detuning(self) -> float:
         """The shared detuning Delta; the two tilde detunings must agree within 1e-12."""
@@ -265,9 +262,9 @@ def effective_couplings(params: ModelParams | SingleModeParams) -> EffectivePara
     """Dispersive reduction of either bare model.
 
     G_e = (g_e g_n / 2)(1/Delta_e + 1/Delta_n), likewise G_f from the m and f
-    pairs; tilde detunings come from the Lamb-shifted frequencies.  Outside
-    the dispersive regime a DispersiveRegimeWarning is emitted and the
-    computation proceeds.
+    pairs; tilde detunings come from the Lamb-shifted frequencies, whose
+    shifts (``lamb_shifts``) are not kept.  Outside the dispersive regime a
+    DispersiveRegimeWarning is emitted and the computation proceeds.
     """
     chi_n, chi_m, chi_e, chi_f = lamb_shifts(params)
     if not params.is_dispersive():
@@ -282,7 +279,6 @@ def effective_couplings(params: ModelParams | SingleModeParams) -> EffectivePara
         G_f=params.induced_coupling("m", "f"),
         Delta_e_tilde=(params.omega_e + chi_e) - (params.omega_n + chi_n),
         Delta_f_tilde=(params.omega_f + chi_f) - (params.omega_m + chi_m),
-        chi_n=chi_n, chi_m=chi_m, chi_e=chi_e, chi_f=chi_f,
     )
 
 
@@ -391,12 +387,9 @@ def build_jc_effective(eff: EffectiveParams, space: HilbertSpace) -> Operator:
     return Operator(space, _jc_matrix(eff, _product_ops(space, _JC_LABELS)))
 
 
-_NO_SHIFT = dict.fromkeys(("n", "m", *_QUTRIT_PARTIES), 0.0)
-
-
-def _lamb_shift_map(eff: EffectiveParams) -> dict:
-    """The Lamb shifts chi of eff by party, as ``_free_matrix`` takes them."""
-    return {party: getattr(eff, f"chi_{party}") for party in _NO_SHIFT}
+def _lamb_shift_map(params: ModelParams | SingleModeParams) -> dict:
+    """The Lamb shifts chi of a bare model by party, as ``_free_matrix`` takes them."""
+    return dict(zip(params.WIRING, lamb_shifts(params)))  # lamb_shifts follows the wiring order
 
 
 def _free_matrix(params: ModelParams | SingleModeParams, ops: dict, chi: dict) -> np.ndarray:
@@ -418,7 +411,7 @@ def _free_matrix(params: ModelParams | SingleModeParams, ops: dict, chi: dict) -
 
 
 def _full_matrix(params: ModelParams | SingleModeParams, ops: dict) -> np.ndarray:
-    h = _free_matrix(params, ops, _NO_SHIFT)
+    h = _free_matrix(params, ops, dict.fromkeys(params.WIRING, 0.0))
     for party, cavity, g, _ in params.coupling_pairs():
         x = ops[cavity][0] @ _party_ops(ops, party)[0]  # c x^+
         h += g * (x + x.conj().T)
@@ -459,7 +452,7 @@ def _induced_pairs(params: ModelParams | SingleModeParams, ops: dict):
 
 
 def _sw_effective_matrix(params: ModelParams | SingleModeParams, ops: dict) -> np.ndarray:
-    chi = _lamb_shift_map(effective_couplings(params))
+    chi = _lamb_shift_map(params)
     h = _free_matrix(params, ops, chi)
     for party, (cavity, _) in params.WIRING.items():
         if party in _QUTRIT_PARTIES:  # chi_i c^+c (|i><i| - |g><g|)
@@ -569,7 +562,7 @@ def dispersive_evolution_fidelity(params: ModelParams, magnon_state, t: float) -
     eff = effective_couplings(params)
     # H_R is the Lamb-shifted free part less the detunings H_eff keeps; it is
     # diagonal in the product basis, so exp(-i H_R t) is elementwise
-    h_rot = np.diag(_free_matrix(params, ops, _lamb_shift_map(eff))
+    h_rot = np.diag(_free_matrix(params, ops, _lamb_shift_map(params))
                     - eff.Delta_e_tilde * ops["pe"] - eff.Delta_f_tilde * ops["pf"]).real
     u_s = propagator_matrix(1j * _generator_matrix(params, ops), 1.0)  # exp(S)
     psi_full = propagator_matrix(_full_matrix(params, ops), t) @ psi0

@@ -47,6 +47,7 @@ from magbell.model import (
     build_sw_effective,
     build_time_dependent_jc,
     effective_couplings,
+    lamb_shifts,
     sw_generator,
 )
 
@@ -351,8 +352,7 @@ def reference_sw_effective(params, ops):
     magnon shifts it mediates, the qutrit shifts chi_i c^+c (|i><i| - |g><g|),
     then G_ij (x + x^+) per listed pair.
     """
-    eff = effective_couplings(params)
-    chi = {"n": eff.chi_n, "m": eff.chi_m, "e": eff.chi_e, "f": eff.chi_f}
+    chi = dict(zip("nmef", lamb_shifts(params)))
     occupation = {"n": ops["n"][1], "m": ops["m"][1], "e": ops["pe"], "f": ops["pf"]}
     h = sum(omega * ops[label][1] for label, omega in params.cavities())
     for party, (cavity, _) in params.WIRING.items():
@@ -398,9 +398,10 @@ def dense_evolution_fidelity(params, magnon_state, t, cavity_cutoff):
     x_f = low["m"] @ placed(transition(3, 2, 0), "atom")
     h_eff = (eff.Delta_e_tilde * p_e + eff.Delta_f_tilde * p_f
              + eff.G_e * (x_e + x_e.conj().T) + eff.G_f * (x_f + x_f.conj().T))
-    h_rot = ((params.omega_a - eff.chi_n) * num["a"] + (params.omega_b - eff.chi_m) * num["b"]
-             + (params.omega_n + eff.chi_n) * (num["n"] + p_e)
-             + (params.omega_m + eff.chi_m) * (num["m"] + p_f))
+    chi_n, chi_m, _, _ = lamb_shifts(params)
+    h_rot = ((params.omega_a - chi_n) * num["a"] + (params.omega_b - chi_m) * num["b"]
+             + (params.omega_n + chi_n) * (num["n"] + p_e)
+             + (params.omega_m + chi_m) * (num["m"] + p_f))
     u_s = propagator_matrix(1j * sw_generator(params, space).matrix, 1.0)  # exp(S)
     u_rot, u_eff = (propagator(Operator(space, h), t).matrix for h in (h_rot, h_eff))
     psi_full = propagator(build_full(params, space), t).matrix @ psi0

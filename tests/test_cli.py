@@ -9,7 +9,6 @@ from magbell import cli
 from magbell.cli import (
     ConfigError,
     ExperimentConfig,
-    RETIRED_PARAMS,
     config_from_mapping,
     config_from_metadata,
     emit,
@@ -59,14 +58,15 @@ class TestConfigParsing:
             config_from_mapping({"scenario": "bell-distill", "params": {"rounds": 0}})
 
     def test_retired_step_count_is_checked_and_dropped(self):
-        for scenario, keys in RETIRED_PARAMS.items():
+        # the RK4 step count and the dispersive cutoffs no longer exist: unknown params
+        retired = {"decohere-prepare": ("steps_per_round",), "stabilize": ("steps_per_round",),
+                   "validate-dispersive": ("cavity_cutoff", "magnon_cutoff")}
+        for scenario, keys in retired.items():
             for key in keys:
-                old = config_from_mapping({"scenario": scenario, "params": {key: 5}})
-                assert old.params == config_from_mapping({"scenario": scenario}).params
-                assert key not in old.params
-                with pytest.raises(ConfigError):
-                    config_from_mapping({"scenario": scenario, "params": {key: 0}})
-                with pytest.raises(ConfigError):
+                for value in (5, 0):
+                    with pytest.raises(ConfigError, match="unknown params"):
+                        config_from_mapping({"scenario": scenario, "params": {key: value}})
+                with pytest.raises(ConfigError, match="unknown params"):
                     config_from_mapping({"scenario": "bell-distill", "params": {key: 5}})
 
     @pytest.mark.parametrize("params", [[], 0, False, ""], ids=["list", "zero", "false", "empty-string"])
@@ -159,9 +159,9 @@ class TestDeterminismAndClosure:
         blob2 = emit(run_scenario(cfg), "csv")
         assert blob1 == blob2
 
-    def test_rerun_from_header_reproduces_output(self):
-        cfg = config_from_mapping({"scenario": "half-interval", "params": {"rounds": 6}})
-        blob = emit(run_scenario(cfg), "csv")
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda path: path.stem)
+    def test_rerun_from_header_reproduces_output(self, path):
+        blob = emit(run_scenario(load_config(str(path))), "csv")
         meta = parse_result_header(blob)
         cfg2 = config_from_metadata(meta)
         assert emit(run_scenario(cfg2), "csv") == blob
@@ -191,7 +191,7 @@ class TestScenarios:
     def test_stabilize_rows(self):
         cfg = config_from_mapping({
             "scenario": "stabilize",
-            "params": {"rounds": 2, "steps_per_round": 200, "gamma_n": 1e-4, "gamma_m": 1e-4},
+            "params": {"rounds": 2, "gamma_n": 1e-4, "gamma_m": 1e-4},
         })
         table = run_scenario(cfg)
         assert table.columns == ("round", "time", "fidelity_stabilized", "fidelity_free")
@@ -270,16 +270,32 @@ class TestMainEntry:
         assert out.read_bytes().startswith(b"# magbell-result/1")
 
     @pytest.mark.parametrize("retired", [{"cavity_cutoff": 2}, {"magnon_cutoff": 2}])
-    def test_retired_dispersive_cutoff_changes_nothing(self, tmp_path, retired):
-        # a cutoff of 2 once truncated the excitation-2 block: slope ~2 instead of ~3, exit 0
+    def test_retired_dispersive_cutoff_changes_nothing(self, tmp_path, capsys, retired):
+        # the checks run on every state up to an excitation cap: a cutoff is an unknown param
         shipped = CONFIG_DIR / "validate_dispersive.yaml"
         doc = yaml.safe_load(shipped.read_text())
         doc["params"].update(retired)
         out = tmp_path / "result.csv"
-        assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert "unknown params" in json.loads(capsys.readouterr().err)["message"]
+        assert not out.exists()
         want = run_scenario(load_config(str(shipped)))
         assert 2.5 <= want.metadata["results"]["residual_log2_slope"] <= 3.5
-        assert out.read_bytes() == emit(want, "csv")
+
+    @pytest.mark.parametrize("ratio", [1.0e-7, 1.0e-20])
+    def test_unresolvable_coupling_ratio_exits_2(self, tmp_path, capsys, ratio):
+        # the half-ratio residual is roundoff here, and so would be the reported slope
+        doc = {"scenario": "validate-dispersive", "params": {"coupling_ratio": ratio}}
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "roundoff floor" in err["message"]
+
+    def test_small_resolvable_coupling_ratio_gives_cubic_slope(self, tmp_path):
+        doc = {"scenario": "validate-dispersive", "params": {"coupling_ratio": 1.0e-4}}
+        out = tmp_path / "result.csv"
+        assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        slope = parse_result_header(out.read_bytes())["results"]["residual_log2_slope"]
+        assert slope == pytest.approx(3.0, abs=1e-3)
 
     def test_validate_ok(self, tmp_path, capsys):
         path = write_config(tmp_path, {"scenario": "coupling-ratio"})
@@ -308,6 +324,14 @@ class TestMainEntry:
         assert main(["run", "--config", path]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "TruncationError"
+
+    @pytest.mark.parametrize("scenario, params", [
+        ("nbell", {"beta": 1.0e+160}), ("coherent-distill", {"beta_n": 1.0e+200}),
+    ], ids=["nbell", "coherent-distill"])
+    def test_amplitude_squared_beyond_float_range_exits_3(self, tmp_path, capsys, scenario, params):
+        path = write_config(tmp_path, {"scenario": scenario, "params": params})
+        assert main(["run", "--config", path]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "TruncationError"
 
     @pytest.mark.parametrize("error, code", [
         (TruncationError, 3), (ZeroDetuningError, 3), (TargetOverlapError, 3),

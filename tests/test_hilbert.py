@@ -150,6 +150,22 @@ class TestCoherentState:
         leak = coherent_truncation_leakage(1.0, 10)
         assert 0.0 <= leak < 1e-6
 
+    @pytest.mark.parametrize("x, dim", [(760.0, 1500), (800.0, 2000), (760.0, 700)])
+    def test_leakage_where_exp_minus_x_underflows(self, x, dim):
+        # e^-x underflows past x ~ 745; the reference sums the tail above the cutoff from logarithms
+        tail = math.fsum(math.exp(j * math.log(x) - x - math.lgamma(j + 1))
+                         for j in range(dim, dim + 4000))
+        assert coherent_truncation_leakage(math.sqrt(x), dim) == pytest.approx(tail, abs=1e-9)
+
+    def test_leakage_beyond_float_range_and_nan(self):
+        assert coherent_truncation_leakage(1e160, 10) == 1.0
+        assert coherent_truncation_leakage(math.inf, 10) == 1.0
+        with pytest.raises(TruncationError):
+            coherent_state(1e200, 10)
+        for beta in (math.nan, complex(math.inf, math.nan)):
+            with pytest.raises(ValueError, match="NaN"):
+                coherent_truncation_leakage(beta, 10)
+
     def test_reference_amplitudes_fit_default_cutoff(self):
         for beta in (1.0, 1.2, 1.3):
             state = coherent_state(beta, 10)

@@ -129,7 +129,7 @@ class TestLambShifts:
         p = ModelParams(**{**dispersive_params.__dict__,
                            "g_m": 0.0, "omega_m": dispersive_params.omega_b})
         eff = effective_couplings(p)
-        assert eff.G_f == 0.0 and eff.chi_m == 0.0
+        assert eff.G_f == 0.0 and lamb_shifts(p)[1] == 0.0
         assert math.isfinite(sw_reduction_check(p))
         with pytest.raises(ZeroDetuningError):
             effective_couplings(ModelParams(**{**p.__dict__, "g_m": 0.01}))
