@@ -242,11 +242,18 @@ def coherent_truncation_leakage(beta: complex, dim: int) -> float:
 def coherent_state(beta: complex, dim: int) -> QuantumState:
     """Truncated, renormalized coherent state with amplitudes ~ beta^j/sqrt(j!).
 
+    The recursion starts at 2^-k, k = floor(|beta|^2 / (2 ln 2)), instead of 1,
+    so the largest amplitude, ~exp(|beta|^2 / 2), stays near 1 where beta^j/sqrt(j!)
+    itself would overflow (|beta|^2 past ~709).  A power-of-two scale is exact,
+    and the renormalization removes it.
+
     Raises
     ------
     TruncationError
         If the Poisson weight captured inside the cutoff falls below
         ``1 - COHERENT_LEAKAGE_MAX``.
+    ValueError
+        If 2^-k underflows to zero: |beta|^2 >= 1075 * 2 ln 2 (about 1490).
     """
     if dim < 1:
         raise DimensionError(f"coherent state needs dim >= 1, got {dim}")
@@ -256,8 +263,13 @@ def coherent_state(beta: complex, dim: int) -> QuantumState:
             f"cutoff {dim} leaks {leakage:.3e} of the |beta|={abs(beta):.3g} "
             f"coherent state (limit {COHERENT_LEAKAGE_MAX:.0e}); raise the cutoff"
         )
+    mean = abs(beta) ** 2
+    start = math.ldexp(1.0, -math.floor(mean / (2.0 * math.log(2.0))))
+    if start == 0.0:
+        raise ValueError(f"coherent state with |beta|^2 = {mean:.6g} is past the amplitude "
+                         f"recursion's limit |beta|^2 < {1075 * 2.0 * math.log(2.0):.1f}")
     amps = np.empty(dim, dtype=complex)
-    amps[0] = 1.0
+    amps[0] = start
     for j in range(1, dim):
         amps[j] = amps[j - 1] * beta / math.sqrt(j)
     amps /= np.linalg.norm(amps)

@@ -21,7 +21,10 @@ The looped protocol oracle builds a ``QuantumState`` every round and reads
 its records with ``fidelity`` and ``populations``, and runs a lossy round
 through the whole joint channel; the library reads each round's records
 off two or three entries of a checked array, and applies the channel's
-compression to the magnon density.
+compression to the magnon density.  The frozen (2, slices) block scan
+(``reference_block_amplitudes_and_gradient``,
+``reference_fidelity_time_trace``) is the bit-equality reference of the
+library's slice-major one.
 """
 
 import math
@@ -263,6 +266,61 @@ def looped_block_gradient(deltas, g, h):
         amps.append(prefixes[-1][0, 0])
         grads.append([(suffixes[slices - 1 - k] @ derivs[k] @ prefixes[k])[0, 0] for k in range(slices)])
     return np.array(amps), np.array(grads)
+
+
+# The (2, slices) block scan, frozen as the bit-equality reference of the
+# slice-major one in ``magbell.optimize``: each block's slices along one row,
+# every scan level a product of two strided (2, m) views.  The library must
+# match it exactly, value, gradient and trace, so a reassociated product or a
+# reordered sum fails even where it stays within the 1e-12 oracles.
+
+
+def reference_su2_product(a2, b2, a1, b1):
+    return a2 * a1 - b2 * b1.conj(), a2 * b1 + b2 * a1.conj()
+
+
+def reference_running_products(alpha, beta):
+    alpha, beta = alpha.copy(), beta.copy()
+    step = 1
+    while step < alpha.shape[-1]:
+        alpha[..., step:], beta[..., step:] = reference_su2_product(
+            alpha[..., step:], beta[..., step:], alpha[..., :-step], beta[..., :-step])
+        step *= 2
+    return alpha, beta
+
+
+def reference_block_slices(deltas, g, h):
+    couplings = np.array([[g], [math.sqrt(2.0) * g]])
+    p = 0.5 * deltas
+    q = np.sqrt(p * p + couplings * couplings)
+    cq = np.cos(q * h)
+    sq = np.sin(q * h) / q
+    alpha, beta = cq + 1j * sq * p, -1j * sq * couplings
+    dsq = (h * cq - sq) * p / (q * q)
+    dalpha, dbeta = -h * sq * p + 1j * (dsq * p + sq), -1j * dsq * couplings
+    return p, alpha, beta, dalpha, dbeta
+
+
+def reference_block_amplitudes_and_gradient(deltas, g, h):
+    p, alpha, beta, dalpha, dbeta = reference_block_slices(deltas, g, h)
+    scan_a, scan_b = reference_running_products(alpha, beta)
+    total = scan_a[:, -1]
+    after_a, after_b = reference_su2_product(scan_a[:, -1:], scan_b[:, -1:], scan_a.conj(), -scan_b)
+    before_a = np.concatenate((np.ones((2, 1)), scan_a[:, :-1]), axis=1)
+    before_b = np.concatenate((np.zeros((2, 1)), scan_b[:, :-1]), axis=1)
+    mid_a, mid_b = reference_su2_product(dalpha, dbeta, before_a, before_b)
+    dtotal = after_a * mid_a - after_b * mid_b.conj()
+    phase = np.exp(-1j * h * p.sum())
+    return phase * total, 0.5 * phase * (dtotal - 1j * h * total[:, np.newaxis])
+
+
+def reference_fidelity_time_trace(pulse, slices):
+    h = pulse.tau_total / slices
+    p, alpha, beta, _, _ = reference_block_slices(pulse.detuning((np.arange(slices) + 0.5) * h), pulse.G, h)
+    running, _ = reference_running_products(alpha, beta)
+    amps = np.concatenate((np.ones((2, 1)), np.exp(-1j * h * np.cumsum(p)) * running), axis=1)
+    trace, norm = measurement._fidelity_and_norm(amps[0], amps[0], amps[1])
+    return np.arange(slices + 1) * h, np.clip(trace, 0.0, 1.0), float(norm[-1]) / 4.0
 
 
 def sliced_fidelity_trace(pulse, slices):

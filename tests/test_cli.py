@@ -385,6 +385,17 @@ class TestMainEntry:
         assert main(["run", "--config", path, "--seed", "9", "--out", str(out)]) == 0
         assert parse_result_header(out.read_bytes())["seed"] == 9
 
+    def test_single_shot_fidelity_rounding_above_one_is_clamped(self, tmp_path):
+        # at seed 872 the winner's raw F = |1 + a11|^2 / (2N) rounded to 1 + 2^-52
+        # on x86-64 (numpy 2.4), which the result rejected (exit 2)
+        out = tmp_path / "r.json"
+        path = str(CONFIG_DIR / "single_shot.yaml")
+        assert main(["run", "--config", path, "--seed", "872", "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        fid = doc["metadata"]["results"]["achieved_fidelity"]
+        assert 1.0 - 1e-12 <= fid <= 1.0
+        assert max(row[2] for row in doc["rows"]) <= 1.0
+
     def test_json_format_flag(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 3}})
         out = tmp_path / "r.json"

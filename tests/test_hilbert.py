@@ -166,6 +166,20 @@ class TestCoherentState:
             with pytest.raises(ValueError, match="NaN"):
                 coherent_truncation_leakage(beta, 10)
 
+    @pytest.mark.parametrize("x, dim", [(760.0, 1500), (1400.0, 2000)])
+    def test_state_where_amplitudes_overflow(self, x, dim):
+        # beta^j / sqrt(j!) overflows past |beta|^2 ~ 709; the reference forms
+        # the amplitudes from their logarithms, scaled by the largest
+        logs = np.array([0.5 * (j * math.log(x) - math.lgamma(j + 1)) for j in range(dim)])
+        want = np.exp(logs - logs.max())
+        want /= np.linalg.norm(want)
+        assert np.abs(coherent_state(math.sqrt(x), dim).data - want).max() <= 1e-12
+
+    def test_state_past_recursion_limit_rejected(self):
+        # the recursion starts at 2^-k, k = floor(|beta|^2 / (2 ln 2)), which is 0.0 past k = 1074
+        with pytest.raises(ValueError, match="1490.3"):
+            coherent_state(math.sqrt(1491.0), 2600)
+
     def test_reference_amplitudes_fit_default_cutoff(self):
         for beta in (1.0, 1.2, 1.3):
             state = coherent_state(beta, 10)

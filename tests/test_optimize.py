@@ -1,10 +1,13 @@
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import looped_block_gradient, sequential_block_amplitudes, sliced_fidelity_trace
+from conftest import (looped_block_gradient, reference_block_amplitudes_and_gradient,
+                      reference_fidelity_time_trace, sequential_block_amplitudes, sliced_fidelity_trace)
 from magbell import optimize
 from magbell.measurement import _fidelity_and_norm, interval_for_target
 from magbell.model import EffectiveParams, PulseCoefficients
@@ -239,6 +242,44 @@ class TestBlockReduction:
         assert abs(a11 - const_amp(math.sqrt(2) * 1e-3, 1e-3, TAU0)) < 1e-9
 
 
+class TestBitEqualToStridedScan:
+    """The slice-major scan changes no arithmetic: every number equals the (2, slices) scan's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_omega=st.integers(0, 4),
+        slices=st.sampled_from([1, 2, 3, 5, 63, 64, 511, 512, 1000, 4096]),
+        unit=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+    )
+    def test_value_gradient_and_trace(self, n_omega, slices, unit):
+        x = 2.0 / TAU0**2 * np.array(unit[: 2 * n_omega])  # up to 3x the restart box
+        pulse = PulseCoefficients(a=tuple(x[:n_omega]), b=tuple(x[n_omega:]), tau_total=TAU0, G=1e-3)
+        h = TAU0 / slices
+        deltas = pulse.detuning((np.arange(slices) + 0.5) * h)
+        amps, damps = _block_amplitudes_and_gradient(deltas, 1e-3, h)
+        want_amps, want_damps = reference_block_amplitudes_and_gradient(deltas, 1e-3, h)
+        assert np.array_equal(amps, want_amps) and np.array_equal(damps, want_damps)
+        assert damps.shape == (2, slices) and damps.flags.c_contiguous  # the adjoint sums in one order
+        objective = _block_objective(TAU0, 1e-3, n_omega, slices)
+        value, grad = objective(x)
+        with mock.patch.object(optimize, "_block_amplitudes_and_gradient", reference_block_amplitudes_and_gradient):
+            want_value, want_grad = objective(x)
+        assert value == want_value and np.array_equal(grad, want_grad)
+        for got, want in zip(optimize._fidelity_time_trace(pulse, slices),
+                             reference_fidelity_time_trace(pulse, slices)):
+            assert np.array_equal(got, want)
+
+    def test_search_returns_the_same_result(self, monkeypatch):
+        cfg = OptimizerConfig(n_omega=2, restarts=2, seed=0)
+        result = optimize_single_shot(EFF, cfg, slices=64)
+        monkeypatch.setattr(optimize, "_block_amplitudes_and_gradient", reference_block_amplitudes_and_gradient)
+        monkeypatch.setattr(optimize, "_fidelity_time_trace", reference_fidelity_time_trace)
+        want = optimize_single_shot(EFF, cfg, slices=64)
+        for field in dataclasses.fields(result):
+            got, expected = getattr(result, field.name), getattr(want, field.name)
+            assert np.array_equal(got, expected) if isinstance(got, np.ndarray) else got == expected, field.name
+
+
 class TestFidelityTimeTrace:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -317,6 +358,21 @@ class TestOptimizeSingleShot:
         result = optimize_single_shot(EFF, OptimizerConfig(n_omega=4, restarts=8, seed=0))
         assert 1.0 - result.fidelity <= 1e-12
         assert 0 < result.iterations <= OptimizerConfig(n_omega=4).max_iter
+
+    def test_reported_fidelities_clamped_to_one(self, monkeypatch):
+        # F = |1 + a11|^2 / (2N) can round an ulp above 1: the search compares
+        # the raw value, and the result reports it clamped to [0, 1]
+        exact = optimize._fidelity_and_norm
+
+        def above_one(a01, a10, a11):
+            fid, norm = exact(a01, a10, a11)
+            return np.full_like(fid, 1.0 + 2.0**-52), norm
+
+        monkeypatch.setattr(optimize, "_fidelity_and_norm", above_one)
+        assert _block_objective(TAU0, 1e-3, 0, 16)(np.zeros(0))[0] == -(1.0 + 2.0**-52)
+        result = optimize_single_shot(EFF, OptimizerConfig(n_omega=0, restarts=1), slices=16)
+        assert result.fidelity == result.baseline_fidelity == 1.0
+        assert np.all(result.fidelity_trace == 1.0)
 
     def test_search_and_trace_share_one_scan(self):
         # the winner's objective value and the trace's last entry come from the
