@@ -4,12 +4,19 @@ Each scenario binds one headline result of the protocol to a strict YAML
 config.  All frequencies and rates are in units of the magnon frequency,
 times in units of its inverse.  Identical config and seed give byte-identical
 output, and the metadata header of every result is sufficient to re-run it.
-The protocol scenarios (bell-distill, half-interval, decohere-prepare,
+
+One table, ``SCENARIOS``, maps each scenario name to its params schema and
+its runner.  A runner returns its named columns, each a 1-D sequence, and its
+headline results; ``run_scenario`` builds the rows from the columns.  The
+protocol scenarios (bell-distill, half-interval, decohere-prepare,
 coherent-distill, nbell) are presets over one runner: the params pick the
 initial state and the loss rates, and a preset fixes only the interval mode
 and its extra result keys; stabilize shares that runner's config builder.
+The config names the scenario, its params and the seed; only the flags
+(``--format``, ``--out``) choose where and how the result is written.
 
-Exit codes: 0 success, 2 config error (also a value the library rejects),
+Exit codes, read from the one table ``EXIT_CODES``: 0 success, 2 config error
+(also a value the library rejects, or an output path that cannot be written),
 3 physics-regime violation, 4 optimizer abort.
 """
 
@@ -56,21 +63,6 @@ from .model import (
 )
 from .optimize import ObjectiveError, OptimizerConfig, optimize_single_shot
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_PHYSICS = 3
-EXIT_OPTIMIZER = 4
-
-PHYSICS_ERRORS = (
-    TruncationError,
-    ZeroDetuningError,
-    TargetOverlapError,
-    NullOutcomeError,
-    TraceDriftError,
-    NonHermitianError,
-    DimensionError,
-)
-
 _HEADER_TAG = "magbell-result/1"
 
 
@@ -78,13 +70,23 @@ class ConfigError(ValueError):
     """Config file is missing, malformed, or carries unknown/invalid keys."""
 
 
+# error -> exit code; the first class the error is an instance of decides, so
+# every ValueError subclass precedes ValueError
+EXIT_CODES = {
+    ConfigError: 2,
+    ObjectiveError: 4,
+    **dict.fromkeys((TruncationError, ZeroDetuningError, TargetOverlapError, NullOutcomeError,
+                     TraceDriftError, NonHermitianError, DimensionError), 3),
+    ValueError: 2,  # a setting the library rejects, e.g. couplings with no interval
+    OSError: 2,  # e.g. an --out path in a missing directory
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str
     params: dict
     seed: int = 0
-    output: str | None = None
-    format: str = "csv"
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,40 +155,7 @@ def _protocol_schema(G: float, rounds: int, cutoff: int, G_f: float | None = Non
 
 _LOSS_RATES = {"gamma_n": (_nonneg(_number), 1e-4), "gamma_m": (_nonneg(_number), 1e-4)}
 _COHERENT_G_F = COHERENT_COUPLING_RATIO * 1e-3
-
-# scenario -> {key: (caster, default)}; all physical values in magnon-frequency units
-SCENARIO_SCHEMAS: dict[str, dict] = {
-    "bell-distill": _protocol_schema(
-        1e-3, 8, 3, interval_mode=(_choice("full", "half"), "full")),
-    "half-interval": _protocol_schema(1e-3, 16, 3),
-    "decohere-prepare": _protocol_schema(6e-3, 8, 3, **_LOSS_RATES),
-    "stabilize": _protocol_schema(6e-3, 8, 3, **_LOSS_RATES),
-    "coherent-distill": _protocol_schema(
-        1e-3, 50, 10, G_f=_COHERENT_G_F,
-        beta_n=(_number, 1.0), beta_m=(_number, 1.0), target_N=(_positive(_integer), 1)),
-    "nbell": _protocol_schema(
-        1e-3, 1000, 10, G_f=_COHERENT_G_F,
-        target_N=(_positive(_integer), 3), beta=(_number, 1.3)),
-    "single-shot": {
-        "G": (_positive(_number), 1e-3),
-        "n_omega": (_nonneg(_integer), 4),
-        "restarts": (_positive(_integer), 8),
-        "max_iter": (_positive(_integer), 4000),
-        "spread_tol": (_positive(_number), 1e-10),
-        "slices": (_positive(_integer), 512),
-    },
-    "coupling-ratio": {
-        "xi_min": (_positive(_number), 0.8),
-        "xi_max": (_positive(_number), 1.2),
-        "points": (_positive(_integer), 81),
-    },
-    "validate-dispersive": {
-        "coupling_ratio": (_positive(_number), 0.05),
-        "base_detuning": (_positive(_number), 0.4),
-    },
-}
-
-_TOP_LEVEL_KEYS = {"scenario", "params", "seed", "output", "format"}
+_TOP_LEVEL_KEYS = ("scenario", "params", "seed")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -201,42 +170,35 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_mapping(raw)
 
 
+def _reject_unknown(given: dict, allowed, what: str) -> None:
+    unknown = set(given) - set(allowed)
+    if unknown:  # sorted by str: a YAML key may also be a number or null
+        raise ConfigError(f"unknown {what} {sorted(unknown, key=str)}; allowed: {sorted(allowed)}")
+
+
 def config_from_mapping(raw) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {sorted(unknown)}; allowed: {sorted(_TOP_LEVEL_KEYS)}")
+    _reject_unknown(raw, _TOP_LEVEL_KEYS, "top-level keys")
     if "scenario" not in raw:
         raise ConfigError("missing required key 'scenario'")
     scenario = raw["scenario"]
-    if scenario not in SCENARIO_SCHEMAS:
-        raise ConfigError(f"unknown scenario {scenario!r}; known: {sorted(SCENARIO_SCHEMAS)}")
-    fmt = raw.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
-    seed = raw.get("seed", 0)
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {scenario!r}; known: {sorted(SCENARIOS)}")
     try:
-        seed = _nonneg(_integer)(seed)
+        seed = _nonneg(_integer)(raw.get("seed", 0))
     except ValueError as exc:
         raise ConfigError(f"invalid seed: {exc}") from exc
-    output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigError(f"output must be a string path, got {output!r}")
     params = raw.get("params")
     params = _resolve_params(scenario, {} if params is None else params)  # absent, or YAML null
-    return ExperimentConfig(scenario=scenario, params=params, seed=seed, output=output, format=fmt)
+    return ExperimentConfig(scenario=scenario, params=params, seed=seed)
 
 
 def _resolve_params(scenario: str, given: dict) -> dict:
     if not isinstance(given, dict):
         raise ConfigError("params must be a mapping")
-    schema = SCENARIO_SCHEMAS[scenario]
-    unknown = set(given) - set(schema)
-    if unknown:
-        raise ConfigError(
-            f"unknown params {sorted(unknown)} for scenario {scenario!r}; allowed: {sorted(schema)}"
-        )
+    schema = SCENARIOS[scenario][0]
+    _reject_unknown(given, schema, f"params for scenario {scenario!r}:")
     resolved = {}
     for key, (caster, default) in schema.items():
         value = given.get(key, default)
@@ -270,18 +232,18 @@ def _initial_state(p: dict):
     return product_state(_magnon_space(cutoff), parts)
 
 
-_PROTOCOL_COLUMNS = ("round", "fidelity_plus", "fidelity_minus",
-                     "success_probability", "even_population")
-
-
 def _run_protocol_scenario(p: dict, seed: int, extra_results: tuple[str, ...] = (),
                          interval_mode: str | None = None):
     """One protocol run; a preset fixes the interval mode and the extra result keys."""
     cfg = _protocol_config(p, interval_mode or p.get("interval_mode", "full"))
     record = run_protocol(_initial_state(p), cfg)
-    rows = tuple(zip(map(float, range(cfg.rounds + 1)), record.fidelity_plus.tolist(),
-                     record.fidelity_minus.tolist(), record.success_probability.tolist(),
-                     record.even_population.tolist()))
+    columns = {
+        "round": np.arange(cfg.rounds + 1, dtype=float),
+        "fidelity_plus": record.fidelity_plus,
+        "fidelity_minus": record.fidelity_minus,
+        "success_probability": record.success_probability,
+        "even_population": record.even_population,
+    }
     available = {
         "final_fidelity_plus": float(record.fidelity_plus[-1]),
         "final_fidelity_minus": float(record.fidelity_minus[-1]),
@@ -290,22 +252,21 @@ def _run_protocol_scenario(p: dict, seed: int, extra_results: tuple[str, ...] = 
         "tau": cfg.tau,
     }
     keys = ("final_fidelity_plus", "final_success_probability", "tau") + extra_results
-    return _PROTOCOL_COLUMNS, rows, {key: available[key] for key in keys}
+    return columns, {key: available[key] for key in keys}
 
 
 def _run_stabilize(p: dict, seed: int):
     cfg = _protocol_config(p)
     f_stab, f_free = stabilize(bell_state(_magnon_space(p["cutoff"]), cfg.target_N, +1), cfg)
-    rows = tuple(
-        (float(k), float(k * cfg.tau), float(f_stab[k]), float(f_free[k]))
-        for k in range(len(f_stab))
-    )
+    rounds = np.arange(len(f_stab), dtype=float)
+    columns = {"round": rounds, "time": rounds * cfg.tau,
+               "fidelity_stabilized": f_stab, "fidelity_free": f_free}
     results = {
         "final_fidelity_stabilized": float(f_stab[-1]),
         "final_fidelity_free": float(f_free[-1]),
         "tau": cfg.tau,
     }
-    return ("round", "time", "fidelity_stabilized", "fidelity_free"), rows, results
+    return columns, results
 
 
 def _run_single_shot(p: dict, seed: int):
@@ -313,10 +274,8 @@ def _run_single_shot(p: dict, seed: int):
     cfg = OptimizerConfig(n_omega=p["n_omega"], spread_tol=p["spread_tol"],
                           max_iter=p["max_iter"], restarts=p["restarts"], seed=seed)
     result = optimize_single_shot(eff, cfg, slices=p["slices"])
-    rows = tuple(
-        (float(k), float(result.times[k]), float(result.fidelity_trace[k]))
-        for k in range(len(result.times))
-    )
+    columns = {"slice": np.arange(len(result.times), dtype=float), "time": result.times,
+               "fidelity": result.fidelity_trace}
     results = {
         "achieved_fidelity": float(result.fidelity),
         "success_probability": float(result.success_probability),
@@ -326,16 +285,16 @@ def _run_single_shot(p: dict, seed: int):
         "iterations": int(result.iterations),
         "tau_total": float(result.pulse.tau_total),
     }
-    return ("slice", "time", "fidelity"), rows, results
+    return columns, results
 
 
 def _run_coupling_ratio(p: dict, seed: int):
     xis = np.linspace(p["xi_min"], p["xi_max"], p["points"])
     exact = coupling_ratio_fidelity(xis)
-    rows = tuple(zip(xis.tolist(), exact.tolist(), coupling_ratio_fidelity(xis, approximate=True).tolist()))
     best = int(np.argmax(exact))
-    results = {"argmax_xi": rows[best][0], "max_fidelity": rows[best][1]}
-    return ("xi", "fidelity_exact", "fidelity_approx"), rows, results
+    results = {"argmax_xi": float(xis[best]), "max_fidelity": float(exact[best])}
+    return {"xi": xis, "fidelity_exact": exact,
+            "fidelity_approx": coupling_ratio_fidelity(xis, approximate=True)}, results
 
 
 def _validation_params(ratio: float, base_detuning: float) -> ModelParams:
@@ -371,29 +330,59 @@ def _run_validate_dispersive(p: dict, seed: int):
     state = product_state(_magnon_space(2), {"n": plus, "m": plus})
     tau0 = interval_for_target(1, effective_couplings(params))
     fid = dispersive_evolution_fidelity(params, state, tau0)
-    rows = ((float(ratio), residual, fid), (float(half), residual_half, float("nan")))
+    columns = {"coupling_ratio": [ratio, half], "sw_residual": [residual, residual_half],
+               "evolution_fidelity": [fid, float("nan")]}
     results = {"residual_log2_slope": float(np.log2(residual / residual_half)),
                "evolution_fidelity": fid}
-    return ("coupling_ratio", "sw_residual", "evolution_fidelity"), rows, results
+    return columns, results
 
 
-_RUNNERS = {
-    "bell-distill": partial(_run_protocol_scenario, extra_results=("final_fidelity_minus",)),
-    "half-interval": partial(_run_protocol_scenario, extra_results=("final_fidelity_minus",),
-                             interval_mode="half"),
-    "decohere-prepare": _run_protocol_scenario,
-    "stabilize": _run_stabilize,
-    "coherent-distill": partial(_run_protocol_scenario, extra_results=("slow_states",)),
-    "nbell": partial(_run_protocol_scenario, extra_results=("slow_states",)),
-    "single-shot": _run_single_shot,
-    "coupling-ratio": _run_coupling_ratio,
-    "validate-dispersive": _run_validate_dispersive,
+# scenario -> (params schema {key: (caster, default)}, all physical values in
+# magnon-frequency units; runner (params, seed) -> ({column: 1-D values}, results))
+SCENARIOS = {
+    "bell-distill": (
+        _protocol_schema(1e-3, 8, 3, interval_mode=(_choice("full", "half"), "full")),
+        partial(_run_protocol_scenario, extra_results=("final_fidelity_minus",))),
+    "half-interval": (
+        _protocol_schema(1e-3, 16, 3),
+        partial(_run_protocol_scenario, extra_results=("final_fidelity_minus",),
+                interval_mode="half")),
+    "decohere-prepare": (_protocol_schema(6e-3, 8, 3, **_LOSS_RATES), _run_protocol_scenario),
+    "stabilize": (_protocol_schema(6e-3, 8, 3, **_LOSS_RATES), _run_stabilize),
+    "coherent-distill": (
+        _protocol_schema(1e-3, 50, 10, G_f=_COHERENT_G_F, beta_n=(_number, 1.0),
+                         beta_m=(_number, 1.0), target_N=(_positive(_integer), 1)),
+        partial(_run_protocol_scenario, extra_results=("slow_states",))),
+    "nbell": (
+        _protocol_schema(1e-3, 1000, 10, G_f=_COHERENT_G_F,
+                         target_N=(_positive(_integer), 3), beta=(_number, 1.3)),
+        partial(_run_protocol_scenario, extra_results=("slow_states",))),
+    "single-shot": ({
+        "G": (_positive(_number), 1e-3),
+        "n_omega": (_nonneg(_integer), 4),
+        "restarts": (_positive(_integer), 8),
+        "max_iter": (_positive(_integer), 4000),
+        "spread_tol": (_positive(_number), 1e-10),
+        "slices": (_positive(_integer), 512),
+    }, _run_single_shot),
+    "coupling-ratio": ({
+        "xi_min": (_positive(_number), 0.8),
+        "xi_max": (_positive(_number), 1.2),
+        "points": (_positive(_integer), 81),
+    }, _run_coupling_ratio),
+    "validate-dispersive": ({
+        "coupling_ratio": (_positive(_number), 0.05),
+        "base_detuning": (_positive(_number), 0.4),
+    }, _run_validate_dispersive),
 }
 
 
 def run_scenario(cfg: ExperimentConfig) -> ResultTable:
     """Execute a scenario and return its deterministic result table."""
-    columns, rows, results = _RUNNERS[cfg.scenario](cfg.params, cfg.seed)
+    columns, results = SCENARIOS[cfg.scenario][1](cfg.params, cfg.seed)
+    # one .tolist() per column makes every value a Python float in a single call
+    rows = tuple(zip(*(np.asarray(col, dtype=float).tolist() for col in columns.values()),
+                     strict=True))
     metadata = {
         "format": _HEADER_TAG,
         "version": __version__,
@@ -403,7 +392,7 @@ def run_scenario(cfg: ExperimentConfig) -> ResultTable:
         "units": {"frequency": "omega_m", "time": "1/omega_m"},
         "results": results,
     }
-    return ResultTable(metadata=metadata, columns=tuple(columns), rows=tuple(rows))
+    return ResultTable(metadata=metadata, columns=tuple(columns), rows=rows)
 
 
 def emit(table: ResultTable, format: str) -> bytes:
@@ -445,10 +434,6 @@ def parse_result_header(blob: bytes) -> dict:
     raise ConfigError("no metadata header found")
 
 
-def _error_record(exc: Exception) -> str:
-    return json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="magbell",
@@ -457,9 +442,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a scenario from a config file")
     run_p.add_argument("--config", required=True, help="YAML experiment config")
-    run_p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (overrides config)")
-    run_p.add_argument("--out", default=None, help="output path (overrides config; default stdout)")
+    run_p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    run_p.add_argument("--out", default=None, help="output path (default stdout)")
     run_p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
     val_p = sub.add_parser("validate", help="parse and validate a config file only")
     val_p.add_argument("--config", required=True)
@@ -470,34 +454,20 @@ def main(argv=None) -> int:
         if args.command == "validate":
             print(json.dumps({"ok": True, "scenario": cfg.scenario, "params": cfg.params},
                              sort_keys=True))
-            return EXIT_OK
+            return 0
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be nonnegative")
-            cfg = ExperimentConfig(scenario=cfg.scenario, params=cfg.params, seed=args.seed,
-                                   output=cfg.output, format=cfg.format)
-        fmt = args.format or cfg.format
-        table = run_scenario(cfg)
-        blob = emit(table, fmt)
-        out_path = args.out or cfg.output
-        if out_path:
-            with open(out_path, "wb") as fh:
+            cfg = config_from_mapping({**vars(cfg), "seed": args.seed})
+        blob = emit(run_scenario(cfg), args.format)
+        if args.out:  # opened only once the whole result is in hand: a failed run leaves no file
+            with open(args.out, "wb") as fh:
                 fh.write(blob)
         else:
             sys.stdout.buffer.write(blob)
-        return EXIT_OK
-    except ConfigError as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    except ObjectiveError as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_OPTIMIZER
-    except PHYSICS_ERRORS as exc:
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_PHYSICS
-    except ValueError as exc:  # a setting the library rejects, e.g. couplings with no interval
-        print(_error_record(exc), file=sys.stderr)
-        return EXIT_CONFIG
+        return 0
+    except tuple(EXIT_CODES) as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True),
+              file=sys.stderr)
+        return next(code for error, code in EXIT_CODES.items() if isinstance(exc, error))
 
 
 if __name__ == "__main__":

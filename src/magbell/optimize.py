@@ -33,10 +33,7 @@ imaginary parts are written as the float products the complex expressions
 form; every scan level takes its four products before it overwrites alpha
 or beta; a rewritten sum differs from the original only by exact
 negations; and the gradient leaves as a C-contiguous (2, slices) array, so
-the adjoint contraction sums in the same order.  One call at n_omega = 4 and 512 slices
-takes 0.70-0.74 of the (2, slices) scan's time (one BLAS thread, four sets
-of interleaved medians of 30 on a 2-vCPU KVM guest: 474 -> 333, 309 -> 222,
-437 -> 321 and 452 -> 321 us).
+the adjoint contraction sums in the same order.
 
 A restart ends when f = -F has fallen by at most STALL_ULPS ulps of |f| for
 STALL_ITERATIONS iterations in a row: near F = 1 the objective is flat to

@@ -237,10 +237,9 @@ _COMMON_RESULTS = {"final_fidelity_plus", "final_success_probability", "tau"}
 class TestScenarioContract:
     def test_every_shipped_config_has_a_runner(self):
         paths = sorted(CONFIG_DIR.glob("*.yaml"))
-        assert len(paths) == len(cli.SCENARIO_SCHEMAS)
+        assert len(paths) == len(cli.SCENARIOS)
         for path in paths:
-            assert load_config(str(path)).scenario in cli._RUNNERS
-        assert set(cli._RUNNERS) == set(cli.SCENARIO_SCHEMAS)
+            assert load_config(str(path)).scenario in cli.SCENARIOS
 
     @pytest.mark.parametrize("scenario, params, columns, results", [
         ("bell-distill", {"rounds": 2}, _PROTOCOL_COLUMNS,
@@ -337,12 +336,14 @@ class TestMainEntry:
         (TruncationError, 3), (ZeroDetuningError, 3), (TargetOverlapError, 3),
         (NullOutcomeError, 3), (TraceDriftError, 3), (NonHermitianError, 3),
         (DimensionError, 3), (ObjectiveError, 4), (ConfigError, 2), (ValueError, 2),
+        (OSError, 2),
     ], ids=lambda value: getattr(value, "__name__", str(value)))
     def test_documented_exit_codes(self, tmp_path, capsys, monkeypatch, error, code):
         def failing_runner(params, seed):
             raise error("raised by the scenario")
 
-        monkeypatch.setitem(cli._RUNNERS, "coupling-ratio", failing_runner)
+        schema, _ = cli.SCENARIOS["coupling-ratio"]
+        monkeypatch.setitem(cli.SCENARIOS, "coupling-ratio", (schema, failing_runner))
         path = write_config(tmp_path, {"scenario": "coupling-ratio"})
         assert main(["run", "--config", path]) == code
         err = json.loads(capsys.readouterr().err)
@@ -402,3 +403,69 @@ class TestMainEntry:
         assert main(["run", "--config", path, "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["metadata"]["scenario"] == "coupling-ratio"
+
+
+class TestMalformedInputExits2:
+    """Input the runner cannot use gives one JSON error record and exit 2, not a traceback."""
+
+    @pytest.mark.parametrize("text", [
+        "scenario: bell-distill\nparams: {1: 2, foo: 3}\n",
+        "scenario: bell-distill\n1: 2\nfoo: 3\n",
+        "scenario: bell-distill\nparams: {~: 2, foo: 3}\n",
+    ], ids=["params", "top-level", "null-key"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_string_keys_are_config_errors(self, tmp_path, capsys, command, text):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert main([command, "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and err["message"].startswith("unknown ")
+
+    @pytest.mark.parametrize("value", ["[1, 2]", "{bell-distill: 1}", "3"])
+    def test_non_string_scenario_is_config_error(self, tmp_path, capsys, value):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"scenario: {value}\n")
+        assert main(["validate", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "unknown scenario" in err["message"]
+
+    @pytest.mark.parametrize("out, error", [
+        ("missing/result.csv", "FileNotFoundError"), (".", "IsADirectoryError"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_out_exits_2_and_writes_nothing(self, tmp_path, capsys, out, error):
+        path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 3}})
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["run", "--config", path, "--out", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == error
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("key", ["format", "output"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_output_config_keys_are_unknown(self, tmp_path, capsys, command, key):
+        # only --format and --out choose the output
+        result = tmp_path / "result.json"
+        value = {"format": "json", "output": str(result)}[key]
+        path = write_config(tmp_path, {"scenario": "coupling-ratio", key: value})
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and f"unknown top-level keys ['{key}']" in err["message"]
+        assert captured.out == "" and not result.exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 3}})
+        assert main(["run", "--config", path, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and "seed" in err["message"]
+        assert captured.out == ""
+
+    def test_json_flag_writes_the_emitted_document(self, tmp_path):
+        path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 3},
+                                       "seed": 4})
+        out = tmp_path / "r.json"
+        assert main(["run", "--config", path, "--format", "json", "--out", str(out)]) == 0
+        assert out.read_bytes() == emit(run_scenario(load_config(path)), "json")
+        assert json.loads(out.read_text())["metadata"]["seed"] == 4
