@@ -13,8 +13,8 @@ pairs, and R splits into the blocks L never mixes.  Each block is
 exponentiated once by scaling and squaring, with its Taylor polynomial
 evaluated by Paterson-Stockmeyer, and the built channel is checked once to
 preserve the trace.  Applying the channel, or a compression of it to a
-subset of R (``BlockMap``), is one gather of the blocks' indices, one small
-matrix-vector product per block on a contiguous slice, and one scatter.
+subset of R (``BlockMap``), is one small matrix-vector product per block on
+that block's indices.
 The fixed-step fourth-order (RK4) integrator ``integrate_master`` is kept
 as its independent oracle in the tests; its right-hand side is the plain
 commutator-plus-dissipator form.  Both guard the trace, which is asserted,
@@ -211,18 +211,14 @@ def _block_generators(spec: LindbladSpec,
     dim = spec.hamiltonian.space.total_dim
     jumps = _jump_terms(spec)
     k_eff = -1j * spec.hamiltonian.matrix - 0.5 * sum(ldl for _, _, ldl in jumps)
-    blocks = _reachable_blocks(k_eff, jumps, start)
-    owner = np.empty(dim * dim, dtype=int)
-    for b, idx in enumerate(blocks):
-        owner[idx] = b
     out = []
-    for b, idx in enumerate(blocks):
+    for idx in _reachable_blocks(k_eff, jumps, start):
         i, j = np.divmod(idx, dim)
         partner = j * dim + i
-        mate = owner[partner[0]]
-        if mate < b:
+        least = partner.min()  # the partner block's least index; blocks come in that order
+        if least < idx[0]:
             continue  # already served as the partner of an earlier block
-        out.append((idx, _block_generator(idx, k_eff, jumps), None if mate == b else partner))
+        out.append((idx, _block_generator(idx, k_eff, jumps), None if least == idx[0] else partner))
     return out
 
 
@@ -268,42 +264,29 @@ class BlockMap:
 
     blocks pairs each set of row-major Liouville indices with the matrix the
     map applies there; support is the sorted union of those sets, which
-    partition it, and the map is zero off it.  The sets are also kept
-    concatenated in block order, with each block's slice of the
-    concatenation, so that an application gathers once.
+    partition it, and the map is zero off it.
     """
 
     space: HilbertSpace
     blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
     support: np.ndarray = field(init=False)
-    _gather: np.ndarray = field(init=False, repr=False)
-    _slices: tuple[tuple[slice, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        gather = np.concatenate([idx for idx, _ in self.blocks])
-        ends = np.cumsum([idx.size for idx, _ in self.blocks])
-        object.__setattr__(self, "support", np.sort(gather))
-        object.__setattr__(self, "_gather", gather)
-        object.__setattr__(self, "_slices", tuple(
-            (slice(end - idx.size, end), block) for end, (idx, block) in zip(ends, self.blocks)))
+        object.__setattr__(self, "support", np.sort(np.concatenate([idx for idx, _ in self.blocks])))
 
     def _map(self, rho: np.ndarray) -> np.ndarray:
         """The image of the matrix rho, with exact zeros off support.
 
-        One gather of the support in block order, one matrix-vector product
-        per block on its contiguous slice, one scatter.  Raises ValueError
-        if rho has a nonzero entry off support; neither rho nor the image is
-        validated.
+        One matrix-vector product per block on that block's indices.  Raises
+        ValueError if rho has a nonzero entry off support; neither rho nor
+        the image is validated.
         """
         flat = rho.ravel()
-        x = flat[self._gather]
-        if np.count_nonzero(flat) > np.count_nonzero(x):
+        if np.count_nonzero(flat) > np.count_nonzero(flat[self.support]):
             raise ValueError("state has support outside the set the channel was built on")
-        y = np.empty(x.size, dtype=complex)
-        for part, block in self._slices:
-            y[part] = block @ x[part]
         out = np.zeros(flat.size, dtype=complex)
-        out[self._gather] = y
+        for idx, block in self.blocks:
+            out[idx] = block @ flat[idx]
         return out.reshape(rho.shape)
 
     def _compress(self, space: HilbertSpace, keep: np.ndarray) -> "BlockMap":
@@ -313,13 +296,13 @@ class BlockMap:
         entry.  Each block is cut to its rows and columns in keep, so the
         result never holds more than this map.
         """
-        pos = np.searchsorted(keep, self._gather)
-        inside = keep[np.minimum(pos, keep.size - 1)] == self._gather
+        pos = np.full(self.space.total_dim ** 2, -1)
+        pos[keep] = np.arange(keep.size)  # -1 off keep
         blocks = []
-        for part, block in self._slices:
-            sel = np.flatnonzero(inside[part])
+        for idx, block in self.blocks:
+            sel = np.flatnonzero(pos[idx] >= 0)
             if sel.size:
-                blocks.append((pos[part][sel], block[sel[:, None], sel]))
+                blocks.append((pos[idx[sel]], block[sel[:, None], sel]))
         return BlockMap(space, tuple(blocks))
 
 
@@ -338,14 +321,13 @@ class LindbladChannel(BlockMap):
     def __post_init__(self):
         super().__post_init__()
         dim = self.space.total_dim
-        t = (self._gather % (dim + 1) == 0).astype(complex)  # the diagonal indices i d + i
-        row = np.empty_like(t)
-        for part, block in self._slices:
-            row[part] = t[part] @ block
-        drift, tol = float(np.abs(row - t).max()), DEFAULT_TRACE_TOL / dim
-        if not drift <= tol:  # NaN fails too
-            raise TraceDriftError(f"trace drift {drift:.3e} of a block exceeds tolerance {tol:.1e} "
-                                  f"(DEFAULT_TRACE_TOL / {dim})")
+        tol = DEFAULT_TRACE_TOL / dim
+        for idx, block in self.blocks:
+            t = (idx % (dim + 1) == 0).astype(complex)  # the diagonal indices i d + i
+            drift = float(np.abs(t @ block - t).max())
+            if not drift <= tol:  # NaN fails too
+                raise TraceDriftError(f"trace drift {drift:.3e} of a block exceeds tolerance {tol:.1e} "
+                                      f"(DEFAULT_TRACE_TOL / {dim})")
 
     def __call__(self, rho0: QuantumState) -> QuantumState:
         """exp(L t) rho0 as a QuantumState (see ``_apply``); SpaceMismatchError if rho0 is on another space."""

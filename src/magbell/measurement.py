@@ -97,10 +97,8 @@ def _return_amplitudes(n, m, eff: EffectiveParams, tau: float) -> np.ndarray:
         top_n, top_m = int(np.max(n)), int(np.max(m))
         raise ValueError(f"Omega_nm overflows: Omega_{top_n}{top_m} = {rabi_frequency(top_n, top_m, eff)} "
                          f"at G_e = {eff.G_e}, G_f = {eff.G_f}")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(omega > 0.0, 0.5 * delta / np.where(omega > 0.0, omega, 1.0), 0.0)
+    ratio = 0.5 * delta / np.where(omega > 0.0, omega, np.inf)  # Omega is 0 where D = 0 or D^2 / 4 underflows
     alpha = np.cos(omega * tau) + 1j * ratio * np.sin(omega * tau)
-    alpha = np.where(omega == 0.0, 1.0 + 0.0j, alpha)
     alpha = np.where((n == 0) & (m == 0), np.exp(0.5j * delta * tau), alpha)
     return np.exp(-0.5j * delta * tau) * alpha
 
@@ -405,7 +403,9 @@ def coupling_ratio_fidelity(xi, approximate: bool = False):
     (1, 1) pair (G_e = 1, G_f = xi, no detuning), F is ``_fidelity_and_norm``
     of the blocks' amplitudes ``_return_amplitudes``.  The approximate
     branch linearizes a01 and a10 around xi = 1 and holds a11 = 1.  A float
-    xi gives a float; an array gives F at each of its entries in one evaluation.
+    xi gives a float; an array gives F at each of its entries in one
+    evaluation.  Raises ValueError, naming the first xi whose Omega_11
+    overflows, if any does.
     """
     ratio = np.asarray(xi, dtype=float)
     if not np.all((ratio > 0) & np.isfinite(ratio)):  # NaN fails too
@@ -416,7 +416,11 @@ def coupling_ratio_fidelity(xi, approximate: bool = False):
         amps = (c - s * (ratio - 1.0), c + s * (ratio - 1.0), 1.0)
     else:
         eff = EffectiveParams(G_e=1.0, G_f=ratio)
+        omega = rabi_frequency(1, 1, eff)  # the largest of the three blocks' Omega
+        if np.isinf(omega).any():
+            first = ratio.flat[np.argmax(np.isinf(omega))]
+            raise ValueError(f"Omega_11 = sqrt(1 + xi^2) overflows at coupling ratio xi = {first:g}")
         n, m = np.array([[0, 1, 1], [1, 0, 1]]).reshape((2, 3) + (1,) * ratio.ndim)
-        amps = _return_amplitudes(n, m, eff, 2.0 * math.pi / rabi_frequency(1, 1, eff))
+        amps = _return_amplitudes(n, m, eff, 2.0 * math.pi / omega)
     fid = _fidelity_and_norm(*amps)[0]
     return float(fid) if ratio.ndim == 0 else fid

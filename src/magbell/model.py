@@ -504,12 +504,19 @@ def sw_reduction_check(params: ModelParams | SingleModeParams) -> float:
     capped operator table is exact on the blocks <= 2 (see ``_capped_ops``).
     The residual is formed as [exp(S) - 1, H] exp(-S) + (H - H_closed), so
     no product of O(1) matrices is cancelled against the closed form.
+    Raises ValueError if the closed form is not finite, as when a Lamb shift
+    g^2 / Delta, or a sum of them, is past the float range.
     """
     rows, ops = _capped_ops(params, 3)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below, not warned
+        closed = _sw_effective_matrix(params, ops)
+    if not np.isfinite(closed).all():
+        raise ValueError(f"the closed-form Hamiltonian is not finite: its largest Lamb shift "
+                         f"g^2 / Delta is {max(abs(chi) for chi in lamb_shifts(params)):.3g}")
     w = propagator_matrix(1j * _generator_matrix(params, ops), 1.0, minus_identity=True)
     full = _full_matrix(params, ops)
     u_inv = w.conj().T + np.eye(len(w))
-    residual = (w @ full - full @ w) @ u_inv + (full - _sw_effective_matrix(params, ops))
+    residual = (w @ full - full @ w) @ u_inv + (full - closed)
     low = _excitation(rows) <= 2
     return float(np.abs(residual[np.ix_(low, low)]).max())
 

@@ -462,6 +462,23 @@ class TestMalformedInputExits2:
         assert err["error"] == "ConfigError" and "seed" in err["message"]
         assert captured.out == ""
 
+    def test_overflowing_coupling_ratio_names_the_closed_form(self, tmp_path, capsys):
+        # g^2 / Delta is inf: one record naming it, with no RuntimeWarning on the way
+        path = write_config(tmp_path, {"scenario": "validate-dispersive",
+                                       "params": {"coupling_ratio": 1e300}})
+        assert main(["run", "--config", path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("the closed-form Hamiltonian is not finite")
+        assert "Lamb shift" in err["message"]
+
+    def test_overflowing_xi_names_the_first_ratio_only(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"xi_max": 1e300}})
+        assert main(["run", "--config", path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and len(err["message"]) < 200
+        assert err["message"].endswith("overflows at coupling ratio xi = 1.25e+298")
+
     def test_json_flag_writes_the_emitted_document(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 3},
                                        "seed": 4})

@@ -384,6 +384,13 @@ class TestLindbladAction:
             blocks[b] = (blocks[b][0], blocks[b][1] * (1.0 + 1e-6))
             with pytest.raises(TraceDriftError, match="block"):
                 dynamics.LindbladChannel(JC_SPACE, tuple(blocks))
+            # one NaN entry in a row that carries the trace fails too, in the last block as well
+            idx, block = channel.blocks[b]
+            with_nan = block.copy()
+            with_nan[np.flatnonzero(idx % (dim + 1) == 0)[0], 0] = np.nan
+            last = channel.blocks[:b] + channel.blocks[b + 1:] + ((idx, with_nan),)
+            with pytest.raises(TraceDriftError, match="block"):
+                dynamics.LindbladChannel(JC_SPACE, last)
         dynamics.LindbladChannel(JC_SPACE, channel.blocks)  # the unscaled blocks pass
 
     def test_trace_guard_fires_on_impossible_tolerance(self, monkeypatch):

@@ -121,9 +121,11 @@ class TestKrausCoefficient:
 
 class TestAnalyticKraus:
     def test_decoupled_limit_is_identity(self):
-        eff = EffectiveParams(G_e=0.0, G_f=0.0)
-        v = analytic_kraus(magnon(3), eff, 17.0).matrix
-        assert np.abs(v - np.eye(9)).max() <= 1e-14
+        # no detuning: every Omega is 0; a detuning: every Omega is |Delta| / 2, or 0 once Delta^2 underflows
+        for delta in (0.0, -3e-3, 1e-200):
+            eff = detuned(EffectiveParams(G_e=0.0, G_f=0.0), delta)
+            v = analytic_kraus(magnon(3), eff, 17.0).matrix
+            assert np.abs(v - np.eye(9)).max() <= 1e-14
 
     def test_diagonal_magnitudes_bounded(self, resonant_eff):
         v = analytic_kraus(magnon(5), detuned(resonant_eff, 2e-3), 500.0).matrix
