@@ -59,24 +59,31 @@ def rabi_frequency(n: int | np.ndarray, m: int | np.ndarray,
                    eff: EffectiveParams) -> float | np.ndarray:
     """Oscillation frequency of the (n, m) block: sqrt(Ge^2 n + Gf^2 m + D^2/4).
 
-    n and m are occupation numbers or arrays of them; the result broadcasts.
-    Squares are products: past the float range one is inf (not OverflowError),
-    with no warning, for the caller to reject.
+    n, m and the couplings are numbers or arrays; the result broadcasts.
+    Raises ValueError, naming the first infinite entry in C order by its
+    occupations and couplings, if any entry is infinite, as when a coupling's
+    square times n overflows (a NaN coupling gives NaN, for the caller).
     """
     if np.any(np.asarray(n) < 0) or np.any(np.asarray(m) < 0):
         raise ValueError("occupation numbers must be nonnegative")
     delta = eff.common_detuning()
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt(eff.G_e * eff.G_e * n + eff.G_f * eff.G_f * m + 0.25 * delta * delta)
+        omega = np.sqrt(eff.G_e * eff.G_e * n + eff.G_f * eff.G_f * m + 0.25 * delta * delta)
+    if np.isinf(omega).any():
+        at = np.unravel_index(np.argmax(np.isinf(omega)), np.shape(omega))
+        n_at, m_at, g_e, g_f = (np.broadcast_to(x, np.shape(omega))[at] for x in (n, m, eff.G_e, eff.G_f))
+        raise ValueError(f"Omega_{n_at}{m_at} overflows at G_e = {g_e:g}, G_f = {g_f:g}, Delta = {delta:g}")
+    return omega
 
 
 def interval_for_target(N: int, eff: EffectiveParams) -> float:
     """Measurement interval 2 pi / Omega_NN that keeps |alpha_NN| = 1; ValueError if
-    Omega_NN is 0 or not finite, as when a coupling's square under- or overflows."""
+    Omega_NN is 0 or NaN, as when a coupling's square underflows, or infinite
+    (``rabi_frequency``)."""
     if N < 1:
         raise ValueError(f"target excitation must be >= 1, got {N}")
     omega = float(rabi_frequency(N, N, eff))
-    if not 0.0 < omega < math.inf:  # NaN fails too
+    if not omega > 0.0:  # NaN fails too
         raise ValueError(f"no measurement interval: Omega_{N}{N} = {omega} "
                          f"at G_e = {eff.G_e}, G_f = {eff.G_f}")
     return 2.0 * math.pi / omega
@@ -86,17 +93,12 @@ def _return_amplitudes(n, m, eff: EffectiveParams, tau: float) -> np.ndarray:
     """Ground-return amplitudes v_nm = exp(-i D tau / 2) alpha_nm(tau), D = eff.common_detuning().
 
     n and m are broadcast occupation arrays, the first mode coupling through
-    G_e and the second through G_f; v_00 = 1.  Raises ValueError, naming the
-    largest block, if any Omega_nm is infinite, as when a coupling's square
-    times n overflows (a NaN coupling is left to the null-outcome floor of
-    the round it empties).
+    G_e and the second through G_f; v_00 = 1.  Raises ValueError if any
+    Omega_nm is infinite (``rabi_frequency``); a NaN coupling is left to the
+    null-outcome floor of the round it empties.
     """
     delta = eff.common_detuning()
     omega = rabi_frequency(n, m, eff)
-    if np.isinf(omega).any():
-        top_n, top_m = int(np.max(n)), int(np.max(m))
-        raise ValueError(f"Omega_nm overflows: Omega_{top_n}{top_m} = {rabi_frequency(top_n, top_m, eff)} "
-                         f"at G_e = {eff.G_e}, G_f = {eff.G_f}")
     ratio = 0.5 * delta / np.where(omega > 0.0, omega, np.inf)  # Omega is 0 where D = 0 or D^2 / 4 underflows
     alpha = np.cos(omega * tau) + 1j * ratio * np.sin(omega * tau)
     alpha = np.where((n == 0) & (m == 0), np.exp(0.5j * delta * tau), alpha)
@@ -405,7 +407,7 @@ def coupling_ratio_fidelity(xi, approximate: bool = False):
     branch linearizes a01 and a10 around xi = 1 and holds a11 = 1.  A float
     xi gives a float; an array gives F at each of its entries in one
     evaluation.  Raises ValueError, naming the first xi whose Omega_11
-    overflows, if any does.
+    overflows (``rabi_frequency``), if any does.
     """
     ratio = np.asarray(xi, dtype=float)
     if not np.all((ratio > 0) & np.isfinite(ratio)):  # NaN fails too
@@ -416,11 +418,7 @@ def coupling_ratio_fidelity(xi, approximate: bool = False):
         amps = (c - s * (ratio - 1.0), c + s * (ratio - 1.0), 1.0)
     else:
         eff = EffectiveParams(G_e=1.0, G_f=ratio)
-        omega = rabi_frequency(1, 1, eff)  # the largest of the three blocks' Omega
-        if np.isinf(omega).any():
-            first = ratio.flat[np.argmax(np.isinf(omega))]
-            raise ValueError(f"Omega_11 = sqrt(1 + xi^2) overflows at coupling ratio xi = {first:g}")
         n, m = np.array([[0, 1, 1], [1, 0, 1]]).reshape((2, 3) + (1,) * ratio.ndim)
-        amps = _return_amplitudes(n, m, eff, 2.0 * math.pi / omega)
+        amps = _return_amplitudes(n, m, eff, 2.0 * math.pi / rabi_frequency(1, 1, eff))
     fid = _fidelity_and_norm(*amps)[0]
     return float(fid) if ratio.ndim == 0 else fid

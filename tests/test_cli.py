@@ -361,24 +361,25 @@ class TestMainEntry:
         assert main(["run", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
-    @pytest.mark.parametrize("scenario, params", [
-        ("bell-distill", {"G_e": 1.0e-320, "G_f": 1.0e-320}),
-        ("single-shot", {"G": 1.0e-320}),
-        ("decohere-prepare", {"G_e": 1.0e+300}),
+    @pytest.mark.parametrize("scenario, params, message", [
+        ("bell-distill", {"G_e": 1.0e-320, "G_f": 1.0e-320}, "no measurement interval"),
+        ("single-shot", {"G": 1.0e-320}, "no measurement interval"),
+        ("decohere-prepare", {"G_e": 1.0e+300}, "Omega_11 overflows at G_e = 1e+300"),
     ], ids=["bell-distill-underflow", "single-shot-underflow", "decohere-prepare-overflow"])
-    def test_coupling_square_out_of_float_range_exits_2(self, tmp_path, capsys, scenario, params):
+    def test_coupling_square_out_of_float_range_exits_2(self, tmp_path, capsys, scenario, params, message):
         path = write_config(tmp_path, {"scenario": scenario, "params": params})
         assert main(["run", "--config", path]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and "no measurement interval" in err["message"]
+        assert err["error"] == "ValueError" and message in err["message"]
 
     def test_largest_block_frequency_overflow_exits_2(self, tmp_path, capsys):
-        # Omega_11 is finite, so an interval exists, but G^2 n overflows in the top blocks
+        # Omega_11 is finite, so an interval exists, but G^2 (n + m) overflows from n + m = 3 on;
+        # the first such block in C order is (0, 3)
         params = {"G_e": 9.0e+153, "G_f": 9.0e+153, "cutoff": 10}
         path = write_config(tmp_path, {"scenario": "coherent-distill", "params": params})
         assert main(["run", "--config", path]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and "Omega_99 = inf" in err["message"]
+        assert err["error"] == "ValueError" and err["message"].startswith("Omega_03 overflows")
 
     def test_seed_override_recorded(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 3}})
@@ -477,7 +478,7 @@ class TestMalformedInputExits2:
         assert main(["run", "--config", path]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and len(err["message"]) < 200
-        assert err["message"].endswith("overflows at coupling ratio xi = 1.25e+298")
+        assert err["message"].startswith("Omega_11 overflows at G_e = 1, G_f = 1.25e+298,")
 
     def test_json_flag_writes_the_emitted_document(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 3},

@@ -218,10 +218,12 @@ class TestIntervalForTarget:
         tau4 = interval_for_target(4, resonant_eff)
         assert tau4 == pytest.approx(tau1 / 2.0, rel=1e-12)
 
-    @pytest.mark.parametrize("g", [1e-320, 1e300])
-    def test_coupling_square_out_of_float_range_rejected(self, g):
+    @pytest.mark.parametrize("g, message", [
+        (1e-320, "no measurement interval"), (1e300, "Omega_11 overflows at G_e = 1e\\+300"),
+    ], ids=["1e-320", "1e+300"])
+    def test_coupling_square_out_of_float_range_rejected(self, g, message):
         # Omega_11 underflows to 0 or overflows to inf: there is no interval
-        with pytest.raises(ValueError, match="no measurement interval"):
+        with pytest.raises(ValueError, match=message):
             interval_for_target(1, EffectiveParams(G_e=g, G_f=g))
 
 
