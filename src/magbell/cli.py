@@ -156,6 +156,13 @@ def _protocol_schema(G: float, rounds: int, cutoff: int, G_f: float | None = Non
 _LOSS_RATES = {"gamma_n": (_nonneg(_number), 1e-4), "gamma_m": (_nonneg(_number), 1e-4)}
 _COHERENT_G_F = COHERENT_COUPLING_RATIO * 1e-3
 _TOP_LEVEL_KEYS = ("scenario", "params", "seed")
+# The most memory one config may ask a run for, in bytes, and the cost of one
+# result row with its per-round (or per-slice) records: tracemalloc peaks of
+# 310-880 bytes per row for bell-distill, stabilize and single-shot at 2e4-1e5
+# rows, CSV or JSON.  The largest shipped or benchmarked size, 2000 rounds,
+# stays over 1000 times under the budget.
+_WORK_BUDGET_BYTES = 2**31
+_ROW_BYTES = 1024
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -208,7 +215,27 @@ def _resolve_params(scenario: str, given: dict) -> dict:
             raise ConfigError(f"invalid value for {scenario}/{key}: {exc}") from exc
     if scenario == "coupling-ratio" and resolved["xi_max"] <= resolved["xi_min"]:
         raise ConfigError("xi_max must exceed xi_min")
+    for keys, size in _work_bytes(resolved):
+        if size > _WORK_BUDGET_BYTES:
+            raise ConfigError(f"{scenario}/{keys}: the run would hold {size} bytes, "
+                              f"over the work budget of {_WORK_BUDGET_BYTES} bytes")
     return resolved
+
+
+def _work_bytes(p: dict) -> list[tuple[str, int]]:
+    """(keys, bytes) of each array whose size the params set, before any is allocated.
+
+    Protocol runs hold rounds + 1 rows and records; single-shot slices + 1
+    rows, the pulse basis table (slices x 2 n_omega floats) and the search's
+    inverse Hessian ((2 n_omega)^2 floats).
+    """
+    if "rounds" in p:
+        return [("rounds", (p["rounds"] + 1) * _ROW_BYTES)]
+    if "slices" in p:
+        dim = 2 * p["n_omega"]
+        return [("slices", (p["slices"] + 1) * _ROW_BYTES), ("slices, n_omega", 8 * p["slices"] * dim),
+                ("n_omega", 8 * dim * dim)]
+    return []
 
 
 def _protocol_config(p: dict, interval_mode: str = "full") -> ProtocolConfig:

@@ -59,16 +59,18 @@ def rabi_frequency(n: int | np.ndarray, m: int | np.ndarray,
                    eff: EffectiveParams) -> float | np.ndarray:
     """Oscillation frequency of the (n, m) block: sqrt(Ge^2 n + Gf^2 m + D^2/4).
 
-    n, m and the couplings are numbers or arrays; the result broadcasts.
-    Raises ValueError, naming the first infinite entry in C order by its
-    occupations and couplings, if any entry is infinite, as when a coupling's
-    square times n overflows (a NaN coupling gives NaN, for the caller).
+    n, m and the couplings are numbers or arrays; the result broadcasts, and
+    an empty mode (occupation 0) adds nothing.  Raises ValueError if any
+    entry is infinite, as when a coupling's square times n overflows, naming
+    the first such entry in C order by its occupations, couplings and
+    detuning.  A NaN coupling of an occupied mode gives NaN, for the caller.
     """
     if np.any(np.asarray(n) < 0) or np.any(np.asarray(m) < 0):
         raise ValueError("occupation numbers must be nonnegative")
     delta = eff.common_detuning()
-    with np.errstate(over="ignore", invalid="ignore"):
-        omega = np.sqrt(eff.G_e * eff.G_e * n + eff.G_f * eff.G_f * m + 0.25 * delta * delta)
+    with np.errstate(over="ignore", invalid="ignore"):  # an empty mode adds 0, not inf * 0 = NaN
+        omega = np.sqrt(np.where(n > 0, eff.G_e * eff.G_e * n, 0.0) + np.where(m > 0, eff.G_f * eff.G_f * m, 0.0)
+                        + 0.25 * delta * delta)
     if np.isinf(omega).any():
         at = np.unravel_index(np.argmax(np.isinf(omega)), np.shape(omega))
         n_at, m_at, g_e, g_f = (np.broadcast_to(x, np.shape(omega))[at] for x in (n, m, eff.G_e, eff.G_f))
@@ -407,7 +409,8 @@ def coupling_ratio_fidelity(xi, approximate: bool = False):
     branch linearizes a01 and a10 around xi = 1 and holds a11 = 1.  A float
     xi gives a float; an array gives F at each of its entries in one
     evaluation.  Raises ValueError, naming the first xi whose Omega_11
-    overflows (``rabi_frequency``), if any does.
+    (``rabi_frequency``) or, in the approximate branch, whose norm
+    overflows, if any does.
     """
     ratio = np.asarray(xi, dtype=float)
     if not np.all((ratio > 0) & np.isfinite(ratio)):  # NaN fails too
@@ -415,10 +418,14 @@ def coupling_ratio_fidelity(xi, approximate: bool = False):
     if approximate:
         c = math.cos(math.sqrt(2.0) * math.pi)
         s = (math.pi / math.sqrt(2.0)) * math.sin(math.sqrt(2.0) * math.pi)
-        amps = (c - s * (ratio - 1.0), c + s * (ratio - 1.0), 1.0)
+        with np.errstate(over="ignore"):  # the norm, ~9.2 xi^2, leaves the float range past xi ~ 4.4e153
+            fid, norm = _fidelity_and_norm(c - s * (ratio - 1.0), c + s * (ratio - 1.0), 1.0)
+        if not np.isfinite(norm).all():
+            first = ratio.flat[np.argmin(np.isfinite(norm))]
+            raise ValueError(f"the linearized norm 2 + |a01|^2 + |a10|^2 overflows at coupling ratio "
+                             f"xi = {first:g}")
     else:
         eff = EffectiveParams(G_e=1.0, G_f=ratio)
         n, m = np.array([[0, 1, 1], [1, 0, 1]]).reshape((2, 3) + (1,) * ratio.ndim)
-        amps = _return_amplitudes(n, m, eff, 2.0 * math.pi / rabi_frequency(1, 1, eff))
-    fid = _fidelity_and_norm(*amps)[0]
+        fid = _fidelity_and_norm(*_return_amplitudes(n, m, eff, 2.0 * math.pi / rabi_frequency(1, 1, eff)))[0]
     return float(fid) if ratio.ndim == 0 else fid

@@ -1,9 +1,12 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from magbell import cli
 from magbell.cli import (
@@ -23,7 +26,12 @@ from magbell.measurement import NullOutcomeError, TargetOverlapError
 from magbell.model import COHERENT_COUPLING_RATIO, ZeroDetuningError
 from magbell.optimize import ObjectiveError
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
+
+# param values that are out of range, out of type or past the float range
+FUZZ_VALUES = (st.sampled_from([0, 1, 1e300, -1e300, 1e-300, -1e-300, True, False, "8", None, [1, 2]])
+               | st.integers(min_value=2**53, max_value=10**400) | st.integers(min_value=-10**400, max_value=-2**53))
 
 
 def write_config(tmp_path, doc, name="cfg.yaml"):
@@ -479,6 +487,69 @@ class TestMalformedInputExits2:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and len(err["message"]) < 200
         assert err["message"].startswith("Omega_11 overflows at G_e = 1, G_f = 1.25e+298,")
+
+    def test_overflowing_linearized_norm_names_the_first_ratio(self, tmp_path, capsys):
+        # Omega_11 stays finite up to xi ~ 1.3e154, but the approximate branch's norm,
+        # ~9.2 xi^2, overflows past xi ~ 4.4e153: the 37th of 81 points, 0.8 + 36 * 1.25e152
+        path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"xi_max": 1e154}})
+        assert main(["run", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and len(err["message"]) < 200
+        assert err["message"].endswith("overflows at coupling ratio xi = 4.5e+153")
+
+    @pytest.mark.parametrize("scenario, params, keys", [
+        ("bell-distill", {"rounds": 100_000_000}, "rounds"),
+        ("stabilize", {"rounds": 10**30}, "rounds"),
+        ("single-shot", {"slices": 10**10}, "slices"),
+        ("single-shot", {"slices": 2**20, "n_omega": 2000}, "slices, n_omega"),
+        ("single-shot", {"n_omega": 100_000}, "n_omega"),
+    ], ids=["rounds", "stabilize-rounds", "slices", "basis-table", "n_omega"])
+    def test_over_budget_sizes_are_config_errors(self, tmp_path, capsys, scenario, params, keys):
+        # validate only: a run would try the allocation
+        path = write_config(tmp_path, {"scenario": scenario, "params": params})
+        assert main(["validate", "--config", path]) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and captured.out == ""
+        size = dict(cli._work_bytes(config_from_mapping({"scenario": scenario}).params | params))[keys]
+        assert size > cli._WORK_BUDGET_BYTES
+        assert err["message"].startswith(f"{scenario}/{keys}: the run would hold {size} bytes")
+
+    def test_shipped_and_benchmark_sizes_stay_far_under_budget(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up here
+        spec.loader.exec_module(workloads)
+        params = [load_config(str(path)).params for path in sorted(CONFIG_DIR.glob("*.yaml"))]
+        for workload in workloads.WORKLOADS:
+            for seed in range(10):
+                for item in workloads.generate(workload, seed):
+                    if "mapping" in item:
+                        params.append(config_from_mapping(item["mapping"]).params)
+                    elif item["kind"] == "mixed":
+                        params.append({"rounds": item["rounds"]})
+                    else:
+                        params.append(load_config(str(ROOT / item["config_file"])).params | item["params"])
+        largest = max(size for p in params for _, size in cli._work_bytes(p))
+        assert 1000 * largest <= cli._WORK_BUDGET_BYTES
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), scenario=st.sampled_from(sorted(cli.SCENARIOS)))
+    def test_schema_fuzz_exits_0_or_2_with_one_record(self, tmp_path, capsys, data, scenario):
+        schema = cli.SCENARIOS[scenario][0]
+        params = data.draw(st.dictionaries(st.sampled_from(sorted(schema)), FUZZ_VALUES))
+        path = write_config(tmp_path, {"scenario": scenario, "params": params})
+        code = main(["validate", "--config", path])
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 2:
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
+            assert set(json.loads(captured.err)) == {"error", "message"}
+        else:
+            resolved = json.loads(captured.out)["params"]
+            assert all(size <= cli._WORK_BUDGET_BYTES for _, size in cli._work_bytes(resolved))
 
     def test_json_flag_writes_the_emitted_document(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 3},

@@ -70,6 +70,31 @@ class TestRabiFrequency:
         assert rabi_frequency(1, 1, eff) == pytest.approx(math.sqrt(2) * 2e-3)
         assert rabi_frequency(3, 3, eff) == pytest.approx(math.sqrt(6) * 2e-3)
 
+    @settings(max_examples=300, deadline=None)
+    @given(g_e=st.floats(1e-320, 1e300, allow_subnormal=True), g_f=st.floats(1e-320, 1e300, allow_subnormal=True),
+           n=st.integers(0, 12), m=st.integers(0, 12), delta=st.sampled_from([0.0, 1e-3, -1e-3]),
+           tau=st.floats(0.0, 1e6), xi=st.floats(1e-320, 1e300, allow_subnormal=True))
+    def test_closed_forms_are_finite_or_value_errors(self, g_e, g_f, n, m, delta, tau, xi):
+        # every closed-form entry point returns finite values or raises ValueError; a
+        # RuntimeWarning on the way fails the test (tier-1 runs with warnings as errors)
+        eff = EffectiveParams(G_e=g_e, G_f=g_f, Delta_e_tilde=delta, Delta_f_tilde=delta)
+        calls = [lambda: rabi_frequency(n, m, eff), lambda: interval_for_target(max(n, 1), eff),
+                 lambda: analytic_kraus(magnon(max(n, m, 1) + 1), eff, tau).matrix,
+                 lambda: coupling_ratio_fidelity(xi), lambda: coupling_ratio_fidelity(xi, approximate=True)]
+        for call in calls:
+            try:
+                value = call()
+            except ValueError:
+                continue
+            assert np.all(np.isfinite(value))
+
+    def test_empty_mode_ignores_its_coupling(self):
+        # Omega_01 = sqrt(G_f^2 + D^2 / 4) whatever G_e is, even past the float range of G_e^2
+        eff = EffectiveParams(G_e=1e300, G_f=1.0)
+        assert rabi_frequency(0, 1, eff) == 1.0
+        with pytest.raises(ValueError, match="Omega_10 overflows at G_e = 1e\\+300, G_f = 1, Delta = 0"):
+            rabi_frequency(np.array([0, 1]), np.array([1, 0]), eff)
+
 
 class TestKrausCoefficient:
     @settings(max_examples=200, deadline=None)
