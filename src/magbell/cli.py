@@ -61,7 +61,7 @@ from .model import (
     effective_couplings,
     sw_reduction_check,
 )
-from .optimize import ObjectiveError, OptimizerConfig, optimize_single_shot
+from .optimize import DEFAULT_SLICES, ObjectiveError, OptimizerConfig, optimize_single_shot
 
 _HEADER_TAG = "magbell-result/1"
 
@@ -157,10 +157,10 @@ _LOSS_RATES = {"gamma_n": (_nonneg(_number), 1e-4), "gamma_m": (_nonneg(_number)
 _COHERENT_G_F = COHERENT_COUPLING_RATIO * 1e-3
 _TOP_LEVEL_KEYS = ("scenario", "params", "seed")
 # The most memory one config may ask a run for, in bytes, and the cost of one
-# result row with its per-round (or per-slice) records: tracemalloc peaks of
-# 310-880 bytes per row for bell-distill, stabilize and single-shot at 2e4-1e5
-# rows, CSV or JSON.  The largest shipped or benchmarked size, 2000 rounds,
-# stays over 1000 times under the budget.
+# result row with its per-round records: tracemalloc peaks of 310-880 bytes
+# per row for bell-distill, stabilize and single-shot at 2e4-1e5 rows, CSV or
+# JSON.  The largest shipped or benchmarked size, 2000 rounds, stays over 1000
+# times under the budget.
 _WORK_BUDGET_BYTES = 2**31
 _ROW_BYTES = 1024
 
@@ -225,16 +225,15 @@ def _resolve_params(scenario: str, given: dict) -> dict:
 def _work_bytes(p: dict) -> list[tuple[str, int]]:
     """(keys, bytes) of each array whose size the params set, before any is allocated.
 
-    Protocol runs hold rounds + 1 rows and records; single-shot slices + 1
-    rows, the pulse basis table (slices x 2 n_omega floats) and the search's
-    inverse Hessian ((2 n_omega)^2 floats).
+    Protocol runs hold rounds + 1 rows and records.  A single-shot search
+    runs at DEFAULT_SLICES: it holds the pulse basis table (DEFAULT_SLICES x
+    2 n_omega floats) and its inverse Hessian ((2 n_omega)^2 floats).
     """
     if "rounds" in p:
         return [("rounds", (p["rounds"] + 1) * _ROW_BYTES)]
-    if "slices" in p:
+    if "n_omega" in p:
         dim = 2 * p["n_omega"]
-        return [("slices", (p["slices"] + 1) * _ROW_BYTES), ("slices, n_omega", 8 * p["slices"] * dim),
-                ("n_omega", 8 * dim * dim)]
+        return [("n_omega", 8 * dim * (DEFAULT_SLICES + dim))]
     return []
 
 
@@ -298,9 +297,8 @@ def _run_stabilize(p: dict, seed: int):
 
 def _run_single_shot(p: dict, seed: int):
     eff = EffectiveParams(G_e=p["G"], G_f=p["G"])
-    cfg = OptimizerConfig(n_omega=p["n_omega"], spread_tol=p["spread_tol"],
-                          max_iter=p["max_iter"], restarts=p["restarts"], seed=seed)
-    result = optimize_single_shot(eff, cfg, slices=p["slices"])
+    cfg = OptimizerConfig(n_omega=p["n_omega"], restarts=p["restarts"], seed=seed)
+    result = optimize_single_shot(eff, cfg)
     columns = {"slice": np.arange(len(result.times), dtype=float), "time": result.times,
                "fidelity": result.fidelity_trace}
     results = {
@@ -388,9 +386,6 @@ SCENARIOS = {
         "G": (_positive(_number), 1e-3),
         "n_omega": (_nonneg(_integer), 4),
         "restarts": (_positive(_integer), 8),
-        "max_iter": (_positive(_integer), 4000),
-        "spread_tol": (_positive(_number), 1e-10),
-        "slices": (_positive(_integer), 512),
     }, _run_single_shot),
     "coupling-ratio": ({
         "xi_min": (_positive(_number), 0.8),

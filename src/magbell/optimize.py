@@ -38,6 +38,8 @@ the adjoint contraction sums in the same order.
 A restart ends when f = -F has fallen by at most STALL_ULPS ulps of |f| for
 STALL_ITERATIONS iterations in a row: near F = 1 the objective is flat to
 round-off, and a gradient tolerance would keep converged restarts iterating.
+It also ends after MAX_CALLS objective calls, or when its line search would
+step shorter than SPREAD_TOL.  No config sets these rules.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ SINGLE_SHOT_CUTOFF = 3
 STALL_ULPS = 4  # a decrease of f by at most this many ulps of |f| is no progress
 STALL_ITERATIONS = 3  # iterations in a row without progress that end a restart
 ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
+MAX_CALLS = 4000  # objective calls (value and gradient) per restart
+SPREAD_TOL = 1e-10  # shortest line-search step, in units of the restart box (largest coordinate)
 
 
 class ObjectiveError(RuntimeError):
@@ -70,26 +74,19 @@ class ObjectiveError(RuntimeError):
 class OptimizerConfig:
     """Search settings; n_omega = 0 evaluates the constant pulse only.
 
-    restarts: BFGS runs, restart r from a uniform draw seeded seed + r.
-    max_iter: cap on the objective calls (value and gradient) per restart.
-    spread_tol: shortest step, in units of the restart box (largest
-    coordinate), that the line search tries; a restart whose backtracking
-    reaches it without a sufficient decrease ends.
+    restarts: BFGS runs, restart r from a uniform draw seeded seed + r, each
+    ending by the module's stopping rules (MAX_CALLS, SPREAD_TOL, STALL_*).
     """
 
     n_omega: int
-    spread_tol: float = 1e-10
-    max_iter: int = 4000
     restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("n_omega", 0), ("restarts", 1), ("max_iter", 1), ("seed", 0)):
+        for name, least in (("n_omega", 0), ("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not (self.spread_tol > 0 and math.isfinite(self.spread_tol)):  # NaN fails too
-            raise ValueError(f"spread_tol must be positive and finite, got {self.spread_tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +99,6 @@ class OptimizationResult:
     times: np.ndarray
     fidelity_trace: np.ndarray
     iterations: int
-    seed: int
     baseline_fidelity: float
 
     def __post_init__(self):
@@ -110,12 +106,12 @@ class OptimizationResult:
             raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
 
 
-def nelder_mead(objective, x0, cfg: OptimizerConfig, initial_simplex=None):
+def nelder_mead(objective, x0, initial_simplex=None):
     """Minimize with the standard simplex moves.
 
     Reflection 1.0, expansion 2.0, contraction 0.5, shrink 0.5.  Terminates
     when both the function spread and the vertex spread fall below
-    cfg.spread_tol, or at the iteration cap.  Deterministic for a given
+    SPREAD_TOL, or after MAX_CALLS iterations.  Deterministic for a given
     starting point and simplex.  Returns (x_best, f_best).  The pulse search
     no longer calls it (it runs ``bfgs`` on the exact gradient); perfbench's
     tracer still wraps it by name.
@@ -136,12 +132,12 @@ def nelder_mead(objective, x0, cfg: OptimizerConfig, initial_simplex=None):
             raise ValueError(f"initial simplex shape {sim.shape} != {(n + 1, n)}")
     fvals = np.array([_checked(objective, x) for x in sim])
 
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_CALLS):
         order = np.argsort(fvals, kind="stable")
         sim, fvals = sim[order], fvals[order]
         f_spread = fvals[-1] - fvals[0]
         x_spread = np.abs(sim[1:] - sim[0]).max()
-        if f_spread < cfg.spread_tol and x_spread < cfg.spread_tol:
+        if f_spread < SPREAD_TOL and x_spread < SPREAD_TOL:
             break
         centroid = sim[:-1].mean(axis=0)
         xr = centroid + 1.0 * (centroid - sim[-1])
@@ -179,23 +175,23 @@ def _checked(objective, x):
     return out
 
 
-def bfgs(fun, x0, cfg: OptimizerConfig):
+def bfgs(fun, x0):
     """Minimize fun: x -> (value, gradient) by BFGS with Armijo backtracking.
 
     The inverse-Hessian estimate starts as the identity, rescaled by the
     first accepted step's curvature; an update whose step and gradient
     change have no positive overlap is skipped.  Stops when f has fallen by
     at most STALL_ULPS ulps of |f| for STALL_ITERATIONS iterations in a row,
-    when backtracking would shorten the step below cfg.spread_tol (largest
+    when backtracking would shorten the step below SPREAD_TOL (largest
     coordinate) without an Armijo decrease, or when the calls to fun reach
-    cfg.max_iter.  Deterministic.  Returns (x_best, f_best, calls).
+    MAX_CALLS.  Deterministic.  Returns (x_best, f_best, calls).
     """
     x = np.asarray(x0, dtype=float)
     f, grad = _checked(fun, x)
     calls, stalled = 1, 0
     hinv = np.eye(x.size)
     scaled = False
-    while calls < cfg.max_iter and stalled < STALL_ITERATIONS:
+    while calls < MAX_CALLS and stalled < STALL_ITERATIONS:
         direction = -hinv @ grad
         slope = grad @ direction
         if not slope < 0:  # a zero gradient: no descent direction left
@@ -207,7 +203,7 @@ def bfgs(fun, x0, cfg: OptimizerConfig):
             if f_new <= f + ARMIJO * step * slope:
                 break
             step *= 0.5
-            if calls >= cfg.max_iter or step * np.abs(direction).max() < cfg.spread_tol:
+            if calls >= MAX_CALLS or step * np.abs(direction).max() < SPREAD_TOL:
                 return x, f, calls
         s, y = step * direction, grad_new - grad
         sy = s @ y
@@ -421,7 +417,7 @@ def optimize_single_shot(
 
         for restart in range(cfg.restarts):
             rng = np.random.default_rng(cfg.seed + restart)
-            y, f, calls = bfgs(scaled, rng.uniform(-scale, scale, size=dim) / scale, cfg)
+            y, f, calls = bfgs(scaled, rng.uniform(-scale, scale, size=dim) / scale)
             if f < best_f:  # strict: ties keep the lowest restart seed
                 best_x, best_f, best_calls = scale * y, f, calls
 
@@ -434,6 +430,5 @@ def optimize_single_shot(
         times=times,
         fidelity_trace=trace,
         iterations=best_calls,
-        seed=cfg.seed,
         baseline_fidelity=float(np.clip(-f_zero, 0.0, 1.0)),
     )

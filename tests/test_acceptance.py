@@ -243,12 +243,14 @@ def test_c07_runtime_budget(nbell_records):
 
 # --- criterion 8 -----------------------------------------------------------
 
-def test_c08_single_shot_optimization():
+def test_c08_single_shot_optimization(monkeypatch):
+    from magbell import optimize
     from magbell.optimize import evaluate_single_shot
 
     eff = EffectiveParams(G_e=1e-3, G_f=1e-3)
-    cfg = OptimizerConfig(n_omega=4, restarts=8, seed=0, max_iter=2000, spread_tol=1e-10)
-    result = optimize_single_shot(eff, cfg)
+    monkeypatch.setattr(optimize, "MAX_CALLS", 2000)
+    monkeypatch.setattr(optimize, "SPREAD_TOL", 1e-10)
+    result = optimize_single_shot(eff, OptimizerConfig(n_omega=4, restarts=8, seed=0))
     flat_baseline = 2.0 / (2.0 + 2.0 * math.cos(math.sqrt(2.0) * math.pi) ** 2)
     refid, _, _ = evaluate_single_shot(result.pulse, 1024)  # guard vs slicing overfit
     ok = (result.fidelity >= 0.99 and result.fidelity > flat_baseline

@@ -51,8 +51,8 @@ class TestCrabDetuning:
 
 class TestOptimizerConfig:
     @pytest.mark.parametrize("field, bad", [
-        ("n_omega", 1.5), ("n_omega", -1), ("restarts", 2.5), ("restarts", 0), ("max_iter", 10.0),
-        ("max_iter", 0), ("seed", 1.5), ("seed", -1), ("seed", "0"),
+        ("n_omega", 1.5), ("n_omega", -1), ("restarts", 2.5), ("restarts", 0), ("seed", 1.5),
+        ("seed", -1), ("seed", "0"),
     ])
     def test_non_integer_or_out_of_range_count_rejected(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -60,46 +60,42 @@ class TestOptimizerConfig:
 
 
 class TestNelderMead:
-    def test_convex_quadratic(self):
-        cfg = OptimizerConfig(n_omega=1, spread_tol=1e-14, max_iter=2000)
-        x, f = nelder_mead(lambda v: float(v @ v), np.array([1.0, 1.0]), cfg)
+    def test_convex_quadratic(self, monkeypatch):
+        monkeypatch.setattr(optimize, "SPREAD_TOL", 1e-14)
+        monkeypatch.setattr(optimize, "MAX_CALLS", 2000)
+        x, f = nelder_mead(lambda v: float(v @ v), np.array([1.0, 1.0]))
         assert np.abs(x).max() < 1e-6
         assert f < 1e-12
 
-    def test_rosenbrock(self):
+    def test_rosenbrock(self, monkeypatch):
         def rosen(v):
             return float(100.0 * (v[1] - v[0] ** 2) ** 2 + (1 - v[0]) ** 2)
 
-        cfg = OptimizerConfig(n_omega=1, spread_tol=1e-14, max_iter=4000)
-        x, f = nelder_mead(rosen, np.array([-1.2, 1.0]), cfg)
+        monkeypatch.setattr(optimize, "SPREAD_TOL", 1e-14)
+        monkeypatch.setattr(optimize, "MAX_CALLS", 4000)
+        x, f = nelder_mead(rosen, np.array([-1.2, 1.0]))
         assert f <= 1e-6
         assert np.abs(x - 1.0).max() < 1e-2
 
-    def test_constant_objective_terminates(self):
-        cfg = OptimizerConfig(n_omega=1, spread_tol=1e-10, max_iter=50)
-        x, f = nelder_mead(lambda v: 3.5, np.array([0.2, -0.4]), cfg)
+    def test_constant_objective_terminates(self, monkeypatch):
+        monkeypatch.setattr(optimize, "SPREAD_TOL", 1e-10)
+        monkeypatch.setattr(optimize, "MAX_CALLS", 50)
+        x, f = nelder_mead(lambda v: 3.5, np.array([0.2, -0.4]))
         assert f == 3.5
 
-    def test_nan_spread_tol_rejected(self):
-        with pytest.raises(ValueError, match="spread_tol"):
-            OptimizerConfig(n_omega=0, spread_tol=math.nan)
-
-    def test_infinite_spread_tol_rejected(self):
-        with pytest.raises(ValueError, match="spread_tol"):
-            OptimizerConfig(n_omega=0, spread_tol=math.inf)
-
-    def test_non_finite_objective_aborts(self):
-        cfg = OptimizerConfig(n_omega=1, max_iter=10)
+    def test_non_finite_objective_aborts(self, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_CALLS", 10)
         with pytest.raises(ObjectiveError):
-            nelder_mead(lambda v: float("nan"), np.array([1.0]), cfg)
+            nelder_mead(lambda v: float("nan"), np.array([1.0]))
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         def bumpy(v):
             return float(math.sin(3 * v[0]) + v @ v)
 
-        cfg = OptimizerConfig(n_omega=1, spread_tol=1e-12, max_iter=500)
-        x1, f1 = nelder_mead(bumpy, np.array([0.7, -0.3]), cfg)
-        x2, f2 = nelder_mead(bumpy, np.array([0.7, -0.3]), cfg)
+        monkeypatch.setattr(optimize, "SPREAD_TOL", 1e-12)
+        monkeypatch.setattr(optimize, "MAX_CALLS", 500)
+        x1, f1 = nelder_mead(bumpy, np.array([0.7, -0.3]))
+        x2, f2 = nelder_mead(bumpy, np.array([0.7, -0.3]))
         assert np.array_equal(x1, x2) and f1 == f2
 
 
@@ -113,54 +109,52 @@ class TestBfgs:
     def test_convex_quadratic(self):
         weights = np.array([1.0, 10.0, 0.1])
         x, f, calls = bfgs(lambda v: (float(weights @ v**2), 2.0 * weights * v),
-                           np.array([1.0, -2.0, 3.0]), OptimizerConfig(n_omega=1))
+                           np.array([1.0, -2.0, 3.0]))
         assert np.abs(x).max() < 1e-6
         assert f < 1e-12
         assert calls < 100
 
     def test_rosenbrock(self):
-        x, f, _ = bfgs(_rosenbrock, np.array([-1.2, 1.0]), OptimizerConfig(n_omega=1))
+        x, f, _ = bfgs(_rosenbrock, np.array([-1.2, 1.0]))
         assert f <= 1e-12
         assert np.abs(x - 1.0).max() < 1e-5
 
-    def test_calls_capped_by_max_iter(self):
+    def test_calls_capped_by_max_iter(self, monkeypatch):
         for cap in (1, 2, 7, 30):
-            _, _, calls = bfgs(_rosenbrock, np.array([-1.2, 1.0]), OptimizerConfig(n_omega=1, max_iter=cap))
+            monkeypatch.setattr(optimize, "MAX_CALLS", cap)
+            _, _, calls = bfgs(_rosenbrock, np.array([-1.2, 1.0]))
             assert calls == cap
 
     @pytest.mark.parametrize("spread_tol, halvings", [(1e-3, 11), (1e-6, 21)])
-    def test_line_search_floor_is_spread_tol(self, spread_tol, halvings):
+    def test_line_search_floor_is_spread_tol(self, monkeypatch, spread_tol, halvings):
         # the gradient's sign is wrong, so no step along -gradient decreases f:
-        # backtracking halves the unit step until step * |direction| < spread_tol
-        x, f, calls = bfgs(lambda v: (float(v @ v), -2.0 * v), np.array([1.0]),
-                           OptimizerConfig(n_omega=1, spread_tol=spread_tol))
+        # backtracking halves the unit step until step * |direction| < SPREAD_TOL
+        monkeypatch.setattr(optimize, "SPREAD_TOL", spread_tol)
+        x, f, calls = bfgs(lambda v: (float(v @ v), -2.0 * v), np.array([1.0]))
         assert calls == 1 + halvings
         assert f == 1.0 and np.array_equal(x, [1.0])
 
     def test_stalled_decrease_ends_search(self):
         # f moves by far less than an ulp per step: every step is accepted and none is progress
-        x, f, calls = bfgs(lambda v: (1.0 + 1e-30 * v[0], np.array([1e-30])), np.array([0.0]),
-                           OptimizerConfig(n_omega=1))
+        x, f, calls = bfgs(lambda v: (1.0 + 1e-30 * v[0], np.array([1e-30])), np.array([0.0]))
         assert calls == 1 + optimize.STALL_ITERATIONS
         assert f == 1.0
 
     def test_zero_gradient_stops_at_once(self):
-        x, f, calls = bfgs(lambda v: (3.5, np.zeros(2)), np.array([0.2, -0.4]), OptimizerConfig(n_omega=1))
+        x, f, calls = bfgs(lambda v: (3.5, np.zeros(2)), np.array([0.2, -0.4]))
         assert f == 3.5 and calls == 1 and np.array_equal(x, [0.2, -0.4])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_gradient_aborts(self, bad):
         with pytest.raises(ObjectiveError, match="gradient"):
-            bfgs(lambda v: (float(v @ v), np.array([bad, 0.0])), np.array([1.0, 1.0]),
-                 OptimizerConfig(n_omega=1))
+            bfgs(lambda v: (float(v @ v), np.array([bad, 0.0])), np.array([1.0, 1.0]))
 
     def test_deterministic(self):
         def bumpy(v):
             return float(math.sin(3 * v[0]) + v @ v), np.array([3 * math.cos(3 * v[0]), 0.0]) + 2 * v
 
-        cfg = OptimizerConfig(n_omega=1)
-        x1, f1, c1 = bfgs(bumpy, np.array([0.7, -0.3]), cfg)
-        x2, f2, c2 = bfgs(bumpy, np.array([0.7, -0.3]), cfg)
+        x1, f1, c1 = bfgs(bumpy, np.array([0.7, -0.3]))
+        x2, f2, c2 = bfgs(bumpy, np.array([0.7, -0.3]))
         assert np.array_equal(x1, x2) and f1 == f2 and c1 == c2
 
 
@@ -307,14 +301,16 @@ class TestOptimizeSingleShot:
         assert result.pulse.a == () and result.pulse.b == ()
         assert result.iterations == 0
 
-    def test_small_search_beats_baseline(self):
-        cfg = OptimizerConfig(n_omega=2, restarts=2, seed=0, max_iter=300, spread_tol=1e-9)
-        result = optimize_single_shot(EFF, cfg, slices=128)
+    def test_small_search_beats_baseline(self, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_CALLS", 300)
+        monkeypatch.setattr(optimize, "SPREAD_TOL", 1e-9)
+        result = optimize_single_shot(EFF, OptimizerConfig(n_omega=2, restarts=2, seed=0), slices=128)
         assert result.fidelity >= result.baseline_fidelity
         assert result.fidelity > 0.5
 
-    def test_bit_reproducible(self):
-        cfg = OptimizerConfig(n_omega=2, restarts=2, seed=5, max_iter=200)
+    def test_bit_reproducible(self, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_CALLS", 200)
+        cfg = OptimizerConfig(n_omega=2, restarts=2, seed=5)
         r1 = optimize_single_shot(EFF, cfg, slices=64)
         r2 = optimize_single_shot(EFF, cfg, slices=64)
         assert r1.fidelity == r2.fidelity
@@ -357,7 +353,7 @@ class TestOptimizeSingleShot:
         # configs/single_shot.yaml at seed 0: G = 1e-3, n_omega = 4, 8 restarts, 512 slices
         result = optimize_single_shot(EFF, OptimizerConfig(n_omega=4, restarts=8, seed=0))
         assert 1.0 - result.fidelity <= 1e-12
-        assert 0 < result.iterations <= OptimizerConfig(n_omega=4).max_iter
+        assert 0 < result.iterations <= optimize.MAX_CALLS
 
     def test_reported_fidelities_clamped_to_one(self, monkeypatch):
         # F = |1 + a11|^2 / (2N) can round an ulp above 1: the search compares
@@ -374,11 +370,11 @@ class TestOptimizeSingleShot:
         assert result.fidelity == result.baseline_fidelity == 1.0
         assert np.all(result.fidelity_trace == 1.0)
 
-    def test_search_and_trace_share_one_scan(self):
+    def test_search_and_trace_share_one_scan(self, monkeypatch):
         # the winner's objective value and the trace's last entry come from the
         # same forward scan of the same slices
-        cfg = OptimizerConfig(n_omega=2, restarts=2, seed=0, max_iter=300)
-        result = optimize_single_shot(EFF, cfg, slices=64)
+        monkeypatch.setattr(optimize, "MAX_CALLS", 300)
+        result = optimize_single_shot(EFF, OptimizerConfig(n_omega=2, restarts=2, seed=0), slices=64)
         x = np.array(result.pulse.a + result.pulse.b)
         value, _ = _block_objective(result.pulse.tau_total, EFF.G_e, 2, 64)(x)
         assert abs(-value - result.fidelity_trace[-1]) <= 1e-14
@@ -386,7 +382,8 @@ class TestOptimizeSingleShot:
     def test_reports_block_numbers_without_the_pipeline(self, monkeypatch):
         # every reported number comes from the block reduction; the 27-dim
         # pipeline is only the oracle it is held to
-        cfg = OptimizerConfig(n_omega=2, restarts=2, seed=0, max_iter=300)
+        monkeypatch.setattr(optimize, "MAX_CALLS", 300)
+        cfg = OptimizerConfig(n_omega=2, restarts=2, seed=0)
 
         def refuse(*args, **kwargs):
             raise AssertionError("optimize_single_shot ran the 27-dim pipeline")
@@ -409,8 +406,8 @@ class TestOptimizeSingleShot:
         assert result.fidelity_trace[0] == pytest.approx(0.5, abs=1e-12)
         assert len(result.times) == 65
 
-    def test_doubled_slices_reproduce_reported_fidelity(self):
-        cfg = OptimizerConfig(n_omega=2, restarts=2, seed=0, max_iter=300)
-        result = optimize_single_shot(EFF, cfg, slices=128)
+    def test_doubled_slices_reproduce_reported_fidelity(self, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_CALLS", 300)
+        result = optimize_single_shot(EFF, OptimizerConfig(n_omega=2, restarts=2, seed=0), slices=128)
         refid, _, _ = evaluate_single_shot(result.pulse, 256)
         assert abs(refid - result.fidelity) <= 1e-4
