@@ -61,7 +61,7 @@ from .model import (
     effective_couplings,
     sw_reduction_check,
 )
-from .optimize import DEFAULT_SLICES, ObjectiveError, OptimizerConfig, optimize_single_shot
+from .optimize import DEFAULT_SLICES, MAX_CALLS, ObjectiveError, OptimizerConfig, optimize_single_shot
 
 _HEADER_TAG = "magbell-result/1"
 
@@ -156,13 +156,27 @@ def _protocol_schema(G: float, rounds: int, cutoff: int, G_f: float | None = Non
 _LOSS_RATES = {"gamma_n": (_nonneg(_number), 1e-4), "gamma_m": (_nonneg(_number), 1e-4)}
 _COHERENT_G_F = COHERENT_COUPLING_RATIO * 1e-3
 _TOP_LEVEL_KEYS = ("scenario", "params", "seed")
-# The most memory one config may ask a run for, in bytes, and the cost of one
-# result row with its per-round records: tracemalloc peaks of 310-880 bytes
-# per row for bell-distill, stabilize and single-shot at 2e4-1e5 rows, CSV or
-# JSON.  The largest shipped or benchmarked size, 2000 rounds, stays over 1000
-# times under the budget.
+# The most memory one config may ask a run for, in bytes, and what its params
+# cost, each above the tracemalloc peaks measured:
+# - one result row with its per-round records: 310-880 bytes per row for
+#   bell-distill, stabilize and single-shot at 2e4-1e5 rows, CSV or JSON;
+# - a closed protocol run's complex arrays of cutoff^2 entries (the magnon
+#   amplitudes, their return amplitudes and a round's products): 5.5-10.2 of
+#   them for bell-distill, nbell and coherent-distill at cutoffs 10-1000;
+# - a lossy run's dense complex matrices of (3 cutoff^2)^2 entries (the
+#   operator table that _joint_spec builds, and the channel's build): 15.0-17.8
+#   of them for decohere-prepare and stabilize at cutoffs 3-14.
+# The largest shipped or benchmarked size, 2000 rounds, stays over 1000 times
+# under the budget.
 _WORK_BUDGET_BYTES = 2**31
 _ROW_BYTES = 1024
+_CLOSED_ARRAYS = 12
+_LOSSY_MATRICES = 18
+# The most objective calls one single-shot search may make, restarts x
+# MAX_CALLS.  A call takes ~133 us at n_omega = 4 and 512 slices (one BLAS
+# thread, 2-core Xeon), so the budget is ~22 minutes of search; the shipped
+# 8 restarts (32,000 calls) stay over 300 times under it.
+_CALL_BUDGET = 10**7
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -219,18 +233,27 @@ def _resolve_params(scenario: str, given: dict) -> dict:
         if size > _WORK_BUDGET_BYTES:
             raise ConfigError(f"{scenario}/{keys}: the run would hold {size} bytes, "
                               f"over the work budget of {_WORK_BUDGET_BYTES} bytes")
+    calls = resolved.get("restarts", 0) * MAX_CALLS
+    if calls > _CALL_BUDGET:
+        raise ConfigError(f"{scenario}/restarts: the search could make {calls} objective calls, "
+                          f"over the call budget of {_CALL_BUDGET}")
     return resolved
 
 
 def _work_bytes(p: dict) -> list[tuple[str, int]]:
     """(keys, bytes) of each array whose size the params set, before any is allocated.
 
-    Protocol runs hold rounds + 1 rows and records.  A single-shot search
-    runs at DEFAULT_SLICES: it holds the pulse basis table (DEFAULT_SLICES x
-    2 n_omega floats) and its inverse Hessian ((2 n_omega)^2 floats).
+    Protocol runs hold rounds + 1 rows and records, and per cutoff either
+    _CLOSED_ARRAYS complex arrays of the cutoff^2 magnon amplitudes or, with
+    loss rates, _LOSSY_MATRICES dense complex joint matrices of
+    (3 cutoff^2)^2 entries.  A single-shot search runs at DEFAULT_SLICES: it
+    holds the pulse basis table (DEFAULT_SLICES x 2 n_omega floats) and its
+    inverse Hessian ((2 n_omega)^2 floats).
     """
     if "rounds" in p:
-        return [("rounds", (p["rounds"] + 1) * _ROW_BYTES)]
+        dim = p["cutoff"] ** 2  # of the magnon space; the joint space is 3 dim
+        held = _LOSSY_MATRICES * (3 * dim) ** 2 if "gamma_n" in p else _CLOSED_ARRAYS * dim
+        return [("rounds", (p["rounds"] + 1) * _ROW_BYTES), ("cutoff", 16 * held)]
     if "n_omega" in p:
         dim = 2 * p["n_omega"]
         return [("n_omega", 8 * dim * (DEFAULT_SLICES + dim))]

@@ -506,14 +506,22 @@ class TestMalformedInputExits2:
         ("bell-distill", {"rounds": 100_000_000}, "rounds"),
         ("stabilize", {"rounds": 10**30}, "rounds"),
         ("single-shot", {"n_omega": 100_000}, "n_omega"),
-    ], ids=["rounds", "stabilize-rounds", "n_omega"])
+        ("nbell", {"cutoff": 100_000}, "cutoff"),
+        ("decohere-prepare", {"cutoff": 200}, "cutoff"),
+        ("single-shot", {"restarts": 10**12}, "restarts"),
+    ], ids=["rounds", "stabilize-rounds", "n_omega", "closed-cutoff", "lossy-cutoff", "restarts"])
     def test_over_budget_sizes_are_config_errors(self, tmp_path, capsys, scenario, params, keys):
-        # validate only: a run would try the allocation
+        # validate only: a run would try the allocation, or the search
         path = write_config(tmp_path, {"scenario": scenario, "params": params})
         assert main(["validate", "--config", path]) == 2
         captured = capsys.readouterr()
         err = json.loads(captured.err)
-        assert err["error"] == "ConfigError" and captured.out == ""
+        assert err["error"] == "ConfigError" and captured.out == "" and len(captured.err.splitlines()) == 1
+        if keys == "restarts":
+            calls = params["restarts"] * optimize.MAX_CALLS
+            assert calls > cli._CALL_BUDGET
+            assert err["message"].startswith(f"{scenario}/restarts: the search could make {calls} objective calls")
+            return
         size = dict(cli._work_bytes(config_from_mapping({"scenario": scenario}).params | params))[keys]
         assert size > cli._WORK_BUDGET_BYTES
         assert err["message"].startswith(f"{scenario}/{keys}: the run would hold {size} bytes")
@@ -530,11 +538,13 @@ class TestMalformedInputExits2:
                     if "mapping" in item:
                         params.append(config_from_mapping(item["mapping"]).params)
                     elif item["kind"] == "mixed":
-                        params.append({"rounds": item["rounds"]})
+                        params.append({"rounds": item["rounds"], "cutoff": item["cutoff"]})
                     else:
                         params.append(load_config(str(ROOT / item["config_file"])).params | item["params"])
-        largest = max(size for p in params for _, size in cli._work_bytes(p))
-        assert 1000 * largest <= cli._WORK_BUDGET_BYTES
+        sizes = [(keys, size) for p in params for keys, size in cli._work_bytes(p)]
+        for keys in ("rounds", "cutoff", "n_omega"):
+            assert 1000 * max(size for key, size in sizes if key == keys) <= cli._WORK_BUDGET_BYTES
+        assert 100 * max(p.get("restarts", 0) for p in params) * optimize.MAX_CALLS <= cli._CALL_BUDGET
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), scenario=st.sampled_from(sorted(cli.SCENARIOS)))
@@ -551,6 +561,7 @@ class TestMalformedInputExits2:
         else:
             resolved = json.loads(captured.out)["params"]
             assert all(size <= cli._WORK_BUDGET_BYTES for _, size in cli._work_bytes(resolved))
+            assert resolved.get("restarts", 0) * optimize.MAX_CALLS <= cli._CALL_BUDGET
 
     def test_json_flag_writes_the_emitted_document(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 3},
