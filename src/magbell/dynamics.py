@@ -17,10 +17,11 @@ subset of R (``BlockMap``), is one small matrix-vector product per block on
 that block's indices.
 The fixed-step fourth-order (RK4) integrator ``integrate_master`` is kept
 as its independent oracle in the tests; its right-hand side is the plain
-commutator-plus-dissipator form.  Both guard the trace, which is asserted,
-never renormalized.  ``LindbladChannel.__call__`` and the integrator
-return validated ``QuantumState``s; ``BlockMap._map`` and the channel's
-``_apply`` return bare arrays, for their caller to check.
+commutator-plus-dissipator form.  Neither renormalizes the trace: the
+channel's build bounds every application's drift, the integrator asserts
+it per step.  ``LindbladChannel.__call__`` and the integrator return
+validated ``QuantumState``s; ``BlockMap._map`` and ``_apply``, its
+Hermitian part, return bare arrays, for their caller to check.
 """
 
 from __future__ import annotations
@@ -289,6 +290,11 @@ class BlockMap:
             out[idx] = block @ flat[idx]
         return out.reshape(rho.shape)
 
+    def _apply(self, rho: np.ndarray) -> np.ndarray:
+        """The Hermitian part of ``_map(rho)``, unvalidated: roundoff scrubbed, trace as mapped."""
+        out = self._map(rho)
+        return 0.5 * (out + out.conj().T)
+
     def _compress(self, space: HilbertSpace, keep: np.ndarray) -> "BlockMap":
         """P E P on space, for this map E and the projector P onto the sorted Liouville indices keep.
 
@@ -315,7 +321,8 @@ class LindbladChannel(BlockMap):
     block E with diagonal indices marked by t, max |t^T E - t^T| <=
     DEFAULT_TRACE_TOL / dim, read at call time.  A density matrix's entries
     sum to at most dim in absolute value, so no application moves its trace
-    by more than DEFAULT_TRACE_TOL.
+    by more than DEFAULT_TRACE_TOL.  So ``_apply`` asserts no trace: each
+    caller checks its output as a state, to the stricter MIXED_ATOL.
     """
 
     def __post_init__(self):
@@ -334,21 +341,6 @@ class LindbladChannel(BlockMap):
         if rho0.space != self.space:
             raise SpaceMismatchError("initial state space differs from Lindblad space")
         return QuantumState(self.space, "mixed", self._apply(rho0.density()))
-
-    def _apply(self, rho: np.ndarray) -> np.ndarray:
-        """exp(L t) rho for a density matrix rho on the channel's space, exact zeros off R.
-
-        Neither rho nor the output is validated: the caller checks them
-        (``measurement._round_loop`` in a run).  Raises ValueError if rho has
-        a nonzero entry outside R (``_map``), and TraceDriftError if
-        |tr out - tr rho| exceeds DEFAULT_TRACE_TOL; the trace is asserted,
-        never renormalized.  The output is Hermitian-scrubbed.
-        """
-        out = self._map(rho)
-        drift = abs(np.trace(out) - np.trace(rho))
-        if not drift <= DEFAULT_TRACE_TOL:
-            raise TraceDriftError(f"trace drift {drift:.3e} exceeds tolerance {DEFAULT_TRACE_TOL:.1e}")
-        return 0.5 * (out + out.conj().T)  # scrub roundoff anti-Hermitian part
 
 
 def lindblad_channel(spec: LindbladSpec, t: float, start: np.ndarray) -> LindbladChannel:

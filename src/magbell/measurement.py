@@ -21,11 +21,12 @@ legs, since every projected state stays in the g-g part of that set.
 Closed, lossy and free-decay rounds all run in one loop (``_round_loop``),
 the one place a round's array is checked, in place, with
 ``hilbert.check_state``, the check ``QuantumState`` runs.  A projected round
-holds the outcome probability to a floor; a lossy one also checks that its
-input lies in M's set and scrubs the anti-Hermitian roundoff.  Records are
-read off the |0,0> and |N,N> entries of each round's array, and a run's
-final array becomes its one ``QuantumState``.  The channel checks its trace
-preservation once, when built, and asserts the trace at each free-leg step.
+holds the outcome probability to a floor; a lossy round and a free-leg step
+are each one ``BlockMap._apply``, which checks the input's support and
+scrubs the anti-Hermitian roundoff.  Records are read off the |0,0> and
+|N,N> entries of each round's array, and a run's final array becomes its
+one ``QuantumState``.  The channel checks its trace preservation once, when
+built; the round loop's stricter check catches a step that drifts it.
 """
 
 from __future__ import annotations
@@ -289,16 +290,10 @@ def _protocol(initial: QuantumState, cfg: ProtocolConfig,
     # the per-round map on the unnormalized magnon data, picked once
     kind, data = initial.kind, initial.data
     if cfg.decoherence is not None:
-        if channel is None:
-            channel = lindblad_channel(_joint_spec(mag_space, cfg), cfg.tau,
-                                       _with_ground(initial.density()))
-        round_map = _round_map(channel, mag_space)
-
-        def evolve(rho):
-            out = round_map._map(rho)
-            return 0.5 * (out + out.conj().T)  # scrub roundoff anti-Hermitian part
-
         kind, data = "mixed", initial.density()
+        if channel is None:
+            channel = lindblad_channel(_joint_spec(mag_space, cfg), cfg.tau, _with_ground(data))
+        evolve = _round_map(channel, mag_space)._apply
     else:
         vv = v if kind == "pure" else np.outer(v, v.conj())
 
@@ -368,10 +363,10 @@ def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.n
     tau (index 0 is t = 0).  One channel exp(L tau), built from the Bell
     input, serves both legs: the projected one applies its magnon round map
     M (``run_protocol``'s rounds), the free one the whole channel to the
-    joint state (``LindbladChannel._apply``), and ``_round_loop`` checks
-    every round of both.  F_free is <B| tr_q rho |B>, read by
-    ``_pair_records`` off the three entries of tr_q rho on {|0,0>, |N,N>},
-    each the sum of three joint entries.
+    joint state, each by ``BlockMap._apply``, and ``_round_loop`` checks
+    every round of both, its trace included.  F_free is <B| tr_q rho |B>,
+    read by ``_pair_records`` off the three entries of tr_q rho on
+    {|0,0>, |N,N>}, each the sum of three joint entries.
     """
     if cfg.decoherence is None:
         raise ValueError("stabilize requires decoherence rates in the config")

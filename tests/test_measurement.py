@@ -562,10 +562,12 @@ class TestLossyRoundChecks:
     """Where a lossy run's checks run.
 
     The channel's trace check runs once per build.  Each projected round
-    applies M to the magnon state, checks its support, scrubs its
-    Hermitian part and holds the outcome probability to a floor.  Each
-    free-leg step of ``stabilize`` asserts the trace and scrubs.  The one
-    round loop validates the array of every round of every leg.
+    (M on the magnon state) and each free-leg step of ``stabilize`` (the
+    whole channel on the joint state) is one ``BlockMap._apply``, which
+    checks its input's support and scrubs its Hermitian part; a projected
+    round also holds the outcome probability to a floor.  The one round
+    loop validates the array of every round of every leg, its trace
+    included.
     """
 
     def test_trace_guard_fires_in_protocol_and_stabilize(self, monkeypatch):
