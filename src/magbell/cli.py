@@ -17,7 +17,8 @@ The config names the scenario, its params and the seed; only the flags
 
 Exit codes, read from the one table ``EXIT_CODES``: 0 success, 2 config error
 (also a value the library rejects, or an output path that cannot be written),
-3 physics-regime violation, 4 optimizer abort.
+3 physics-regime violation (also a state that fails its check mid-run), 4
+optimizer abort.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from . import __version__
 from .dynamics import NonHermitianError, TraceDriftError
 from .hilbert import (
     DimensionError,
+    StateValidationError,
     TruncationError,
     bell_state,
     coherent_state,
@@ -76,7 +78,7 @@ EXIT_CODES = {
     ConfigError: 2,
     ObjectiveError: 4,
     **dict.fromkeys((TruncationError, ZeroDetuningError, TargetOverlapError, NullOutcomeError,
-                     TraceDriftError, NonHermitianError, DimensionError), 3),
+                     TraceDriftError, StateValidationError, NonHermitianError, DimensionError), 3),
     ValueError: 2,  # a setting the library rejects, e.g. couplings with no interval
     OSError: 2,  # e.g. an --out path in a missing directory
 }
@@ -159,7 +161,8 @@ _TOP_LEVEL_KEYS = ("scenario", "params", "seed")
 # The most memory one config may ask a run for, in bytes, and what its params
 # cost, each above the tracemalloc peaks measured:
 # - one result row with its per-round records: 310-880 bytes per row for
-#   bell-distill, stabilize and single-shot at 2e4-1e5 rows, CSV or JSON;
+#   bell-distill, stabilize and single-shot at 2e4-1e5 rows, and 330-660 for
+#   coupling-ratio at 1e4-4e5 points, CSV or JSON;
 # - a closed protocol run's complex arrays of cutoff^2 entries (the magnon
 #   amplitudes, their return amplitudes and a round's products): 5.5-10.2 of
 #   them for bell-distill, nbell and coherent-distill at cutoffs 10-1000;
@@ -248,7 +251,8 @@ def _work_bytes(p: dict) -> list[tuple[str, int]]:
     loss rates, _LOSSY_MATRICES dense complex joint matrices of
     (3 cutoff^2)^2 entries.  A single-shot search runs at DEFAULT_SLICES: it
     holds the pulse basis table (DEFAULT_SLICES x 2 n_omega floats) and its
-    inverse Hessian ((2 n_omega)^2 floats).
+    inverse Hessian ((2 n_omega)^2 floats).  A coupling-ratio scan holds
+    points rows.
     """
     if "rounds" in p:
         dim = p["cutoff"] ** 2  # of the magnon space; the joint space is 3 dim
@@ -257,6 +261,8 @@ def _work_bytes(p: dict) -> list[tuple[str, int]]:
     if "n_omega" in p:
         dim = 2 * p["n_omega"]
         return [("n_omega", 8 * dim * (DEFAULT_SLICES + dim))]
+    if "points" in p:
+        return [("points", p["points"] * _ROW_BYTES)]
     return []
 
 

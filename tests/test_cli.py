@@ -8,7 +8,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from magbell import cli, optimize
+from magbell import cli, dynamics, optimize
 from magbell.cli import (
     ConfigError,
     ExperimentConfig,
@@ -21,7 +21,7 @@ from magbell.cli import (
     run_scenario,
 )
 from magbell.dynamics import NonHermitianError, TraceDriftError
-from magbell.hilbert import DimensionError, TruncationError
+from magbell.hilbert import DimensionError, StateValidationError, TruncationError
 from magbell.measurement import NullOutcomeError, TargetOverlapError
 from magbell.model import COHERENT_COUPLING_RATIO, ZeroDetuningError
 from magbell.optimize import ObjectiveError
@@ -345,9 +345,9 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("error, code", [
         (TruncationError, 3), (ZeroDetuningError, 3), (TargetOverlapError, 3),
-        (NullOutcomeError, 3), (TraceDriftError, 3), (NonHermitianError, 3),
-        (DimensionError, 3), (ObjectiveError, 4), (ConfigError, 2), (ValueError, 2),
-        (OSError, 2),
+        (NullOutcomeError, 3), (TraceDriftError, 3), (StateValidationError, 3),
+        (NonHermitianError, 3), (DimensionError, 3), (ObjectiveError, 4), (ConfigError, 2),
+        (ValueError, 2), (OSError, 2),
     ], ids=lambda value: getattr(value, "__name__", str(value)))
     def test_documented_exit_codes(self, tmp_path, capsys, monkeypatch, error, code):
         def failing_runner(params, seed):
@@ -408,6 +408,20 @@ class TestMainEntry:
         fid = doc["metadata"]["results"]["achieved_fidelity"]
         assert 1.0 - 1e-12 <= fid <= 1.0
         assert max(row[2] for row in doc["rows"]) <= 1.0
+
+    @pytest.mark.parametrize("drift", [1e-9, 1e-7])
+    def test_free_leg_trace_drift_exits_3(self, capsys, monkeypatch, drift):
+        # scaling the whole channel's image leaves the build check and the projected leg's M
+        # as they are; each free-leg step then moves the trace by drift, below and above the
+        # channel's DEFAULT_TRACE_TOL, and either fails the round loop's state check
+        real = dynamics.LindbladChannel._map
+        monkeypatch.setattr(dynamics.LindbladChannel, "_map",
+                            lambda channel, rho: (1 + drift) * real(channel, rho))
+        assert main(["run", "--config", str(CONFIG_DIR / "stabilize.yaml")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "StateValidationError" and "trace" in err["message"]
 
     def test_json_format_flag(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 3}})
@@ -509,7 +523,8 @@ class TestMalformedInputExits2:
         ("nbell", {"cutoff": 100_000}, "cutoff"),
         ("decohere-prepare", {"cutoff": 200}, "cutoff"),
         ("single-shot", {"restarts": 10**12}, "restarts"),
-    ], ids=["rounds", "stabilize-rounds", "n_omega", "closed-cutoff", "lossy-cutoff", "restarts"])
+        ("coupling-ratio", {"points": 1_000_000_000}, "points"),
+    ], ids=["rounds", "stabilize-rounds", "n_omega", "closed-cutoff", "lossy-cutoff", "restarts", "points"])
     def test_over_budget_sizes_are_config_errors(self, tmp_path, capsys, scenario, params, keys):
         # validate only: a run would try the allocation, or the search
         path = write_config(tmp_path, {"scenario": scenario, "params": params})
@@ -542,7 +557,7 @@ class TestMalformedInputExits2:
                     else:
                         params.append(load_config(str(ROOT / item["config_file"])).params | item["params"])
         sizes = [(keys, size) for p in params for keys, size in cli._work_bytes(p)]
-        for keys in ("rounds", "cutoff", "n_omega"):
+        for keys in ("rounds", "cutoff", "n_omega", "points"):
             assert 1000 * max(size for key, size in sizes if key == keys) <= cli._WORK_BUDGET_BYTES
         assert 100 * max(p.get("restarts", 0) for p in params) * optimize.MAX_CALLS <= cli._CALL_BUDGET
 

@@ -595,6 +595,17 @@ class TestLossyRoundChecks:
         with pytest.raises(StateValidationError, match="negative eigenvalues"):
             stabilize(bell_state(magnon(3), 1, +1), cfg)
 
+    @pytest.mark.parametrize("drift", [1e-9, 1e-7])
+    def test_free_leg_trace_drift_fails_the_state_check(self, monkeypatch, drift):
+        # M is a compression, a plain BlockMap, so scaling the whole channel's image moves
+        # only the free leg's trace, by drift per step; the build check reads the blocks
+        real = dynamics.LindbladChannel._map
+        monkeypatch.setattr(dynamics.LindbladChannel, "_map",
+                            lambda channel, rho: (1 + drift) * real(channel, rho))
+        _, cfg = decohere_prepare_run()
+        with pytest.raises(StateValidationError, match="trace"):
+            stabilize(bell_state(magnon(3), 1, +1), cfg)
+
     def test_magnon_state_validated(self, monkeypatch):
         # the first state validated after the input is round 1's renormalized magnon state
         psi, cfg = decohere_prepare_run()
