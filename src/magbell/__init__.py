@@ -57,11 +57,7 @@ from .measurement import (
     run_protocol,
     stabilize,
 )
-from .optimize import (
-    OptimizationResult,
-    OptimizerConfig,
-    optimize_single_shot,
-)
+from .optimize import OptimizationResult, optimize_single_shot
 
 __all__ = [
     "__version__",
@@ -78,5 +74,5 @@ __all__ = [
     "ProtocolConfig", "ProtocolRecord", "analytic_kraus", "apply_projection",
     "coupling_ratio_fidelity", "interval_for_target", "numeric_kraus",
     "rabi_frequency", "run_protocol", "stabilize",
-    "OptimizationResult", "OptimizerConfig", "optimize_single_shot",
+    "OptimizationResult", "optimize_single_shot",
 ]

@@ -63,7 +63,7 @@ from .model import (
     effective_couplings,
     sw_reduction_check,
 )
-from .optimize import DEFAULT_SLICES, MAX_CALLS, ObjectiveError, OptimizerConfig, optimize_single_shot
+from .optimize import DEFAULT_SLICES, MAX_CALLS, ObjectiveError, optimize_single_shot
 
 _HEADER_TAG = "magbell-result/1"
 
@@ -325,9 +325,7 @@ def _run_stabilize(p: dict, seed: int):
 
 
 def _run_single_shot(p: dict, seed: int):
-    eff = EffectiveParams(G_e=p["G"], G_f=p["G"])
-    cfg = OptimizerConfig(n_omega=p["n_omega"], restarts=p["restarts"], seed=seed)
-    result = optimize_single_shot(eff, cfg)
+    result = optimize_single_shot(p["G"], p["n_omega"], p["restarts"], seed)
     columns = {"slice": np.arange(len(result.times), dtype=float), "time": result.times,
                "fidelity": result.fidelity_trace}
     results = {

@@ -4,7 +4,10 @@ Shapes the common qutrit detuning over one measurement interval so that a
 single ground-state projection yields the Bell state.  The search runs over
 the truncated trigonometric coefficients of the pulse (CRAB: Caneva,
 Calarco & Montangero, PRA 84, 022326 (2011)); each restart runs BFGS from a
-fresh uniform draw in the restart box.
+fresh uniform draw in the restart box.  ``optimize_single_shot(G, n_omega,
+restarts, seed)`` is the whole search: the coupling G fixes the interval and
+the pulse's boundary value, n_omega the number of CRAB frequencies, and
+restart r draws its start with seed seed + r.
 
 The search objective is exact on the two 2x2 excitation blocks the shaped
 Hamiltonian closes on, and so is its gradient in the coefficients, taken in
@@ -70,25 +73,6 @@ class ObjectiveError(RuntimeError):
     """The objective returned a non-finite value or gradient."""
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Search settings; n_omega = 0 evaluates the constant pulse only.
-
-    restarts: BFGS runs, restart r from a uniform draw seeded seed + r, each
-    ending by the module's stopping rules (MAX_CALLS, SPREAD_TOL, STALL_*).
-    """
-
-    n_omega: int
-    restarts: int = 8
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, least in (("n_omega", 0), ("restarts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
     """Best pulse found, its fidelity, probability and time trace, all from the block reduction."""
@@ -100,10 +84,6 @@ class OptimizationResult:
     fidelity_trace: np.ndarray
     iterations: int
     baseline_fidelity: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.fidelity <= 1.0:
-            raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
 
 
 def nelder_mead(objective, x0, initial_simplex=None):
@@ -375,53 +355,50 @@ def _fidelity_time_trace(pulse: PulseCoefficients, slices: int) -> tuple[np.ndar
     return np.arange(slices + 1) * h, np.clip(trace, 0.0, 1.0), float(norm[-1]) / 4.0
 
 
-def optimize_single_shot(
-    eff: EffectiveParams,
-    cfg: OptimizerConfig,
-    slices: int = DEFAULT_SLICES,
-) -> OptimizationResult:
-    """Search the pulse coefficients maximizing the one-measurement fidelity.
+def optimize_single_shot(G: float, n_omega: int, restarts: int = 8, seed: int = 0,
+                         slices: int = DEFAULT_SLICES) -> OptimizationResult:
+    """Search the n_omega-term pulse of coupling G maximizing the one-measurement fidelity.
 
-    Requires G_e = G_f; the control interval is the resonant measurement
-    interval and the boundary detuning is pinned to G.  Restart r draws its
-    start uniformly from the box |x_i| <= 2/tau^2 (envelope bounded to a few
-    G) with seed cfg.seed + r, and runs ``bfgs`` in coordinates scaled by that
-    box on the exact block reduction of the objective and its gradient.  The
-    lowest final value wins, ties going to the earlier restart; a restart
-    replaces the constant pulse (zero coefficients) only with a strictly lower
-    value.  The fidelity and the baseline are minus the objective at the
-    winner and at zero; P and the trace come from one scan of the winner's
-    slices (``_fidelity_time_trace``).  The search compares raw values, and
-    the reported fidelities and trace are clamped to [0, 1]: near F = 1,
-    F = |1 + a11|^2 / (2N) can round an ulp above 1.  ``iterations`` is the
-    number of objective calls of the winning restart (0 for the constant
-    pulse).
+    The control interval is the resonant measurement interval and the
+    boundary detuning is pinned to G.  Each of the ``restarts`` BFGS runs
+    ends by the module's stopping rules (MAX_CALLS, SPREAD_TOL, STALL_*);
+    restart r draws its start uniformly from the box |x_i| <= 2/tau^2
+    (envelope bounded to a few G) with seed seed + r, and runs ``bfgs`` in
+    coordinates scaled by that box on the exact block reduction of the
+    objective and its gradient.  The lowest final value wins, ties going to
+    the earlier restart; a restart replaces the constant pulse (zero
+    coefficients) only with a strictly lower value, so n_omega = 0 returns
+    the constant pulse.  The fidelity and the baseline are minus the
+    objective at the winner and at zero; P and the trace come from one scan
+    of the winner's slices (``_fidelity_time_trace``).  The search compares
+    raw values, and the reported fidelities and trace are clamped to [0, 1]:
+    near F = 1, F = |1 + a11|^2 / (2N) can round an ulp above 1.
+    ``iterations`` is the number of objective calls of the winning restart
+    (0 for the constant pulse).
     """
-    if not math.isclose(eff.G_e, eff.G_f, rel_tol=1e-12):
-        raise ValueError(f"single-shot scheme needs G_e = G_f, got {eff.G_e} vs {eff.G_f}")
+    for name, value, least in (("n_omega", n_omega, 0), ("restarts", restarts, 1), ("seed", seed, 0)):
+        if not (isinstance(value, numbers.Integral) and value >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     if slices < 1:
         raise ValueError(f"slices must be >= 1, got {slices}")
-    g = eff.G_e
-    tau0 = interval_for_target(1, EffectiveParams(G_e=g, G_f=g))  # the pulse sets the detuning
-    n_omega = cfg.n_omega
+    tau0 = interval_for_target(1, EffectiveParams(G_e=G, G_f=G))  # the pulse sets the detuning
     dim = 2 * n_omega
-    objective = _block_objective(tau0, g, n_omega, slices)
+    objective = _block_objective(tau0, G, n_omega, slices)
     f_zero = _checked(objective, np.zeros(dim))[0]
     best_x, best_f, best_calls = np.zeros(dim), f_zero, 0
-    if n_omega > 0:
-        scale = 2.0 / tau0**2  # the restart box; the search runs in units of it
+    scale = 2.0 / tau0**2  # the restart box; the search runs in units of it
 
-        def scaled(y):
-            f, grad = objective(scale * y)
-            return f, scale * grad
+    def scaled(y):
+        f, grad = objective(scale * y)
+        return f, scale * grad
 
-        for restart in range(cfg.restarts):
-            rng = np.random.default_rng(cfg.seed + restart)
-            y, f, calls = bfgs(scaled, rng.uniform(-scale, scale, size=dim) / scale)
-            if f < best_f:  # strict: ties keep the lowest restart seed
-                best_x, best_f, best_calls = scale * y, f, calls
+    for restart in range(restarts):
+        rng = np.random.default_rng(seed + restart)
+        y, f, calls = bfgs(scaled, rng.uniform(-scale, scale, size=dim) / scale)
+        if f < best_f:  # strict: ties keep the lowest restart seed
+            best_x, best_f, best_calls = scale * y, f, calls
 
-    pulse = _pulse_from_vector(best_x, n_omega, tau0, g)
+    pulse = _pulse_from_vector(best_x, n_omega, tau0, G)
     times, trace, prob = _fidelity_time_trace(pulse, slices)
     return OptimizationResult(
         pulse=pulse,

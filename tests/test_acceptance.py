@@ -32,7 +32,7 @@ from magbell.measurement import (
 )
 from magbell.model import COHERENT_COUPLING_RATIO, EffectiveParams, ModelParams, build_jc_effective
 from magbell.model import dispersive_evolution_fidelity, effective_couplings, sw_reduction_check
-from magbell.optimize import OptimizerConfig, optimize_single_shot
+from magbell.optimize import optimize_single_shot
 
 from conftest import random_hermitian
 
@@ -247,10 +247,9 @@ def test_c08_single_shot_optimization(monkeypatch):
     from magbell import optimize
     from magbell.optimize import evaluate_single_shot
 
-    eff = EffectiveParams(G_e=1e-3, G_f=1e-3)
     monkeypatch.setattr(optimize, "MAX_CALLS", 2000)
     monkeypatch.setattr(optimize, "SPREAD_TOL", 1e-10)
-    result = optimize_single_shot(eff, OptimizerConfig(n_omega=4, restarts=8, seed=0))
+    result = optimize_single_shot(1e-3, 4, restarts=8, seed=0)
     flat_baseline = 2.0 / (2.0 + 2.0 * math.cos(math.sqrt(2.0) * math.pi) ** 2)
     refid, _, _ = evaluate_single_shot(result.pulse, 1024)  # guard vs slicing overfit
     ok = (result.fidelity >= 0.99 and result.fidelity > flat_baseline

@@ -13,7 +13,6 @@ from magbell.measurement import _fidelity_and_norm, interval_for_target
 from magbell.model import EffectiveParams, PulseCoefficients
 from magbell.optimize import (
     ObjectiveError,
-    OptimizerConfig,
     _block_amplitudes_and_gradient,
     _block_objective,
     bfgs,
@@ -22,8 +21,8 @@ from magbell.optimize import (
     optimize_single_shot,
 )
 
-EFF = EffectiveParams(G_e=1e-3, G_f=1e-3)
-TAU0 = interval_for_target(1, EFF)
+G = 1e-3
+TAU0 = interval_for_target(1, EffectiveParams(G_e=G, G_f=G))
 
 
 class TestCrabDetuning:
@@ -47,16 +46,6 @@ class TestCrabDetuning:
             pulse.detuning(-0.1 * TAU0)
         with pytest.raises(ValueError):
             pulse.detuning(1.1 * TAU0)
-
-
-class TestOptimizerConfig:
-    @pytest.mark.parametrize("field, bad", [
-        ("n_omega", 1.5), ("n_omega", -1), ("restarts", 2.5), ("restarts", 0), ("seed", 1.5),
-        ("seed", -1), ("seed", "0"),
-    ])
-    def test_non_integer_or_out_of_range_count_rejected(self, field, bad):
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            OptimizerConfig(**{"n_omega": 1, field: bad})
 
 
 class TestNelderMead:
@@ -264,11 +253,10 @@ class TestBitEqualToStridedScan:
             assert np.array_equal(got, want)
 
     def test_search_returns_the_same_result(self, monkeypatch):
-        cfg = OptimizerConfig(n_omega=2, restarts=2, seed=0)
-        result = optimize_single_shot(EFF, cfg, slices=64)
+        result = optimize_single_shot(G, 2, restarts=2, seed=0, slices=64)
         monkeypatch.setattr(optimize, "_block_amplitudes_and_gradient", reference_block_amplitudes_and_gradient)
         monkeypatch.setattr(optimize, "_fidelity_time_trace", reference_fidelity_time_trace)
-        want = optimize_single_shot(EFF, cfg, slices=64)
+        want = optimize_single_shot(G, 2, restarts=2, seed=0, slices=64)
         for field in dataclasses.fields(result):
             got, expected = getattr(result, field.name), getattr(want, field.name)
             assert np.array_equal(got, expected) if isinstance(got, np.ndarray) else got == expected, field.name
@@ -294,45 +282,47 @@ class TestFidelityTimeTrace:
 
 
 class TestOptimizeSingleShot:
+    @pytest.mark.parametrize("field, bad", [
+        ("n_omega", 1.5), ("n_omega", -1), ("restarts", 2.5), ("restarts", 0), ("seed", 1.5),
+        ("seed", -1), ("seed", "0"),
+    ])
+    def test_non_integer_or_out_of_range_count_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            optimize_single_shot(G, **{"n_omega": 1, field: bad}, slices=16)
+
     def test_no_search_dimensions_returns_baseline(self):
-        cfg = OptimizerConfig(n_omega=0, restarts=1, seed=0)
-        result = optimize_single_shot(EFF, cfg, slices=128)
-        assert result.fidelity == result.baseline_fidelity
-        assert result.pulse.a == () and result.pulse.b == ()
-        assert result.iterations == 0
+        # an empty search vector runs each restart's BFGS for one call, which cannot win
+        for restarts in (1, 3):
+            result = optimize_single_shot(G, 0, restarts=restarts, slices=128)
+            assert result.fidelity == result.baseline_fidelity
+            assert result.pulse.a == () and result.pulse.b == ()
+            assert result.iterations == 0
 
     def test_small_search_beats_baseline(self, monkeypatch):
         monkeypatch.setattr(optimize, "MAX_CALLS", 300)
         monkeypatch.setattr(optimize, "SPREAD_TOL", 1e-9)
-        result = optimize_single_shot(EFF, OptimizerConfig(n_omega=2, restarts=2, seed=0), slices=128)
+        result = optimize_single_shot(G, 2, restarts=2, seed=0, slices=128)
         assert result.fidelity >= result.baseline_fidelity
         assert result.fidelity > 0.5
 
     def test_bit_reproducible(self, monkeypatch):
         monkeypatch.setattr(optimize, "MAX_CALLS", 200)
-        cfg = OptimizerConfig(n_omega=2, restarts=2, seed=5)
-        r1 = optimize_single_shot(EFF, cfg, slices=64)
-        r2 = optimize_single_shot(EFF, cfg, slices=64)
+        r1 = optimize_single_shot(G, 2, restarts=2, seed=5, slices=64)
+        r2 = optimize_single_shot(G, 2, restarts=2, seed=5, slices=64)
         assert r1.fidelity == r2.fidelity
         assert r1.pulse.a == r2.pulse.a and r1.pulse.b == r2.pulse.b
         assert np.array_equal(r1.fidelity_trace, r2.fidelity_trace)
 
-    def test_unequal_couplings_rejected(self):
-        cfg = OptimizerConfig(n_omega=1)
-        with pytest.raises(ValueError):
-            optimize_single_shot(EffectiveParams(G_e=1e-3, G_f=2e-3), cfg)
-
     @pytest.mark.parametrize("slices", [0, -3])
     def test_nonpositive_slices_rejected(self, slices):
-        cfg = OptimizerConfig(n_omega=1)
         with pytest.raises(ValueError, match="slices must be >= 1"):
-            optimize_single_shot(EFF, cfg, slices=slices)
+            optimize_single_shot(G, 1, slices=slices)
 
     def test_non_finite_baseline_objective_aborts(self, monkeypatch):
         # n_omega = 0 runs no search: the baseline call is the only objective call
         monkeypatch.setattr(optimize, "_fidelity_and_norm", lambda a01, a10, a11: (float("nan"), 1.0))
         with pytest.raises(ObjectiveError):
-            optimize_single_shot(EFF, OptimizerConfig(n_omega=0, restarts=1), slices=16)
+            optimize_single_shot(G, 0, restarts=1, slices=16)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the matvec
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -347,11 +337,11 @@ class TestOptimizeSingleShot:
 
         monkeypatch.setattr(optimize, "_block_amplitudes_and_gradient", spoiled)
         with pytest.raises(ObjectiveError, match="gradient"):
-            optimize_single_shot(EFF, OptimizerConfig(n_omega=1, restarts=1), slices=16)
+            optimize_single_shot(G, 1, restarts=1, slices=16)
 
     def test_shipped_config_reaches_machine_precision(self):
         # configs/single_shot.yaml at seed 0: G = 1e-3, n_omega = 4, 8 restarts, 512 slices
-        result = optimize_single_shot(EFF, OptimizerConfig(n_omega=4, restarts=8, seed=0))
+        result = optimize_single_shot(G, 4, restarts=8, seed=0)
         assert 1.0 - result.fidelity <= 1e-12
         assert 0 < result.iterations <= optimize.MAX_CALLS
 
@@ -366,7 +356,7 @@ class TestOptimizeSingleShot:
 
         monkeypatch.setattr(optimize, "_fidelity_and_norm", above_one)
         assert _block_objective(TAU0, 1e-3, 0, 16)(np.zeros(0))[0] == -(1.0 + 2.0**-52)
-        result = optimize_single_shot(EFF, OptimizerConfig(n_omega=0, restarts=1), slices=16)
+        result = optimize_single_shot(G, 0, restarts=1, slices=16)
         assert result.fidelity == result.baseline_fidelity == 1.0
         assert np.all(result.fidelity_trace == 1.0)
 
@@ -374,16 +364,15 @@ class TestOptimizeSingleShot:
         # the winner's objective value and the trace's last entry come from the
         # same forward scan of the same slices
         monkeypatch.setattr(optimize, "MAX_CALLS", 300)
-        result = optimize_single_shot(EFF, OptimizerConfig(n_omega=2, restarts=2, seed=0), slices=64)
+        result = optimize_single_shot(G, 2, restarts=2, seed=0, slices=64)
         x = np.array(result.pulse.a + result.pulse.b)
-        value, _ = _block_objective(result.pulse.tau_total, EFF.G_e, 2, 64)(x)
+        value, _ = _block_objective(result.pulse.tau_total, G, 2, 64)(x)
         assert abs(-value - result.fidelity_trace[-1]) <= 1e-14
 
     def test_reports_block_numbers_without_the_pipeline(self, monkeypatch):
         # every reported number comes from the block reduction; the 27-dim
         # pipeline is only the oracle it is held to
         monkeypatch.setattr(optimize, "MAX_CALLS", 300)
-        cfg = OptimizerConfig(n_omega=2, restarts=2, seed=0)
 
         def refuse(*args, **kwargs):
             raise AssertionError("optimize_single_shot ran the 27-dim pipeline")
@@ -391,9 +380,9 @@ class TestOptimizeSingleShot:
         with monkeypatch.context() as patch:
             patch.setattr(optimize, "evaluate_single_shot", refuse)
             patch.setattr(optimize, "time_ordered_propagator", refuse)
-            result = optimize_single_shot(EFF, cfg, slices=64)
+            result = optimize_single_shot(G, 2, restarts=2, seed=0, slices=64)
         fid, prob, _ = evaluate_single_shot(result.pulse, 64)
-        zero = PulseCoefficients(a=(0.0,) * 2, b=(0.0,) * 2, tau_total=result.pulse.tau_total, G=EFF.G_e)
+        zero = PulseCoefficients(a=(0.0,) * 2, b=(0.0,) * 2, tau_total=result.pulse.tau_total, G=G)
         baseline, _, _ = evaluate_single_shot(zero, 64)
         assert abs(result.fidelity - fid) <= 1e-12
         assert abs(result.success_probability - prob) <= 1e-12
@@ -401,13 +390,12 @@ class TestOptimizeSingleShot:
         assert result.fidelity >= result.baseline_fidelity
 
     def test_trace_starts_at_initial_overlap(self):
-        cfg = OptimizerConfig(n_omega=0, restarts=1)
-        result = optimize_single_shot(EFF, cfg, slices=64)
+        result = optimize_single_shot(G, 0, restarts=1, slices=64)
         assert result.fidelity_trace[0] == pytest.approx(0.5, abs=1e-12)
         assert len(result.times) == 65
 
     def test_doubled_slices_reproduce_reported_fidelity(self, monkeypatch):
         monkeypatch.setattr(optimize, "MAX_CALLS", 300)
-        result = optimize_single_shot(EFF, OptimizerConfig(n_omega=2, restarts=2, seed=0), slices=128)
+        result = optimize_single_shot(G, 2, restarts=2, seed=0, slices=128)
         refid, _, _ = evaluate_single_shot(result.pulse, 256)
         assert abs(refid - result.fidelity) <= 1e-4
