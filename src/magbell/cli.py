@@ -175,11 +175,18 @@ _WORK_BUDGET_BYTES = 2**31
 _ROW_BYTES = 1024
 _CLOSED_ARRAYS = 12
 _LOSSY_MATRICES = 18
-# The most objective calls one single-shot search may make, restarts x
-# MAX_CALLS.  A call takes ~133 us at n_omega = 4 and 512 slices (one BLAS
-# thread, 2-core Xeon), so the budget is ~22 minutes of search; the shipped
-# 8 restarts (32,000 calls) stay over 300 times under it.
-_CALL_BUDGET = 10**7
+# The longest one config may ask a run to take, in seconds, estimated from
+# per-unit costs measured with one BLAS thread on a 2-core Xeon:
+# - a search makes at most restarts x MAX_CALLS objective calls, each about
+#   0.15 ms + 3 ns x 2 n_omega (512 + 2 n_omega), for the CRAB table and the
+#   inverse Hessian at DEFAULT_SLICES = 512; calls timed at 0.15, 0.47, 1.6-2.0
+#   and 13-20 ms at n_omega 4, 128, 256 and 1024 lie within 60 % of it;
+# - a closed protocol run updates rounds x cutoff^2 magnon amplitudes, about
+#   6.4 ns each per round (6.1-6.4 ns at cutoffs 100 and 1000).
+# Lossy runs and coupling-ratio scans have no estimate yet.  The budget, ~27
+# minutes, lets n_omega = 4 make 2500 restarts but not 2501, as the call budget
+# of 10^7 calls did; the shipped and benchmarked sizes stay over 100 times under it.
+_TIME_BUDGET_S = 1625
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -236,10 +243,10 @@ def _resolve_params(scenario: str, given: dict) -> dict:
         if size > _WORK_BUDGET_BYTES:
             raise ConfigError(f"{scenario}/{keys}: the run would hold {size} bytes, "
                               f"over the work budget of {_WORK_BUDGET_BYTES} bytes")
-    calls = resolved.get("restarts", 0) * MAX_CALLS
-    if calls > _CALL_BUDGET:
-        raise ConfigError(f"{scenario}/restarts: the search could make {calls} objective calls, "
-                          f"over the call budget of {_CALL_BUDGET}")
+    for keys, seconds in _work_seconds(resolved):
+        if seconds > _TIME_BUDGET_S:
+            raise ConfigError(f"{scenario}/{keys}: the run could take about {seconds:.6g} s, "
+                              f"over the time budget of {_TIME_BUDGET_S} s")
     return resolved
 
 
@@ -263,6 +270,22 @@ def _work_bytes(p: dict) -> list[tuple[str, int]]:
         return [("n_omega", 8 * dim * (DEFAULT_SLICES + dim))]
     if "points" in p:
         return [("points", p["points"] * _ROW_BYTES)]
+    return []
+
+
+def _work_seconds(p: dict) -> list[tuple[str, float]]:
+    """(keys, seconds) of a closed run's rounds or of a search, at the costs beside _TIME_BUDGET_S.
+
+    Checked after _work_bytes, which bounds rounds, cutoff and n_omega;
+    restarts has no other bound, so a count past the float range takes
+    infinite time.
+    """
+    if "rounds" in p and "gamma_n" not in p:
+        return [("rounds, cutoff", p["rounds"] * p["cutoff"] ** 2 * 6.4e-9)]
+    if "n_omega" in p:
+        calls = p["restarts"] * MAX_CALLS
+        per_call = 0.15e-3 + 3e-9 * 2 * p["n_omega"] * (DEFAULT_SLICES + 2 * p["n_omega"])
+        return [("n_omega, restarts", calls * per_call if calls < 2**1000 else math.inf)]
     return []
 
 

@@ -522,9 +522,12 @@ class TestMalformedInputExits2:
         ("single-shot", {"n_omega": 100_000}, "n_omega"),
         ("nbell", {"cutoff": 100_000}, "cutoff"),
         ("decohere-prepare", {"cutoff": 200}, "cutoff"),
-        ("single-shot", {"restarts": 10**12}, "restarts"),
+        ("single-shot", {"restarts": 10**12}, "n_omega, restarts"),
         ("coupling-ratio", {"points": 1_000_000_000}, "points"),
-    ], ids=["rounds", "stabilize-rounds", "n_omega", "closed-cutoff", "lossy-cutoff", "restarts", "points"])
+        ("single-shot", {"n_omega": 1024, "restarts": 2500}, "n_omega, restarts"),
+        ("nbell", {"rounds": 2_000_000, "cutoff": 1000}, "rounds, cutoff"),
+    ], ids=["rounds", "stabilize-rounds", "n_omega", "closed-cutoff", "lossy-cutoff", "restarts", "points",
+            "long-search", "long-closed-run"])
     def test_over_budget_sizes_are_config_errors(self, tmp_path, capsys, scenario, params, keys):
         # validate only: a run would try the allocation, or the search
         path = write_config(tmp_path, {"scenario": scenario, "params": params})
@@ -532,14 +535,22 @@ class TestMalformedInputExits2:
         captured = capsys.readouterr()
         err = json.loads(captured.err)
         assert err["error"] == "ConfigError" and captured.out == "" and len(captured.err.splitlines()) == 1
-        if keys == "restarts":
-            calls = params["restarts"] * optimize.MAX_CALLS
-            assert calls > cli._CALL_BUDGET
-            assert err["message"].startswith(f"{scenario}/restarts: the search could make {calls} objective calls")
+        resolved = config_from_mapping({"scenario": scenario}).params | params
+        if ", " in keys:  # a time estimate, after every size passed
+            assert all(size <= cli._WORK_BUDGET_BYTES for _, size in cli._work_bytes(resolved))
+            seconds = dict(cli._work_seconds(resolved))[keys]
+            assert seconds > cli._TIME_BUDGET_S
+            assert err["message"].startswith(f"{scenario}/{keys}: the run could take about {seconds:.6g} s")
             return
-        size = dict(cli._work_bytes(config_from_mapping({"scenario": scenario}).params | params))[keys]
+        size = dict(cli._work_bytes(resolved))[keys]
         assert size > cli._WORK_BUDGET_BYTES
         assert err["message"].startswith(f"{scenario}/{keys}: the run would hold {size} bytes")
+
+    def test_time_budget_admits_what_the_call_budget_did_at_n_omega_4(self):
+        # 2500 restarts of MAX_CALLS calls were the 10^7-call budget's limit
+        assert config_from_mapping({"scenario": "single-shot", "params": {"restarts": 2500}})
+        with pytest.raises(ConfigError, match="single-shot/n_omega, restarts: the run could take"):
+            config_from_mapping({"scenario": "single-shot", "params": {"restarts": 2501}})
 
     def test_shipped_and_benchmark_sizes_stay_far_under_budget(self, monkeypatch):
         spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
@@ -559,7 +570,7 @@ class TestMalformedInputExits2:
         sizes = [(keys, size) for p in params for keys, size in cli._work_bytes(p)]
         for keys in ("rounds", "cutoff", "n_omega", "points"):
             assert 1000 * max(size for key, size in sizes if key == keys) <= cli._WORK_BUDGET_BYTES
-        assert 100 * max(p.get("restarts", 0) for p in params) * optimize.MAX_CALLS <= cli._CALL_BUDGET
+        assert 100 * max(seconds for p in params for _, seconds in cli._work_seconds(p)) <= cli._TIME_BUDGET_S
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), scenario=st.sampled_from(sorted(cli.SCENARIOS)))
@@ -576,7 +587,7 @@ class TestMalformedInputExits2:
         else:
             resolved = json.loads(captured.out)["params"]
             assert all(size <= cli._WORK_BUDGET_BYTES for _, size in cli._work_bytes(resolved))
-            assert resolved.get("restarts", 0) * optimize.MAX_CALLS <= cli._CALL_BUDGET
+            assert all(seconds <= cli._TIME_BUDGET_S for _, seconds in cli._work_seconds(resolved))
 
     def test_json_flag_writes_the_emitted_document(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "coupling-ratio", "params": {"points": 3},

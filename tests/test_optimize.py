@@ -286,7 +286,7 @@ class TestOptimizeSingleShot:
         ("n_omega", 1.5), ("n_omega", -1), ("restarts", 2.5), ("restarts", 0), ("seed", 1.5),
         ("seed", -1), ("seed", "0"),
     ])
-    def test_non_integer_or_out_of_range_count_rejected(self, field, bad):
+    def test_invalid_count_rejected(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             optimize_single_shot(G, **{"n_omega": 1, field: bad}, slices=16)
 
@@ -319,7 +319,7 @@ class TestOptimizeSingleShot:
             optimize_single_shot(G, 1, slices=slices)
 
     def test_non_finite_baseline_objective_aborts(self, monkeypatch):
-        # n_omega = 0 runs no search: the baseline call is the only objective call
+        # the baseline call, at zero coefficients, is the first objective call
         monkeypatch.setattr(optimize, "_fidelity_and_norm", lambda a01, a10, a11: (float("nan"), 1.0))
         with pytest.raises(ObjectiveError):
             optimize_single_shot(G, 0, restarts=1, slices=16)
