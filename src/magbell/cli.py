@@ -48,6 +48,7 @@ from .measurement import (
     NullOutcomeError,
     ProtocolConfig,
     TargetOverlapError,
+    _protocol_inputs,
     coupling_ratio_fidelity,
     interval_for_target,
     run_protocol,
@@ -239,67 +240,39 @@ def _resolve_params(scenario: str, given: dict) -> dict:
             raise ConfigError(f"invalid value for {scenario}/{key}: {exc}") from exc
     if scenario == "coupling-ratio" and resolved["xi_max"] <= resolved["xi_min"]:
         raise ConfigError("xi_max must exceed xi_min")
-    for keys, size in _work_bytes(resolved):
-        if size > _WORK_BUDGET_BYTES:
-            raise ConfigError(f"{scenario}/{keys}: the run would hold {size} bytes, "
-                              f"over the work budget of {_WORK_BUDGET_BYTES} bytes")
-    for keys, seconds in _work_seconds(resolved):
-        if seconds > _TIME_BUDGET_S:
-            raise ConfigError(f"{scenario}/{keys}: the run could take about {seconds:.6g} s, "
-                              f"over the time budget of {_TIME_BUDGET_S} s")
     return resolved
 
 
-def _work_bytes(p: dict) -> list[tuple[str, int]]:
-    """(keys, bytes) of each array whose size the params set, before any is allocated.
-
-    Protocol runs hold rounds + 1 rows and records, and per cutoff either
-    _CLOSED_ARRAYS complex arrays of the cutoff^2 magnon amplitudes or, with
-    loss rates, _LOSSY_MATRICES dense complex joint matrices of
-    (3 cutoff^2)^2 entries.  A single-shot search runs at DEFAULT_SLICES: it
-    holds the pulse basis table (DEFAULT_SLICES x 2 n_omega floats) and its
-    inverse Hessian ((2 n_omega)^2 floats).  A coupling-ratio scan holds
-    points rows.
-    """
-    if "rounds" in p:
-        dim = p["cutoff"] ** 2  # of the magnon space; the joint space is 3 dim
-        held = _LOSSY_MATRICES * (3 * dim) ** 2 if "gamma_n" in p else _CLOSED_ARRAYS * dim
-        return [("rounds", (p["rounds"] + 1) * _ROW_BYTES), ("cutoff", 16 * held)]
-    if "n_omega" in p:
-        dim = 2 * p["n_omega"]
-        return [("n_omega", 8 * dim * (DEFAULT_SLICES + dim))]
-    if "points" in p:
-        return [("points", p["points"] * _ROW_BYTES)]
-    return []
+def _budget(keys: str, size: int = 0, seconds: float = 0.0) -> None:
+    """ConfigError naming keys ("scenario/key, ...") if size bytes or seconds pass the budgets."""
+    if size > _WORK_BUDGET_BYTES:
+        raise ConfigError(f"{keys}: the run would hold {size} bytes, "
+                          f"over the work budget of {_WORK_BUDGET_BYTES} bytes")
+    if seconds > _TIME_BUDGET_S:
+        raise ConfigError(f"{keys}: the run could take about {seconds:.6g} s, "
+                          f"over the time budget of {_TIME_BUDGET_S} s")
 
 
-def _work_seconds(p: dict) -> list[tuple[str, float]]:
-    """(keys, seconds) of a closed run's rounds or of a search, at the costs beside _TIME_BUDGET_S.
-
-    Checked after _work_bytes, which bounds rounds, cutoff and n_omega;
-    restarts has no other bound, so a count past the float range takes
-    infinite time.
-    """
-    if "rounds" in p and "gamma_n" not in p:
-        return [("rounds, cutoff", p["rounds"] * p["cutoff"] ** 2 * 6.4e-9)]
-    if "n_omega" in p:
-        calls = p["restarts"] * MAX_CALLS
-        per_call = 0.15e-3 + 3e-9 * 2 * p["n_omega"] * (DEFAULT_SLICES + 2 * p["n_omega"])
-        return [("n_omega, restarts", calls * per_call if calls < 2**1000 else math.inf)]
-    return []
-
-
-def _protocol_config(p: dict, interval_mode: str = "full") -> ProtocolConfig:
-    """Protocol settings of a scenario; loss rates, when present, switch on decay."""
+def _protocol_config(scenario: str, p: dict, interval_mode: str = "full") -> ProtocolConfig:
+    """Protocol settings of a scenario, within the budgets; loss rates, when present, switch on decay."""
+    rounds, dim = p["rounds"], p["cutoff"] ** 2  # of the magnon space; the joint space is 3 dim
+    decoherence = (p["gamma_n"], p["gamma_m"]) if "gamma_n" in p else None
+    _budget(f"{scenario}/rounds", (rounds + 1) * _ROW_BYTES)
+    _budget(f"{scenario}/cutoff", 16 * (_CLOSED_ARRAYS * dim if decoherence is None
+                                        else _LOSSY_MATRICES * (3 * dim) ** 2))
+    if decoherence is None:
+        _budget(f"{scenario}/rounds, cutoff", seconds=rounds * dim * 6.4e-9)
     eff = EffectiveParams(G_e=p["G_e"], G_f=p["G_f"],
                           Delta_e_tilde=p["Delta"], Delta_f_tilde=p["Delta"])
-    decoherence = (p["gamma_n"], p["gamma_m"]) if "gamma_n" in p else None
-    return ProtocolConfig.for_target(eff, rounds=p["rounds"], target_N=p.get("target_N", 1),
+    return ProtocolConfig.for_target(eff, rounds=rounds, target_N=p.get("target_N", 1),
                                      interval_mode=interval_mode, decoherence=decoherence)
 
 
-def _initial_state(p: dict):
-    """Coherent product when the params carry amplitudes, else |+> (x) |+>."""
+def _plan_protocol(scenario: str, p: dict, seed: int, extra_results: tuple[str, ...] = (),
+                   interval_mode: str | None = None):
+    """One protocol run from the coherent product when the params carry amplitudes, else from
+    |+> (x) |+>; a preset fixes the interval mode and the extra result keys."""
+    cfg = _protocol_config(scenario, p, interval_mode or p.get("interval_mode", "full"))
     cutoff = p["cutoff"]
     beta_n, beta_m = p.get("beta_n", p.get("beta")), p.get("beta_m", p.get("beta"))
     if beta_n is None:
@@ -307,69 +280,88 @@ def _initial_state(p: dict):
         parts = {"n": plus, "m": plus}
     else:
         parts = {"n": coherent_state(beta_n, cutoff), "m": coherent_state(beta_m, cutoff)}
-    return product_state(_magnon_space(cutoff), parts)
+    initial = product_state(_magnon_space(cutoff), parts)
+    _protocol_inputs(initial, cfg)
+
+    def run():
+        record = run_protocol(initial, cfg)
+        columns = {
+            "round": np.arange(cfg.rounds + 1, dtype=float),
+            "fidelity_plus": record.fidelity_plus,
+            "fidelity_minus": record.fidelity_minus,
+            "success_probability": record.success_probability,
+            "even_population": record.even_population,
+        }
+        available = {
+            "final_fidelity_plus": float(record.fidelity_plus[-1]),
+            "final_fidelity_minus": float(record.fidelity_minus[-1]),
+            "final_success_probability": float(record.success_probability[-1]),
+            "slow_states": [list(s) for s in record.slow_states],
+            "tau": cfg.tau,
+        }
+        keys = ("final_fidelity_plus", "final_success_probability", "tau") + extra_results
+        return columns, {key: available[key] for key in keys}
+
+    return run
 
 
-def _run_protocol_scenario(p: dict, seed: int, extra_results: tuple[str, ...] = (),
-                         interval_mode: str | None = None):
-    """One protocol run; a preset fixes the interval mode and the extra result keys."""
-    cfg = _protocol_config(p, interval_mode or p.get("interval_mode", "full"))
-    record = run_protocol(_initial_state(p), cfg)
-    columns = {
-        "round": np.arange(cfg.rounds + 1, dtype=float),
-        "fidelity_plus": record.fidelity_plus,
-        "fidelity_minus": record.fidelity_minus,
-        "success_probability": record.success_probability,
-        "even_population": record.even_population,
-    }
-    available = {
-        "final_fidelity_plus": float(record.fidelity_plus[-1]),
-        "final_fidelity_minus": float(record.fidelity_minus[-1]),
-        "final_success_probability": float(record.success_probability[-1]),
-        "slow_states": [list(s) for s in record.slow_states],
-        "tau": cfg.tau,
-    }
-    keys = ("final_fidelity_plus", "final_success_probability", "tau") + extra_results
-    return columns, {key: available[key] for key in keys}
+def _plan_stabilize(scenario: str, p: dict, seed: int):
+    cfg = _protocol_config(scenario, p)
+    bell = bell_state(_magnon_space(p["cutoff"]), cfg.target_N, +1)
+    _protocol_inputs(bell, cfg)
+
+    def run():
+        f_stab, f_free = stabilize(bell, cfg)
+        rounds = np.arange(len(f_stab), dtype=float)
+        columns = {"round": rounds, "time": rounds * cfg.tau,
+                   "fidelity_stabilized": f_stab, "fidelity_free": f_free}
+        results = {
+            "final_fidelity_stabilized": float(f_stab[-1]),
+            "final_fidelity_free": float(f_free[-1]),
+            "tau": cfg.tau,
+        }
+        return columns, results
+
+    return run
 
 
-def _run_stabilize(p: dict, seed: int):
-    cfg = _protocol_config(p)
-    f_stab, f_free = stabilize(bell_state(_magnon_space(p["cutoff"]), cfg.target_N, +1), cfg)
-    rounds = np.arange(len(f_stab), dtype=float)
-    columns = {"round": rounds, "time": rounds * cfg.tau,
-               "fidelity_stabilized": f_stab, "fidelity_free": f_free}
-    results = {
-        "final_fidelity_stabilized": float(f_stab[-1]),
-        "final_fidelity_free": float(f_free[-1]),
-        "tau": cfg.tau,
-    }
-    return columns, results
+def _plan_single_shot(scenario: str, p: dict, seed: int):
+    # the search holds its basis table (DEFAULT_SLICES x 2 n_omega floats) and inverse Hessian;
+    # restarts has no other bound, so a count past the float range takes infinite time
+    dim = 2 * p["n_omega"]
+    _budget(f"{scenario}/n_omega", 8 * dim * (DEFAULT_SLICES + dim))
+    calls = p["restarts"] * MAX_CALLS
+    per_call = 0.15e-3 + 3e-9 * dim * (DEFAULT_SLICES + dim)
+    _budget(f"{scenario}/n_omega, restarts", seconds=calls * per_call if calls < 2**1000 else math.inf)
+    interval_for_target(1, EffectiveParams(G_e=p["G"], G_f=p["G"]))  # the search's interval
+
+    def run():
+        result = optimize_single_shot(p["G"], p["n_omega"], p["restarts"], seed)
+        columns = {"slice": np.arange(len(result.times), dtype=float), "time": result.times,
+                   "fidelity": result.fidelity_trace}
+        results = {
+            "achieved_fidelity": float(result.fidelity),
+            "success_probability": float(result.success_probability),
+            "baseline_fidelity": float(result.baseline_fidelity),
+            "coefficients_a": list(result.pulse.a),
+            "coefficients_b": list(result.pulse.b),
+            "iterations": int(result.iterations),
+            "tau_total": float(result.pulse.tau_total),
+        }
+        return columns, results
+
+    return run
 
 
-def _run_single_shot(p: dict, seed: int):
-    result = optimize_single_shot(p["G"], p["n_omega"], p["restarts"], seed)
-    columns = {"slice": np.arange(len(result.times), dtype=float), "time": result.times,
-               "fidelity": result.fidelity_trace}
-    results = {
-        "achieved_fidelity": float(result.fidelity),
-        "success_probability": float(result.success_probability),
-        "baseline_fidelity": float(result.baseline_fidelity),
-        "coefficients_a": list(result.pulse.a),
-        "coefficients_b": list(result.pulse.b),
-        "iterations": int(result.iterations),
-        "tau_total": float(result.pulse.tau_total),
-    }
-    return columns, results
-
-
-def _run_coupling_ratio(p: dict, seed: int):
+def _plan_coupling_ratio(scenario: str, p: dict, seed: int):
+    _budget(f"{scenario}/points", p["points"] * _ROW_BYTES)
     xis = np.linspace(p["xi_min"], p["xi_max"], p["points"])
     exact = coupling_ratio_fidelity(xis)
     best = int(np.argmax(exact))
     results = {"argmax_xi": float(xis[best]), "max_fidelity": float(exact[best])}
-    return {"xi": xis, "fidelity_exact": exact,
-            "fidelity_approx": coupling_ratio_fidelity(xis, approximate=True)}, results
+    columns = {"xi": xis, "fidelity_exact": exact,
+               "fidelity_approx": coupling_ratio_fidelity(xis, approximate=True)}
+    return lambda: (columns, results)
 
 
 def _validation_params(ratio: float, base_detuning: float) -> ModelParams:
@@ -387,7 +379,7 @@ def _validation_params(ratio: float, base_detuning: float) -> ModelParams:
     )
 
 
-def _run_validate_dispersive(p: dict, seed: int):
+def _plan_validate_dispersive(scenario: str, p: dict, seed: int):
     ratio, half, base = p["coupling_ratio"], 0.5 * p["coupling_ratio"], p["base_detuning"]
     params = _validation_params(ratio, base)
     residual = sw_reduction_check(params)
@@ -409,49 +401,49 @@ def _run_validate_dispersive(p: dict, seed: int):
                "evolution_fidelity": [fid, float("nan")]}
     results = {"residual_log2_slope": float(np.log2(residual / residual_half)),
                "evolution_fidelity": fid}
-    return columns, results
+    return lambda: (columns, results)
 
 
 # scenario -> (params schema {key: (caster, default)}, all physical values in
-# magnon-frequency units; runner (params, seed) -> ({column: 1-D values}, results))
+# magnon-frequency units; plan (scenario, params, seed) -> run, and run() ->
+# ({column: 1-D values}, results))
 SCENARIOS = {
     "bell-distill": (
         _protocol_schema(1e-3, 8, 3, interval_mode=(_choice("full", "half"), "full")),
-        partial(_run_protocol_scenario, extra_results=("final_fidelity_minus",))),
+        partial(_plan_protocol, extra_results=("final_fidelity_minus",))),
     "half-interval": (
         _protocol_schema(1e-3, 16, 3),
-        partial(_run_protocol_scenario, extra_results=("final_fidelity_minus",),
-                interval_mode="half")),
-    "decohere-prepare": (_protocol_schema(6e-3, 8, 3, **_LOSS_RATES), _run_protocol_scenario),
-    "stabilize": (_protocol_schema(6e-3, 8, 3, **_LOSS_RATES), _run_stabilize),
+        partial(_plan_protocol, extra_results=("final_fidelity_minus",), interval_mode="half")),
+    "decohere-prepare": (_protocol_schema(6e-3, 8, 3, **_LOSS_RATES), _plan_protocol),
+    "stabilize": (_protocol_schema(6e-3, 8, 3, **_LOSS_RATES), _plan_stabilize),
     "coherent-distill": (
         _protocol_schema(1e-3, 50, 10, G_f=_COHERENT_G_F, beta_n=(_number, 1.0),
                          beta_m=(_number, 1.0), target_N=(_positive(_integer), 1)),
-        partial(_run_protocol_scenario, extra_results=("slow_states",))),
+        partial(_plan_protocol, extra_results=("slow_states",))),
     "nbell": (
         _protocol_schema(1e-3, 1000, 10, G_f=_COHERENT_G_F,
                          target_N=(_positive(_integer), 3), beta=(_number, 1.3)),
-        partial(_run_protocol_scenario, extra_results=("slow_states",))),
+        partial(_plan_protocol, extra_results=("slow_states",))),
     "single-shot": ({
         "G": (_positive(_number), 1e-3),
         "n_omega": (_nonneg(_integer), 4),
         "restarts": (_positive(_integer), 8),
-    }, _run_single_shot),
+    }, _plan_single_shot),
     "coupling-ratio": ({
         "xi_min": (_positive(_number), 0.8),
         "xi_max": (_positive(_number), 1.2),
         "points": (_positive(_integer), 81),
-    }, _run_coupling_ratio),
+    }, _plan_coupling_ratio),
     "validate-dispersive": ({
         "coupling_ratio": (_positive(_number), 0.05),
         "base_detuning": (_positive(_number), 0.4),
-    }, _run_validate_dispersive),
+    }, _plan_validate_dispersive),
 }
 
 
 def run_scenario(cfg: ExperimentConfig) -> ResultTable:
-    """Execute a scenario and return its deterministic result table."""
-    columns, results = SCENARIOS[cfg.scenario][1](cfg.params, cfg.seed)
+    """Plan a scenario, run it, and return its deterministic result table."""
+    columns, results = SCENARIOS[cfg.scenario][1](cfg.scenario, cfg.params, cfg.seed)()
     # one .tolist() per column makes every value a Python float in a single call
     rows = tuple(zip(*(np.asarray(col, dtype=float).tolist() for col in columns.values()),
                      strict=True))
@@ -523,7 +515,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.command == "validate":
+        if args.command == "validate":  # the plan: every check of a run before its rounds or search
+            SCENARIOS[cfg.scenario][1](cfg.scenario, cfg.params, cfg.seed)
             print(json.dumps({"ok": True, "scenario": cfg.scenario, "params": cfg.params},
                              sort_keys=True))
             return 0

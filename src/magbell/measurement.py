@@ -264,9 +264,8 @@ def run_protocol(initial: QuantumState, cfg: ProtocolConfig) -> ProtocolRecord:
     return _protocol(initial, cfg)
 
 
-def _protocol(initial: QuantumState, cfg: ProtocolConfig,
-              channel: LindbladChannel | None = None) -> ProtocolRecord:
-    """``run_protocol``, reusing channel, built on a set holding |g><g| (x) initial, if given."""
+def _protocol_inputs(initial: QuantumState, cfg: ProtocolConfig) -> tuple[int, int, np.ndarray]:
+    """(a, b, v), the |0,0> and |N,N> indices and the return amplitudes, after a run's pre-round checks."""
     mag_space = initial.space
     if mag_space.labels != ("n", "m"):
         raise DimensionError(f"initial state must live on ('n', 'm'), got {mag_space.labels}")
@@ -278,9 +277,15 @@ def _protocol(initial: QuantumState, cfg: ProtocolConfig,
         raise TargetOverlapError(
             f"initial population on {{|0,0>, |{N},{N}>}} is numerically zero"
         )
+    return a, b, _return_amplitudes(*np.unravel_index(np.arange(mag_space.total_dim), mag_space.dims),
+                                    cfg.eff, cfg.tau)
 
-    dim = mag_space.total_dim
-    v = _return_amplitudes(*np.unravel_index(np.arange(dim), mag_space.dims), cfg.eff, cfg.tau)
+
+def _protocol(initial: QuantumState, cfg: ProtocolConfig,
+              channel: LindbladChannel | None = None) -> ProtocolRecord:
+    """``run_protocol``, reusing channel, built on a set holding |g><g| (x) initial, if given."""
+    a, b, v = _protocol_inputs(initial, cfg)
+    mag_space, N, dim = initial.space, cfg.target_N, initial.space.total_dim
     slow = tuple(
         mag_space.occupations(k)
         for k in np.flatnonzero(np.abs(v) > 1.0 - SLOW_DAMPING_MARGIN)
