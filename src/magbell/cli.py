@@ -6,12 +6,16 @@ times in units of its inverse.  Identical config and seed give byte-identical
 output, and the metadata header of every result is sufficient to re-run it.
 
 One table, ``SCENARIOS``, maps each scenario name to its params schema and
-its runner.  A runner returns its named columns, each a 1-D sequence, and its
-headline results; ``run_scenario`` builds the rows from the columns.  The
-protocol scenarios (bell-distill, half-interval, decohere-prepare,
-coherent-distill, nbell) are presets over one runner: the params pick the
-initial state and the loss rates, and a preset fixes only the interval mode
-and its extra result keys; stabilize shares that runner's config builder.
+its plan.  A plan checks the work and time budgets before anything is
+allocated, builds and checks everything the run makes before its first round
+or search, and returns the run, which gives its named columns, each a 1-D
+sequence, and its headline results.  ``run_scenario`` plans, runs and builds
+the rows from the columns; ``validate`` runs the plan only, so it exits as
+``run`` does on every failure before the rounds or the search.  The protocol
+scenarios (bell-distill, half-interval, decohere-prepare, coherent-distill,
+nbell) are presets over one plan: the params pick the initial state and the
+loss rates, and a preset fixes only the interval mode and its extra result
+keys; stabilize shares that plan's config builder, budgets included.
 The config names the scenario, its params and the seed; only the flags
 (``--format``, ``--out``) choose where and how the result is written.
 
@@ -140,6 +144,7 @@ def _number(value) -> float:
 def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"expected an integer, got {value!r}")
+    float(value)  # OverflowError for an integer beyond float range, which a run cannot count to
     return int(value)
 
 
@@ -183,8 +188,15 @@ _LOSSY_MATRICES = 18
 #   inverse Hessian at DEFAULT_SLICES = 512; calls timed at 0.15, 0.47, 1.6-2.0
 #   and 13-20 ms at n_omega 4, 128, 256 and 1024 lie within 60 % of it;
 # - a closed protocol run updates rounds x cutoff^2 magnon amplitudes, about
-#   6.4 ns each per round (6.1-6.4 ns at cutoffs 100 and 1000).
-# Lossy runs and coupling-ratio scans have no estimate yet.  The budget, ~27
+#   6.4 ns each per round (6.1-6.4 ns at cutoffs 100 and 1000);
+# - a lossy round of decohere-prepare takes about 20 us + 4.5 ns x cutoff^5
+#   (0.017, 0.074, 0.42, 2.1, 5.9 and 14 ms at cutoffs 3, 6, 10, 14, 17 and 20),
+#   and one of stabilize 6 ns x cutoff^6 more for its free leg, which maps the
+#   3 cutoff^2-dim joint state (0.060, 0.59, 7.2, 47, 139 and 353 ms in all);
+#   the estimates lie within 60 % of these times.  The channel's build, once a
+#   run, is not counted: 0.9 s (decohere-prepare) and 1.6 s (stabilize) at cutoff 20.
+# A coupling-ratio scan needs no estimate: at the 2,097,152 points the work
+# budget admits, the scan took 0.86 s and its CSV emit 1.4 s.  The budget, ~27
 # minutes, lets n_omega = 4 make 2500 restarts but not 2501, as the call budget
 # of 10^7 calls did; the shipped and benchmarked sizes stay over 100 times under it.
 _TIME_BUDGET_S = 1625
@@ -255,13 +267,17 @@ def _budget(keys: str, size: int = 0, seconds: float = 0.0) -> None:
 
 def _protocol_config(scenario: str, p: dict, interval_mode: str = "full") -> ProtocolConfig:
     """Protocol settings of a scenario, within the budgets; loss rates, when present, switch on decay."""
-    rounds, dim = p["rounds"], p["cutoff"] ** 2  # of the magnon space; the joint space is 3 dim
+    rounds, cutoff = p["rounds"], p["cutoff"]
+    dim = cutoff**2  # of the magnon space; the joint space is 3 dim
     decoherence = (p["gamma_n"], p["gamma_m"]) if "gamma_n" in p else None
     _budget(f"{scenario}/rounds", (rounds + 1) * _ROW_BYTES)
     _budget(f"{scenario}/cutoff", 16 * (_CLOSED_ARRAYS * dim if decoherence is None
                                         else _LOSSY_MATRICES * (3 * dim) ** 2))
     if decoherence is None:
-        _budget(f"{scenario}/rounds, cutoff", seconds=rounds * dim * 6.4e-9)
+        per_round = 6.4e-9 * dim
+    else:
+        per_round = 20e-6 + 4.5e-9 * cutoff**5 + (6e-9 * cutoff**6 if scenario == "stabilize" else 0.0)
+    _budget(f"{scenario}/rounds, cutoff", seconds=rounds * per_round)
     eff = EffectiveParams(G_e=p["G_e"], G_f=p["G_f"],
                           Delta_e_tilde=p["Delta"], Delta_f_tilde=p["Delta"])
     return ProtocolConfig.for_target(eff, rounds=rounds, target_N=p.get("target_N", 1),

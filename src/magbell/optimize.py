@@ -384,19 +384,21 @@ def optimize_single_shot(G: float, n_omega: int, restarts: int = 8, seed: int = 
     tau0 = interval_for_target(1, EffectiveParams(G_e=G, G_f=G))  # the pulse sets the detuning
     dim = 2 * n_omega
     objective = _block_objective(tau0, G, n_omega, slices)
-    f_zero = _checked(objective, np.zeros(dim))[0]
-    best_x, best_f, best_calls = np.zeros(dim), f_zero, 0
     scale = 2.0 / tau0**2  # the restart box; the search runs in units of it
 
     def scaled(y):
         f, grad = objective(scale * y)
         return f, scale * grad
 
-    for restart in range(restarts):
-        rng = np.random.default_rng(seed + restart)
-        y, f, calls = bfgs(scaled, rng.uniform(-scale, scale, size=dim) / scale)
-        if f < best_f:  # strict: ties keep the lowest restart seed
-            best_x, best_f, best_calls = scale * y, f, calls
+    # a value that overflows is non-finite, which _checked rejects: no warning on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_zero = _checked(objective, np.zeros(dim))[0]
+        best_x, best_f, best_calls = np.zeros(dim), f_zero, 0
+        for restart in range(restarts):
+            rng = np.random.default_rng(seed + restart)
+            y, f, calls = bfgs(scaled, rng.uniform(-scale, scale, size=dim) / scale)
+            if f < best_f:  # strict: ties keep the lowest restart seed
+                best_x, best_f, best_calls = scale * y, f, calls
 
     pulse = _pulse_from_vector(best_x, n_omega, tau0, G)
     times, trace, prob = _fidelity_time_trace(pulse, slices)

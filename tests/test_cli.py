@@ -10,7 +10,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from magbell import cli, dynamics, optimize
+from magbell import cli, dynamics, measurement, optimize
 from magbell.cli import (
     ConfigError,
     ExperimentConfig,
@@ -30,6 +30,14 @@ from magbell.optimize import ObjectiveError
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "configs"
+
+# small param values, and numbers that reach each regime guard, for validate against run
+SMALL_VALUES = {"rounds": st.integers(-1, 20), "cutoff": st.integers(0, 6), "target_N": st.integers(0, 7),
+                "points": st.integers(0, 50), "n_omega": st.integers(0, 2), "restarts": st.just(1),
+                "interval_mode": st.sampled_from(["full", "half"])}
+SMALL_NUMBERS = st.sampled_from([0.0, -1e-3, 1e-320, 1e-7, 1e-3, 6e-3, 0.05, 0.4, 2.0, 5.0, 9e153, 1e300])
+# the errors a run may raise only in its rounds or search, after its plan passed validate
+ROUND_ERRORS = {"NullOutcomeError", "StateValidationError", "TraceDriftError", "ObjectiveError"}
 
 # param values that are out of range, out of type or past the float range
 FUZZ_VALUES = (st.sampled_from([0, 1, 1e300, -1e300, 1e-300, -1e-300, True, False, "8", None, [1, 2]])
@@ -367,7 +375,8 @@ class TestMainEntry:
         ("coupling-ratio", "xi_max", ".inf"),
         ("bell-distill", "Delta", "-.inf"),
         ("bell-distill", "Delta", "1" + "0" * 400),
-    ], ids=["nan", "inf", "-inf", "int-overflow"])
+        ("nbell", "target_N", "1" + "0" * 400),
+    ], ids=["nan", "inf", "-inf", "int-overflow", "integer-key-overflow"])
     def test_non_finite_number_is_config_error(self, tmp_path, capsys, scenario, key, value):
         path = tmp_path / "cfg.yaml"
         path.write_text(f"scenario: {scenario}\nparams:\n  {key}: {value}\n")
@@ -384,6 +393,13 @@ class TestMainEntry:
         assert main(["run", "--config", path]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and message in err["message"]
+
+    def test_search_objective_overflow_exits_4_with_no_warning(self, tmp_path, capsys):
+        # Omega_11 is finite, so the search has an interval, but its objective's squares
+        # overflow; RuntimeWarning is an error under this suite's filterwarnings
+        path = write_config(tmp_path, {"scenario": "single-shot", "params": {"G": 9.0e+153, "restarts": 1}})
+        assert main(["run", "--config", path]) == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "ObjectiveError"
 
     def test_largest_block_frequency_overflow_exits_2(self, tmp_path, capsys):
         # Omega_11 is finite, so an interval exists, but G^2 (n + m) overflows from n + m = 3 on;
@@ -528,8 +544,10 @@ class TestMalformedInputExits2:
         ("coupling-ratio", {"points": 1_000_000_000}, "points"),
         ("single-shot", {"n_omega": 1024, "restarts": 2500}, "n_omega, restarts"),
         ("nbell", {"rounds": 2_000_000, "cutoff": 1000}, "rounds, cutoff"),
+        ("decohere-prepare", {"rounds": 2_000_000, "cutoff": 20}, "rounds, cutoff"),
+        ("stabilize", {"rounds": 2_000_000, "cutoff": 20}, "rounds, cutoff"),
     ], ids=["rounds", "stabilize-rounds", "n_omega", "closed-cutoff", "lossy-cutoff", "restarts", "points",
-            "long-search", "long-closed-run"])
+            "long-search", "long-closed-run", "long-lossy-run", "long-stabilize-run"])
     def test_over_budget_sizes_are_config_errors(self, tmp_path, capsys, monkeypatch, scenario, params, keys):
         # validate only: a run would try the allocation, or the search
         path = write_config(tmp_path, {"scenario": scenario, "params": params})
@@ -603,3 +621,57 @@ class TestMalformedInputExits2:
         assert main(["run", "--config", path, "--format", "json", "--out", str(out)]) == 0
         assert out.read_bytes() == emit(run_scenario(load_config(path)), "json")
         assert json.loads(out.read_text())["metadata"]["seed"] == 4
+
+
+class TestValidateRunsThePlan:
+    """validate runs each scenario's plan: a config fails it exactly as run fails before the rounds."""
+
+    @pytest.mark.parametrize("scenario, params, code, error, message", [
+        ("coherent-distill", {"beta_n": 5.0}, 3, "TruncationError", "cutoff 10 leaks"),
+        ("bell-distill", {"G_e": 1.0e+300}, 2, "ValueError", "Omega_11 overflows"),
+        ("nbell", {"target_N": 12}, 3, "DimensionError", "target excitation 12 outside cutoffs"),
+        ("coupling-ratio", {"xi_max": 1.0e+300}, 2, "ValueError", "Omega_11 overflows"),
+        ("single-shot", {"G": 1.0e+300}, 2, "ValueError", "Omega_11 overflows"),
+        ("coherent-distill", {"G_e": 9.0e+153, "G_f": 9.0e+153}, 2, "ValueError", "Omega_03 overflows"),
+        ("stabilize", {"G_e": 9.0e+153, "G_f": 9.0e+153}, 2, "ValueError", "Omega_12 overflows"),
+        ("validate-dispersive", {"coupling_ratio": 1.0e-7}, 2, "ValueError", "coupling_ratio 1e-07 is too small"),
+        ("decohere-prepare", {"rounds": 2_000_000, "cutoff": 20}, 2, "ConfigError", "decohere-prepare/rounds, cutoff"),
+        ("stabilize", {"rounds": 2_000_000, "cutoff": 20}, 2, "ConfigError", "stabilize/rounds, cutoff"),
+    ], ids=["truncation", "interval-overflow", "target-outside-cutoff", "xi-overflow", "search-interval-overflow",
+            "grid-overflow", "stabilize-grid-overflow", "unresolvable-ratio", "long-lossy-run", "long-stabilize-run"])
+    def test_validate_exits_as_run_does(self, tmp_path, capsys, scenario, params, code, error, message):
+        path = write_config(tmp_path, {"scenario": scenario, "params": params})
+        assert main(["run", "--config", path]) == code
+        ran = capsys.readouterr()
+        assert main(["validate", "--config", path]) == code
+        validated = capsys.readouterr()
+        assert ran.out == validated.out == "" and validated.err == ran.err and len(ran.err.splitlines()) == 1
+        err = json.loads(ran.err)
+        assert err["error"] == error and err["message"].startswith(message)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), scenario=st.sampled_from(sorted(cli.SCENARIOS)))
+    def test_validate_passes_only_round_time_failures(self, tmp_path, capsys, data, scenario):
+        schema = cli.SCENARIOS[scenario][0]
+        params = data.draw(st.fixed_dictionaries({}, optional={key: SMALL_VALUES.get(key, SMALL_NUMBERS)
+                                                               for key in schema}))
+        path = write_config(tmp_path, {"scenario": scenario, "params": params})
+        code = main(["validate", "--config", path])
+        validated = capsys.readouterr().err
+        ran = main(["run", "--config", path, "--out", str(tmp_path / "out.csv")])
+        captured = capsys.readouterr()
+        if code:
+            assert (ran, captured.err) == (code, validated)
+        elif ran:
+            assert len(captured.err.splitlines()) == 1 and json.loads(captured.err)["error"] in ROUND_ERRORS
+        else:
+            assert captured.err == ""
+
+    @pytest.mark.parametrize("config", ["decohere_prepare.yaml", "stabilize.yaml"])
+    def test_validate_builds_no_channel(self, capsys, monkeypatch, config):
+        builds = []
+        real = measurement.lindblad_channel
+        monkeypatch.setattr(measurement, "lindblad_channel", lambda *args: builds.append(args) or real(*args))
+        path = str(CONFIG_DIR / config)
+        assert main(["validate", "--config", path]) == 0 and builds == []
+        assert main(["run", "--config", path]) == 0 and len(builds) == 1  # the spy sees a run's build
