@@ -525,7 +525,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     run_p.add_argument("--out", default=None, help="output path (default stdout)")
     run_p.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-    val_p = sub.add_parser("validate", help="parse and validate a config file only")
+    val_p = sub.add_parser("validate", help="check a config: run its plan, all but the rounds or search")
     val_p.add_argument("--config", required=True)
 
     args = parser.parse_args(argv)
