@@ -37,7 +37,7 @@ from functools import partial
 import numpy as np
 import yaml
 
-from . import __version__
+from . import __version__, measurement
 from .dynamics import NonHermitianError, TraceDriftError
 from .hilbert import (
     DimensionError,
@@ -52,11 +52,8 @@ from .measurement import (
     NullOutcomeError,
     ProtocolConfig,
     TargetOverlapError,
-    _protocol_inputs,
     coupling_ratio_fidelity,
     interval_for_target,
-    run_protocol,
-    stabilize,
 )
 from .model import (
     COHERENT_COUPLING_RATIO,
@@ -296,11 +293,10 @@ def _plan_protocol(scenario: str, p: dict, seed: int, extra_results: tuple[str, 
         parts = {"n": plus, "m": plus}
     else:
         parts = {"n": coherent_state(beta_n, cutoff), "m": coherent_state(beta_m, cutoff)}
-    initial = product_state(_magnon_space(cutoff), parts)
-    _protocol_inputs(initial, cfg)
+    *_, protocol = measurement._plan(product_state(_magnon_space(cutoff), parts), cfg)
 
     def run():
-        record = run_protocol(initial, cfg)
+        record = protocol()[0]
         columns = {
             "round": np.arange(cfg.rounds + 1, dtype=float),
             "fidelity_plus": record.fidelity_plus,
@@ -323,11 +319,10 @@ def _plan_protocol(scenario: str, p: dict, seed: int, extra_results: tuple[str, 
 
 def _plan_stabilize(scenario: str, p: dict, seed: int):
     cfg = _protocol_config(scenario, p)
-    bell = bell_state(_magnon_space(p["cutoff"]), cfg.target_N, +1)
-    _protocol_inputs(bell, cfg)
+    stabilize = measurement._plan_stabilize(bell_state(_magnon_space(p["cutoff"]), cfg.target_N, +1), cfg)
 
     def run():
-        f_stab, f_free = stabilize(bell, cfg)
+        f_stab, f_free = stabilize()
         rounds = np.arange(len(f_stab), dtype=float)
         columns = {"round": rounds, "time": rounds * cfg.tau,
                    "fidelity_stabilized": f_stab, "fidelity_free": f_free}

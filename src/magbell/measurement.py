@@ -261,15 +261,17 @@ def run_protocol(initial: QuantumState, cfg: ProtocolConfig) -> ProtocolRecord:
     of each round's array (``_pair_records``), and the final array becomes
     the one QuantumState.
     """
-    return _protocol(initial, cfg)
+    *_, run = _plan(initial, cfg)
+    return run()[0]
 
 
-def _protocol_inputs(initial: QuantumState, cfg: ProtocolConfig) -> tuple[int, int, np.ndarray]:
-    """(a, b, v), the |0,0> and |N,N> indices and the return amplitudes, after a run's pre-round checks."""
+def _plan(initial: QuantumState, cfg: ProtocolConfig):
+    """(a, b, run) after a run's pre-round checks: the |0,0> and |N,N> indices, and run() ->
+    (``run_protocol``'s record, the channel a lossy run builds or None)."""
     mag_space = initial.space
     if mag_space.labels != ("n", "m"):
         raise DimensionError(f"initial state must live on ('n', 'm'), got {mag_space.labels}")
-    N = cfg.target_N
+    N, dim = cfg.target_N, mag_space.total_dim
     if N >= min(mag_space.dims):
         raise DimensionError(f"target excitation {N} outside cutoffs {mag_space.dims}")
     a, b = mag_space.index((0, 0)), mag_space.index((N, N))
@@ -277,50 +279,36 @@ def _protocol_inputs(initial: QuantumState, cfg: ProtocolConfig) -> tuple[int, i
         raise TargetOverlapError(
             f"initial population on {{|0,0>, |{N},{N}>}} is numerically zero"
         )
-    return a, b, _return_amplitudes(*np.unravel_index(np.arange(mag_space.total_dim), mag_space.dims),
-                                    cfg.eff, cfg.tau)
-
-
-def _protocol(initial: QuantumState, cfg: ProtocolConfig,
-              channel: LindbladChannel | None = None) -> ProtocolRecord:
-    """``run_protocol``, reusing channel, built on a set holding |g><g| (x) initial, if given."""
-    a, b, v = _protocol_inputs(initial, cfg)
-    mag_space, N, dim = initial.space, cfg.target_N, initial.space.total_dim
+    v = _return_amplitudes(*np.unravel_index(np.arange(dim), mag_space.dims), cfg.eff, cfg.tau)
     slow = tuple(
         mag_space.occupations(k)
         for k in np.flatnonzero(np.abs(v) > 1.0 - SLOW_DAMPING_MARGIN)
         if mag_space.occupations(k) not in ((0, 0), (N, N))
     )
 
-    # the per-round map on the unnormalized magnon data, picked once
-    kind, data = initial.kind, initial.data
-    if cfg.decoherence is not None:
-        kind, data = "mixed", initial.density()
-        if channel is None:
-            channel = lindblad_channel(_joint_spec(mag_space, cfg), cfg.tau, _with_ground(data))
-        evolve = _round_map(channel, mag_space)._apply
-    else:
+    # the per-round map on the unnormalized magnon data: the amplitudes (closed) or the run's channel
+    if cfg.decoherence is None:
+        kind, data = initial.kind, initial.data
         vv = v if kind == "pure" else np.outer(v, v.conj())
-
-        def evolve(x):
-            return vv * x
-
+    else:
+        kind, data = "mixed", initial.density()
     # the entries each round's records read: x_a, x_b (pure) or rho_aa, rho_bb, rho_ab (mixed)
     picks = [a, b] if kind == "pure" else [a * dim + a, b * dim + b, a * dim + b]
-    data, entries, probs = _round_loop(
-        data, lambda x, k: _normalized(kind, evolve(x), f"round {k}: ground-state"), picks, cfg.rounds)
 
-    even_pop, f_plus, f_minus = _pair_records(entries, kind == "pure")
-    converged = np.flatnonzero(even_pop >= CONVERGED_EVEN_POPULATION)
-    return ProtocolRecord(
-        fidelity_plus=f_plus,
-        fidelity_minus=f_minus,
-        success_probability=np.cumprod(probs),
-        even_population=even_pop,
-        final_state=QuantumState(mag_space, kind, data),
-        slow_states=slow,
-        converged_round=int(converged[0]) if converged.size else None,
-    )
+    def run():
+        channel = (None if cfg.decoherence is None
+                   else lindblad_channel(_joint_spec(mag_space, cfg), cfg.tau, _with_ground(data)))
+        evolve = (lambda x: vv * x) if channel is None else _round_map(channel, mag_space)._apply
+        x, entries, probs = _round_loop(
+            data, lambda x, k: _normalized(kind, evolve(x), f"round {k}: ground-state"), picks, cfg.rounds)
+        even_pop, f_plus, f_minus = _pair_records(entries, kind == "pure")
+        converged = np.flatnonzero(even_pop >= CONVERGED_EVEN_POPULATION)
+        return ProtocolRecord(
+            fidelity_plus=f_plus, fidelity_minus=f_minus, success_probability=np.cumprod(probs),
+            even_population=even_pop, final_state=QuantumState(mag_space, kind, x), slow_states=slow,
+            converged_round=int(converged[0]) if converged.size else None), channel
+
+    return a, b, run
 
 
 def _round_loop(x: np.ndarray, step, picks, rounds: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -373,19 +361,25 @@ def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.n
     read by ``_pair_records`` off the three entries of tr_q rho on
     {|0,0>, |N,N>}, each the sum of three joint entries.
     """
+    return _plan_stabilize(bell, cfg)()
+
+
+def _plan_stabilize(bell: QuantumState, cfg: ProtocolConfig):
+    """``stabilize``'s checks (decay rates set, then ``_plan``'s) and its run, run() -> (F_stab, F_free)."""
     if cfg.decoherence is None:
         raise ValueError("stabilize requires decoherence rates in the config")
-    start = _with_ground(bell.density())
-    channel = lindblad_channel(_joint_spec(bell.space, cfg), cfg.tau, start)
-    f_stab = _protocol(bell, cfg, channel).fidelity_plus
-
+    a, b, protocol = _plan(bell, cfg)
     # (level, entry) -> joint index of (l a, l a), (l b, l b), (l a, l b), with a = |0,0>, b = |N,N>
-    dim, N = bell.space.total_dim, cfg.target_N
-    levels = dim * np.arange(3)[:, None]
-    a, b = bell.space.index((0, 0)), bell.space.index((N, N))
-    picks = np.ravel_multi_index((levels + [a, b, a], levels + [a, b, b]), start.shape)
-    _, entries, _ = _round_loop(start, lambda rho, k: (channel._apply(rho), 1.0), picks, cfg.rounds)
-    return f_stab, _pair_records(entries.sum(axis=1), False)[1]
+    levels = bell.space.total_dim * np.arange(3)[:, None]
+    picks = np.ravel_multi_index((levels + [a, b, a], levels + [a, b, b]), (3 * bell.space.total_dim,) * 2)
+
+    def run():
+        record, channel = protocol()
+        _, entries, _ = _round_loop(_with_ground(bell.density()), lambda rho, k: (channel._apply(rho), 1.0),
+                                    picks, cfg.rounds)
+        return record.fidelity_plus, _pair_records(entries.sum(axis=1), False)[1]
+
+    return run
 
 
 def _fidelity_and_norm(a01, a10, a11):
