@@ -132,7 +132,10 @@ def _choice(*options):
 def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
-    out = float(value)  # OverflowError for an integer beyond float range
+    try:
+        out = float(value)
+    except OverflowError as exc:  # an integer beyond float range
+        raise ValueError(exc) from None
     if not math.isfinite(out):
         raise ValueError(f"expected a finite number, got {value!r}")
     return out
@@ -141,7 +144,7 @@ def _number(value) -> float:
 def _integer(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"expected an integer, got {value!r}")
-    float(value)  # OverflowError for an integer beyond float range, which a run cannot count to
+    _number(value)  # ValueError for an integer beyond float range, which a run cannot count to
     return int(value)
 
 
@@ -245,7 +248,7 @@ def _resolve_params(scenario: str, given: dict) -> dict:
         value = given.get(key, default)
         try:
             resolved[key] = caster(value)
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"invalid value for {scenario}/{key}: {exc}") from exc
     if scenario == "coupling-ratio" and resolved["xi_max"] <= resolved["xi_min"]:
         raise ConfigError("xi_max must exceed xi_min")

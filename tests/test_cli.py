@@ -383,6 +383,17 @@ class TestMainEntry:
         assert main(["run", "--config", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_seed_past_float_range_exits_2(self, tmp_path, capsys, where):
+        huge = "1" + "0" * 400
+        path = tmp_path / "cfg.yaml"
+        path.write_text("scenario: coupling-ratio\n" + (f"seed: {huge}\n" if where == "config" else ""))
+        assert main(["run", "--config", str(path)] + (["--seed", huge] if where == "flag" else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert json.loads(captured.err) == {"error": "ConfigError",
+                                            "message": "invalid seed: int too large to convert to float"}
+
     @pytest.mark.parametrize("scenario, params, message", [
         ("bell-distill", {"G_e": 1.0e-320, "G_f": 1.0e-320}, "no measurement interval"),
         ("single-shot", {"G": 1.0e-320}, "no measurement interval"),
