@@ -678,6 +678,18 @@ class TestValidateRunsThePlan:
         else:
             assert captured.err == ""
 
+    @pytest.mark.parametrize("config", ["bell_distill.yaml", "decohere_prepare.yaml", "stabilize.yaml"])
+    def test_each_run_makes_its_pre_round_checks_once(self, capsys, monkeypatch, config):
+        # the plan computes the return amplitudes once, and the run uses them
+        grids, builds = [], []
+        amplitudes, channel = measurement._return_amplitudes, measurement.lindblad_channel
+        monkeypatch.setattr(measurement, "_return_amplitudes", lambda *args: grids.append(args) or amplitudes(*args))
+        monkeypatch.setattr(measurement, "lindblad_channel", lambda *args: builds.append(args) or channel(*args))
+        path = str(CONFIG_DIR / config)
+        assert main(["validate", "--config", path]) == 0 and len(grids) == 1 and builds == []
+        grids.clear()
+        assert main(["run", "--config", path]) == 0 and len(grids) == 1
+
     @pytest.mark.parametrize("config", ["decohere_prepare.yaml", "stabilize.yaml"])
     def test_validate_builds_no_channel(self, capsys, monkeypatch, config):
         builds = []
