@@ -18,6 +18,9 @@ Liouville indices that |g><g| (x) rho_0 can reach, and compressed once to
 the g-g entries of that set (``_round_map``).  A stabilization run shares
 one channel, built from the Bell input, between its projected and free
 legs, since every projected state stays in the g-g part of that set.
+A run is planned, then run: ``_plan`` and ``_plan_stabilize`` make the
+pre-round checks once and return the run, which builds the channel; the
+CLI's plans keep these runs, and ``run_protocol`` and ``stabilize`` call them.
 Closed, lossy and free-decay rounds all run in one loop (``_round_loop``),
 the one place a round's array is checked, in place, with
 ``hilbert.check_state``, the check ``QuantumState`` runs.  A projected round
@@ -244,14 +247,14 @@ def _round_map(channel: LindbladChannel, mag_space: HilbertSpace) -> BlockMap:
 
 
 def run_protocol(initial: QuantumState, cfg: ProtocolConfig) -> ProtocolRecord:
-    """Run M rounds of (attach ground-state qutrit, evolve tau, project).
+    """Run M rounds of (attach ground-state qutrit, evolve tau, project): ``_plan``, then its run.
 
     Every round applies one fixed map to the unnormalized magnon state, then
     renormalizes: closed runs the amplitudes v of ``_return_amplitudes``
     elementwise (v_i psi_i, or v_i conj(v_j) rho_ij for a mixed state); with
     decoherence set, M = P_g exp(L tau) P_g (``_round_map``), the g-g part
     of the exact magnon-loss map (``lindblad_channel``) on |g><g| (x) rho,
-    built from |g><g| (x) initial (which checks its trace preservation).
+    which the run builds from |g><g| (x) initial and checks for trace preservation.
 
     ``_round_loop`` checks each round's renormalized magnon array in place.
     Each round holds the outcome probability to NULL_OUTCOME_FLOOR; a lossy
@@ -348,18 +351,18 @@ def _pair_records(entries: np.ndarray, pure: bool) -> tuple[np.ndarray, np.ndarr
 
 
 def stabilize(bell: QuantumState, cfg: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Hold a Bell state against magnon loss by repeated projection.
+    """Hold a Bell state against magnon loss by repeated projection: ``_plan_stabilize``, then its run.
 
     Returns (F_stab, F_free): the per-round fidelity under the
     evolve-and-project cycle, and the fidelity of a measurement-free
     master-equation run over the same horizon, both sampled at multiples of
-    tau (index 0 is t = 0).  One channel exp(L tau), built from the Bell
-    input, serves both legs: the projected one applies its magnon round map
-    M (``run_protocol``'s rounds), the free one the whole channel to the
-    joint state, each by ``BlockMap._apply``, and ``_round_loop`` checks
-    every round of both, its trace included.  F_free is <B| tr_q rho |B>,
-    read by ``_pair_records`` off the three entries of tr_q rho on
-    {|0,0>, |N,N>}, each the sum of three joint entries.
+    tau (index 0 is t = 0).  One channel exp(L tau), built by the projected
+    leg's run from the Bell input, serves both legs: the projected one
+    applies its magnon round map M (the rounds of ``_plan``'s run), the free
+    one the whole channel to the joint state, each by ``BlockMap._apply``,
+    and ``_round_loop`` checks every round of both, its trace included.
+    F_free is <B| tr_q rho |B>, read by ``_pair_records`` off the three
+    entries of tr_q rho on {|0,0>, |N,N>}, each the sum of three joint entries.
     """
     return _plan_stabilize(bell, cfg)()
 
