@@ -373,8 +373,9 @@ def _plan_stabilize(bell: QuantumState, cfg: ProtocolConfig):
         raise ValueError("stabilize requires decoherence rates in the config")
     a, b, protocol = _plan(bell, cfg)
     # (level, entry) -> joint index of (l a, l a), (l b, l b), (l a, l b), with a = |0,0>, b = |N,N>
-    levels = bell.space.total_dim * np.arange(3)[:, None]
-    picks = np.ravel_multi_index((levels + [a, b, a], levels + [a, b, b]), (3 * bell.space.total_dim,) * 2)
+    dim = bell.space.total_dim
+    levels = dim * np.arange(3)[:, None]
+    picks = np.ravel_multi_index((levels + [a, b, a], levels + [a, b, b]), (3 * dim, 3 * dim))
 
     def run():
         record, channel = protocol()
