@@ -137,16 +137,16 @@ class Operator:
         object.__setattr__(self, "matrix", mat)
 
 
-def check_state(kind: str, arr: np.ndarray) -> None:
-    """Raise StateValidationError unless arr, of the right shape, is a state of kind.
+def check_state(arr: np.ndarray) -> None:
+    """Raise StateValidationError unless arr, of the right shape, is a state.
 
-    A pure vector needs unit norm to PURE_NORM_ATOL.  A density matrix needs
-    Hermiticity and unit trace to MIXED_ATOL, then no eigenvalue below
-    MIXED_EIG_FLOOR, checked in that order; the tolerances are read at call
-    time.  arr is neither copied nor changed: ``QuantumState`` calls this on
+    A vector is checked as a pure state: unit norm to PURE_NORM_ATOL.  A
+    matrix is checked as a density matrix: Hermiticity and unit trace to
+    MIXED_ATOL, then no eigenvalue below MIXED_EIG_FLOOR, in that order; the
+    tolerances are read at call time.  arr is neither copied nor changed: ``QuantumState`` calls this on
     its copy, and a protocol round on its own array.
     """
-    if kind == "pure":
+    if arr.ndim == 1:
         norm = float(np.linalg.norm(arr))
         if not abs(norm - 1.0) <= PURE_NORM_ATOL:  # NaN fails too
             raise StateValidationError(f"pure state norm {norm} != 1")
@@ -182,7 +182,7 @@ class QuantumState:
                 raise DimensionError(f"pure state shape {arr.shape} != ({d},)")
         elif arr.shape != (d, d):
             raise DimensionError(f"density matrix shape {arr.shape} != ({d}, {d})")
-        check_state(self.kind, arr)
+        check_state(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 

@@ -130,12 +130,12 @@ def numeric_kraus(H_eff: Operator, tau: float) -> Operator:
     return Operator(mag, _ground_block(propagator(H_eff, tau).matrix))
 
 
-def _normalized(kind: str, branch: np.ndarray, where: str = "ground-state") -> tuple[np.ndarray, float]:
+def _normalized(branch: np.ndarray, where: str = "ground-state") -> tuple[np.ndarray, float]:
     """An unnormalized outcome branch divided by its norm (pure) or trace (mixed), and its probability.
 
     Raises NullOutcomeError, naming the outcome by where, below the floor.
     """
-    pure = kind == "pure"
+    pure = branch.ndim == 1
     prob = float(np.linalg.norm(branch) ** 2 if pure else np.real(np.trace(branch)))
     if not prob >= NULL_OUTCOME_FLOOR:  # NaN fails too
         raise NullOutcomeError(f"{where} outcome probability {prob:.3e} below floor")
@@ -149,7 +149,7 @@ def apply_projection(rho_tot: QuantumState) -> tuple[QuantumState, float]:
     probability.  Raises NullOutcomeError below the probability floor.
     """
     space = _magnon_part(rho_tot.space)
-    data, prob = _normalized(rho_tot.kind, _ground_block(rho_tot.data))
+    data, prob = _normalized(_ground_block(rho_tot.data))
     return QuantumState(space, rho_tot.kind, data), prob
 
 
@@ -303,7 +303,7 @@ def _plan(initial: QuantumState, cfg: ProtocolConfig):
                    else lindblad_channel(_joint_spec(mag_space, cfg), cfg.tau, _with_ground(data)))
         evolve = (lambda x: vv * x) if channel is None else _round_map(channel, mag_space)._apply
         x, entries, probs = _round_loop(
-            data, lambda x, k: _normalized(kind, evolve(x), f"round {k}: ground-state"), picks, cfg.rounds)
+            data, lambda x, k: _normalized(evolve(x), f"round {k}: ground-state"), picks, cfg.rounds)
         even_pop, f_plus, f_minus = _pair_records(entries, kind == "pure")
         converged = np.flatnonzero(even_pop >= CONVERGED_EVEN_POPULATION)
         return ProtocolRecord(
@@ -321,13 +321,12 @@ def _round_loop(x: np.ndarray, step, picks, rounds: int) -> tuple[np.ndarray, np
     Returns the last x, x.take(picks) of the input and of every round's x
     stacked, and the p of every round (index 0 of both is the input's, p = 1).
     """
-    kind = "pure" if x.ndim == 1 else "mixed"
     entries = np.empty((rounds + 1,) + np.shape(picks), dtype=complex)
     probs = np.ones(rounds + 1)
     entries[0] = x.take(picks)
     for k in range(1, rounds + 1):
         x, probs[k] = step(x, k)
-        check_state(kind, x)
+        check_state(x)
         entries[k] = x.take(picks)
     return x, entries, probs
 

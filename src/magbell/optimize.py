@@ -86,13 +86,13 @@ class OptimizationResult:
     baseline_fidelity: float
 
 
-def nelder_mead(objective, x0, initial_simplex=None):
+def nelder_mead(objective, x0):
     """Minimize with the standard simplex moves.
 
     Reflection 1.0, expansion 2.0, contraction 0.5, shrink 0.5.  Terminates
     when both the function spread and the vertex spread fall below
     SPREAD_TOL, or after MAX_CALLS iterations.  Deterministic for a given
-    starting point and simplex.  Returns (x_best, f_best).  The pulse search
+    starting point.  Returns (x_best, f_best).  The pulse search
     no longer calls it (it runs ``bfgs`` on the exact gradient); perfbench's
     tracer still wraps it by name.
     """
@@ -101,15 +101,9 @@ def nelder_mead(objective, x0, initial_simplex=None):
     if n == 0:
         return x0, _checked(objective, x0)
 
-    if initial_simplex is None:
-        sim = np.tile(x0, (n + 1, 1))
-        for i in range(n):
-            step = 0.25 * max(1.0, abs(x0[i]))
-            sim[i + 1, i] += step
-    else:
-        sim = np.array(initial_simplex, dtype=float)
-        if sim.shape != (n + 1, n):
-            raise ValueError(f"initial simplex shape {sim.shape} != {(n + 1, n)}")
+    sim = np.tile(x0, (n + 1, 1))
+    for i in range(n):
+        sim[i + 1, i] += 0.25 * max(1.0, abs(x0[i]))
     fvals = np.array([_checked(objective, x) for x in sim])
 
     for _ in range(MAX_CALLS):
@@ -355,8 +349,7 @@ def _fidelity_time_trace(pulse: PulseCoefficients, slices: int) -> tuple[np.ndar
     return np.arange(slices + 1) * h, np.clip(trace, 0.0, 1.0), float(norm[-1]) / 4.0
 
 
-def optimize_single_shot(G: float, n_omega: int, restarts: int = 8, seed: int = 0,
-                         slices: int = DEFAULT_SLICES) -> OptimizationResult:
+def optimize_single_shot(G: float, n_omega: int, restarts: int = 8, seed: int = 0) -> OptimizationResult:
     """Search the n_omega-term pulse of coupling G maximizing the one-measurement fidelity.
 
     The control interval is the resonant measurement interval and the
@@ -379,11 +372,9 @@ def optimize_single_shot(G: float, n_omega: int, restarts: int = 8, seed: int = 
     for name, value, least in (("n_omega", n_omega, 0), ("restarts", restarts, 1), ("seed", seed, 0)):
         if not (isinstance(value, numbers.Integral) and value >= least):
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    if slices < 1:
-        raise ValueError(f"slices must be >= 1, got {slices}")
     tau0 = interval_for_target(1, EffectiveParams(G_e=G, G_f=G))  # the pulse sets the detuning
     dim = 2 * n_omega
-    objective = _block_objective(tau0, G, n_omega, slices)
+    objective = _block_objective(tau0, G, n_omega, DEFAULT_SLICES)
     scale = 2.0 / tau0**2  # the restart box; the search runs in units of it
 
     def scaled(y):
@@ -401,7 +392,7 @@ def optimize_single_shot(G: float, n_omega: int, restarts: int = 8, seed: int = 
                 best_x, best_f, best_calls = scale * y, f, calls
 
     pulse = _pulse_from_vector(best_x, n_omega, tau0, G)
-    times, trace, prob = _fidelity_time_trace(pulse, slices)
+    times, trace, prob = _fidelity_time_trace(pulse, DEFAULT_SLICES)
     return OptimizationResult(
         pulse=pulse,
         fidelity=float(np.clip(-best_f, 0.0, 1.0)),

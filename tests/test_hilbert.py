@@ -268,7 +268,7 @@ class TestValidation:
         with pytest.raises(StateValidationError) as want:
             QuantumState(magnon_space, kind, arr)
         with pytest.raises(StateValidationError) as got:
-            check_state(kind, arr)
+            check_state(arr)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         assert np.array_equal(arr, np.array(data, dtype=complex), equal_nan=True)  # not changed
@@ -278,9 +278,9 @@ class TestValidation:
         rho = bell_state(magnon_space, 1, +1).density()
         monkeypatch.setattr(hilbert, "PURE_NORM_ATOL", 0.6)
         monkeypatch.setattr(hilbert, "MIXED_EIG_FLOOR", 1.0)
-        check_state("pure", long)
+        check_state(long)
         QuantumState(magnon_space, "pure", long)
-        for make in (lambda: check_state("mixed", rho), lambda: QuantumState(magnon_space, "mixed", rho)):
+        for make in (lambda: check_state(rho), lambda: QuantumState(magnon_space, "mixed", rho)):
             with pytest.raises(StateValidationError, match="negative eigenvalues"):
                 make()
 

@@ -618,9 +618,9 @@ class TestLossyRoundChecks:
         # on the magnon array, once per free-leg step on the joint one, and nowhere else
         seen = []
 
-        def spy(kind, arr, real=measurement.check_state):
+        def spy(arr, real=measurement.check_state):
             seen.append((sys._getframe(1).f_code.co_name, arr.shape[0]))
-            return real(kind, arr)
+            return real(arr)
 
         monkeypatch.setattr(measurement, "check_state", spy)
         assert not hasattr(dynamics, "check_state")

@@ -253,10 +253,11 @@ class TestBitEqualToStridedScan:
             assert np.array_equal(got, want)
 
     def test_search_returns_the_same_result(self, monkeypatch):
-        result = optimize_single_shot(G, 2, restarts=2, seed=0, slices=64)
+        monkeypatch.setattr(optimize, "DEFAULT_SLICES", 64)
+        result = optimize_single_shot(G, 2, restarts=2, seed=0)
         monkeypatch.setattr(optimize, "_block_amplitudes_and_gradient", reference_block_amplitudes_and_gradient)
         monkeypatch.setattr(optimize, "_fidelity_time_trace", reference_fidelity_time_trace)
-        want = optimize_single_shot(G, 2, restarts=2, seed=0, slices=64)
+        want = optimize_single_shot(G, 2, restarts=2, seed=0)
         for field in dataclasses.fields(result):
             got, expected = getattr(result, field.name), getattr(want, field.name)
             assert np.array_equal(got, expected) if isinstance(got, np.ndarray) else got == expected, field.name
@@ -286,47 +287,53 @@ class TestOptimizeSingleShot:
         ("n_omega", 1.5), ("n_omega", -1), ("restarts", 2.5), ("restarts", 0), ("seed", 1.5),
         ("seed", -1), ("seed", "0"),
     ])
-    def test_invalid_count_rejected(self, field, bad):
+    def test_invalid_count_rejected(self, field, bad, monkeypatch):
+        monkeypatch.setattr(optimize, "DEFAULT_SLICES", 16)
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            optimize_single_shot(G, **{"n_omega": 1, field: bad}, slices=16)
+            optimize_single_shot(G, **{"n_omega": 1, field: bad})
 
-    def test_no_search_dimensions_returns_baseline(self):
+    def test_no_search_dimensions_returns_baseline(self, monkeypatch):
         # an empty search vector runs each restart's BFGS for one call, which cannot win
+        monkeypatch.setattr(optimize, "DEFAULT_SLICES", 128)
         for restarts in (1, 3):
-            result = optimize_single_shot(G, 0, restarts=restarts, slices=128)
+            result = optimize_single_shot(G, 0, restarts=restarts)
             assert result.fidelity == result.baseline_fidelity
             assert result.pulse.a == () and result.pulse.b == ()
             assert result.iterations == 0
 
     def test_small_search_beats_baseline(self, monkeypatch):
+        monkeypatch.setattr(optimize, "DEFAULT_SLICES", 128)
         monkeypatch.setattr(optimize, "MAX_CALLS", 300)
         monkeypatch.setattr(optimize, "SPREAD_TOL", 1e-9)
-        result = optimize_single_shot(G, 2, restarts=2, seed=0, slices=128)
+        result = optimize_single_shot(G, 2, restarts=2, seed=0)
         assert result.fidelity >= result.baseline_fidelity
         assert result.fidelity > 0.5
 
     def test_bit_reproducible(self, monkeypatch):
+        monkeypatch.setattr(optimize, "DEFAULT_SLICES", 64)
         monkeypatch.setattr(optimize, "MAX_CALLS", 200)
-        r1 = optimize_single_shot(G, 2, restarts=2, seed=5, slices=64)
-        r2 = optimize_single_shot(G, 2, restarts=2, seed=5, slices=64)
+        r1 = optimize_single_shot(G, 2, restarts=2, seed=5)
+        r2 = optimize_single_shot(G, 2, restarts=2, seed=5)
         assert r1.fidelity == r2.fidelity
         assert r1.pulse.a == r2.pulse.a and r1.pulse.b == r2.pulse.b
         assert np.array_equal(r1.fidelity_trace, r2.fidelity_trace)
 
-    @pytest.mark.parametrize("slices", [0, -3])
-    def test_nonpositive_slices_rejected(self, slices):
-        with pytest.raises(ValueError, match="slices must be >= 1"):
-            optimize_single_shot(G, 1, slices=slices)
+    def test_search_reads_its_slicing_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(optimize, "DEFAULT_SLICES", 64)
+        result = optimize_single_shot(G, 2, restarts=1, seed=0)
+        assert result.times.shape == result.fidelity_trace.shape == (65,)
 
     def test_non_finite_baseline_objective_aborts(self, monkeypatch):
         # the baseline call, at zero coefficients, is the first objective call
+        monkeypatch.setattr(optimize, "DEFAULT_SLICES", 16)
         monkeypatch.setattr(optimize, "_fidelity_and_norm", lambda a01, a10, a11: (float("nan"), 1.0))
         with pytest.raises(ObjectiveError):
-            optimize_single_shot(G, 0, restarts=1, slices=16)
+            optimize_single_shot(G, 0, restarts=1)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in the matvec
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_gradient_aborts(self, monkeypatch, bad):
+        monkeypatch.setattr(optimize, "DEFAULT_SLICES", 16)
         exact = optimize._block_amplitudes_and_gradient
 
         def spoiled(deltas, g, h):
@@ -337,7 +344,7 @@ class TestOptimizeSingleShot:
 
         monkeypatch.setattr(optimize, "_block_amplitudes_and_gradient", spoiled)
         with pytest.raises(ObjectiveError, match="gradient"):
-            optimize_single_shot(G, 1, restarts=1, slices=16)
+            optimize_single_shot(G, 1, restarts=1)
 
     def test_shipped_config_reaches_machine_precision(self):
         # configs/single_shot.yaml at seed 0: G = 1e-3, n_omega = 4, 8 restarts, 512 slices
@@ -348,6 +355,7 @@ class TestOptimizeSingleShot:
     def test_reported_fidelities_clamped_to_one(self, monkeypatch):
         # F = |1 + a11|^2 / (2N) can round an ulp above 1: the search compares
         # the raw value, and the result reports it clamped to [0, 1]
+        monkeypatch.setattr(optimize, "DEFAULT_SLICES", 16)
         exact = optimize._fidelity_and_norm
 
         def above_one(a01, a10, a11):
@@ -356,15 +364,16 @@ class TestOptimizeSingleShot:
 
         monkeypatch.setattr(optimize, "_fidelity_and_norm", above_one)
         assert _block_objective(TAU0, 1e-3, 0, 16)(np.zeros(0))[0] == -(1.0 + 2.0**-52)
-        result = optimize_single_shot(G, 0, restarts=1, slices=16)
+        result = optimize_single_shot(G, 0, restarts=1)
         assert result.fidelity == result.baseline_fidelity == 1.0
         assert np.all(result.fidelity_trace == 1.0)
 
     def test_search_and_trace_share_one_scan(self, monkeypatch):
         # the winner's objective value and the trace's last entry come from the
         # same forward scan of the same slices
+        monkeypatch.setattr(optimize, "DEFAULT_SLICES", 64)
         monkeypatch.setattr(optimize, "MAX_CALLS", 300)
-        result = optimize_single_shot(G, 2, restarts=2, seed=0, slices=64)
+        result = optimize_single_shot(G, 2, restarts=2, seed=0)
         x = np.array(result.pulse.a + result.pulse.b)
         value, _ = _block_objective(result.pulse.tau_total, G, 2, 64)(x)
         assert abs(-value - result.fidelity_trace[-1]) <= 1e-14
@@ -372,6 +381,7 @@ class TestOptimizeSingleShot:
     def test_reports_block_numbers_without_the_pipeline(self, monkeypatch):
         # every reported number comes from the block reduction; the 27-dim
         # pipeline is only the oracle it is held to
+        monkeypatch.setattr(optimize, "DEFAULT_SLICES", 64)
         monkeypatch.setattr(optimize, "MAX_CALLS", 300)
 
         def refuse(*args, **kwargs):
@@ -380,7 +390,7 @@ class TestOptimizeSingleShot:
         with monkeypatch.context() as patch:
             patch.setattr(optimize, "evaluate_single_shot", refuse)
             patch.setattr(optimize, "time_ordered_propagator", refuse)
-            result = optimize_single_shot(G, 2, restarts=2, seed=0, slices=64)
+            result = optimize_single_shot(G, 2, restarts=2, seed=0)
         fid, prob, _ = evaluate_single_shot(result.pulse, 64)
         zero = PulseCoefficients(a=(0.0,) * 2, b=(0.0,) * 2, tau_total=result.pulse.tau_total, G=G)
         baseline, _, _ = evaluate_single_shot(zero, 64)
@@ -389,13 +399,15 @@ class TestOptimizeSingleShot:
         assert abs(result.baseline_fidelity - baseline) <= 1e-12
         assert result.fidelity >= result.baseline_fidelity
 
-    def test_trace_starts_at_initial_overlap(self):
-        result = optimize_single_shot(G, 0, restarts=1, slices=64)
+    def test_trace_starts_at_initial_overlap(self, monkeypatch):
+        monkeypatch.setattr(optimize, "DEFAULT_SLICES", 64)
+        result = optimize_single_shot(G, 0, restarts=1)
         assert result.fidelity_trace[0] == pytest.approx(0.5, abs=1e-12)
         assert len(result.times) == 65
 
     def test_doubled_slices_reproduce_reported_fidelity(self, monkeypatch):
+        monkeypatch.setattr(optimize, "DEFAULT_SLICES", 128)
         monkeypatch.setattr(optimize, "MAX_CALLS", 300)
-        result = optimize_single_shot(G, 2, restarts=2, seed=0, slices=128)
+        result = optimize_single_shot(G, 2, restarts=2, seed=0)
         refid, _, _ = evaluate_single_shot(result.pulse, 256)
         assert abs(refid - result.fidelity) <= 1e-4
