@@ -211,6 +211,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {path!r}: {exc}") from exc
+    except ValueError as exc:  # a value PyYAML cannot build (a bad date, a huge int) or a non-UTF-8 byte
+        raise ConfigError(f"unreadable value in {path!r}: {exc}") from exc
     return config_from_mapping(raw)
 
 

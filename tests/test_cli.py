@@ -476,6 +476,23 @@ class TestMalformedInputExits2:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and err["message"].startswith("unknown ")
 
+    @pytest.mark.parametrize("text", [
+        b"scenario: coupling-ratio\nseed: 1" + b"0" * 5000 + b"\n",
+        b"scenario: coupling-ratio\nseed: 2020-13-45\n",
+        b"scenario: coupling-ratio\nparams:\n  xi_min: 2020-02-30\n",
+        b"scenario: coupling-ratio\nseed: \xff\n",
+    ], ids=["5000-digit-int", "bad-month", "bad-day", "not-utf-8"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_value_yaml_cannot_build_is_config_error(self, tmp_path, capsys, command, text):
+        # PyYAML's constructors, and the UTF-8 decoder under it, raise a bare ValueError
+        path = tmp_path / "cfg.yaml"
+        path.write_bytes(text)
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and repr(str(path)) in err["message"]
+
     @pytest.mark.parametrize("value", ["[1, 2]", "{bell-distill: 1}", "3"])
     def test_non_string_scenario_is_config_error(self, tmp_path, capsys, value):
         path = tmp_path / "cfg.yaml"
