@@ -31,6 +31,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -57,6 +58,7 @@ from .measurement import (
 )
 from .model import (
     COHERENT_COUPLING_RATIO,
+    DispersiveRegimeWarning,
     EffectiveParams,
     ModelParams,
     ZeroDetuningError,
@@ -411,7 +413,9 @@ def _plan_validate_dispersive(scenario: str, p: dict, seed: int):
                          f"of it, {residual_half:.3g}, is not above the roundoff floor {floor:.3g}")
     plus = superposed_state(2, 1)
     state = product_state(_magnon_space(2), {"n": plus, "m": plus})
-    tau0 = interval_for_target(1, effective_couplings(params))
+    with warnings.catch_warnings():  # dispersive_evolution_fidelity warns once for the scenario
+        warnings.simplefilter("ignore", DispersiveRegimeWarning)
+        tau0 = interval_for_target(1, effective_couplings(params))
     fid = dispersive_evolution_fidelity(params, state, tau0)
     columns = {"coupling_ratio": [ratio, half], "sw_residual": [residual, residual_half],
                "evolution_fidelity": [fid, float("nan")]}

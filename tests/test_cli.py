@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ from magbell.cli import (
 from magbell.dynamics import NonHermitianError, TraceDriftError
 from magbell.hilbert import DimensionError, StateValidationError, TruncationError
 from magbell.measurement import NullOutcomeError, TargetOverlapError
-from magbell.model import COHERENT_COUPLING_RATIO, ZeroDetuningError
+from magbell.model import (COHERENT_COUPLING_RATIO, DispersiveRegimeWarning, ZeroDetuningError,
+                           dispersive_evolution_fidelity, effective_couplings)
 from magbell.optimize import ObjectiveError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -288,6 +290,24 @@ class TestMainEntry:
         out = tmp_path / "result.csv"
         assert main(["run", "--config", path, "--out", str(out)]) == 0
         assert out.read_bytes().startswith(b"# magbell-result/1")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_dispersive_regime_violation_warns_once(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, {"scenario": "validate-dispersive", "params": {"coupling_ratio": 0.2}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", path]) == 0
+        assert [w.category for w in caught] == [DispersiveRegimeWarning]
+
+    def test_library_calls_under_the_scenario_still_warn(self):
+        params = cli._validation_params(0.2, 0.4)
+        plus = cli.superposed_state(2, 1)
+        state = cli.product_state(cli._magnon_space(2), {"n": plus, "m": plus})
+        for call in (lambda: effective_couplings(params), lambda: dispersive_evolution_fidelity(params, state, 1.0)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [w.category for w in caught] == [DispersiveRegimeWarning]
 
     @pytest.mark.parametrize("retired", [{"cavity_cutoff": 2}, {"magnon_cutoff": 2}])
     def test_retired_dispersive_cutoff_changes_nothing(self, tmp_path, capsys, retired):
