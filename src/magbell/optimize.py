@@ -42,7 +42,9 @@ A restart ends when f = -F has fallen by at most STALL_ULPS ulps of |f| for
 STALL_ITERATIONS iterations in a row: near F = 1 the objective is flat to
 round-off, and a gradient tolerance would keep converged restarts iterating.
 It also ends after MAX_CALLS objective calls, or when its line search would
-step shorter than SPREAD_TOL.  No config sets these rules.
+step shorter than SPREAD_TOL.  The search and its trace cut the interval into
+DEFAULT_SLICES midpoint slices.  The search reads these constants when it is
+called, and no config sets them.
 """
 
 from __future__ import annotations
@@ -92,9 +94,9 @@ def nelder_mead(objective, x0):
     Reflection 1.0, expansion 2.0, contraction 0.5, shrink 0.5.  Terminates
     when both the function spread and the vertex spread fall below
     SPREAD_TOL, or after MAX_CALLS iterations.  Deterministic for a given
-    starting point.  Returns (x_best, f_best).  The pulse search
-    no longer calls it (it runs ``bfgs`` on the exact gradient); perfbench's
-    tracer still wraps it by name.
+    starting point.  Returns (x_best, f_best).  The pulse search no longer
+    calls it (it runs ``bfgs`` on the exact gradient); perfbench's tracer
+    still wraps it by name.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
@@ -352,11 +354,12 @@ def _fidelity_time_trace(pulse: PulseCoefficients, slices: int) -> tuple[np.ndar
 def optimize_single_shot(G: float, n_omega: int, restarts: int = 8, seed: int = 0) -> OptimizationResult:
     """Search the n_omega-term pulse of coupling G maximizing the one-measurement fidelity.
 
-    The control interval is the resonant measurement interval and the
-    boundary detuning is pinned to G.  Each of the ``restarts`` BFGS runs
-    ends by the module's stopping rules (MAX_CALLS, SPREAD_TOL, STALL_*);
-    restart r draws its start uniformly from the box |x_i| <= 2/tau^2
-    (envelope bounded to a few G) with seed seed + r, and runs ``bfgs`` in
+    The control interval is the resonant measurement interval, cut into
+    DEFAULT_SLICES slices, and the boundary detuning is pinned to G.  Each
+    of the ``restarts`` BFGS runs ends by the module's stopping rules
+    (MAX_CALLS, SPREAD_TOL, STALL_*); restart r draws its start uniformly
+    from the box |x_i| <= 2/tau^2 (envelope bounded to a few G) with seed
+    seed + r, and runs ``bfgs`` in
     coordinates scaled by that box on the exact block reduction of the
     objective and its gradient.  The lowest final value wins, ties going to
     the earlier restart; a restart replaces the constant pulse (zero
