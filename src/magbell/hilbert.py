@@ -143,8 +143,9 @@ def check_state(arr: np.ndarray) -> None:
     A vector is checked as a pure state: unit norm to PURE_NORM_ATOL.  A
     matrix is checked as a density matrix: Hermiticity and unit trace to
     MIXED_ATOL, then no eigenvalue below MIXED_EIG_FLOOR, in that order; the
-    tolerances are read at call time.  arr is neither copied nor changed: ``QuantumState`` calls this on
-    its copy, and a protocol round on its own array.
+    tolerances are read at call time.  arr is neither copied nor changed:
+    ``QuantumState`` calls this on its copy, and a protocol round on its own
+    array.
     """
     if arr.ndim == 1:
         norm = float(np.linalg.norm(arr))

@@ -131,7 +131,7 @@ def numeric_kraus(H_eff: Operator, tau: float) -> Operator:
 
 
 def _normalized(branch: np.ndarray, where: str = "ground-state") -> tuple[np.ndarray, float]:
-    """An unnormalized outcome branch divided by its norm (pure) or trace (mixed), and its probability.
+    """An unnormalized outcome branch, a vector over its norm or a matrix over its trace, and its probability.
 
     Raises NullOutcomeError, naming the outcome by where, below the floor.
     """
