@@ -171,18 +171,15 @@ _TOP_LEVEL_KEYS = ("scenario", "params", "seed")
 # - one result row with its per-round records: 310-880 bytes per row for
 #   bell-distill, stabilize and single-shot at 2e4-1e5 rows, and 330-660 for
 #   coupling-ratio at 1e4-4e5 points, CSV or JSON;
-# - a closed protocol run's complex arrays of cutoff^2 entries (the magnon
-#   amplitudes, their return amplitudes and a round's products): 5.5-10.2 of
-#   them for bell-distill, nbell and coherent-distill at cutoffs 10-1000;
-# - a lossy run's dense complex matrices of (3 cutoff^2)^2 entries (the
-#   operator table that _joint_spec builds, and the channel's build): 15.0-17.8
-#   of them for decohere-prepare and stabilize at cutoffs 3-14.
+# - a protocol run's complex state arrays of cutoff^2 entries (closed: the magnon
+#   amplitudes, their return amplitudes and a round's products; 5.5-10.2 of them for
+#   bell-distill, nbell and coherent-distill at cutoffs 10-1000) or of cutoff^4 (lossy:
+#   the final density and its check; 4.0-5.0 for both scenarios at cutoffs 10-40).
 # The largest shipped or benchmarked size, 2000 rounds, stays over 1000 times
 # under the budget.
 _WORK_BUDGET_BYTES = 2**31
 _ROW_BYTES = 1024
-_CLOSED_ARRAYS = 12
-_LOSSY_MATRICES = 18
+_STATE_ARRAYS = 12
 # The longest one config may ask a run to take, in seconds, estimated from
 # per-unit costs measured with one BLAS thread on a 2-core Xeon:
 # - a search makes at most restarts x MAX_CALLS objective calls, each about
@@ -190,13 +187,11 @@ _LOSSY_MATRICES = 18
 #   inverse Hessian at DEFAULT_SLICES = 512; calls timed at 0.15, 0.47, 1.6-2.0
 #   and 13-20 ms at n_omega 4, 128, 256 and 1024 lie within 60 % of it;
 # - a closed protocol run updates rounds x cutoff^2 magnon amplitudes, about
-#   6.4 ns each per round (6.1-6.4 ns at cutoffs 100 and 1000);
-# - a lossy round of decohere-prepare takes about 20 us + 4.5 ns x cutoff^5
-#   (0.017, 0.074, 0.42, 2.1, 5.9 and 14 ms at cutoffs 3, 6, 10, 14, 17 and 20),
-#   and one of stabilize 6 ns x cutoff^6 more for its free leg, which maps the
-#   3 cutoff^2-dim joint state (0.060, 0.59, 7.2, 47, 139 and 353 ms in all);
-#   the estimates lie within 60 % of these times.  The channel's build, once a
-#   run, is not counted: 0.9 s (decohere-prepare) and 1.6 s (stabilize) at cutoff 20.
+#   6.4 ns each per round (6.1-6.4 ns at cutoffs 100 and 1000).
+# A lossy run needs no estimate: its rounds, on its input's 2 x 2 box, take 34-41 us
+# (decohere-prepare) or 51-53 us (stabilize) at every cutoff from 3 to 30, so the
+# 2,097,151 rounds the row budget admits take under 2 minutes, and the final dense
+# state 11-15 s at cutoff 57, the largest the work budget admits.
 # A coupling-ratio scan needs no estimate: at the 2,097,152 points the work
 # budget admits, the scan took 0.86 s and its CSV emit 1.4 s.  The budget, ~27
 # minutes, lets n_omega = 4 make 2500 restarts but not 2501, as the call budget
@@ -272,16 +267,12 @@ def _budget(keys: str, size: int = 0, seconds: float = 0.0) -> None:
 def _protocol_config(scenario: str, p: dict, interval_mode: str = "full") -> ProtocolConfig:
     """Protocol settings of a scenario, within the budgets; loss rates, when present, switch on decay."""
     rounds, cutoff = p["rounds"], p["cutoff"]
-    dim = cutoff**2  # of the magnon space; the joint space is 3 dim
+    dim = cutoff**2  # of the magnon space
     decoherence = (p["gamma_n"], p["gamma_m"]) if "gamma_n" in p else None
     _budget(f"{scenario}/rounds", (rounds + 1) * _ROW_BYTES)
-    _budget(f"{scenario}/cutoff", 16 * (_CLOSED_ARRAYS * dim if decoherence is None
-                                        else _LOSSY_MATRICES * (3 * dim) ** 2))
+    _budget(f"{scenario}/cutoff", 16 * _STATE_ARRAYS * (dim if decoherence is None else dim**2))
     if decoherence is None:
-        per_round = 6.4e-9 * dim
-    else:
-        per_round = 20e-6 + 4.5e-9 * cutoff**5 + (6e-9 * cutoff**6 if scenario == "stabilize" else 0.0)
-    _budget(f"{scenario}/rounds, cutoff", seconds=rounds * per_round)
+        _budget(f"{scenario}/rounds, cutoff", seconds=rounds * 6.4e-9 * dim)
     eff = EffectiveParams(G_e=p["G_e"], G_f=p["G_f"],
                           Delta_e_tilde=p["Delta"], Delta_f_tilde=p["Delta"])
     return ProtocolConfig.for_target(eff, rounds=rounds, target_N=p.get("target_N", 1),

@@ -269,8 +269,9 @@ def run_protocol(initial: QuantumState, cfg: ProtocolConfig) -> ProtocolRecord:
 
 
 def _plan(initial: QuantumState, cfg: ProtocolConfig):
-    """(a, b, run) after a run's pre-round checks: the |0,0> and |N,N> indices, and run() ->
-    (``run_protocol``'s record, the channel a lossy run builds or None)."""
+    """(a, b, x, run) after a run's pre-round checks: the |0,0> and |N,N> indices of x, the input's array,
+    a lossy run's restricted to its box (n, m < max(n, N) + 1, max(m, N) + 1 over its nonzero pattern),
+    and run() -> (``run_protocol``'s record, the channel a lossy run builds on the box, or None)."""
     mag_space = initial.space
     if mag_space.labels != ("n", "m"):
         raise DimensionError(f"initial state must live on ('n', 'm'), got {mag_space.labels}")
@@ -290,20 +291,28 @@ def _plan(initial: QuantumState, cfg: ProtocolConfig):
     )
 
     # the per-round map on the unnormalized magnon data: the amplitudes (closed) or the run's channel
+    space, kind, data = mag_space, initial.kind, initial.data
     if cfg.decoherence is None:
-        kind, data = initial.kind, initial.data
         vv = v if kind == "pure" else np.outer(v, v.conj())
-    else:
-        kind, data = "mixed", initial.density()
+    else:  # the box; its cutoffs are read off data's nonzero pattern, as the channel reads its start
+        n, m = np.unravel_index(np.concatenate(np.nonzero(data)), mag_space.dims)
+        space = HilbertSpace((("n", max(n.max(), N) + 1), ("m", max(m.max(), N) + 1)))
+        box = np.ravel_multi_index(np.indices(space.dims).reshape(2, -1), mag_space.dims)
+        # a pure input is restricted before its outer product: no d x d density is formed
+        data = np.outer(data[box], data[box].conj()) if kind == "pure" else data[np.ix_(box, box)]
+        kind, dim, a, b = "mixed", space.total_dim, space.index((0, 0)), space.index((N, N))
     # the entries each round's records read: x_a, x_b (pure) or rho_aa, rho_bb, rho_ab (mixed)
     picks = [a, b] if kind == "pure" else [a * dim + a, b * dim + b, a * dim + b]
 
     def run():
         channel = (None if cfg.decoherence is None
-                   else lindblad_channel(_joint_spec(mag_space, cfg), cfg.tau, _with_ground(data)))
-        evolve = (lambda x: vv * x) if channel is None else _round_map(channel, mag_space)._apply
+                   else lindblad_channel(_joint_spec(space, cfg), cfg.tau, _with_ground(data)))
+        evolve = (lambda x: vv * x) if channel is None else _round_map(channel, space)._apply
         x, entries, probs = _round_loop(
             data, lambda x, k: _normalized(evolve(x), f"round {k}: ground-state"), picks, cfg.rounds)
+        if channel is not None:  # the box's last array, embedded once in the input's space
+            x, box_rho = np.zeros((mag_space.total_dim,) * 2, dtype=complex), x
+            x[np.ix_(box, box)] = box_rho
         even_pop, f_plus, f_minus = _pair_records(entries, kind == "pure")
         converged = np.flatnonzero(even_pop >= CONVERGED_EVEN_POPULATION)
         return ProtocolRecord(
@@ -311,7 +320,7 @@ def _plan(initial: QuantumState, cfg: ProtocolConfig):
             even_population=even_pop, final_state=QuantumState(mag_space, kind, x), slow_states=slow,
             converged_round=int(converged[0]) if converged.size else None), channel
 
-    return a, b, run
+    return a, b, data, run
 
 
 def _round_loop(x: np.ndarray, step, picks, rounds: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -370,15 +379,15 @@ def _plan_stabilize(bell: QuantumState, cfg: ProtocolConfig):
     """``stabilize``'s checks (decay rates set, then ``_plan``'s) and its run, run() -> (F_stab, F_free)."""
     if cfg.decoherence is None:
         raise ValueError("stabilize requires decoherence rates in the config")
-    a, b, protocol = _plan(bell, cfg)
-    # (level, entry) -> joint index of (l a, l a), (l b, l b), (l a, l b), with a = |0,0>, b = |N,N>
-    dim = bell.space.total_dim
+    a, b, rho0, protocol = _plan(bell, cfg)
+    # (level, entry) -> joint index of (l a, l a), (l b, l b), (l a, l b), with a = |0,0>, b = |N,N> of the box
+    dim = rho0.shape[0]
     levels = dim * np.arange(3)[:, None]
     picks = np.ravel_multi_index((levels + [a, b, a], levels + [a, b, b]), (3 * dim, 3 * dim))
 
     def run():
         record, channel = protocol()
-        _, entries, _ = _round_loop(_with_ground(bell.density()), lambda rho, k: (channel._apply(rho), 1.0),
+        _, entries, _ = _round_loop(_with_ground(rho0), lambda rho, k: (channel._apply(rho), 1.0),
                                     picks, cfg.rounds)
         return record.fidelity_plus, _pair_records(entries.sum(axis=1), False)[1]
 

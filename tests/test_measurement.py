@@ -615,7 +615,8 @@ class TestLossyRoundChecks:
 
     def test_each_round_validates_the_magnon_state_and_each_free_step_the_joint_state(self, monkeypatch):
         # the check QuantumState runs, called in place by the one round loop: once per round
-        # on the magnon array, once per free-leg step on the joint one, and nowhere else
+        # on the magnon array, once per free-leg step on the joint one, and nowhere else; a
+        # lossy run's arrays are its input's 2 x 2 box's, 4-dim and 12-dim joint
         seen = []
 
         def spy(arr, real=measurement.check_state):
@@ -626,10 +627,10 @@ class TestLossyRoundChecks:
         assert not hasattr(dynamics, "check_state")
         psi, cfg = decohere_prepare_run()
         run_protocol(psi, cfg)
-        assert seen == [("_round_loop", 9)] * cfg.rounds
+        assert seen == [("_round_loop", 4)] * cfg.rounds
         seen.clear()
         stabilize(bell_state(magnon(3), 1, +1), cfg)
-        assert seen == [("_round_loop", 9)] * cfg.rounds + [("_round_loop", 27)] * cfg.rounds
+        assert seen == [("_round_loop", 4)] * cfg.rounds + [("_round_loop", 12)] * cfg.rounds
         seen.clear()
         closed = ProtocolConfig.for_target(cfg.eff, rounds=cfg.rounds)
         run_protocol(psi, closed)
