@@ -210,6 +210,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"malformed YAML in {path!r}: {exc}") from exc
     except ValueError as exc:  # a value PyYAML cannot build (a bad date, a huge int) or a non-UTF-8 byte
         raise ConfigError(f"unreadable value in {path!r}: {exc}") from exc
+    except RecursionError as exc:  # PyYAML's scanner and composer recurse once per nesting level
+        raise ConfigError(f"config {path!r} is nested too deeply to parse: {exc}") from exc
     return config_from_mapping(raw)
 
 

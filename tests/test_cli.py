@@ -513,6 +513,17 @@ class TestMalformedInputExits2:
         err = json.loads(captured.err)
         assert err["error"] == "ConfigError" and repr(str(path)) in err["message"]
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_deeply_nested_config_is_config_error(self, tmp_path, capsys, command):
+        # PyYAML recurses once per level and raises a bare RecursionError
+        path = tmp_path / "cfg.yaml"
+        path.write_text("scenario: bell-distill\nparams: " + "[" * 500 + "]" * 500 + "\n")
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and repr(str(path)) in err["message"]
+
     @pytest.mark.parametrize("value", ["[1, 2]", "{bell-distill: 1}", "3"])
     def test_non_string_scenario_is_config_error(self, tmp_path, capsys, value):
         path = tmp_path / "cfg.yaml"
