@@ -220,6 +220,15 @@ class TestScenarios:
         assert len(table.rows) == 3
         assert table.rows[0][2] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("scenario", ["decohere-prepare", "stabilize"])
+    def test_lossy_outputs_do_not_depend_on_the_cutoff(self, scenario):
+        # a lossy run works on its input's 2 x 2 box, which every cutoff >= 2 holds
+        tables = [run_scenario(config_from_mapping({"scenario": scenario, "params": {"cutoff": cutoff}}))
+                  for cutoff in (2, 3, 4, 6, 10)]
+        for table in tables[1:]:
+            assert table.rows == tables[0].rows
+            assert table.metadata["results"] == tables[0].metadata["results"]
+
     def test_single_shot_scenario_records_results(self, monkeypatch):
         monkeypatch.setattr(optimize, "MAX_CALLS", 60)
         cfg = config_from_mapping({

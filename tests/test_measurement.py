@@ -474,6 +474,32 @@ class TestRunProtocol:
         final = mirror.final_state.data[np.ix_(swap, swap)]
         assert np.abs(rec.final_state.data - final).max() <= 1e-13
 
+    @pytest.mark.parametrize("target_N", [1, 2])
+    def test_lossy_run_works_on_its_input_box(self, target_N):
+        # a mixed input on n <= 1, m <= 2 has the box n < max(1, N) + 1, m < max(2, N) + 1 at
+        # cutoffs 3 and 5 alike: the same records, and a final state that is 0 off the box
+        rng = np.random.default_rng(53)
+        mat = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        rho = mat @ mat.conj().T
+        cfg = ProtocolConfig.for_target(EffectiveParams(G_e=6e-3, G_f=9e-3), rounds=6, target_N=target_N,
+                                        decoherence=(1e-4, 0.5e-4))
+        runs = []
+        for d in (3, 5):
+            support, box = (np.ravel_multi_index(np.indices(dims).reshape(2, -1), (d, d))
+                            for dims in ((2, 3), (max(1, target_N) + 1, max(2, target_N) + 1)))
+            initial = np.zeros((d * d, d * d), dtype=complex)
+            initial[np.ix_(support, support)] = rho / np.trace(rho)
+            rec = run_protocol(QuantumState(magnon(d), "mixed", initial), cfg)
+            off_box = np.ones(initial.shape, dtype=bool)
+            off_box[np.ix_(box, box)] = False
+            assert not rec.final_state.data[off_box].any()
+            runs.append((rec, rec.final_state.data[np.ix_(box, box)]))
+        (rec3, final3), (rec5, final5) = runs
+        for field in RECORD_FIELDS:
+            assert np.array_equal(getattr(rec3, field), getattr(rec5, field)), field
+        assert rec3.converged_round == rec5.converged_round
+        assert np.array_equal(final3, final5)
+
     def test_decohere_prepare_final_fidelity_pinned(self):
         # the decohere-prepare config; acceptance c04 reads the window [0.91, 0.94],
         # which cannot see a shift of 1e-5 in the lossy round
