@@ -188,10 +188,10 @@ _STATE_ARRAYS = 12
 #   and 13-20 ms at n_omega 4, 128, 256 and 1024 lie within 60 % of it;
 # - a closed protocol run updates rounds x cutoff^2 magnon amplitudes, about
 #   6.4 ns each per round (6.1-6.4 ns at cutoffs 100 and 1000).
-# A lossy run needs no estimate: its rounds, on its input's 2 x 2 box, take 34-41 us
-# (decohere-prepare) or 51-53 us (stabilize) at every cutoff from 3 to 30, so the
-# 2,097,151 rounds the row budget admits take under 2 minutes, and the final dense
-# state 11-15 s at cutoff 57, the largest the work budget admits.
+# A lossy run needs no estimate: its rounds, on its input's 2 x 2 box, take 34-65 us
+# (decohere-prepare) or 50-130 us (stabilize) at every cutoff from 3 to 30, so the
+# 2,097,151 rounds the row budget admits take at most about 5 minutes, and the final
+# dense state 11-15 s at cutoff 57, the largest the work budget admits.
 # A coupling-ratio scan needs no estimate: at the 2,097,152 points the work
 # budget admits, the scan took 0.86 s and its CSV emit 1.4 s.  The budget, ~27
 # minutes, lets n_omega = 4 make 2500 restarts but not 2501, as the call budget

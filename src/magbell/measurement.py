@@ -15,7 +15,10 @@ lossy round applies the magnon round map M = P_g exp(L tau) P_g to the
 magnon density: the exact channel exp(L tau) of the joint qutrit-magnon
 master equation (``dynamics.lindblad_channel``), built once per run on the
 Liouville indices that |g><g| (x) rho_0 can reach, and compressed once to
-the g-g entries of that set (``_round_map``).  A stabilization run shares
+the g-g entries of that set (``_round_map``), all on the input's box: the
+magnon space cut at max(n, N) + 1 and max(m, N) + 1 over the input's
+nonzero pattern, which no round leaves, since H conserves n + P_e and
+m + P_f and loss only lowers n and m.  A stabilization run shares
 one channel, built from the Bell input, between its projected and free
 legs, since every projected state stays in the g-g part of that set.
 A run is planned, then run: ``_plan`` and ``_plan_stabilize`` make the
@@ -27,9 +30,10 @@ the one place a round's array is checked, in place, with
 holds the outcome probability to a floor; a lossy round and a free-leg step
 are each one ``BlockMap._apply``, which checks the input's support and
 scrubs the anti-Hermitian roundoff.  Records are read off the |0,0> and
-|N,N> entries of each round's array, and a run's final array becomes its
-one ``QuantumState``.  The channel checks its trace preservation once, when
-built; the round loop's stricter check catches a step that drifts it.
+|N,N> entries of each round's array, and a run's final array (a lossy
+run's embedded once from its box) becomes its one ``QuantumState``.  The
+channel checks its trace preservation once, when built; the round loop's
+stricter check catches a step that drifts it.
 """
 
 from __future__ import annotations
@@ -254,7 +258,8 @@ def run_protocol(initial: QuantumState, cfg: ProtocolConfig) -> ProtocolRecord:
     elementwise (v_i psi_i, or v_i conj(v_j) rho_ij for a mixed state); with
     decoherence set, M = P_g exp(L tau) P_g (``_round_map``), the g-g part
     of the exact magnon-loss map (``lindblad_channel``) on |g><g| (x) rho,
-    which the run builds from |g><g| (x) initial and checks for trace preservation.
+    which the run builds from |g><g| (x) initial and checks for trace preservation,
+    all on the input's box (``_plan``), so a lossy round costs the same at every cutoff.
 
     ``_round_loop`` checks each round's renormalized magnon array in place.
     Each round holds the outcome probability to NULL_OUTCOME_FLOOR; a lossy
