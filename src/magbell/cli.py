@@ -352,6 +352,7 @@ def _plan_single_shot(scenario: str, p: dict, seed: int):
                    "fidelity": result.fidelity_trace}
         results = {
             "achieved_fidelity": float(result.fidelity),
+            "slicing_error": float(result.slicing_error),
             "success_probability": float(result.success_probability),
             "baseline_fidelity": float(result.baseline_fidelity),
             "coefficients_a": list(result.pulse.a),

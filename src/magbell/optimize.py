@@ -38,13 +38,22 @@ or beta; a rewritten sum differs from the original only by exact
 negations; and the gradient leaves as a C-contiguous (2, slices) array, so
 the adjoint contraction sums in the same order.
 
-A restart ends when f = -F has fallen by at most STALL_ULPS ulps of |f| for
-STALL_ITERATIONS iterations in a row: near F = 1 the objective is flat to
-round-off, and a gradient tolerance would keep converged restarts iterating.
-It also ends after MAX_CALLS objective calls, or when its line search would
-step shorter than SPREAD_TOL.  The search and its trace cut the interval into
-DEFAULT_SLICES midpoint slices.  The search reads these constants when it is
-called, and no config sets them.
+A restart ends when f = -F has fallen by at most STALL_TOL for
+STALL_ITERATIONS iterations in a row.  STALL_TOL is the slicing's
+resolution in F, not round-off: the midpoint rule is second order, so the
+sliced model's error at N slices is F(N) - F(inf) ~ c/N^2, and
+F(inf) - F(N) ~ (4/3)(F(2N) - F(N)).  At the shipped winner F(1024) - F(512)
+= -9.6e-11, so the 512-slice F is determined only to about 1.3e-10 (4,096
+slices give -1.65e-10).  A restart that gains less than a tenth of that per
+iteration, 1e-11, no longer moves F at the model's resolution; a gradient
+tolerance would keep converged restarts iterating on the flat set around
+F = 1.  A restart also ends after MAX_CALLS objective calls, or when its
+line search would step shorter than SPREAD_TOL.  The result states the
+resolution it stopped at: ``slicing_error`` = F(2 DEFAULT_SLICES) -
+F(DEFAULT_SLICES) at the winning coefficients, one objective call on twice
+the slices.  The search and its trace cut the interval into DEFAULT_SLICES
+midpoint slices.  The search reads these constants when it is called, and
+no config sets them.
 """
 
 from __future__ import annotations
@@ -64,7 +73,7 @@ from .model import (EffectiveParams, PulseCoefficients, _joint_space, _magnon_sp
 
 DEFAULT_SLICES = 512
 SINGLE_SHOT_CUTOFF = 3
-STALL_ULPS = 4  # a decrease of f by at most this many ulps of |f| is no progress
+STALL_TOL = 1e-11  # a decrease of f = -F by at most this much is no progress (module docstring)
 STALL_ITERATIONS = 3  # iterations in a row without progress that end a restart
 ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
 MAX_CALLS = 4000  # objective calls (value and gradient) per restart
@@ -77,7 +86,10 @@ class ObjectiveError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
-    """Best pulse found, its fidelity, probability and time trace, all from the block reduction."""
+    """Best pulse found, its fidelity, probability and time trace, all from the block reduction.
+
+    slicing_error is the winner's raw F at 2 DEFAULT_SLICES minus its raw F at DEFAULT_SLICES.
+    """
 
     pulse: PulseCoefficients
     fidelity: float
@@ -86,6 +98,7 @@ class OptimizationResult:
     fidelity_trace: np.ndarray
     iterations: int
     baseline_fidelity: float
+    slicing_error: float
 
 
 def nelder_mead(objective, x0):
@@ -157,8 +170,8 @@ def bfgs(fun, x0):
     The inverse-Hessian estimate starts as the identity, rescaled by the
     first accepted step's curvature; an update whose step and gradient
     change have no positive overlap is skipped.  Stops when f has fallen by
-    at most STALL_ULPS ulps of |f| for STALL_ITERATIONS iterations in a row,
-    when backtracking would shorten the step below SPREAD_TOL (largest
+    at most STALL_TOL (an absolute decrease, in units of F for the pulse
+    search) for STALL_ITERATIONS iterations in a row, when backtracking would shorten the step below SPREAD_TOL (largest
     coordinate) without an Armijo decrease, or when the calls to fun reach
     MAX_CALLS.  Deterministic.  Returns (x_best, f_best, calls).
     """
@@ -189,7 +202,7 @@ def bfgs(fun, x0):
                 scaled = True
             hy = hinv @ y
             hinv += ((sy + y @ hy) * np.outer(s, s) / sy - np.outer(hy, s) - np.outer(s, hy)) / sy
-        stalled = stalled + 1 if f - f_new <= STALL_ULPS * np.spacing(abs(f)) else 0
+        stalled = stalled + 1 if f - f_new <= STALL_TOL else 0
         x, f, grad = x + s, f_new, grad_new
     return x, f, calls
 
@@ -357,7 +370,8 @@ def optimize_single_shot(G: float, n_omega: int, restarts: int = 8, seed: int = 
     The control interval is the resonant measurement interval, cut into
     DEFAULT_SLICES slices, and the boundary detuning is pinned to G.  Each
     of the ``restarts`` BFGS runs ends by the module's stopping rules
-    (MAX_CALLS, SPREAD_TOL, STALL_*); restart r draws its start uniformly
+    (MAX_CALLS, SPREAD_TOL, and STALL_TOL of F for STALL_ITERATIONS
+    iterations, the slicing's resolution); restart r draws its start uniformly
     from the box |x_i| <= 2/tau^2 (envelope bounded to a few G) with seed
     seed + r, and runs ``bfgs`` in
     coordinates scaled by that box on the exact block reduction of the
@@ -370,7 +384,9 @@ def optimize_single_shot(G: float, n_omega: int, restarts: int = 8, seed: int = 
     raw values, and the reported fidelities and trace are clamped to [0, 1]:
     near F = 1, F = |1 + a11|^2 / (2N) can round an ulp above 1.
     ``iterations`` is the number of objective calls of the winning restart
-    (0 for the constant pulse).
+    (0 for the constant pulse).  ``slicing_error`` is F at 2 DEFAULT_SLICES
+    minus F at DEFAULT_SLICES, both raw, at the winning coefficients: one
+    more objective call, on a table of twice the slices.
     """
     for name, value, least in (("n_omega", n_omega, 0), ("restarts", restarts, 1), ("seed", seed, 0)):
         if not (isinstance(value, numbers.Integral) and value >= least):
@@ -393,6 +409,7 @@ def optimize_single_shot(G: float, n_omega: int, restarts: int = 8, seed: int = 
             y, f, calls = bfgs(scaled, rng.uniform(-scale, scale, size=dim) / scale)
             if f < best_f:  # strict: ties keep the lowest restart seed
                 best_x, best_f, best_calls = scale * y, f, calls
+        f_fine = _checked(_block_objective(tau0, G, n_omega, 2 * DEFAULT_SLICES), best_x)[0]
 
     pulse = _pulse_from_vector(best_x, n_omega, tau0, G)
     times, trace, prob = _fidelity_time_trace(pulse, DEFAULT_SLICES)
@@ -404,4 +421,5 @@ def optimize_single_shot(G: float, n_omega: int, restarts: int = 8, seed: int = 
         fidelity_trace=trace,
         iterations=best_calls,
         baseline_fidelity=float(np.clip(-f_zero, 0.0, 1.0)),
+        slicing_error=float(best_f - f_fine),
     )

@@ -129,6 +129,19 @@ class TestBfgs:
         assert calls == 1 + optimize.STALL_ITERATIONS
         assert f == 1.0
 
+    def test_stall_is_a_decrease_of_at_most_stall_tol(self, monkeypatch):
+        # f = -c x with gradient -c: every unit step is accepted and lowers f by c^2
+        monkeypatch.setattr(optimize, "MAX_CALLS", 50)
+
+        def line(drop):
+            c = math.sqrt(drop)
+            return lambda v: (-c * float(v[0]), np.array([-c]))
+
+        _, _, calls = bfgs(line(optimize.STALL_TOL / 2), np.array([0.0]))
+        assert calls == 1 + optimize.STALL_ITERATIONS
+        _, _, calls = bfgs(line(2 * optimize.STALL_TOL), np.array([0.0]))
+        assert calls == optimize.MAX_CALLS
+
     def test_zero_gradient_stops_at_once(self):
         x, f, calls = bfgs(lambda v: (3.5, np.zeros(2)), np.array([0.2, -0.4]))
         assert f == 3.5 and calls == 1 and np.array_equal(x, [0.2, -0.4])
@@ -282,6 +295,12 @@ class TestFidelityTimeTrace:
         assert abs(prob - want_prob) <= 1e-12
 
 
+@pytest.fixture(scope="module")
+def shipped():
+    """configs/single_shot.yaml at seed 0: G = 1e-3, n_omega = 4, 8 restarts, 512 slices."""
+    return optimize_single_shot(G, 4, restarts=8, seed=0)
+
+
 class TestOptimizeSingleShot:
     @pytest.mark.parametrize("field, bad", [
         ("n_omega", 1.5), ("n_omega", -1), ("restarts", 2.5), ("restarts", 0), ("seed", 1.5),
@@ -346,11 +365,18 @@ class TestOptimizeSingleShot:
         with pytest.raises(ObjectiveError, match="gradient"):
             optimize_single_shot(G, 1, restarts=1)
 
-    def test_shipped_config_reaches_machine_precision(self):
-        # configs/single_shot.yaml at seed 0: G = 1e-3, n_omega = 4, 8 restarts, 512 slices
-        result = optimize_single_shot(G, 4, restarts=8, seed=0)
-        assert 1.0 - result.fidelity <= 1e-12
-        assert 0 < result.iterations <= optimize.MAX_CALLS
+    def test_shipped_config_reaches_the_model_resolution(self, shipped):
+        # the 512-slice F is determined to about (4/3) |F(1024) - F(512)| ~ 1.3e-10
+        assert 1.0 - shipped.fidelity <= 1.3e-10
+        assert math.isfinite(shipped.slicing_error) and abs(shipped.slicing_error) <= 1.3e-10
+        assert 0 < shipped.iterations <= optimize.MAX_CALLS
+
+    def test_slicing_error_matches_the_full_pipeline(self, shipped):
+        # the 27-dim pipeline at twice the slices, less the winner's raw 512-slice F
+        pulse = shipped.pulse
+        coarse = -_block_objective(pulse.tau_total, G, 4, 512)(np.array(pulse.a + pulse.b))[0]
+        fine, _, _ = evaluate_single_shot(pulse, 1024)
+        assert abs(shipped.slicing_error - (fine - coarse)) <= 1e-12
 
     def test_reported_fidelities_clamped_to_one(self, monkeypatch):
         # F = |1 + a11|^2 / (2N) can round an ulp above 1: the search compares
