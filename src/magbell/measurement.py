@@ -212,7 +212,7 @@ class ProtocolRecord:
     success_probability is cumulative; even_population is the normalized
     population on {|0,0>, |N,N>}.  slow_states lists non-target Fock pairs
     whose per-round damping factor exceeds 1 - 1e-6 (distillation will stall
-    on them); converged_round is the first round where the even-pair
+    on them), a lossy run's only those inside its box; converged_round is the first round where the even-pair
     population passed 1 - 1e-6, or None.  ``run_protocol`` reads every
     record off the two even-pair entries of each round's checked array, and
     final_state is the one QuantumState a run builds.
@@ -289,11 +289,6 @@ def _plan(initial: QuantumState, cfg: ProtocolConfig):
             f"initial population on {{|0,0>, |{N},{N}>}} is numerically zero"
         )
     v = _return_amplitudes(*np.unravel_index(np.arange(dim), mag_space.dims), cfg.eff, cfg.tau)
-    slow = tuple(
-        mag_space.occupations(k)
-        for k in np.flatnonzero(np.abs(v) > 1.0 - SLOW_DAMPING_MARGIN)
-        if mag_space.occupations(k) not in ((0, 0), (N, N))
-    )
 
     # the per-round map on the unnormalized magnon data: the amplitudes (closed) or the run's channel
     space, kind, data = mag_space, initial.kind, initial.data
@@ -306,6 +301,11 @@ def _plan(initial: QuantumState, cfg: ProtocolConfig):
         # a pure input is restricted before its outer product: no d x d density is formed
         data = np.outer(data[box], data[box].conj()) if kind == "pure" else data[np.ix_(box, box)]
         kind, dim, a, b = "mixed", space.total_dim, space.index((0, 0)), space.index((N, N))
+    # the non-target pairs v barely damps, of those the rounds can populate (a lossy run's box)
+    slow = tuple(
+        occ for occ in map(mag_space.occupations, np.flatnonzero(np.abs(v) > 1.0 - SLOW_DAMPING_MARGIN))
+        if occ not in ((0, 0), (N, N)) and occ[0] < space.dims[0] and occ[1] < space.dims[1]
+    )
     # the entries each round's records read: x_a, x_b (pure) or rho_aa, rho_bb, rho_ab (mixed)
     picks = [a, b] if kind == "pure" else [a * dim + a, b * dim + b, a * dim + b]
 

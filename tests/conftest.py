@@ -145,6 +145,11 @@ def looped_protocol_records(initial, cfg):
                  and space.occupations(k) not in ((0, 0), (N, N)))
     kind, data = initial.kind, initial.data
     if cfg.decoherence is not None:
+        # H keeps n + P_e and m + P_f and loss only lowers n and m: no round
+        # populates a pair above the input's support and the target
+        top = np.max([space.occupations(k) for k in np.flatnonzero(initial.density().diagonal())] + [(N, N)],
+                     axis=0)
+        slow = tuple(pair for pair in slow if pair[0] <= top[0] and pair[1] <= top[1])
         channel = lindblad_channel(measurement._joint_spec(space, cfg), cfg.tau, _with_ground(initial.density()))
         kind, data = "mixed", initial.density()
 

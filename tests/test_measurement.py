@@ -435,6 +435,12 @@ class TestRunProtocol:
         assert (0, 2) not in rec_split.slow_states
         assert (4, 4) in rec_split.slow_states
 
+    @pytest.mark.parametrize("cutoff", [3, 5, 9])
+    def test_lossy_slow_states_lie_in_the_box(self, cutoff):
+        # decohere-prepare's equal couplings leave (0, 2) and (2, 0) dark, but the
+        # lossy |+>|+> run never leaves n, m <= 1, so it has no slow pair at any cutoff
+        assert run_protocol(*decohere_prepare_run(cutoff)).slow_states == ()
+
     @pytest.mark.parametrize("g_e, g_f, delta", [(6e-3, 6e-3, 0.0), (6e-3, 9e-3, 0.0),
                                                  (6e-3, 6e-3, 2e-3)])
     def test_zero_loss_channel_matches_closed_kraus_path(self, g_e, g_f, delta):
