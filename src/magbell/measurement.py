@@ -212,8 +212,8 @@ class ProtocolRecord:
     success_probability is cumulative; even_population is the normalized
     population on {|0,0>, |N,N>}.  slow_states lists non-target Fock pairs
     whose per-round damping factor exceeds 1 - 1e-6 (distillation will stall
-    on them), a lossy run's only those inside its box; converged_round is the first round where the even-pair
-    population passed 1 - 1e-6, or None.  ``run_protocol`` reads every
+    on them), for a lossy run only those inside its box; converged_round is
+    the first round where the even-pair population passed 1 - 1e-6, or None.  ``run_protocol`` reads every
     record off the two even-pair entries of each round's checked array, and
     final_state is the one QuantumState a run builds.
     """

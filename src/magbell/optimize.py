@@ -39,9 +39,9 @@ negations; and the gradient leaves as a C-contiguous (2, slices) array, so
 the adjoint contraction sums in the same order.
 
 A restart ends when f = -F has fallen by at most STALL_TOL for
-STALL_ITERATIONS iterations in a row.  STALL_TOL is the slicing's
-resolution in F, not round-off: the midpoint rule is second order, so the
-sliced model's error at N slices is F(N) - F(inf) ~ c/N^2, and
+STALL_ITERATIONS iterations in a row.  STALL_TOL is set by the slicing's
+resolution in F, not by round-off: the midpoint rule is second order, so
+the sliced model's error at N slices is F(N) - F(inf) ~ c/N^2, and
 F(inf) - F(N) ~ (4/3)(F(2N) - F(N)).  At the shipped winner F(1024) - F(512)
 = -9.6e-11, so the 512-slice F is determined only to about 1.3e-10 (4,096
 slices give -1.65e-10).  A restart that gains less than a tenth of that per
@@ -171,9 +171,9 @@ def bfgs(fun, x0):
     first accepted step's curvature; an update whose step and gradient
     change have no positive overlap is skipped.  Stops when f has fallen by
     at most STALL_TOL (an absolute decrease, in units of F for the pulse
-    search) for STALL_ITERATIONS iterations in a row, when backtracking would shorten the step below SPREAD_TOL (largest
-    coordinate) without an Armijo decrease, or when the calls to fun reach
-    MAX_CALLS.  Deterministic.  Returns (x_best, f_best, calls).
+    search) for STALL_ITERATIONS iterations in a row, when backtracking
+    would shorten the step below SPREAD_TOL (largest coordinate) without an
+    Armijo decrease, or when the calls to fun reach MAX_CALLS.  Deterministic.  Returns (x_best, f_best, calls).
     """
     x = np.asarray(x0, dtype=float)
     f, grad = _checked(fun, x)
@@ -371,11 +371,10 @@ def optimize_single_shot(G: float, n_omega: int, restarts: int = 8, seed: int = 
     DEFAULT_SLICES slices, and the boundary detuning is pinned to G.  Each
     of the ``restarts`` BFGS runs ends by the module's stopping rules
     (MAX_CALLS, SPREAD_TOL, and STALL_TOL of F for STALL_ITERATIONS
-    iterations, the slicing's resolution); restart r draws its start uniformly
-    from the box |x_i| <= 2/tau^2 (envelope bounded to a few G) with seed
-    seed + r, and runs ``bfgs`` in
-    coordinates scaled by that box on the exact block reduction of the
-    objective and its gradient.  The lowest final value wins, ties going to
+    iterations, set by the slicing's resolution); restart r draws its start
+    uniformly from the box |x_i| <= 2/tau^2 (envelope bounded to a few G)
+    with seed seed + r, and runs ``bfgs`` in coordinates scaled by that box
+    on the exact block reduction of the objective and its gradient.  The lowest final value wins, ties going to
     the earlier restart; a restart replaces the constant pulse (zero
     coefficients) only with a strictly lower value, so n_omega = 0 returns
     the constant pulse.  The fidelity and the baseline are minus the
