@@ -171,10 +171,10 @@ _TOP_LEVEL_KEYS = ("scenario", "params", "seed")
 # - one result row with its per-round records: 310-880 bytes per row for
 #   bell-distill, stabilize and single-shot at 2e4-1e5 rows, and 330-660 for
 #   coupling-ratio at 1e4-4e5 points, CSV or JSON;
-# - a protocol run's complex state arrays of cutoff^2 entries (closed: the magnon
-#   amplitudes, their return amplitudes and a round's products; 5.5-10.2 of them for
-#   bell-distill, nbell and coherent-distill at cutoffs 10-1000) or of cutoff^4 (lossy:
-#   the final density and its check; 4.0-5.0 for both scenarios at cutoffs 10-40).
+# - a protocol run's complex state arrays of cutoff^2 entries: the magnon amplitudes,
+#   their return amplitudes and a closed round's products (every round and a lossy
+#   run's channel work on the input's box); 5.5-10.2 of them for bell-distill, nbell
+#   and coherent-distill at cutoffs 10-1000, 5.5 for the lossy ones at 300 and 1000.
 # The largest shipped or benchmarked size, 2000 rounds, stays over 1000 times
 # under the budget.
 _WORK_BUDGET_BYTES = 2**31
@@ -186,12 +186,11 @@ _STATE_ARRAYS = 12
 #   0.15 ms + 3 ns x 2 n_omega (512 + 2 n_omega), for the CRAB table and the
 #   inverse Hessian at DEFAULT_SLICES = 512; calls timed at 0.15, 0.47, 1.6-2.0
 #   and 13-20 ms at n_omega 4, 128, 256 and 1024 lie within 60 % of it;
-# - a closed protocol run updates rounds x cutoff^2 magnon amplitudes, about
-#   6.4 ns each per round (6.1-6.4 ns at cutoffs 100 and 1000).
+# - a closed protocol run updates rounds x its input's box's magnon amplitudes, at
+#   most cutoff^2, about 6.4 ns each per round (6.1-6.4 ns at cutoffs 100 and 1000).
 # A lossy run needs no estimate: its rounds, on its input's 2 x 2 box, take 34-65 us
 # (decohere-prepare) or 50-130 us (stabilize) at every cutoff from 3 to 30, so the
-# 2,097,151 rounds the row budget admits take at most about 5 minutes, and the final
-# dense state 11-15 s at cutoff 57, the largest the work budget admits.
+# 2,097,151 rounds the row budget admits take at most about 5 minutes.
 # A coupling-ratio scan needs no estimate: at the 2,097,152 points the work
 # budget admits, the scan took 0.86 s and its CSV emit 1.4 s.  The budget, ~27
 # minutes, lets n_omega = 4 make 2500 restarts but not 2501, as the call budget
@@ -272,7 +271,7 @@ def _protocol_config(scenario: str, p: dict, interval_mode: str = "full") -> Pro
     dim = cutoff**2  # of the magnon space
     decoherence = (p["gamma_n"], p["gamma_m"]) if "gamma_n" in p else None
     _budget(f"{scenario}/rounds", (rounds + 1) * _ROW_BYTES)
-    _budget(f"{scenario}/cutoff", 16 * _STATE_ARRAYS * (dim if decoherence is None else dim**2))
+    _budget(f"{scenario}/cutoff", 16 * _STATE_ARRAYS * dim)
     if decoherence is None:
         _budget(f"{scenario}/rounds, cutoff", seconds=rounds * 6.4e-9 * dim)
     eff = EffectiveParams(G_e=p["G_e"], G_f=p["G_f"],

@@ -15,12 +15,13 @@ lossy round applies the magnon round map M = P_g exp(L tau) P_g to the
 magnon density: the exact channel exp(L tau) of the joint qutrit-magnon
 master equation (``dynamics.lindblad_channel``), built once per run on the
 Liouville indices that |g><g| (x) rho_0 can reach, and compressed once to
-the g-g entries of that set (``_round_map``), all on the input's box: the
-magnon space cut at max(n, N) + 1 and max(m, N) + 1 over the input's
-nonzero pattern, which no round leaves, since H conserves n + P_e and
-m + P_f and loss only lowers n and m.  A stabilization run shares
-one channel, built from the Bell input, between its projected and free
-legs, since every projected state stays in the g-g part of that set.
+the g-g entries of that set (``_round_map``).  Every run, closed or lossy,
+works on the input's box: the magnon space cut at max(n, N) + 1 and
+max(m, N) + 1 over the input's nonzero pattern, which no round leaves,
+since a closed round is diagonal, H conserves n + P_e and m + P_f, and
+loss only lowers n and m.  A stabilization run shares one channel, built
+from the Bell input, between its projected and free legs, since every
+projected state stays in the g-g part of that set.
 A run is planned, then run: ``_plan`` and ``_plan_stabilize`` make the
 pre-round checks once and return the run, which builds the channel; the
 CLI's plans keep these runs, and ``run_protocol`` and ``stabilize`` call them.
@@ -30,10 +31,10 @@ the one place a round's array is checked, in place, with
 holds the outcome probability to a floor; a lossy round and a free-leg step
 are each one ``BlockMap._apply``, which checks the input's support and
 scrubs the anti-Hermitian roundoff.  Records are read off the |0,0> and
-|N,N> entries of each round's array, and a run's final array (a lossy
-run's embedded once from its box) becomes its one ``QuantumState``.  The
-channel checks its trace preservation once, when built; the round loop's
-stricter check catches a step that drifts it.
+|N,N> entries of each round's array, and a run's final array becomes its
+one ``QuantumState``, on the box's space.  The channel checks its trace
+preservation once, when built; the round loop's stricter check catches a
+step that drifts it.
 """
 
 from __future__ import annotations
@@ -212,10 +213,10 @@ class ProtocolRecord:
     success_probability is cumulative; even_population is the normalized
     population on {|0,0>, |N,N>}.  slow_states lists non-target Fock pairs
     whose per-round damping factor exceeds 1 - 1e-6 (distillation will stall
-    on them), for a lossy run only those inside its box; converged_round is
-    the first round where the even-pair population passed 1 - 1e-6, or None.  ``run_protocol`` reads every
-    record off the two even-pair entries of each round's checked array, and
-    final_state is the one QuantumState a run builds.
+    on them) inside the run's box; converged_round is the first round where the even-pair
+    population passed 1 - 1e-6, or None.  ``run_protocol`` reads every record off the two
+    even-pair entries of each round's checked array; final_state, the one QuantumState a run
+    builds, lives on the box's space (``_plan``): a caller that indexes the input's space embeds it.
     """
 
     fidelity_plus: np.ndarray
@@ -258,8 +259,8 @@ def run_protocol(initial: QuantumState, cfg: ProtocolConfig) -> ProtocolRecord:
     elementwise (v_i psi_i, or v_i conj(v_j) rho_ij for a mixed state); with
     decoherence set, M = P_g exp(L tau) P_g (``_round_map``), the g-g part
     of the exact magnon-loss map (``lindblad_channel``) on |g><g| (x) rho,
-    which the run builds from |g><g| (x) initial and checks for trace preservation,
-    all on the input's box (``_plan``), so a lossy round costs the same at every cutoff.
+    which the run builds from |g><g| (x) initial and checks for trace preservation;
+    all on the input's box (``_plan``), so a round costs the same at every cutoff.
 
     ``_round_loop`` checks each round's renormalized magnon array in place.
     Each round holds the outcome probability to NULL_OUTCOME_FLOOR; a lossy
@@ -267,45 +268,41 @@ def run_protocol(initial: QuantumState, cfg: ProtocolConfig) -> ProtocolRecord:
     the anti-Hermitian roundoff of M rho.  No joint state and no per-round
     object is formed: the records are read off the |0,0> and |N,N> entries
     of each round's array (``_pair_records``), and the final array becomes
-    the one QuantumState.
+    the one QuantumState, on the box's space.
     """
     *_, run = _plan(initial, cfg)
     return run()[0]
 
 
 def _plan(initial: QuantumState, cfg: ProtocolConfig):
-    """(a, b, x, run) after a run's pre-round checks: the |0,0> and |N,N> indices of x, the input's array,
-    a lossy run's restricted to its box (n, m < max(n, N) + 1, max(m, N) + 1 over its nonzero pattern),
-    and run() -> (``run_protocol``'s record, the channel a lossy run builds on the box, or None)."""
+    """(a, b, x, run) after a run's pre-round checks, which read v over the input's whole space: the |0,0>
+    and |N,N> indices of x, the input's array on its box (n, m < max(n, N) + 1, max(m, N) + 1 over its
+    nonzero pattern), a lossy run's as a density, and run() -> (``run_protocol``'s record, on the box, and
+    the channel a lossy run builds there, or None)."""
     mag_space = initial.space
     if mag_space.labels != ("n", "m"):
         raise DimensionError(f"initial state must live on ('n', 'm'), got {mag_space.labels}")
-    N, dim = cfg.target_N, mag_space.total_dim
+    N, kind, data = cfg.target_N, initial.kind, initial.data
     if N >= min(mag_space.dims):
         raise DimensionError(f"target excitation {N} outside cutoffs {mag_space.dims}")
-    a, b = mag_space.index((0, 0)), mag_space.index((N, N))
-    if initial.populations()[[a, b]].sum() <= NULL_OUTCOME_FLOOR:
-        raise TargetOverlapError(
-            f"initial population on {{|0,0>, |{N},{N}>}} is numerically zero"
-        )
-    v = _return_amplitudes(*np.unravel_index(np.arange(dim), mag_space.dims), cfg.eff, cfg.tau)
+    if initial.populations()[[mag_space.index((0, 0)), mag_space.index((N, N))]].sum() <= NULL_OUTCOME_FLOOR:
+        raise TargetOverlapError(f"initial population on {{|0,0>, |{N},{N}>}} is numerically zero")
+    v = _return_amplitudes(*np.unravel_index(np.arange(mag_space.total_dim), mag_space.dims), cfg.eff, cfg.tau)
 
+    # the box; its cutoffs are read off the input's nonzero pattern, as the channel reads its start
+    n, m = np.unravel_index(np.concatenate(np.nonzero(data)), mag_space.dims)
+    space = HilbertSpace((("n", max(n.max(), N) + 1), ("m", max(m.max(), N) + 1)))
+    box = np.ravel_multi_index(np.indices(space.dims).reshape(2, -1), mag_space.dims)
+    v, data = v[box], data[box] if kind == "pure" else data[np.ix_(box, box)]
     # the per-round map on the unnormalized magnon data: the amplitudes (closed) or the run's channel
-    space, kind, data = mag_space, initial.kind, initial.data
     if cfg.decoherence is None:
         vv = v if kind == "pure" else np.outer(v, v.conj())
-    else:  # the box; its cutoffs are read off data's nonzero pattern, as the channel reads its start
-        n, m = np.unravel_index(np.concatenate(np.nonzero(data)), mag_space.dims)
-        space = HilbertSpace((("n", max(n.max(), N) + 1), ("m", max(m.max(), N) + 1)))
-        box = np.ravel_multi_index(np.indices(space.dims).reshape(2, -1), mag_space.dims)
-        # a pure input is restricted before its outer product: no d x d density is formed
-        data = np.outer(data[box], data[box].conj()) if kind == "pure" else data[np.ix_(box, box)]
-        kind, dim, a, b = "mixed", space.total_dim, space.index((0, 0)), space.index((N, N))
-    # the non-target pairs v barely damps, of those the rounds can populate (a lossy run's box)
-    slow = tuple(
-        occ for occ in map(mag_space.occupations, np.flatnonzero(np.abs(v) > 1.0 - SLOW_DAMPING_MARGIN))
-        if occ not in ((0, 0), (N, N)) and occ[0] < space.dims[0] and occ[1] < space.dims[1]
-    )
+    elif kind == "pure":  # restricted before its outer product: no d x d density is formed
+        kind, data = "mixed", np.outer(data, data.conj())
+    dim, a, b = space.total_dim, space.index((0, 0)), space.index((N, N))
+    # the non-target pairs v barely damps, of those the rounds can populate (the box)
+    slow = tuple(occ for occ in map(space.occupations, np.flatnonzero(np.abs(v) > 1.0 - SLOW_DAMPING_MARGIN))
+                 if occ not in ((0, 0), (N, N)))
     # the entries each round's records read: x_a, x_b (pure) or rho_aa, rho_bb, rho_ab (mixed)
     picks = [a, b] if kind == "pure" else [a * dim + a, b * dim + b, a * dim + b]
 
@@ -315,14 +312,11 @@ def _plan(initial: QuantumState, cfg: ProtocolConfig):
         evolve = (lambda x: vv * x) if channel is None else _round_map(channel, space)._apply
         x, entries, probs = _round_loop(
             data, lambda x, k: _normalized(evolve(x), f"round {k}: ground-state"), picks, cfg.rounds)
-        if channel is not None:  # the box's last array, embedded once in the input's space
-            x, box_rho = np.zeros((mag_space.total_dim,) * 2, dtype=complex), x
-            x[np.ix_(box, box)] = box_rho
         even_pop, f_plus, f_minus = _pair_records(entries, kind == "pure")
         converged = np.flatnonzero(even_pop >= CONVERGED_EVEN_POPULATION)
         return ProtocolRecord(
             fidelity_plus=f_plus, fidelity_minus=f_minus, success_probability=np.cumprod(probs),
-            even_population=even_pop, final_state=QuantumState(mag_space, kind, x), slow_states=slow,
+            even_population=even_pop, final_state=QuantumState(space, kind, x), slow_states=slow,
             converged_round=int(converged[0]) if converged.size else None), channel
 
     return a, b, data, run

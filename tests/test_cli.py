@@ -613,8 +613,8 @@ class TestMalformedInputExits2:
         ("stabilize", {"rounds": 10**30}, "rounds"),
         ("single-shot", {"n_omega": 100_000}, "n_omega"),
         ("nbell", {"cutoff": 100_000}, "cutoff"),
-        ("decohere-prepare", {"cutoff": 200}, "cutoff"),
-        ("stabilize", {"cutoff": 100}, "cutoff"),
+        ("decohere-prepare", {"cutoff": 3400}, "cutoff"),
+        ("stabilize", {"cutoff": 3400}, "cutoff"),
         ("single-shot", {"restarts": 10**12}, "n_omega, restarts"),
         ("coupling-ratio", {"points": 1_000_000_000}, "points"),
         ("single-shot", {"n_omega": 1024, "restarts": 2500}, "n_omega, restarts"),
@@ -715,8 +715,8 @@ class TestValidateRunsThePlan:
         ("coherent-distill", {"G_e": 9.0e+153, "G_f": 9.0e+153}, 2, "ValueError", "Omega_03 overflows"),
         ("stabilize", {"G_e": 9.0e+153, "G_f": 9.0e+153}, 2, "ValueError", "Omega_12 overflows"),
         ("validate-dispersive", {"coupling_ratio": 1.0e-7}, 2, "ValueError", "coupling_ratio 1e-07 is too small"),
-        ("decohere-prepare", {"cutoff": 100}, 2, "ConfigError", "decohere-prepare/cutoff"),
-        ("stabilize", {"cutoff": 100}, 2, "ConfigError", "stabilize/cutoff"),
+        ("decohere-prepare", {"cutoff": 3400}, 2, "ConfigError", "decohere-prepare/cutoff"),
+        ("stabilize", {"cutoff": 3400}, 2, "ConfigError", "stabilize/cutoff"),
     ], ids=["truncation", "interval-overflow", "target-outside-cutoff", "xi-overflow", "search-interval-overflow",
             "grid-overflow", "stabilize-grid-overflow", "unresolvable-ratio", "lossy-cutoff", "stabilize-cutoff"])
     def test_validate_exits_as_run_does(self, tmp_path, capsys, scenario, params, code, error, message):

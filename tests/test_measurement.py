@@ -401,7 +401,7 @@ class TestRunProtocol:
         psi = product_state(magnon(3), {"n": plus, "m": plus})
         rec = run_protocol(psi, cfg)
         assert rec.converged_round is not None
-        n, m = np.unravel_index(np.arange(9), (3, 3))
+        n, m = np.unravel_index(np.arange(rec.final_state.space.total_dim), rec.final_state.space.dims)
         expectation = float((-1.0) ** (n + m) @ rec.final_state.populations())
         assert expectation >= 1.0 - 1e-9
 
@@ -420,26 +420,30 @@ class TestRunProtocol:
 
     def test_slow_state_diagnostics_flag_degenerate_pairs(self):
         # equal couplings leave (0, 2) and (2, 0) exactly dark (same block
-        # frequency as the held target pair); the record must surface them
+        # frequency as the held target pair); the record must surface them.
+        # The input populates every pair, so its box is the whole space
+        def uniform(d):
+            return QuantumState(magnon(d), "pure", np.full(d * d, 1.0 / d))
+
         eff = EffectiveParams(G_e=1e-3, G_f=1e-3)
         cfg = ProtocolConfig.for_target(eff, rounds=2)
-        plus = superposed_state(4, 1)
-        rec = run_protocol(product_state(magnon(4), {"n": plus, "m": plus}), cfg)
+        rec = run_protocol(uniform(4), cfg)
         assert (0, 2) in rec.slow_states and (2, 0) in rec.slow_states
         # detuned couplings lift that degeneracy but keep the diagonal family
         eff_split = EffectiveParams(G_e=1e-3, G_f=1.2e-3)
         cfg_split = ProtocolConfig.for_target(eff_split, rounds=2)
-        plus10 = superposed_state(10, 1)
-        rec_split = run_protocol(product_state(magnon(10), {"n": plus10, "m": plus10}),
-                                 cfg_split)
+        rec_split = run_protocol(uniform(10), cfg_split)
         assert (0, 2) not in rec_split.slow_states
         assert (4, 4) in rec_split.slow_states
 
-    @pytest.mark.parametrize("cutoff", [3, 5, 9])
+    @pytest.mark.parametrize("cutoff", [3, 5, 6, 9])
     def test_lossy_slow_states_lie_in_the_box(self, cutoff):
-        # decohere-prepare's equal couplings leave (0, 2) and (2, 0) dark, but the
-        # lossy |+>|+> run never leaves n, m <= 1, so it has no slow pair at any cutoff
-        assert run_protocol(*decohere_prepare_run(cutoff)).slow_states == ()
+        # decohere-prepare's and bell-distill's equal couplings leave (0, 2) and (2, 0) dark, but
+        # neither the lossy nor the closed |+>|+> run leaves n, m <= 1, so neither has a slow pair
+        psi, cfg = decohere_prepare_run(cutoff)
+        closed = ProtocolConfig.for_target(EffectiveParams(G_e=1e-3, G_f=1e-3), rounds=8)
+        for run_cfg in (cfg, closed):
+            assert run_protocol(psi, run_cfg).slow_states == ()
 
     @pytest.mark.parametrize("g_e, g_f, delta", [(6e-3, 6e-3, 0.0), (6e-3, 9e-3, 0.0),
                                                  (6e-3, 6e-3, 2e-3)])
@@ -483,7 +487,7 @@ class TestRunProtocol:
     @pytest.mark.parametrize("target_N", [1, 2])
     def test_lossy_run_works_on_its_input_box(self, target_N):
         # a mixed input on n <= 1, m <= 2 has the box n < max(1, N) + 1, m < max(2, N) + 1 at
-        # cutoffs 3 and 5 alike: the same records, and a final state that is 0 off the box
+        # cutoffs 3 and 5 alike: the same records, and the same final state on that box
         rng = np.random.default_rng(53)
         mat = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         rho = mat @ mat.conj().T
@@ -491,15 +495,12 @@ class TestRunProtocol:
                                         decoherence=(1e-4, 0.5e-4))
         runs = []
         for d in (3, 5):
-            support, box = (np.ravel_multi_index(np.indices(dims).reshape(2, -1), (d, d))
-                            for dims in ((2, 3), (max(1, target_N) + 1, max(2, target_N) + 1)))
+            support = np.ravel_multi_index(np.indices((2, 3)).reshape(2, -1), (d, d))
             initial = np.zeros((d * d, d * d), dtype=complex)
             initial[np.ix_(support, support)] = rho / np.trace(rho)
             rec = run_protocol(QuantumState(magnon(d), "mixed", initial), cfg)
-            off_box = np.ones(initial.shape, dtype=bool)
-            off_box[np.ix_(box, box)] = False
-            assert not rec.final_state.data[off_box].any()
-            runs.append((rec, rec.final_state.data[np.ix_(box, box)]))
+            assert rec.final_state.space.dims == (max(1, target_N) + 1, max(2, target_N) + 1)
+            runs.append((rec, rec.final_state.data))
         (rec3, final3), (rec5, final5) = runs
         for field in RECORD_FIELDS:
             assert np.array_equal(getattr(rec3, field), getattr(rec5, field)), field
@@ -541,7 +542,11 @@ def assert_matches_looped_oracle(initial, cfg):
     for field in RECORD_FIELDS:
         assert np.abs(getattr(rec, field) - want[field]).max() <= 1e-13, field
     assert rec.final_state.kind == want["final_state"].kind
-    assert np.abs(rec.final_state.data - want["final_state"].data).max() <= 1e-13
+    # the record's final state lives on the input's box; embed it in the oracle's space
+    box = np.ravel_multi_index(np.indices(rec.final_state.space.dims).reshape(2, -1), initial.space.dims)
+    final = np.zeros_like(want["final_state"].data)
+    final[box if rec.final_state.kind == "pure" else np.ix_(box, box)] = rec.final_state.data
+    assert np.abs(final - want["final_state"].data).max() <= 1e-13
     assert rec.slow_states == want["slow_states"]
     assert rec.converged_round == want["converged_round"]
 
@@ -647,27 +652,29 @@ class TestLossyRoundChecks:
 
     def test_each_round_validates_the_magnon_state_and_each_free_step_the_joint_state(self, monkeypatch):
         # the check QuantumState runs, called in place by the one round loop: once per round
-        # on the magnon array, once per free-leg step on the joint one, and nowhere else; a
-        # lossy run's arrays are its input's 2 x 2 box's, 4-dim and 12-dim joint
+        # on the magnon array, once per free-leg step on the joint one, and nowhere else.  At
+        # cutoff 30 every run's arrays are its input's 2 x 2 box's, 4-dim and 12-dim joint, and
+        # so is its final state
         seen = []
 
         def spy(arr, real=measurement.check_state):
-            seen.append((sys._getframe(1).f_code.co_name, arr.shape[0]))
+            seen.append((sys._getframe(1).f_code.co_name, arr.shape))
             return real(arr)
 
         monkeypatch.setattr(measurement, "check_state", spy)
         assert not hasattr(dynamics, "check_state")
-        psi, cfg = decohere_prepare_run()
-        run_protocol(psi, cfg)
-        assert seen == [("_round_loop", 4)] * cfg.rounds
+        psi, cfg = decohere_prepare_run(30)
+        assert run_protocol(psi, cfg).final_state.space.dims == (2, 2)
+        assert seen == [("_round_loop", (4, 4))] * cfg.rounds
         seen.clear()
-        stabilize(bell_state(magnon(3), 1, +1), cfg)
-        assert seen == [("_round_loop", 4)] * cfg.rounds + [("_round_loop", 12)] * cfg.rounds
+        stabilize(bell_state(magnon(30), 1, +1), cfg)
+        assert seen == [("_round_loop", (4, 4))] * cfg.rounds + [("_round_loop", (12, 12))] * cfg.rounds
         seen.clear()
         closed = ProtocolConfig.for_target(cfg.eff, rounds=cfg.rounds)
-        run_protocol(psi, closed)
-        run_protocol(QuantumState(psi.space, "mixed", psi.density()), closed)
-        assert seen == [("_round_loop", 9)] * (2 * cfg.rounds)
+        for state, shape in ((psi, (4,)), (QuantumState(psi.space, "mixed", psi.density()), (4, 4))):
+            assert run_protocol(state, closed).final_state.space.dims == (2, 2)
+            assert seen == [("_round_loop", shape)] * cfg.rounds
+            seen.clear()
 
     def test_stabilize_builds_one_spec_and_one_channel(self, monkeypatch):
         # the projected and free legs share the joint spec and the channel built from the Bell input
