@@ -44,8 +44,12 @@ resolution in F, not by round-off: the midpoint rule is second order, so
 the sliced model's error at N slices is F(N) - F(inf) ~ c/N^2, and
 F(inf) - F(N) ~ (4/3)(F(2N) - F(N)).  At the shipped winner F(1024) - F(512)
 = -9.6e-11, so the 512-slice F is determined only to about 1.3e-10 (4,096
-slices give -1.65e-10).  A restart that gains less than a tenth of that per
-iteration, 1e-11, no longer moves F at the model's resolution; a gradient
+slices give -1.65e-10).  That bound is the 512-slice model's: the search fits
+the slicing, so the unsliced 1 - F, quadratic in the slicing's amplitude error
+e, is ~|e|^2 against (9/16)|e|^2 at 2N slices, and the shipped pulse's
+unsliced deficit ~(16/9)|slicing_error|, 1.7e-10.  A restart that gains less
+than a tenth of the 1.3e-10 per iteration, 1e-11, no longer moves F at the
+512-slice model's resolution; a gradient
 tolerance would keep converged restarts iterating on the flat set around
 F = 1.  A restart also ends after MAX_CALLS objective calls, or when its
 line search would step shorter than SPREAD_TOL.  The result states the
