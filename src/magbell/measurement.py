@@ -286,7 +286,9 @@ def _plan(initial: QuantumState, cfg: ProtocolConfig):
     if N >= min(mag_space.dims):
         raise DimensionError(f"target excitation {N} outside cutoffs {mag_space.dims}")
     if initial.populations()[[mag_space.index((0, 0)), mag_space.index((N, N))]].sum() <= NULL_OUTCOME_FLOOR:
-        raise TargetOverlapError(f"initial population on {{|0,0>, |{N},{N}>}} is numerically zero")
+        raise TargetOverlapError(
+            f"initial population on {{|0,0>, |{N},{N}>}} is numerically zero"
+        )
     v = _return_amplitudes(*np.unravel_index(np.arange(mag_space.total_dim), mag_space.dims), cfg.eff, cfg.tau)
 
     # the box; its cutoffs are read off the input's nonzero pattern, as the channel reads its start
